@@ -36,11 +36,18 @@ def _read_json(path: str):
         raise click.UsageError(f"cannot read {path}: {exc}")
 
 
-def _load_graph(path: str) -> graphs.LabeledDigraph:
+def _load(path: str, kind: str, build):
+    """build(obj) from the JSON in path; malformed content is a one-line
+    usage error (exit 2)."""
+    obj = _read_json(path)
     try:
-        return graphs.from_json(_read_json(path))
+        return build(obj)
     except (KeyError, TypeError, ValueError) as exc:
-        raise click.UsageError(f"bad graph file {path}: {exc}")
+        raise click.UsageError(f"bad {kind} file {path}: {exc}")
+
+
+def _load_graph(path: str) -> graphs.LabeledDigraph:
+    return _load(path, "graph", graphs.from_json)
 
 
 def _emit(obj) -> None:
@@ -55,6 +62,8 @@ def _emit_graph(g: graphs.LabeledDigraph, dot: bool) -> None:
 
 
 def _word(text: str):
+    if not isinstance(text, str):
+        raise click.UsageError(f"word must be a string, got {text!r}")
     try:
         return parse_word(text)
     except ValueError as exc:
@@ -315,13 +324,11 @@ def complex_npi(word, attach, file):
 @complex_group.command("staggered")
 @click.argument("file")
 def complex_staggered(file):
-    obj = _read_json(file)
-    p = _guard(
-        complexes.StaggeredPresentation,
+    p = _load(file, "presentation", lambda obj: complexes.StaggeredPresentation(
         int(obj["alphabet"]),
         tuple(_word(r) for r in obj["relators"]),
         tuple(int(l) for l in obj["ordered_letters"]),
-    )
+    ))
     ok, diagnostics = complexes.is_staggered(p)
     _emit({"staggered": ok, "diagnostics": diagnostics})
 
@@ -330,12 +337,10 @@ def complex_staggered(file):
 
 
 def _load_subgroup(path: str) -> subgroups.SubgroupGraph:
-    obj = _read_json(path)
-    return _guard(
-        subgroups.stallings_graph,
+    return _load(path, "subgroup", lambda obj: subgroups.stallings_graph(
         [_word(w) for w in obj["generators"]],
         int(obj["alphabet"]),
-    )
+    ))
 
 
 @main.group()

@@ -103,7 +103,8 @@ def decompose(g: LabeledDigraph, w: Word) -> WCycleDecomposition:
         if res is not None:
             sigma[v] = res[0]
             witness[v] = res[1]
-    assert len(set(sigma.values())) == len(sigma), "sigma_w must be injective"
+    if len(set(sigma.values())) != len(sigma):
+        raise ValueError("sigma_w is not injective: graph is not deterministic")
 
     # Injectivity means every orbit is a simple path or a simple cycle; a
     # forward walk can only re-enter at its own starting vertex.
@@ -120,13 +121,15 @@ def decompose(g: LabeledDigraph, w: Word) -> WCycleDecomposition:
             walk.append(v)
             v = sigma.get(v)
         if v is not None and v in seen:
-            assert v == start, "walk re-entered off its start; sigma not injective?"
+            if v != start:
+                raise RuntimeError("walk re-entered off its start; sigma_w not injective")
             for u in walk:
                 on_cycle[u] = True
             path = tuple(step for u in walk for step in witness[u])
             classes.append(WCycleClass(tuple(walk), path))
         else:
-            assert v is None or not on_cycle[v], "path merged into a cycle"
+            if v is not None and on_cycle[v]:
+                raise RuntimeError("sigma_w orbit path merged into a cycle")
             for u in walk:
                 on_cycle[u] = False
 

@@ -166,5 +166,7 @@ def random_staggered_presentation(
         alphabet, tuple(relators), tuple(range(1, alphabet + 1))
     )
     ok, diagnostics = is_staggered(p)
-    assert ok, diagnostics
+    if not ok:
+        raise RuntimeError("generated presentation is not staggered: "
+                           + "; ".join(diagnostics))
     return p

@@ -10,7 +10,6 @@ from .graphs import (
     betti,
     canonical_form,
     circle,
-    component_containing,
     core,
     fiber_product,
     fold,
@@ -80,11 +79,33 @@ def conjugate(h: SubgroupGraph, g: Word) -> SubgroupGraph:
 
 
 def intersect(h1: SubgroupGraph, h2: SubgroupGraph) -> SubgroupGraph:
-    """Based component of the fiber product, cored: the intersection."""
-    if h1.graph.alphabet != h2.graph.alphabet:
+    """Based component of the fiber product, cored: the intersection.
+
+    Only the based component is built, breadth-first from the basepoint
+    pair, so the cost follows its size rather than |V1|*|V2|.
+    """
+    g1, g2 = h1.graph, h2.graph
+    if g1.alphabet != g2.alphabet:
         raise ValueError("alphabet mismatch")
-    fp = fiber_product(h1.graph, h2.graph)
-    based = component_containing(fp, fp.basepoint)
+    start = (g1.basepoint, g2.basepoint)
+    number = {start: 0}
+    order = [start]
+    edges = []
+    for v1, v2 in order:  # order grows while it is read: the BFS queue
+        for l in range(1, g1.alphabet + 1):
+            # far: position of the far endpoint in an edge triple (1 = dst)
+            for far, map1, map2 in ((1, g1.out_map, g2.out_map),
+                                    (0, g1.in_map, g2.in_map)):
+                i1, i2 = map1.get((v1, l)), map2.get((v2, l))
+                if i1 is None or i2 is None:
+                    continue
+                u = (g1.edges[i1][far], g2.edges[i2][far])
+                if u not in number:
+                    number[u] = len(order)
+                    order.append(u)
+                if far == 1:  # each edge is added once, from its source
+                    edges.append((number[v1, v2], number[u], l))
+    based = LabeledDigraph(g1.alphabet, len(order), tuple(edges), 0)
     return SubgroupGraph(canonical_form(core(based)), ())
 
 

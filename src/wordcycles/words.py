@@ -51,11 +51,6 @@ def format_word(w: Word) -> str:
     return "".join(out)
 
 
-def word_alphabet(w: Word) -> int:
-    """Smallest alphabet size containing every letter of w."""
-    return max((abs(x) for x in w), default=0)
-
-
 def invert(w: Word) -> Word:
     return tuple(-x for x in reversed(w))
 

@@ -1,10 +1,11 @@
 import json
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
 from wordcycles.cli import main
-from wordcycles.graphs import dumps, rose, to_json
+from wordcycles.graphs import dumps, loads, rose, to_json
 from wordcycles.words import parse_word
 
 
@@ -176,3 +177,53 @@ def test_bad_graph_file(runner, tmp_path):
     path.write_text("{not json")
     result = runner.invoke(main, ["graph", "betti", str(path)])
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize("obj", [
+    {"alphabet": 2},
+    {"generators": ["a"]},
+    {"alphabet": 2, "generators": 5},
+    {"alphabet": 2, "generators": [5]},
+    {"alphabet": "two", "generators": ["a"]},
+    {"alphabet": 0, "generators": ["a"]},
+    ["a", "b"],
+])
+def test_malformed_subgroup_file(runner, tmp_path, obj):
+    path = tmp_path / "sub.json"
+    path.write_text(json.dumps(obj))
+    result = runner.invoke(main, ["subgroup", "rank", str(path)])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize("obj", [
+    {"alphabet": 2, "relators": ["ab"]},
+    {"alphabet": 2, "relators": 5, "ordered_letters": [1, 2]},
+    {"alphabet": 2, "relators": [7], "ordered_letters": [1, 2]},
+    {"alphabet": 2, "relators": ["ab"], "ordered_letters": ["x"]},
+])
+def test_malformed_staggered_file(runner, tmp_path, obj):
+    path = tmp_path / "pres.json"
+    path.write_text(json.dumps(obj))
+    result = runner.invoke(main, ["complex", "staggered", str(path)])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+
+
+def test_missing_generators_names_the_key(runner, tmp_path):
+    path = tmp_path / "sub.json"
+    path.write_text(json.dumps({"alphabet": 2}))
+    result = runner.invoke(main, ["subgroup", "rank", str(path)])
+    assert "bad subgroup file" in result.output and "'generators'" in result.output
+
+
+def test_readme_graph_example_loads(runner, tmp_path):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("```json\n", 1)[1].split("```", 1)[0]
+    g = loads(block)
+    assert g.num_vertices == 2 and g.basepoint == 0 and len(g.edges) == 2
+    path = tmp_path / "g.json"
+    path.write_text(block)
+    assert runner.invoke(main, ["graph", "validate", str(path)]).exit_code == 0

@@ -90,3 +90,9 @@ class TestRandomStaggered:
             ok, _ = is_staggered(p)
             assert ok
             assert all(is_simple(r) for r in p.relators)
+
+    def test_failed_self_check_raises(self, monkeypatch):
+        monkeypatch.setattr("wordcycles.generators.is_staggered",
+                            lambda p: (False, ["planted diagnostic"]))
+        with pytest.raises(RuntimeError, match="planted diagnostic"):
+            random_staggered_presentation(TrialConfig(alphabet=3), 0, 2)
