@@ -202,9 +202,7 @@ def wcycles_count(word, file):
         {
             "word": format_word(w),
             "class_count": res.total_classes,
-            "count_with_multiplicity": _guard(
-                cycles.decompose, g, w
-            ).count_with_multiplicity,
+            "count_with_multiplicity": res.count_with_multiplicity,
             "betti": res.total_betti,
             "inequality_holds": res.passed,
             "per_component": [
@@ -281,7 +279,7 @@ def complex_gamma_w(word, file):
 @complex_group.command("collapse")
 @click.argument("file")
 def complex_collapse(file):
-    x = _guard(_complex_from_json, _read_json(file))
+    x = _load(file, "complex", _complex_from_json)
     res = _guard(complexes.collapses_to_tree, x)
     _emit(
         {

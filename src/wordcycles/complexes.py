@@ -27,9 +27,15 @@ class TwoComplex:
     cells: tuple[Cell, ...]
 
     def __post_init__(self):
+        num_edges = len(self.skeleton.edges)
         for k, cell in enumerate(self.cells):
             if not cell:
                 raise ValueError(f"cell {k} has an empty boundary")
+            for e, d in cell:
+                if not 0 <= e < num_edges:
+                    raise ValueError(f"cell {k}: edge {e} outside 0..{num_edges - 1}")
+                if d not in (1, -1):
+                    raise ValueError(f"cell {k}: direction {d} is not +1 or -1")
             v = self._step_start(cell[0])
             for step in cell:
                 if self._step_start(step) != v:
@@ -101,8 +107,8 @@ def collapses_to_tree(x: TwoComplex, max_cells_exhaustive: int = 12) -> Collapse
         raise ValueError("collapses_to_tree: skeleton must be connected")
 
     def is_tree(edges: set[int]) -> bool:
-        b = len(edges) - g.num_vertices + _component_count(g, edges)
-        return b == 0
+        live = tuple(g.edges[i] for i in edges)
+        return betti(LabeledDigraph(g.alphabet, g.num_vertices, live)).total == 0
 
     def greedy(cells_left: set[int], edges_left: set[int]):
         seq = []
@@ -147,21 +153,6 @@ def collapses_to_tree(x: TwoComplex, max_cells_exhaustive: int = 12) -> Collapse
     if seq is None:
         return CollapseResult(False, (), True)
     return CollapseResult(True, tuple(seq), True)
-
-
-def _component_count(g: LabeledDigraph, edges: set[int]) -> int:
-    parent = list(range(g.num_vertices))
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for i in edges:
-        s, d, _ = g.edges[i]
-        parent[find(s)] = find(d)
-    return len({find(v) for v in range(g.num_vertices)})
 
 
 @dataclass(frozen=True)

@@ -223,6 +223,7 @@ class MainInequalityReport:
     total_classes: int
     total_betti: int
     passed: bool
+    count_with_multiplicity: int
 
 
 def check_main_inequality(g: LabeledDigraph, w: Word) -> MainInequalityReport:
@@ -234,7 +235,8 @@ def check_main_inequality(g: LabeledDigraph, w: Word) -> MainInequalityReport:
         verdicts.append(ComponentVerdict(comp, k, b, k <= b, k == b))
     total_k = dec.class_count
     passed = all(v.passed for v in verdicts) and total_k <= report.total
-    return MainInequalityReport(w, tuple(verdicts), total_k, report.total, passed)
+    return MainInequalityReport(w, tuple(verdicts), total_k, report.total, passed,
+                                dec.count_with_multiplicity)
 
 
 def collapsed_hypothesis(g: LabeledDigraph, w: Word) -> tuple[bool, dict[int, int]]:
@@ -245,7 +247,10 @@ def collapsed_hypothesis(g: LabeledDigraph, w: Word) -> tuple[bool, dict[int, in
     """
     if not is_connected(g):
         raise ValueError("collapsed_hypothesis: graph must be connected")
-    dec = decompose(g, w)
+    return _hypothesis(g, decompose(g, w))
+
+
+def _hypothesis(g: LabeledDigraph, dec: WCycleDecomposition) -> tuple[bool, dict[int, int]]:
     mult = {i: dec.edge_multiplicity.get(i, 0) for i in range(len(g.edges))}
     return all(m >= 2 for m in mult.values()), mult
 
@@ -262,17 +267,15 @@ class StrictInequalityReport:
 
 def check_strict_inequality(g: LabeledDigraph, w: Word) -> StrictInequalityReport:
     """Count with multiplicity < Betti number, under the >= 2 edge hypothesis."""
+    dec = decompose(g, w)
     reasons = []
     if not is_connected(g):
         reasons.append("graph is not connected")
-        hypothesis = False
     else:
         if g.num_vertices == 1 and not g.edges:
             reasons.append("graph is a single vertex")
-        hypothesis, _ = collapsed_hypothesis(g, w)
-        if not hypothesis:
+        if not _hypothesis(g, dec)[0]:
             reasons.append("some edge has traversal multiplicity < 2")
-    dec = decompose(g, w)
     count = dec.count_with_multiplicity
     b = betti(g).total
     applicable = not reasons

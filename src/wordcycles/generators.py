@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .graphs import LabeledDigraph, component_containing
 from .complexes import StaggeredPresentation, is_staggered
@@ -75,15 +75,7 @@ def random_permutation_automaton(cfg: TrialConfig, seed_or_rng) -> LabeledDigrap
     """Full permutations for every label (a cover of the rose), connected
     component taken.  Every word traces from every vertex."""
     rng = _as_rng(seed_or_rng)
-    full = TrialConfig(
-        master_seed=cfg.master_seed,
-        trials=cfg.trials,
-        max_vertices=cfg.max_vertices,
-        alphabet=cfg.alphabet,
-        max_word_length=cfg.max_word_length,
-        edge_density=1.0,
-    )
-    g = random_inverse_automaton(full, rng)
+    g = random_inverse_automaton(replace(cfg, edge_density=1.0), rng)
     return component_containing(g, rng.randrange(g.num_vertices))
 
 

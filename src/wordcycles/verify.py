@@ -1,13 +1,22 @@
 """Property-verification suites: each wraps one theorem check and runs it
 over seeded random instances, reporting pass/fail/inconclusive counts with
 full counterexample payloads.
+
+A suite is one trial function plus one ``SUITES`` entry.  The trial
+function ``trial(cfg, index, rng, report)`` draws one instance from rng,
+which is seeded by ``trial_seed(cfg.master_seed, index)``, checks it, and
+returns True (pass), False (fail, after appending a payload to
+report.failures) or None (inconclusive).  A suite that counts qualifying
+trials adds 1 to report.qualifying for each trial whose hypothesis held.
+``run_suite`` is the only loop over trials.
 """
 
 from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import Callable
 
 from . import complexes, cycles, graphs, subgroups
 from .generators import (
@@ -59,295 +68,218 @@ def _payload(g: graphs.LabeledDigraph, w: Word | None = None, **extra) -> dict:
     return obj
 
 
-def _rng(cfg: TrialConfig, index: int) -> random.Random:
-    return random.Random(trial_seed(cfg.master_seed, index))
-
-
-def _run(cfg: TrialConfig, trial) -> VerdictReport:
-    """Drive cfg.trials independent trials; trial(rng, report) returns
-    True (pass), False (fail, after appending its payload), or None
-    (inconclusive)."""
-    report = VerdictReport("", cfg.trials, 0)
-    start = time.perf_counter()
-    for i in range(cfg.trials):
-        outcome = trial(_rng(cfg, i), report)
-        if outcome is None:
-            report.inconclusive += 1
-        elif outcome:
-            report.passes += 1
-    report.wall_time = time.perf_counter() - start
-    return report
-
-
-def suite_main(cfg: TrialConfig) -> VerdictReport:
+def main_trial(cfg, index, rng, report):
     """Class count <= Betti number, per component and in total."""
-
-    def trial(rng, report):
-        g = random_inverse_automaton(cfg, rng)
-        w = random_simple_word(cfg, rng)
-        res = cycles.check_main_inequality(g, w)
-        if not res.passed:
-            report.failures.append(
-                _payload(g, w, classes=res.total_classes, betti=res.total_betti)
-            )
-        return res.passed
-
-    return _run(cfg, trial)
+    g = random_inverse_automaton(cfg, rng)
+    w = random_simple_word(cfg, rng)
+    res = cycles.check_main_inequality(g, w)
+    if not res.passed:
+        report.failures.append(
+            _payload(g, w, classes=res.total_classes, betti=res.total_betti)
+        )
+    return res.passed
 
 
-def suite_oracle(cfg: TrialConfig) -> VerdictReport:
+def oracle_trial(cfg, index, rng, report):
     """Orbit-cycle counts agree exactly with brute-force path enumeration."""
-    cfg = TrialConfig(
-        master_seed=cfg.master_seed,
-        trials=cfg.trials,
-        max_vertices=min(cfg.max_vertices, 8),
-        alphabet=cfg.alphabet,
-        max_word_length=min(cfg.max_word_length, 6),
-        edge_density=cfg.edge_density,
-    )
-
-    def trial(rng, report):
-        g = random_inverse_automaton(cfg, rng)
-        w = random_simple_word(cfg, rng)
-        dec = cycles.decompose(g, w)
-        fast = (dec.count_with_multiplicity, dec.class_count)
-        slow = cycles.oracle_counts(g, w)
-        if fast != slow:
-            report.failures.append(_payload(g, w, decompose=fast, oracle=slow))
-            return False
-        return True
-
-    return _run(cfg, trial)
+    cfg = replace(cfg, max_vertices=min(cfg.max_vertices, 8),
+                  max_word_length=min(cfg.max_word_length, 6))
+    g = random_inverse_automaton(cfg, rng)
+    w = random_simple_word(cfg, rng)
+    dec = cycles.decompose(g, w)
+    fast = (dec.count_with_multiplicity, dec.class_count)
+    slow = cycles.oracle_counts(g, w)
+    if fast != slow:
+        report.failures.append(_payload(g, w, decompose=fast, oracle=slow))
+        return False
+    return True
 
 
-def suite_strict(cfg: TrialConfig) -> VerdictReport:
+def strict_trial(cfg, index, rng, report):
     """Strict inequality with multiplicity when every edge is traversed at
     least twice.  Qualifying instances are found by rejection over rose
-    covers and words repeating every generator."""
-
-    def trial(rng, report):
-        g = random_permutation_automaton(cfg, rng)
-        w = random_repeating_word(cfg, rng)
-        if g.num_vertices == 1 and not g.edges:
-            return True
-        holds, _ = cycles.collapsed_hypothesis(g, w)
-        if not holds:
-            return True
-        report.qualifying = (report.qualifying or 0) + 1
-        res = cycles.check_strict_inequality(g, w)
-        if not res.passed:
-            report.failures.append(
-                _payload(g, w, count=res.count_with_multiplicity, betti=res.betti)
-            )
-        return res.passed
-
-    return _run(cfg, trial)
+    covers and words repeating every generator; the rest pass without
+    qualifying."""
+    g = random_permutation_automaton(cfg, rng)
+    w = random_repeating_word(cfg, rng)
+    res = cycles.check_strict_inequality(g, w)
+    if not res.applicable:
+        return True
+    report.qualifying += 1
+    if not res.passed:
+        report.failures.append(
+            _payload(g, w, count=res.count_with_multiplicity, betti=res.betti)
+        )
+    return res.passed
 
 
-def suite_equality_collapse(cfg: TrialConfig) -> VerdictReport:
+def equality_collapse_trial(cfg, index, rng, report):
     """Whenever class count equals the Betti number, the disc complex
-    collapses to a tree.  Runs cfg.trials random connected instances (only
-    those hitting equality qualify) plus 100 circle instances where
-    equality 1 = 1 is automatic."""
-    report = VerdictReport("", 0, 0, qualifying=0)
-    start = time.perf_counter()
-
-    def check(g, w, report):
-        res = complexes.check_equality_collapse(g, w)
-        report.trials += 1
-        if res.applicable:
-            report.qualifying += 1
-        if res.passed:
-            report.passes += 1
-        else:
-            report.failures.append(
-                _payload(g, w, classes=res.class_count, betti=res.betti)
-            )
-
-    for i in range(cfg.trials):
-        rng = _rng(cfg, i)
+    collapses to a tree.  Trials below cfg.trials draw random connected
+    instances (only those hitting equality qualify); the 100 after them
+    read the circle of w, where equality 1 = 1 is automatic."""
+    if index < cfg.trials:
         g = random_connected_automaton(cfg, rng)
         w = random_simple_word(cfg, rng)
-        check(g, w, report)
-    for i in range(100):
-        rng = _rng(cfg, cfg.trials + i)
+    else:
         w = random_simple_word(cfg, rng)
-        check(graphs.circle(w, cfg.alphabet), w, report)
-    report.wall_time = time.perf_counter() - start
-    return report
+        g = graphs.circle(w, cfg.alphabet)
+    res = complexes.check_equality_collapse(g, w)
+    if res.applicable:
+        report.qualifying += 1
+    if not res.passed:
+        report.failures.append(
+            _payload(g, w, classes=res.class_count, betti=res.betti)
+        )
+    return res.passed
 
 
-def suite_npi(cfg: TrialConfig) -> VerdictReport:
+def npi_trial(cfg, index, rng, report):
     """Every generated immersion has Euler characteristic <= 0 or collapses."""
-
-    def trial(rng, report):
-        g = random_connected_automaton(cfg, rng)
-        w = random_simple_word(cfg, rng)
-        dec = cycles.decompose(g, w)
-        attachments = [
-            (c.vertices[rng.randrange(c.period)], c.period)
-            for c in dec.classes
-            if rng.random() < 0.7
-        ]
-        res = complexes.check_npi(g, w, attachments)
-        if res.branch == "inconclusive":
-            return None
-        if not res.passed:
-            report.failures.append(
-                _payload(g, w, euler=res.euler, attachments=attachments)
-            )
-        return res.passed
-
-    return _run(cfg, trial)
+    g = random_connected_automaton(cfg, rng)
+    w = random_simple_word(cfg, rng)
+    dec = cycles.decompose(g, w)
+    attachments = [
+        (c.vertices[rng.randrange(c.period)], c.period)
+        for c in dec.classes
+        if rng.random() < 0.7
+    ]
+    res = complexes.check_npi(g, w, attachments)
+    if res.branch == "inconclusive":
+        return None
+    if not res.passed:
+        report.failures.append(
+            _payload(g, w, euler=res.euler, attachments=attachments)
+        )
+    return res.passed
 
 
-def suite_fold_confluence(cfg: TrialConfig) -> VerdictReport:
+def fold_confluence_trial(cfg, index, rng, report):
     """Any two fold orders agree up to canonical form, and every generator
     still traces closed at the base."""
-
-    def trial(rng, report):
-        k = rng.randint(1, 4)
-        gens = [random_simple_word(cfg, rng) for _ in range(k)]
-        wedge = graphs.wedge_of_words(gens, cfg.alphabet)
-        a = graphs.fold(wedge, random.Random(rng.getrandbits(64)))
-        b = graphs.fold(wedge, random.Random(rng.getrandbits(64)))
-        ca, cb = graphs.canonical_form(a), graphs.canonical_form(b)
-        closed = all(
-            (res := cycles.trace(ca, ca.basepoint, w)) is not None
-            and res[0] == ca.basepoint
-            for w in gens
+    k = rng.randint(1, 4)
+    gens = [random_simple_word(cfg, rng) for _ in range(k)]
+    wedge = graphs.wedge_of_words(gens, cfg.alphabet)
+    a = graphs.fold(wedge, random.Random(rng.getrandbits(64)))
+    b = graphs.fold(wedge, random.Random(rng.getrandbits(64)))
+    ca, cb = graphs.canonical_form(a), graphs.canonical_form(b)
+    closed = all(
+        (res := cycles.trace(ca, ca.basepoint, w)) is not None
+        and res[0] == ca.basepoint
+        for w in gens
+    )
+    ok = ca == cb and closed
+    if not ok:
+        report.failures.append(
+            _payload(wedge, generators=[format_word(w) for w in gens],
+                     confluent=ca == cb, traces_closed=closed)
         )
-        ok = ca == cb and closed
-        if not ok:
-            report.failures.append(
-                _payload(wedge, generators=[format_word(w) for w in gens],
-                         confluent=ca == cb, traces_closed=closed)
-            )
-        return ok
-
-    return _run(cfg, trial)
+    return ok
 
 
-def suite_shnc(cfg: TrialConfig) -> VerdictReport:
+def shnc_trial(cfg, index, rng, report):
     """Strengthened Hanna Neumann inequality on random folded pairs."""
-
-    def trial(rng, report):
-        h1 = random_subgroup(cfg, rng)
-        h2 = random_subgroup(cfg, rng)
-        res = subgroups.check_shnc(h1, h2)
-        if not res.passed:
-            report.failures.append(
-                {
-                    "graph1": graphs.to_json(h1.graph),
-                    "graph2": graphs.to_json(h2.graph),
-                    "lhs": res.lhs,
-                    "rhs": res.rhs,
-                }
-            )
-        return res.passed
-
-    return _run(cfg, trial)
+    h1 = random_subgroup(cfg, rng)
+    h2 = random_subgroup(cfg, rng)
+    res = subgroups.check_shnc(h1, h2)
+    if not res.passed:
+        report.failures.append(
+            {
+                "graph1": graphs.to_json(h1.graph),
+                "graph2": graphs.to_json(h2.graph),
+                "lhs": res.lhs,
+                "rhs": res.rhs,
+            }
+        )
+    return res.passed
 
 
-def suite_restated(cfg: TrialConfig) -> VerdictReport:
+def restated_trial(cfg, index, rng, report):
     """Betti form of the main inequality via the circle fiber product, with
     the orbit-count cross-check."""
-
-    def trial(rng, report):
-        g = random_inverse_automaton(cfg, rng)
-        w = random_simple_word(cfg, rng)
-        res = subgroups.check_restated_inequality(w, g)
-        if not res.passed:
-            report.failures.append(
-                _payload(g, w, lhs=res.lhs, rhs=res.rhs, classes=res.class_count)
-            )
-        return res.passed
-
-    return _run(cfg, trial)
+    g = random_inverse_automaton(cfg, rng)
+    w = random_simple_word(cfg, rng)
+    res = subgroups.check_restated_inequality(w, g)
+    if not res.passed:
+        report.failures.append(
+            _payload(g, w, lhs=res.lhs, rhs=res.rhs, classes=res.class_count)
+        )
+    return res.passed
 
 
-def suite_conjugates(cfg: TrialConfig) -> VerdictReport:
+def conjugates_trial(cfg, index, rng, report):
     """Conjugates of a maximal cyclic subgroup meeting H number at most
     rank(H)."""
-
-    def trial(rng, report):
-        h = random_subgroup(cfg, rng)
-        w = random_simple_word(cfg, rng)
-        res = subgroups.count_conjugates_meeting(h, w)
-        if not res.passed:
-            report.failures.append(
-                _payload(h.graph, w, count=res.count, rank=res.rank)
-            )
-        return res.passed
-
-    return _run(cfg, trial)
+    h = random_subgroup(cfg, rng)
+    w = random_simple_word(cfg, rng)
+    res = subgroups.count_conjugates_meeting(h, w)
+    if not res.passed:
+        report.failures.append(
+            _payload(h.graph, w, count=res.count, rank=res.rank)
+        )
+    return res.passed
 
 
-def suite_conjugate_intersection(cfg: TrialConfig) -> VerdictReport:
+def conjugate_intersection_trial(cfg, index, rng, report):
     """rank(H)+1 distinct cosets of a free factor H force a trivial
     conjugate intersection."""
     if cfg.alphabet < 2:
         raise ValueError("conjugate-intersection suite needs alphabet >= 2")
-
-    def trial(rng, report):
-        r = rng.randint(1, cfg.alphabet - 1)
-        letters = rng.sample(range(1, cfg.alphabet + 1), r)
-        h = subgroups.stallings_graph([(l,) for l in letters], cfg.alphabet)
-        cosets: list[Word] = [()]
-        while len(cosets) < r + 1:
-            cand = free_reduce(random_simple_word(cfg, rng))
-            if all(
-                not subgroups.contains(h, cand + invert(c)) for c in cosets
-            ):
-                cosets.append(cand)
-        res = subgroups.check_conjugate_intersection(h, cosets)
-        if not res.passed:
-            report.failures.append(
-                _payload(h.graph, cosets=[format_word(c) for c in cosets])
-            )
-        return res.passed
-
-    return _run(cfg, trial)
+    r = rng.randint(1, cfg.alphabet - 1)
+    letters = rng.sample(range(1, cfg.alphabet + 1), r)
+    h = subgroups.stallings_graph([(l,) for l in letters], cfg.alphabet)
+    cosets: list[Word] = [()]
+    while len(cosets) < r + 1:
+        cand = free_reduce(random_simple_word(cfg, rng))
+        if all(
+            not subgroups.contains(h, cand + invert(c)) for c in cosets
+        ):
+            cosets.append(cand)
+    res = subgroups.check_conjugate_intersection(h, cosets)
+    if not res.passed:
+        report.failures.append(
+            _payload(h.graph, cosets=[format_word(c) for c in cosets])
+        )
+    return res.passed
 
 
-def suite_staggered(cfg: TrialConfig) -> VerdictReport:
+def staggered_trial(cfg, index, rng, report):
     """Summed relator class counts of staggered simple presentations stay
     at most the Betti number."""
-
-    def trial(rng, report):
-        p = random_staggered_presentation(cfg, rng, rng.randint(2, 3))
-        wide = TrialConfig(
-            master_seed=cfg.master_seed,
-            trials=cfg.trials,
-            max_vertices=cfg.max_vertices,
-            alphabet=p.alphabet,
-            max_word_length=cfg.max_word_length,
-            edge_density=cfg.edge_density,
+    p = random_staggered_presentation(cfg, rng, rng.randint(2, 3))
+    g = random_connected_automaton(replace(cfg, alphabet=p.alphabet), rng)
+    res = complexes.check_multiword_inequality(g, p)
+    if not res.passed:
+        report.failures.append(
+            _payload(g, relators=[format_word(r) for r in p.relators],
+                     total=res.total, betti=res.betti)
         )
-        g = random_connected_automaton(wide, rng)
-        res = complexes.check_multiword_inequality(g, p)
-        if not res.passed:
-            report.failures.append(
-                _payload(g, relators=[format_word(r) for r in p.relators],
-                         total=res.total, betti=res.betti)
-            )
-        return res.passed
+    return res.passed
 
-    return _run(cfg, trial)
+
+@dataclass(frozen=True)
+class Suite:
+    """run_suite drives cfg.trials + extra_trials calls of trial; a suite
+    that counts qualifying trials reports qualifying, starting from 0."""
+
+    trial: Callable[[TrialConfig, int, random.Random, VerdictReport], bool | None]
+    extra_trials: int = 0
+    counts_qualifying: bool = False
 
 
 SUITES = {
-    "main": suite_main,
-    "strict": suite_strict,
-    "equality-collapse": suite_equality_collapse,
-    "oracle": suite_oracle,
-    "fold-confluence": suite_fold_confluence,
-    "shnc": suite_shnc,
-    "restated": suite_restated,
-    "conjugates": suite_conjugates,
-    "conjugate-intersection": suite_conjugate_intersection,
-    "staggered": suite_staggered,
-    "npi": suite_npi,
+    "main": Suite(main_trial),
+    "strict": Suite(strict_trial, counts_qualifying=True),
+    "equality-collapse": Suite(equality_collapse_trial, extra_trials=100,
+                               counts_qualifying=True),
+    "oracle": Suite(oracle_trial),
+    "fold-confluence": Suite(fold_confluence_trial),
+    "shnc": Suite(shnc_trial),
+    "restated": Suite(restated_trial),
+    "conjugates": Suite(conjugates_trial),
+    "conjugate-intersection": Suite(conjugate_intersection_trial),
+    "staggered": Suite(staggered_trial),
+    "npi": Suite(npi_trial),
 }
 
 
@@ -356,8 +288,16 @@ def run_suite(name: str, cfg: TrialConfig) -> VerdictReport:
         raise KeyError(
             f"unknown suite {name!r}; choose from {', '.join(sorted(SUITES))}"
         )
-    report = SUITES[name](cfg)
-    report.suite = name
-    if report.qualifying is None and name in ("strict", "equality-collapse"):
-        report.qualifying = 0
+    suite = SUITES[name]
+    report = VerdictReport(name, cfg.trials + suite.extra_trials, 0,
+                           qualifying=0 if suite.counts_qualifying else None)
+    start = time.perf_counter()
+    for i in range(report.trials):
+        rng = random.Random(trial_seed(cfg.master_seed, i))
+        outcome = suite.trial(cfg, i, rng, report)
+        if outcome is None:
+            report.inconclusive += 1
+        elif outcome:
+            report.passes += 1
+    report.wall_time = time.perf_counter() - start
     return report

@@ -5,7 +5,7 @@ import pytest
 from click.testing import CliRunner
 
 from wordcycles.cli import main
-from wordcycles.graphs import dumps, loads, rose, to_json
+from wordcycles.graphs import LabeledDigraph, dumps, loads, rose, to_json
 from wordcycles.words import parse_word
 
 
@@ -96,6 +96,27 @@ def test_complex_roundtrip(runner, rose_file, tmp_path):
     obj = json.loads(result.output)
     assert obj["euler_characteristic"] == 0
     assert obj["collapses_to_tree"] is False
+
+
+ONE_EDGE = to_json(LabeledDigraph(1, 1, ((0, 0, 1),)))
+
+
+@pytest.mark.parametrize("obj", [
+    {"skeleton": ONE_EDGE, "cells": [[{"edge": 5, "dir": 1}]]},
+    {"skeleton": ONE_EDGE, "cells": [[{"edge": -1, "dir": 1}]]},
+    {"skeleton": ONE_EDGE, "cells": [[{"edge": 0, "dir": 7}]]},
+    {"cells": 5},
+    {"skeleton": ONE_EDGE},
+    {"skeleton": ONE_EDGE, "cells": [[{"edge": 0}]]},
+])
+def test_malformed_complex_file(runner, tmp_path, obj):
+    path = tmp_path / "x.json"
+    path.write_text(json.dumps(obj))
+    result = runner.invoke(main, ["complex", "collapse", str(path)])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert "bad complex file" in result.output
+    assert "Traceback" not in result.output
 
 
 def test_complex_npi(runner, rose_file):

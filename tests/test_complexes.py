@@ -70,6 +70,12 @@ class TestCellValidation:
         with pytest.raises(ValueError, match="not a path"):
             TwoComplex(g, (((0, 1), (0, 1)),))
 
+    @pytest.mark.parametrize("step", [(1, 1), (-1, 1), (0, 7), (0, 0)])
+    def test_step_outside_skeleton_rejected(self, step):
+        g = LabeledDigraph(1, 1, ((0, 0, 1),))
+        with pytest.raises(ValueError, match="cell 0"):
+            TwoComplex(g, ((step,),))
+
 
 class TestFreeFaces:
     def test_disc_all_boundary_edges(self):

@@ -1,5 +1,6 @@
 import pytest
 
+from wordcycles import cycles
 from wordcycles.graphs import LabeledDigraph, circle, rose
 from wordcycles.cycles import (
     check_main_inequality,
@@ -167,3 +168,14 @@ class TestStrictInequality:
         assert not rep.applicable
         # without the hypothesis the strict inequality genuinely fails
         assert rep.count_with_multiplicity == 4 > rep.betti == 1
+
+    def test_decomposes_once(self, monkeypatch):
+        calls = []
+
+        def counting(g, word):
+            calls.append(word)
+            return decompose(g, word)
+
+        monkeypatch.setattr(cycles, "decompose", counting)
+        rep = check_strict_inequality(rose(2), w("abAB"))
+        assert rep.applicable and calls == [w("abAB")]

@@ -3,11 +3,14 @@
 The references are the straightforward quadratic algorithms, kept here
 rather than in the library: a fold that rebuilds and rescans the whole edge
 set once per merge, the based component of the full fiber product, and a
-Betti count that rescans every edge for every component.
+Betti count that rescans every edge for every component.  require_valid,
+which reads the cached label maps, is checked against the full diagnostics
+of validate.
 """
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,6 +23,7 @@ from wordcycles.graphs import (
     core,
     fiber_product,
     fold,
+    require_valid,
     validate,
     wedge_of_words,
 )
@@ -99,6 +103,20 @@ def any_graphs(draw, max_vertices=10, alphabet=2):
     return LabeledDigraph(alphabet, n, tuple(edges))
 
 
+@st.composite
+def graphs_with_repeats(draw):
+    """any_graphs, sometimes with one edge repeated as a parallel duplicate
+    and one loop added."""
+    g = draw(any_graphs())
+    edges = list(g.edges)
+    if edges and draw(st.booleans()):
+        edges.insert(draw(st.integers(0, len(edges))), draw(st.sampled_from(edges)))
+    if draw(st.booleans()):
+        v = draw(st.integers(0, g.num_vertices - 1))
+        edges.append((v, v, draw(st.integers(1, g.alphabet))))
+    return LabeledDigraph(g.alphabet, g.num_vertices, tuple(edges))
+
+
 def assert_fold_matches(g, rng):
     fast, slow = fold(g, rng), naive_fold(g)
     assert validate(fast) == []
@@ -149,3 +167,16 @@ class TestBettiAgainstReference:
         report = betti(g)
         assert report.per_component == naive_betti(g)
         assert report.total == sum(b for _, b in naive_betti(g))
+
+
+class TestRequireValidAgainstValidate:
+    @settings(max_examples=200)
+    @given(graphs_with_repeats())
+    def test_raises_iff_violations(self, g):
+        violations = validate(g)
+        for _ in range(2):  # the second call reads the cached maps
+            if violations:
+                with pytest.raises(ValueError, match="not deterministic"):
+                    require_valid(g)
+            else:
+                require_valid(g)

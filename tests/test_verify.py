@@ -16,6 +16,30 @@ def test_suite_runs_clean(name):
     assert report.passes + report.failure_count + report.inconclusive == report.trials
 
 
+# [trials, passes, inconclusive, qualifying] at SMALL; a difference here is a
+# verdict change.
+SMALL_SUMMARIES = {
+    "conjugate-intersection": [25, 25, 0, None],
+    "conjugates": [25, 25, 0, None],
+    "equality-collapse": [125, 125, 0, 101],
+    "fold-confluence": [25, 25, 0, None],
+    "main": [25, 25, 0, None],
+    "npi": [25, 25, 0, None],
+    "oracle": [25, 25, 0, None],
+    "restated": [25, 25, 0, None],
+    "shnc": [25, 25, 0, None],
+    "staggered": [25, 25, 0, None],
+    "strict": [25, 25, 0, 25],
+}
+
+
+def test_pinned_summaries():
+    assert sorted(SMALL_SUMMARIES) == sorted(SUITES)
+    for name, expected in SMALL_SUMMARIES.items():
+        r = run_suite(name, SMALL)
+        assert [r.trials, r.passes, r.inconclusive, r.qualifying] == expected, name
+
+
 def test_unknown_suite():
     with pytest.raises(KeyError):
         run_suite("nope", SMALL)
