@@ -257,7 +257,8 @@ def _complex_to_json(x: complexes.TwoComplex) -> dict:
 def _complex_from_json(obj: dict) -> complexes.TwoComplex:
     skeleton = graphs.from_json(obj["skeleton"])
     cells = tuple(
-        tuple((int(s["edge"]), int(s["dir"])) for s in cell)
+        tuple((graphs.json_int(s["edge"], "edge"), graphs.json_int(s["dir"], "dir"))
+              for s in cell)
         for cell in obj["cells"]
     )
     return complexes.TwoComplex(skeleton, cells)
@@ -323,9 +324,9 @@ def complex_npi(word, attach, file):
 @click.argument("file")
 def complex_staggered(file):
     p = _load(file, "presentation", lambda obj: complexes.StaggeredPresentation(
-        int(obj["alphabet"]),
+        graphs.json_int(obj["alphabet"], "alphabet"),
         tuple(_word(r) for r in obj["relators"]),
-        tuple(int(l) for l in obj["ordered_letters"]),
+        tuple(graphs.json_int(l, "ordered letter") for l in obj["ordered_letters"]),
     ))
     ok, diagnostics = complexes.is_staggered(p)
     _emit({"staggered": ok, "diagnostics": diagnostics})
@@ -337,7 +338,7 @@ def complex_staggered(file):
 def _load_subgroup(path: str) -> subgroups.SubgroupGraph:
     return _load(path, "subgroup", lambda obj: subgroups.stallings_graph(
         [_word(w) for w in obj["generators"]],
-        int(obj["alphabet"]),
+        graphs.json_int(obj["alphabet"], "alphabet"),
     ))
 
 

@@ -66,15 +66,14 @@ def build_gamma_w(g: LabeledDigraph, w: Word) -> TwoComplex:
 def free_faces(x: TwoComplex) -> list[tuple[int, int]]:
     """(edge index, cell index) pairs where the cell boundary traverses the
     edge exactly once and no other cell touches it."""
-    return _free_faces(x.skeleton, x.cells, set(range(len(x.cells))),
-                       set(range(len(x.skeleton.edges))))
+    return _free_faces(x.cells, frozenset(range(len(x.cells))),
+                       frozenset(range(len(x.skeleton.edges))))
 
 
 def _free_faces(
-    g: LabeledDigraph,
     cells: tuple[Cell, ...],
-    live_cells: set[int],
-    live_edges: set[int],
+    live_cells: frozenset[int],
+    live_edges: frozenset[int],
 ) -> list[tuple[int, int]]:
     count: Counter[int] = Counter()
     owner: dict[int, int] = {}
@@ -98,61 +97,46 @@ def collapses_to_tree(x: TwoComplex, max_cells_exhaustive: int = 12) -> Collapse
     """Search for a free-face collapse order eliminating every 2-cell and
     leaving a Betti-0 graph.
 
-    Greedy first; on failure, depth-first over collapse orders with
-    memoization on the remaining cell/edge set.  The exhaustive phase is
-    bounded by max_cells_exhaustive cells.
+    Depth-first over collapse orders, free faces in sorted order, with
+    memoization of the cell/edge sets that fail.  The first descent is the
+    greedy collapse; once it fails the search is exhaustive, which is
+    bounded by max_cells_exhaustive cells.  The search keeps its own stack,
+    so a long greedy descent does not meet the recursion limit.
     """
     g = x.skeleton
     if not is_connected(g):
         raise ValueError("collapses_to_tree: skeleton must be connected")
 
-    def is_tree(edges: set[int]) -> bool:
+    def is_tree(edges: frozenset[int]) -> bool:
         live = tuple(g.edges[i] for i in edges)
         return betti(LabeledDigraph(g.alphabet, g.num_vertices, live)).total == 0
 
-    def greedy(cells_left: set[int], edges_left: set[int]):
-        seq = []
-        while cells_left:
-            faces = _free_faces(g, x.cells, cells_left, edges_left)
-            if not faces:
-                return None
-            e, k = faces[0]
-            cells_left.discard(k)
-            edges_left.discard(e)
-            seq.append((e, k))
-        return seq if is_tree(edges_left) else None
-
-    all_cells = set(range(len(x.cells)))
-    all_edges = set(range(len(g.edges)))
-    seq = greedy(set(all_cells), set(all_edges))
-    if seq is not None:
-        return CollapseResult(True, tuple(seq), False)
-    if not all_cells:
-        return CollapseResult(False, (), False)
-
-    if len(all_cells) > max_cells_exhaustive:
-        raise ValueError(
-            f"exhaustive collapse search needs <= {max_cells_exhaustive} cells, "
-            f"got {len(all_cells)}"
-        )
+    exhaustive = False
     dead: set[tuple[frozenset[int], frozenset[int]]] = set()
-
-    def search(cells_left: frozenset[int], edges_left: frozenset[int]):
-        if not cells_left:
-            return [] if is_tree(set(edges_left)) else None
-        if (cells_left, edges_left) in dead:
-            return None
-        for e, k in _free_faces(g, x.cells, set(cells_left), set(edges_left)):
-            rest = search(cells_left - {k}, edges_left - {e})
-            if rest is not None:
-                return [(e, k)] + rest
-        dead.add((cells_left, edges_left))
-        return None
-
-    seq = search(frozenset(all_cells), frozenset(all_edges))
-    if seq is None:
-        return CollapseResult(False, (), True)
-    return CollapseResult(True, tuple(seq), True)
+    seq: list[tuple[int, int]] = []
+    path = []  # (cells, edges) left and the untried free faces, per collapse so far
+    state = (frozenset(range(len(x.cells))), frozenset(range(len(g.edges))))
+    while True:
+        cells, edges = state
+        if not cells and is_tree(edges):
+            return CollapseResult(True, tuple(seq), exhaustive)
+        faces = () if state in dead else _free_faces(x.cells, cells, edges)
+        path.append((state, iter(faces)))
+        while (step := next(path[-1][1], None)) is None:
+            if not exhaustive and x.cells:  # the greedy descent ends here
+                if len(x.cells) > max_cells_exhaustive:
+                    raise ValueError(
+                        f"exhaustive collapse search needs <= {max_cells_exhaustive} "
+                        f"cells, got {len(x.cells)}"
+                    )
+                exhaustive = True
+            dead.add(path.pop()[0])
+            if not path:
+                return CollapseResult(False, (), exhaustive)
+            seq.pop()
+        seq.append(step)
+        cells, edges = path[-1][0]
+        state = (cells - {step[1]}, edges - {step[0]})
 
 
 @dataclass(frozen=True)

@@ -93,9 +93,12 @@ def random_reduced_word(cfg: TrialConfig, rng: random.Random, length: int) -> Wo
 
 
 def random_simple_word(cfg: TrialConfig, seed_or_rng) -> Word:
-    """Random reduced word, re-rolled until cyclically reduced and primitive."""
+    """Random reduced word, re-rolled until cyclically reduced and primitive.
+    Over one letter only a and A qualify, so the length is then 1."""
     rng = _as_rng(seed_or_rng)
     length = rng.randint(1, cfg.max_word_length)
+    if cfg.alphabet == 1:
+        length = 1
     while True:
         w = random_reduced_word(cfg, rng, length)
         if is_cyclically_reduced(w) and is_simple(w):
@@ -105,7 +108,10 @@ def random_simple_word(cfg: TrialConfig, seed_or_rng) -> Word:
 def random_repeating_word(cfg: TrialConfig, seed_or_rng) -> Word:
     """Simple cyclically reduced word in which every generator of the
     alphabet occurs at least twice (either sign); feeds the suites whose
-    hypotheses need every edge traversed repeatedly."""
+    hypotheses need every edge traversed repeatedly.  Over one letter no
+    such word exists, so that raises ValueError."""
+    if cfg.alphabet < 2:
+        raise ValueError("a simple word using every letter twice needs alphabet >= 2")
     rng = _as_rng(seed_or_rng)
     length = max(cfg.max_word_length, 2 * cfg.alphabet + 1)
     while True:

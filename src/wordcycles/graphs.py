@@ -67,13 +67,22 @@ class LabeledDigraph:
         return {(d, l): i for i, (s, d, l) in enumerate(self.edges)}
 
     @cached_property
-    def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        """Undirected neighbour lists, for connectivity."""
-        nbrs: list[set[int]] = [set() for _ in range(self.num_vertices)]
+    def component_of(self) -> tuple[int, ...]:
+        """Component number of each vertex, edge direction ignored; the
+        components are numbered in the order of their least vertices."""
+        parent = list(range(self.num_vertices))
+
+        def find(v: int) -> int:
+            while parent[v] != v:
+                parent[v] = parent[parent[v]]
+                v = parent[v]
+            return v
+
         for s, d, _ in self.edges:
-            nbrs[s].add(d)
-            nbrs[d].add(s)
-        return tuple(tuple(sorted(x)) for x in nbrs)
+            parent[find(s)] = find(d)
+        number: dict[int, int] = {}  # a class is first met at its least vertex
+        return tuple(number.setdefault(find(v), len(number))
+                     for v in range(self.num_vertices))
 
 
 def validate(g: LabeledDigraph) -> list[DeterminismViolation]:
@@ -108,46 +117,26 @@ def require_valid(g: LabeledDigraph) -> None:
 
 def components(g: LabeledDigraph) -> list[frozenset[int]]:
     """Connected components (edge direction ignored), sorted by min vertex."""
-    seen = [False] * g.num_vertices
-    comps = []
-    for start in range(g.num_vertices):
-        if seen[start]:
-            continue
-        comp = []
-        queue = deque([start])
-        seen[start] = True
-        while queue:
-            v = queue.popleft()
-            comp.append(v)
-            for u in g.adjacency[v]:
-                if not seen[u]:
-                    seen[u] = True
-                    queue.append(u)
-        comps.append(frozenset(comp))
-    return comps
+    comps: list[list[int]] = [[] for _ in range(max(g.component_of, default=-1) + 1)]
+    for v, c in enumerate(g.component_of):
+        comps[c].append(v)
+    return [frozenset(c) for c in comps]
 
 
 def is_connected(g: LabeledDigraph) -> bool:
-    return g.num_vertices > 0 and len(components(g)) == 1
-
-
-def induced_subgraph(g: LabeledDigraph, vertices: frozenset[int]) -> LabeledDigraph:
-    """Subgraph on the given vertices (renumbered densely, order preserved)."""
-    order = sorted(vertices)
-    vmap = {v: i for i, v in enumerate(order)}
-    edges = tuple(
-        (vmap[s], vmap[d], l) for (s, d, l) in g.edges if s in vertices and d in vertices
-    )
-    base = g.basepoint if g.basepoint in vertices else None
-    return LabeledDigraph(g.alphabet, len(order), edges,
-                          vmap[base] if base is not None else None)
+    return g.num_vertices > 0 and not any(g.component_of)
 
 
 def component_containing(g: LabeledDigraph, v: int) -> LabeledDigraph:
-    for comp in components(g):
-        if v in comp:
-            return induced_subgraph(g, comp)
-    raise ValueError(f"vertex {v} not in graph")
+    """The component of v (renumbered densely, order preserved)."""
+    if not 0 <= v < g.num_vertices:
+        raise ValueError(f"vertex {v} not in graph")
+    comp_of = g.component_of
+    c = comp_of[v]
+    order = [u for u in range(g.num_vertices) if comp_of[u] == c]
+    vmap = {u: i for i, u in enumerate(order)}
+    edges = tuple((vmap[s], vmap[d], l) for s, d, l in g.edges if comp_of[s] == c)
+    return LabeledDigraph(g.alphabet, len(vmap), edges, vmap.get(g.basepoint))
 
 
 @dataclass(frozen=True)
@@ -161,10 +150,7 @@ def betti(g: LabeledDigraph) -> BettiReport:
     if g.num_vertices == 0:
         raise ValueError("betti: empty vertex set")
     comps = components(g)
-    comp_of = [0] * g.num_vertices
-    for i, comp in enumerate(comps):
-        for v in comp:
-            comp_of[v] = i
+    comp_of = g.component_of
     edge_count = [0] * len(comps)
     for s, _, _ in g.edges:
         edge_count[comp_of[s]] += 1
@@ -271,19 +257,17 @@ def fiber_product(g1: LabeledDigraph, g2: LabeledDigraph) -> LabeledDigraph:
     require_valid(g1)
     require_valid(g2)
     n2 = g2.num_vertices
-
-    def pair(v1: int, v2: int) -> int:
-        return v1 * n2 + v2
-
+    by_label: list[list[tuple[int, int]]] = [[] for _ in range(g2.alphabet + 1)]
+    for s2, d2, l2 in g2.edges:
+        by_label[l2].append((s2, d2))
     edges = tuple(
-        (pair(s1, s2), pair(d1, d2), l1)
+        (s1 * n2 + s2, d1 * n2 + d2, l1)  # pair (v1, v2) is vertex v1 * n2 + v2
         for s1, d1, l1 in g1.edges
-        for s2, d2, l2 in g2.edges
-        if l1 == l2
+        for s2, d2 in by_label[l1]
     )
     base = None
     if g1.basepoint is not None and g2.basepoint is not None:
-        base = pair(g1.basepoint, g2.basepoint)
+        base = g1.basepoint * n2 + g2.basepoint
     return LabeledDigraph(g1.alphabet, g1.num_vertices * n2, edges, base)
 
 
@@ -308,6 +292,8 @@ def _bfs_numbering(g: LabeledDigraph, start: int) -> LabeledDigraph:
                     number[u] = len(order)
                     order.append(u)
                     queue.append(u)
+    if len(order) < g.num_vertices:  # g is deterministic, so every edge was crossed
+        raise ValueError("canonical_form: graph must be connected")
     edges = tuple(sorted((number[s], number[d], l) for s, d, l in g.edges))
     base = number[g.basepoint] if g.basepoint is not None else None
     return LabeledDigraph(g.alphabet, g.num_vertices, edges, base)
@@ -320,7 +306,7 @@ def canonical_form(g: LabeledDigraph) -> LabeledDigraph:
     basepoints, iff their canonical forms are equal.
     """
     require_valid(g)
-    if not is_connected(g):
+    if g.num_vertices == 0:
         raise ValueError("canonical_form: graph must be connected")
     if g.basepoint is not None:
         return _bfs_numbering(g, g.basepoint)
@@ -392,6 +378,14 @@ def to_json(g: LabeledDigraph) -> dict:
     return obj
 
 
+def json_int(value, field: str) -> int:
+    """value if it is a JSON integer; floats, bools and strings are rejected
+    rather than truncated or coerced."""
+    if type(value) is not int:
+        raise ValueError(f"{field} must be an integer, got {value!r}")
+    return value
+
+
 def from_json(obj: dict) -> LabeledDigraph:
     names = list(obj["vertices"])
     if len(set(names)) != len(names):
@@ -399,7 +393,8 @@ def from_json(obj: dict) -> LabeledDigraph:
     vmap = {name: i for i, name in enumerate(names)}
     try:
         edges = tuple(
-            (vmap[e["src"]], vmap[e["dst"]], int(e["label"])) for e in obj["edges"]
+            (vmap[e["src"]], vmap[e["dst"]], json_int(e["label"], "label"))
+            for e in obj["edges"]
         )
     except KeyError as exc:
         raise ValueError(f"unknown vertex id {exc}") from exc
@@ -408,7 +403,8 @@ def from_json(obj: dict) -> LabeledDigraph:
         if base not in vmap:
             raise ValueError(f"unknown basepoint {base!r}")
         base = vmap[base]
-    return LabeledDigraph(int(obj["alphabet"]), len(names), edges, base)
+    alphabet = json_int(obj["alphabet"], "alphabet")
+    return LabeledDigraph(alphabet, len(names), edges, base)
 
 
 def loads(text: str) -> LabeledDigraph:

@@ -23,11 +23,9 @@ from .words import Word, format_word, free_reduce, invert, require_simple_cyclic
 
 @dataclass(frozen=True)
 class SubgroupGraph:
-    """Folded, based, core labeled digraph in canonical form, plus the
-    generating words it was built from."""
+    """Folded, based, core labeled digraph in canonical form."""
 
     graph: LabeledDigraph
-    generators: tuple[Word, ...]
 
     def __post_init__(self):
         require_valid(self.graph)
@@ -51,7 +49,7 @@ def stallings_graph(gens: list[Word], alphabet: int) -> SubgroupGraph:
         if r:
             reduced.append(r)
     g = canonical_form(core(fold(wedge_of_words(reduced, alphabet))))
-    return SubgroupGraph(g, tuple(reduced))
+    return SubgroupGraph(g)
 
 
 def rank(h: SubgroupGraph) -> int:
@@ -72,10 +70,16 @@ def contains(h: SubgroupGraph, w: Word) -> bool:
 
 
 def conjugate(h: SubgroupGraph, g: Word) -> SubgroupGraph:
-    """The subgroup graph of g^-1 H g, by re-folding conjugated generators."""
-    g = free_reduce(g)
-    conj = [free_reduce(invert(g) + x + g) for x in h.generators]
-    return stallings_graph(conj, h.graph.alphabet)
+    """The subgroup graph of g^-1 H g: a path reading g is grafted at the
+    basepoint, its far end becomes the basepoint, then fold and core."""
+    gr = h.graph
+    edges = list(gr.edges)
+    v = gr.basepoint
+    for n, x in enumerate(g, start=gr.num_vertices):
+        edges.append((v, n, x) if x > 0 else (n, v, -x))
+        v = n
+    grafted = LabeledDigraph(gr.alphabet, gr.num_vertices + len(g), tuple(edges), v)
+    return SubgroupGraph(canonical_form(core(fold(grafted))))
 
 
 def intersect(h1: SubgroupGraph, h2: SubgroupGraph) -> SubgroupGraph:
@@ -106,7 +110,7 @@ def intersect(h1: SubgroupGraph, h2: SubgroupGraph) -> SubgroupGraph:
                 if far == 1:  # each edge is added once, from its source
                     edges.append((number[v1, v2], number[u], l))
     based = LabeledDigraph(g1.alphabet, len(order), tuple(edges), 0)
-    return SubgroupGraph(canonical_form(core(based)), ())
+    return SubgroupGraph(canonical_form(core(based)))
 
 
 @dataclass(frozen=True)

@@ -108,6 +108,11 @@ ONE_EDGE = to_json(LabeledDigraph(1, 1, ((0, 0, 1),)))
     {"cells": 5},
     {"skeleton": ONE_EDGE},
     {"skeleton": ONE_EDGE, "cells": [[{"edge": 0}]]},
+    {"skeleton": ONE_EDGE, "cells": [[{"edge": 0.9, "dir": 1}]]},
+    {"skeleton": ONE_EDGE, "cells": [[{"edge": 0, "dir": 1.0}]]},
+    {"skeleton": ONE_EDGE, "cells": [[{"edge": False, "dir": 1}]]},
+    {"skeleton": {**ONE_EDGE, "edges": [{"src": "v0", "dst": "v0", "label": 1.7}]},
+     "cells": []},
 ])
 def test_malformed_complex_file(runner, tmp_path, obj):
     path = tmp_path / "x.json"
@@ -188,6 +193,13 @@ def test_verify_unknown_suite(runner):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("suite, code", [("main", 0), ("strict", 2)])
+def test_verify_one_letter_alphabet(runner, tmp_path, suite, code):
+    result = runner.invoke(main, ["verify", suite, "--alphabet", "1", "--trials", "50",
+                                  "--out", str(tmp_path / "ce.json")])
+    assert result.exit_code == code
+
+
 def test_verify_bad_config(runner):
     result = runner.invoke(main, ["verify", "main", "--trials", "0"])
     assert result.exit_code == 2
@@ -208,6 +220,9 @@ def test_bad_graph_file(runner, tmp_path):
     {"alphabet": "two", "generators": ["a"]},
     {"alphabet": 0, "generators": ["a"]},
     ["a", "b"],
+    {"alphabet": 2.9, "generators": ["a"]},
+    {"alphabet": True, "generators": ["a"]},
+    {"alphabet": "2", "generators": ["a"]},
 ])
 def test_malformed_subgroup_file(runner, tmp_path, obj):
     path = tmp_path / "sub.json"
@@ -223,6 +238,8 @@ def test_malformed_subgroup_file(runner, tmp_path, obj):
     {"alphabet": 2, "relators": 5, "ordered_letters": [1, 2]},
     {"alphabet": 2, "relators": [7], "ordered_letters": [1, 2]},
     {"alphabet": 2, "relators": ["ab"], "ordered_letters": ["x"]},
+    {"alphabet": 2.5, "relators": ["ab"], "ordered_letters": [1, 2]},
+    {"alphabet": 2, "relators": ["ab"], "ordered_letters": [1.9, 2]},
 ])
 def test_malformed_staggered_file(runner, tmp_path, obj):
     path = tmp_path / "pres.json"
@@ -230,6 +247,23 @@ def test_malformed_staggered_file(runner, tmp_path, obj):
     result = runner.invoke(main, ["complex", "staggered", str(path)])
     assert result.exit_code == 2
     assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize("edit", [
+    {"edges": [{"src": "v0", "dst": "v0", "label": 1.7}]},
+    {"edges": [{"src": "v0", "dst": "v0", "label": True}]},
+    {"edges": [{"src": "v0", "dst": "v0", "label": "1"}]},
+    {"alphabet": 1.0},
+    {"alphabet": True},
+])
+def test_malformed_graph_file(runner, tmp_path, edit):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({**ONE_EDGE, **edit}))
+    result = runner.invoke(main, ["graph", "betti", str(path)])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert "bad graph file" in result.output and "must be an integer" in result.output
     assert "Traceback" not in result.output
 
 

@@ -127,6 +127,17 @@ class TestCollapse:
         x = build_gamma_w(g, words)
         collapses_to_tree(x, max_cells_exhaustive=0)  # greedy is enough
 
+    def test_long_greedy_descent(self):
+        # a path with a disc on a loop at every vertex: more collapses in a
+        # row than the default recursion limit allows frames
+        n = 1100
+        edges = tuple((v, v, 1) for v in range(n)) + tuple(
+            (v, v + 1, 2) for v in range(n - 1))
+        x = TwoComplex(LabeledDigraph(2, n, edges), tuple(((v, 1),) for v in range(n)))
+        res = collapses_to_tree(x, max_cells_exhaustive=0)
+        assert res.collapses and not res.exhaustive_used
+        assert res.sequence == tuple((v, v) for v in range(n))
+
 
 class TestEqualityCollapse:
     def test_circle_equality(self):

@@ -61,8 +61,14 @@ class TestRandomWord:
         assert random_simple_word(cfg, 9) == random_simple_word(cfg, 9)
 
     def test_length_one_alphabet_one(self):
-        cfg = TrialConfig(alphabet=1, max_word_length=1)
-        assert random_simple_word(cfg, 0) in [(1,), (-1,)]
+        for max_word_length in (1, 5):
+            cfg = TrialConfig(alphabet=1, max_word_length=max_word_length)
+            for seed in range(20):
+                assert random_simple_word(cfg, seed) in [(1,), (-1,)]
+
+    def test_repeating_word_needs_two_letters(self):
+        with pytest.raises(ValueError, match="alphabet >= 2"):
+            random_repeating_word(TrialConfig(alphabet=1), 0)
 
     def test_repeating_word_covers_alphabet(self):
         cfg = TrialConfig(alphabet=2, max_word_length=8)

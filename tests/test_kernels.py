@@ -2,18 +2,31 @@
 
 The references are the straightforward quadratic algorithms, kept here
 rather than in the library: a fold that rebuilds and rescans the whole edge
-set once per merge, the based component of the full fiber product, and a
-Betti count that rescans every edge for every component.  require_valid,
+set once per merge, the based component of the full fiber product, a Betti
+count that rescans every edge for every component, connected components by
+breadth-first search over undirected neighbour lists, a conjugate that
+re-folds conjugated generators, and a collapse search that runs a greedy
+pass before a separate exhaustive one.  require_valid,
 which reads the cached label maps, is checked against the full diagnostics
 of validate.
 """
 
 import random
+import re
+from collections import Counter, deque
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wordcycles.complexes import TwoComplex, collapses_to_tree
+from wordcycles.cycles import decompose
+from wordcycles.generators import (
+    TrialConfig,
+    random_connected_automaton,
+    random_simple_word,
+)
 from wordcycles.graphs import (
     LabeledDigraph,
     betti,
@@ -23,12 +36,13 @@ from wordcycles.graphs import (
     core,
     fiber_product,
     fold,
+    is_connected,
     require_valid,
     validate,
     wedge_of_words,
 )
-from wordcycles.subgroups import intersect, stallings_graph
-from wordcycles.words import free_reduce
+from wordcycles.subgroups import conjugate, intersect, stallings_graph
+from wordcycles.words import free_reduce, invert
 
 
 def naive_fold(g: LabeledDigraph) -> LabeledDigraph:
@@ -65,11 +79,93 @@ def naive_intersection(g1: LabeledDigraph, g2: LabeledDigraph) -> LabeledDigraph
     return canonical_form(core(component_containing(fp, fp.basepoint)))
 
 
+def naive_components(g: LabeledDigraph) -> list[frozenset[int]]:
+    """Breadth-first search from each unseen vertex, in vertex order."""
+    nbrs: list[set[int]] = [set() for _ in range(g.num_vertices)]
+    for s, d, _ in g.edges:
+        nbrs[s].add(d)
+        nbrs[d].add(s)
+    seen = [False] * g.num_vertices
+    comps = []
+    for start in range(g.num_vertices):
+        if seen[start]:
+            continue
+        comp = []
+        queue = deque([start])
+        seen[start] = True
+        while queue:
+            v = queue.popleft()
+            comp.append(v)
+            for u in sorted(nbrs[v]):
+                if not seen[u]:
+                    seen[u] = True
+                    queue.append(u)
+        comps.append(frozenset(comp))
+    return comps
+
+
+def naive_component_containing(g: LabeledDigraph, v: int) -> LabeledDigraph:
+    """The subgraph induced on v's component, renumbered in vertex order."""
+    comp = next(c for c in naive_components(g) if v in c)
+    vmap = {u: i for i, u in enumerate(sorted(comp))}
+    edges = tuple((vmap[s], vmap[d], l) for s, d, l in g.edges
+                  if s in comp and d in comp)
+    base = vmap[g.basepoint] if g.basepoint in comp else None
+    return LabeledDigraph(g.alphabet, len(comp), edges, base)
+
+
 def naive_betti(g: LabeledDigraph) -> tuple:
     return tuple(
         (comp, sum(1 for s, _, _ in g.edges if s in comp) - len(comp) + 1)
-        for comp in components(g)
+        for comp in naive_components(g)
     )
+
+
+def two_phase_collapse(x: TwoComplex, max_cells_exhaustive: int = 12) -> tuple:
+    """(collapses, sequence, exhaustive_used): greedy first, always taking
+    the least free face; if that fails, a memoised depth-first search from
+    the start, allowed only up to max_cells_exhaustive cells."""
+    g = x.skeleton
+
+    def free(cells_left, edges_left):
+        count = Counter(e for k in cells_left for e, _ in x.cells[k])
+        owner = {e: k for k in cells_left for e, _ in x.cells[k]}
+        return sorted((e, owner[e]) for e in edges_left if count[e] == 1)
+
+    def is_tree(edges_left):
+        live = LabeledDigraph(g.alphabet, g.num_vertices,
+                              tuple(g.edges[i] for i in edges_left))
+        return len(edges_left) == g.num_vertices - 1 and len(naive_components(live)) == 1
+
+    cells, edges, seq = set(range(len(x.cells))), set(range(len(g.edges))), []
+    while cells and (faces := free(cells, edges)):
+        e, k = faces[0]
+        cells.discard(k)
+        edges.discard(e)
+        seq.append((e, k))
+    if not cells and is_tree(edges):
+        return True, tuple(seq), False
+    if not x.cells:
+        return False, (), False
+    if len(x.cells) > max_cells_exhaustive:
+        raise ValueError(f"exhaustive collapse search needs <= {max_cells_exhaustive} "
+                         f"cells, got {len(x.cells)}")
+    dead = set()
+
+    def search(cells_left, edges_left):
+        if not cells_left:
+            return [] if is_tree(edges_left) else None
+        if (cells_left, edges_left) in dead:
+            return None
+        for e, k in free(cells_left, edges_left):
+            rest = search(cells_left - {k}, edges_left - {e})
+            if rest is not None:
+                return [(e, k)] + rest
+        dead.add((cells_left, edges_left))
+        return None
+
+    seq = search(frozenset(range(len(x.cells))), frozenset(range(len(g.edges))))
+    return seq is not None, tuple(seq or ()), True
 
 
 letters = st.integers(min_value=1, max_value=2).flatmap(lambda l: st.sampled_from([l, -l]))
@@ -117,6 +213,44 @@ def graphs_with_repeats(draw):
     return LabeledDigraph(g.alphabet, g.num_vertices, tuple(edges))
 
 
+@st.composite
+def gamma_w_and_npi_complexes(draw):
+    """Over a random connected automaton and a random simple word: Gamma_w,
+    or a complex like check_npi builds, with a disc for some of the cycle
+    classes, each read from a drawn vertex of its class."""
+    cfg = TrialConfig(max_vertices=draw(st.integers(1, 10)),
+                      alphabet=draw(st.integers(2, 3)),
+                      max_word_length=draw(st.integers(1, 6)))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    g = random_connected_automaton(cfg, rng)
+    w = random_simple_word(cfg, rng)
+    classes = decompose(g, w).classes
+    if draw(st.booleans()):
+        return TwoComplex(g, tuple(c.path for c in classes))
+    cells = []
+    for c in classes:
+        if draw(st.booleans()):
+            offset = draw(st.integers(0, c.period - 1)) * len(w)
+            cells.append(c.path[offset:] + c.path[:offset])
+    return TwoComplex(g, tuple(cells))
+
+
+@st.composite
+def wedge_complexes(draw):
+    """A wedge of subdivided loops with a disc on every loop, sometimes one
+    loop with a second disc: collapses of many cells, and stuck ones."""
+    loops = draw(st.lists(st.lists(letters, min_size=1, max_size=4),
+                          min_size=1, max_size=6))
+    cells, first = [], 0
+    for w in loops:
+        cells.append(tuple((first + i, 1 if x > 0 else -1) for i, x in enumerate(w)))
+        first += len(w)
+    if draw(st.booleans()):
+        cells.append(draw(st.sampled_from(cells)))
+    g = wedge_of_words([tuple(w) for w in loops], 2)
+    return TwoComplex(g, tuple(draw(st.permutations(cells))))
+
+
 def assert_fold_matches(g, rng):
     fast, slow = fold(g, rng), naive_fold(g)
     assert validate(fast) == []
@@ -160,6 +294,31 @@ class TestIntersectAgainstReference:
         assert intersect(h1, h2).graph == naive_intersection(h1.graph, h2.graph)
 
 
+class TestConjugateAgainstRefold:
+    """conjugate grafts a path onto the graph; the reference re-folds the
+    conjugated generators."""
+
+    @settings(max_examples=100)
+    @given(generator_sets, words)
+    def test_random_subgroups(self, gens, g):
+        refold = stallings_graph([free_reduce(invert(g) + x + g) for x in gens], 2)
+        assert conjugate(stallings_graph(gens, 2), g) == refold
+
+
+class TestCollapseAgainstTwoPhase:
+    @settings(max_examples=300)
+    @given(gamma_w_and_npi_complexes() | wedge_complexes(), st.integers(0, 12))
+    def test_same_result(self, x, cap):
+        try:
+            expected = two_phase_collapse(x, cap)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                collapses_to_tree(x, cap)
+        else:
+            res = collapses_to_tree(x, cap)
+            assert (res.collapses, res.sequence, res.exhaustive_used) == expected
+
+
 class TestBettiAgainstReference:
     @settings(max_examples=100)
     @given(any_graphs())
@@ -167,6 +326,39 @@ class TestBettiAgainstReference:
         report = betti(g)
         assert report.per_component == naive_betti(g)
         assert report.total == sum(b for _, b in naive_betti(g))
+
+
+class TestPartitionAgainstReference:
+    """components, is_connected, component_containing and the connectivity
+    check in canonical_form all read the one cached partition."""
+
+    @settings(max_examples=200)
+    @given(graphs_with_repeats(), st.data())
+    def test_partition(self, g, data):
+        vertex = st.integers(0, g.num_vertices - 1)
+        g = replace(g, basepoint=data.draw(st.none() | vertex))
+        comps = naive_components(g)
+        assert components(g) == comps
+        assert is_connected(g) == (len(comps) == 1)
+        v = data.draw(vertex)
+        assert component_containing(g, v) == naive_component_containing(g, v)
+        if not validate(g):
+            if len(comps) == 1:
+                canonical_form(g)
+            else:
+                with pytest.raises(ValueError, match="must be connected"):
+                    canonical_form(g)
+
+    @pytest.mark.parametrize("v", [-1, 3])
+    def test_vertex_outside_graph(self, v):
+        with pytest.raises(ValueError, match=f"vertex {v} not in graph"):
+            component_containing(LabeledDigraph(1, 3, ((0, 1, 1),)), v)
+
+    def test_empty_graph(self):
+        g = LabeledDigraph(1, 0, ())
+        assert components(g) == [] and not is_connected(g)
+        with pytest.raises(ValueError, match="must be connected"):
+            canonical_form(g)
 
 
 class TestRequireValidAgainstValidate:

@@ -59,9 +59,10 @@ class TestStallingsGraph:
         assert rank(h) <= 3
 
     def test_generators_trace_closed(self):
-        h = sg("abAB", "ba")
-        for word in h.generators:
-            assert contains(h, word)
+        gens = ("abAB", "ba")
+        h = sg(*gens)
+        for text in gens:
+            assert contains(h, w(text))
 
 
 class TestMembership:
@@ -91,6 +92,14 @@ class TestConjugate:
         h = sg("abA", "bb")
         back = conjugate(conjugate(h, w("ab")), w("BA"))
         assert back.graph == h.graph
+
+    def test_intersection_keeps_its_rank(self):
+        # an intersection is built from the product graph, not from words
+        meet = intersect(sg("aa", "b"), sg("aaa", "b"))
+        c = conjugate(meet, w("a"))
+        assert rank(meet) == rank(c) == 2
+        assert contains(c, w("Abbba")) and not contains(c, w("b"))
+        assert conjugate(c, w("A")).graph == meet.graph
 
 
 class TestIntersect:
