@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .graphs import LabeledDigraph, betti, is_connected, require_valid
+from .graphs import LabeledDigraph, betti, is_connected, letter_steps, require_valid
 from .words import Word, is_reduced, require_simple_cyclic
 
 # A path step is (edge index, direction); direction -1 crosses the edge
@@ -36,20 +36,17 @@ def trace(g: LabeledDigraph, v: int, w: Word) -> tuple[int, tuple[Step, ...]] | 
 
 
 def _trace(g: LabeledDigraph, v: int, w: Word) -> tuple[int, tuple[Step, ...]] | None:
+    return _walk(g.edges, letter_steps(g, w), v)
+
+
+def _walk(edges, steps, v: int) -> tuple[int, tuple[Step, ...]] | None:
     path: list[Step] = []
-    for x in w:
-        if x > 0:
-            i = g.out_map.get((v, x))
-            if i is None:
-                return None
-            path.append((i, +1))
-            v = g.edges[i][1]
-        else:
-            i = g.in_map.get((v, -x))
-            if i is None:
-                return None
-            path.append((i, -1))
-            v = g.edges[i][0]
+    for row, far, _ in steps:
+        i = row[v]
+        if i is None:
+            return None
+        path.append((i, far or -1))  # +1 forwards (far end is dst), -1 backwards
+        v = edges[i][far]
     return v, tuple(path)
 
 
@@ -98,8 +95,9 @@ def decompose(g: LabeledDigraph, w: Word) -> WCycleDecomposition:
 
     sigma: dict[int, int] = {}
     witness: dict[int, tuple[Step, ...]] = {}
+    steps = letter_steps(g, w)
     for v in range(g.num_vertices):
-        res = _trace(g, v, w)
+        res = _walk(g.edges, steps, v)
         if res is not None:
             sigma[v] = res[0]
             witness[v] = res[1]

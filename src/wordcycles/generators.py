@@ -80,15 +80,21 @@ def random_permutation_automaton(cfg: TrialConfig, seed_or_rng) -> LabeledDigrap
 
 
 def random_reduced_word(cfg: TrialConfig, rng: random.Random, length: int) -> Word:
+    return _reduced_word(rng, [x for l in range(1, cfg.alphabet + 1) for x in (l, -l)], length)
+
+
+def _reduced_word(rng: random.Random, first: list[int], length: int) -> Word:
+    """length letters drawn by rng.choice from first, less the inverse of the
+    letter before; each such list of choices is built once."""
+    after: dict[int, list[int]] = {}  # previous letter -> choices
     letters: list[int] = []
+    choices = first
     for _ in range(length):
-        choices = [
-            x
-            for l in range(1, cfg.alphabet + 1)
-            for x in (l, -l)
-            if not letters or x != -letters[-1]
-        ]
-        letters.append(rng.choice(choices))
+        x = rng.choice(choices)
+        letters.append(x)
+        choices = after.get(x)
+        if choices is None:
+            choices = after[x] = [y for y in first if y != -x]
     return tuple(letters)
 
 
@@ -146,16 +152,7 @@ def random_staggered_presentation(
         lo, hi = i + 1, i + 2
         while True:
             length = rng.randint(2, max(4, cfg.max_word_length))
-            letters: list[int] = []
-            for _ in range(length):
-                choices = [
-                    x
-                    for l in (lo, hi)
-                    for x in (l, -l)
-                    if not letters or x != -letters[-1]
-                ]
-                letters.append(rng.choice(choices))
-            w = tuple(letters)
+            w = _reduced_word(rng, [lo, -lo, hi, -hi], length)
             used = {abs(x) for x in w}
             if used == {lo, hi} and is_cyclically_reduced(w) and is_simple(w):
                 relators.append(w)

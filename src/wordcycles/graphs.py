@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import json
 import random
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 
 from .words import Word, format_word, is_cyclically_reduced
 
@@ -53,63 +53,60 @@ class LabeledDigraph:
         if self.basepoint is not None and not (0 <= self.basepoint < self.num_vertices):
             raise ValueError("basepoint is not a vertex")
 
-    # Maps are only meaningful on deterministic graphs: a nondeterministic
-    # one has fewer keys than edges, which is how require_valid detects it.
-    # fold accepts nondeterministic input and never reads them.
     @cached_property
-    def out_map(self) -> dict[tuple[int, int], int]:
-        """(vertex, label) -> edge index, following the edge forwards."""
-        return {(s, l): i for i, (s, d, l) in enumerate(self.edges)}
+    def letter_table(self) -> list[list[int | None]]:
+        """letter_table[x][v]: index of the edge that signed letter x crosses
+        from v, or None.  A negative x indexes from the end of the list, so
+        rows 1..alphabet are the letters and the rows after them their
+        inverses; row 0 (no letter) holds no edge.  On a nondeterministic
+        graph the last of two edges sharing a slot holds it."""
+        table = [[None] * self.num_vertices for _ in range(2 * self.alphabet + 1)]
+        for i, (s, d, l) in enumerate(self.edges):
+            table[l][s] = i
+            table[-l][d] = i
+        return table
 
     @cached_property
-    def in_map(self) -> dict[tuple[int, int], int]:
-        """(vertex, label) -> edge index, crossing the edge backwards."""
-        return {(d, l): i for i, (s, d, l) in enumerate(self.edges)}
+    def deterministic(self) -> bool:
+        """No two edges share a slot of letter_table: every edge fills two."""
+        free = sum(row.count(None) for row in self.letter_table)
+        return len(self.letter_table) * self.num_vertices - free == 2 * len(self.edges)
 
     @cached_property
     def component_of(self) -> tuple[int, ...]:
         """Component number of each vertex, edge direction ignored; the
         components are numbered in the order of their least vertices."""
         parent = list(range(self.num_vertices))
-
-        def find(v: int) -> int:
-            while parent[v] != v:
-                parent[v] = parent[parent[v]]
-                v = parent[v]
-            return v
-
+        # find, inlined: walk to the root, halving the path on the way
         for s, d, _ in self.edges:
-            parent[find(s)] = find(d)
+            while parent[s] != s:
+                parent[s] = s = parent[parent[s]]
+            while parent[d] != d:
+                parent[d] = d = parent[parent[d]]
+            parent[s] = d
         number: dict[int, int] = {}  # a class is first met at its least vertex
-        return tuple(number.setdefault(find(v), len(number))
-                     for v in range(self.num_vertices))
+        comp = []
+        for v in range(self.num_vertices):
+            while parent[v] != v:
+                parent[v] = v = parent[parent[v]]
+            comp.append(number.setdefault(v, len(number)))
+        return tuple(comp)
 
 
 def validate(g: LabeledDigraph) -> list[DeterminismViolation]:
     """All determinism violations; empty iff g is a valid inverse automaton."""
-    by_out: dict[tuple[int, int], list[int]] = {}
-    by_in: dict[tuple[int, int], list[int]] = {}
+    slots: dict[tuple[int, int, int], list[int]] = {}  # (direction, vertex, label)
     for i, (s, d, l) in enumerate(g.edges):
-        by_out.setdefault((s, l), []).append(i)
-        by_in.setdefault((d, l), []).append(i)
-    out = [
-        DeterminismViolation(v, l, "outgoing", tuple(idxs))
-        for (v, l), idxs in sorted(by_out.items())
-        if len(idxs) > 1
-    ]
-    out += [
-        DeterminismViolation(v, l, "incoming", tuple(idxs))
-        for (v, l), idxs in sorted(by_in.items())
-        if len(idxs) > 1
-    ]
-    return out
+        slots.setdefault((0, s, l), []).append(i)
+        slots.setdefault((1, d, l), []).append(i)
+    return [DeterminismViolation(v, l, ("outgoing", "incoming")[k], tuple(idxs))
+            for (k, v, l), idxs in sorted(slots.items()) if len(idxs) > 1]
 
 
 def require_valid(g: LabeledDigraph) -> None:
-    """Raise ValueError unless g is deterministic.  Two edges sharing a
-    (vertex, label) key collapse in out_map or in_map, so this reads the
-    cached maps: O(1) on a graph whose maps are already built."""
-    if len(g.out_map) < len(g.edges) or len(g.in_map) < len(g.edges):
+    """Raise ValueError unless g is deterministic.  This reads the cached
+    flag: O(1) on a graph whose letter table is already built."""
+    if not g.deterministic:
         raise ValueError(
             "graph is not deterministic: " + "; ".join(str(v) for v in validate(g))
         )
@@ -180,72 +177,87 @@ def fold(g: LabeledDigraph, rng: random.Random | None = None) -> LabeledDigraph:
     n = g.num_vertices
     parent = list(range(n))
     size = [1] * n
-    maps = ([{} for _ in range(n)], [{} for _ in range(n)])  # outgoing, incoming
+    outs, ins = [{} for _ in range(n)], [{} for _ in range(n)]
     pending: list[tuple[int, int]] = []
     for s, d, l in g.edges:
-        for nbrs, v, u in ((maps[0], s, d), (maps[1], d, s)):
-            other = nbrs[v].setdefault(l, u)
-            if other != u:
-                pending.append((other, u))
-
-    def find(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
+        other = outs[s].setdefault(l, d)
+        if other != d:
+            pending.append((other, d))
+        other = ins[d].setdefault(l, s)
+        if other != s:
+            pending.append((other, s))
 
     while pending:
         if rng is not None:
             i = rng.randrange(len(pending))
             pending[i], pending[-1] = pending[-1], pending[i]
         a, b = pending.pop()
-        a, b = find(a), find(b)
+        while parent[a] != a:  # find, inlined, halving the path
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
         if a == b:
             continue
         if size[a] > size[b]:
             a, b = b, a
         parent[a] = b
         size[b] += size[a]
-        for nbrs in maps:
+        for nbrs in (outs, ins):
             into = nbrs[b]
             for l, u in nbrs[a].items():
                 other = into.setdefault(l, u)
                 if other != u:
                     pending.append((other, u))
 
-    number: dict[int, int] = {}
+    root_number: dict[int, int] = {}
+    number = []
     for v in range(n):
-        number.setdefault(find(v), len(number))
-    new_edges = tuple(sorted({(number[find(s)], number[find(d)], l)
-                              for s, d, l in g.edges}))
-    base = number[find(g.basepoint)] if g.basepoint is not None else None
-    return LabeledDigraph(g.alphabet, len(number), new_edges, base)
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        number.append(root_number.setdefault(v, len(root_number)))
+    # a root's outgoing map holds its class's one edge per label
+    new_edges = tuple(sorted((number[r], number[u], l)
+                             for r in root_number for l, u in outs[r].items()))
+    base = number[g.basepoint] if g.basepoint is not None else None
+    return LabeledDigraph(g.alphabet, len(root_number), new_edges, base)
 
 
 def core(g: LabeledDigraph) -> LabeledDigraph:
-    """Spur removal: delete degree-1 vertices other than the basepoint."""
-    if g.basepoint is None:
+    """Spur removal: delete degree-1 vertices other than the basepoint.
+
+    Spurs go in rounds: every spur of a round loses its one edge, and only
+    the far ends of those edges can be spurs of the next round.  So an
+    isolated edge loses both ends at once, and a vertex whose degree drops
+    to 0 stays.  O(V*alphabet + E); g itself when it has no spur.
+    """
+    base = g.basepoint
+    if base is None:
         raise ValueError("core: graph has no basepoint")
     require_valid(g)
-    alive = set(range(g.num_vertices))
-    edges = set(range(len(g.edges)))
-    while True:
-        degree: dict[int, int] = {v: 0 for v in alive}
-        for i in edges:
-            s, d, _ = g.edges[i]
-            degree[s] += 1
-            degree[d] += 1
-        spurs = {v for v in alive if degree[v] == 1 and v != g.basepoint}
-        if not spurs:
-            break
-        alive -= spurs
-        edges = {i for i in edges
-                 if g.edges[i][0] in alive and g.edges[i][1] in alive}
-    order = sorted(alive)
-    vmap = {v: i for i, v in enumerate(order)}
-    new_edges = tuple((vmap[s], vmap[d], l) for i in sorted(edges)
-                      for s, d, l in [g.edges[i]])
-    return LabeledDigraph(g.alphabet, len(order), new_edges, vmap[g.basepoint])
+    degree = [0] * g.num_vertices  # -1 once removed
+    for s, d, _ in g.edges:
+        degree[s] += 1
+        degree[d] += 1
+    spurs = [v for v, k in enumerate(degree) if k == 1 and v != base]
+    if not spurs:
+        return g
+    while spurs:  # an edge is gone once either end is
+        far_ends = []
+        for v in spurs:
+            degree[v] = -1
+            for row in g.letter_table:
+                i = row[v]
+                if i is not None:
+                    s, d, _ = g.edges[i]
+                    u = d if s == v else s
+                    if degree[u] >= 0:  # v's one live edge
+                        degree[u] -= 1
+                        far_ends.append(u)
+        spurs = [u for u in set(far_ends) if degree[u] == 1 and u != base]
+    number = list(accumulate((k >= 0 for k in degree), initial=0))  # kept before v
+    new_edges = tuple((number[s], number[d], l) for s, d, l in g.edges
+                      if degree[s] >= 0 and degree[d] >= 0)
+    return LabeledDigraph(g.alphabet, number[-1], new_edges, number[base])
 
 
 def fiber_product(g1: LabeledDigraph, g2: LabeledDigraph) -> LabeledDigraph:
@@ -275,23 +287,28 @@ def fiber_product(g1: LabeledDigraph, g2: LabeledDigraph) -> LabeledDigraph:
 # Canonical form
 
 
+def letter_steps(g: LabeledDigraph, letters) -> list[tuple[list[int | None], int, int]]:
+    """(letter_table row, far, x) per signed letter x; far is the position in
+    an edge triple of the end that x leads to.  A letter beyond the alphabet
+    gets row 0, which holds no edge."""
+    t, a = g.letter_table, g.alphabet
+    return [(t[x] if abs(x) <= a else t[0], 1 if x > 0 else 0, x) for x in letters]
+
+
 def _bfs_numbering(g: LabeledDigraph, start: int) -> LabeledDigraph:
-    number = {start: 0}
+    edges = g.edges
+    steps = letter_steps(g, [x for l in range(1, g.alphabet + 1) for x in (l, -l)])
+    number: list[int | None] = [None] * g.num_vertices
+    number[start] = 0
     order = [start]
-    queue = deque([start])
-    while queue:
-        v = queue.popleft()
-        for l in range(1, g.alphabet + 1):
-            for lookup in (g.out_map, g.in_map):
-                i = lookup.get((v, l))
-                if i is None:
-                    continue
-                s, d, _ = g.edges[i]
-                u = d if lookup is g.out_map else s
-                if u not in number:
+    for v in order:  # order grows while it is read: the BFS queue
+        for row, far, _ in steps:
+            i = row[v]
+            if i is not None:
+                u = edges[i][far]
+                if number[u] is None:
                     number[u] = len(order)
                     order.append(u)
-                    queue.append(u)
     if len(order) < g.num_vertices:  # g is deterministic, so every edge was crossed
         raise ValueError("canonical_form: graph must be connected")
     edges = tuple(sorted((number[s], number[d], l) for s, d, l in g.edges))
@@ -391,20 +408,23 @@ def from_json(obj: dict) -> LabeledDigraph:
     if len(set(names)) != len(names):
         raise ValueError("duplicate vertex ids")
     vmap = {name: i for i, name in enumerate(names)}
-    try:
-        edges = tuple(
-            (vmap[e["src"]], vmap[e["dst"]], json_int(e["label"], "label"))
-            for e in obj["edges"]
-        )
-    except KeyError as exc:
-        raise ValueError(f"unknown vertex id {exc}") from exc
+    edges = []
+    for e in obj["edges"]:
+        try:
+            ends, label = (e["src"], e["dst"]), e["label"]
+        except KeyError as exc:
+            raise ValueError(f"edge is missing key {exc}") from exc
+        for end in ends:
+            if end not in vmap:
+                raise ValueError(f"unknown vertex id {end!r}")
+        edges.append((vmap[ends[0]], vmap[ends[1]], json_int(label, "label")))
     base = obj.get("basepoint")
     if base is not None:
         if base not in vmap:
             raise ValueError(f"unknown basepoint {base!r}")
         base = vmap[base]
     alphabet = json_int(obj["alphabet"], "alphabet")
-    return LabeledDigraph(alphabet, len(names), edges, base)
+    return LabeledDigraph(alphabet, len(names), tuple(edges), base)
 
 
 def loads(text: str) -> LabeledDigraph:

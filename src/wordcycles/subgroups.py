@@ -14,6 +14,7 @@ from .graphs import (
     fiber_product,
     fold,
     is_connected,
+    letter_steps,
     require_valid,
     wedge_of_words,
 )
@@ -91,24 +92,24 @@ def intersect(h1: SubgroupGraph, h2: SubgroupGraph) -> SubgroupGraph:
     g1, g2 = h1.graph, h2.graph
     if g1.alphabet != g2.alphabet:
         raise ValueError("alphabet mismatch")
-    start = (g1.basepoint, g2.basepoint)
-    number = {start: 0}
-    order = [start]
+    e1, e2, n2 = g1.edges, g2.edges, g2.num_vertices
+    letters = [x for l in range(1, g1.alphabet + 1) for x in (l, -l)]
+    steps = [(row1, row2, far, x) for (row1, far, x), (row2, _, _)
+             in zip(letter_steps(g1, letters), letter_steps(g2, letters))]
+    number = {g1.basepoint * n2 + g2.basepoint: 0}  # pair (u1, u2) is u1 * n2 + u2
+    order = [(g1.basepoint, g2.basepoint)]
     edges = []
-    for v1, v2 in order:  # order grows while it is read: the BFS queue
-        for l in range(1, g1.alphabet + 1):
-            # far: position of the far endpoint in an edge triple (1 = dst)
-            for far, map1, map2 in ((1, g1.out_map, g2.out_map),
-                                    (0, g1.in_map, g2.in_map)):
-                i1, i2 = map1.get((v1, l)), map2.get((v2, l))
-                if i1 is None or i2 is None:
-                    continue
-                u = (g1.edges[i1][far], g2.edges[i2][far])
-                if u not in number:
-                    number[u] = len(order)
-                    order.append(u)
-                if far == 1:  # each edge is added once, from its source
-                    edges.append((number[v1, v2], number[u], l))
+    for src, (v1, v2) in enumerate(order):  # order grows while it is read: the BFS queue
+        for row1, row2, far, x in steps:
+            i1, i2 = row1[v1], row2[v2]
+            if i1 is None or i2 is None:
+                continue
+            u1, u2 = e1[i1][far], e2[i2][far]
+            dst = number.setdefault(u1 * n2 + u2, len(order))
+            if dst == len(order):
+                order.append((u1, u2))
+            if x > 0:  # each edge is added once, from its source
+                edges.append((src, dst, x))
     based = LabeledDigraph(g1.alphabet, len(order), tuple(edges), 0)
     return SubgroupGraph(canonical_form(core(based)))
 
@@ -202,12 +203,7 @@ def check_conjugate_intersection(
     (graph = rose on a letter subset); anything else is rejected.
     """
     g = h.graph
-    is_letter_rose = (
-        g.num_vertices == 1
-        and all(s == d == 0 for s, d, _ in g.edges)
-        and len({l for _, _, l in g.edges}) == len(g.edges)
-    )
-    if not is_letter_rose:
+    if g.num_vertices != 1:  # deterministic, so a rose on distinct letters
         raise ValueError(
             "isolation not certified: subgroup is not a free factor generated "
             "by basis letters"

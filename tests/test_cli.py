@@ -250,20 +250,27 @@ def test_malformed_staggered_file(runner, tmp_path, obj):
     assert "Traceback" not in result.output
 
 
-@pytest.mark.parametrize("edit", [
-    {"edges": [{"src": "v0", "dst": "v0", "label": 1.7}]},
-    {"edges": [{"src": "v0", "dst": "v0", "label": True}]},
-    {"edges": [{"src": "v0", "dst": "v0", "label": "1"}]},
-    {"alphabet": 1.0},
-    {"alphabet": True},
-])
-def test_malformed_graph_file(runner, tmp_path, edit):
+MALFORMED_GRAPHS = [
+    ({"edges": [{"src": "v0", "dst": "v0", "label": 1.7}]}, "must be an integer"),
+    ({"edges": [{"src": "v0", "dst": "v0", "label": True}]}, "must be an integer"),
+    ({"edges": [{"src": "v0", "dst": "v0", "label": "1"}]}, "must be an integer"),
+    ({"alphabet": 1.0}, "must be an integer"),
+    ({"alphabet": True}, "must be an integer"),
+    ({"edges": [{"src": "v0", "dst": "v0"}]}, "edge is missing key 'label'"),
+    ({"edges": [{"dst": "v0", "label": 1}]}, "edge is missing key 'src'"),
+]
+
+
+@pytest.mark.parametrize("edit, message", MALFORMED_GRAPHS,
+                         ids=[f"edit{i}" for i in range(len(MALFORMED_GRAPHS))])
+def test_malformed_graph_file(runner, tmp_path, edit, message):
     path = tmp_path / "g.json"
     path.write_text(json.dumps({**ONE_EDGE, **edit}))
     result = runner.invoke(main, ["graph", "betti", str(path)])
     assert result.exit_code == 2
     assert isinstance(result.exception, SystemExit)
-    assert "bad graph file" in result.output and "must be an integer" in result.output
+    assert "bad graph file" in result.output and message in result.output
+    assert "unknown vertex id" not in result.output
     assert "Traceback" not in result.output
 
 

@@ -6,6 +6,7 @@ from wordcycles.complexes import is_staggered
 from wordcycles.generators import (
     TrialConfig,
     random_inverse_automaton,
+    random_reduced_word,
     random_repeating_word,
     random_simple_word,
     random_staggered_presentation,
@@ -13,7 +14,16 @@ from wordcycles.generators import (
     trial_seed,
 )
 from wordcycles.graphs import validate
-from wordcycles.words import is_cyclically_reduced, is_simple
+from wordcycles.words import is_cyclically_reduced, is_reduced, is_simple
+
+
+def rebuilt_choices_word(rng, letters, length):
+    """Rebuild the list of choices for every letter, the previous letter's
+    inverse left out; the draws the generators must reproduce."""
+    word = []
+    for _ in range(length):
+        word.append(rng.choice([x for x in letters if not word or x != -word[-1]]))
+    return tuple(word)
 
 
 class TestTrialConfig:
@@ -76,6 +86,39 @@ class TestRandomWord:
             w = random_repeating_word(cfg, seed)
             for l in (1, 2):
                 assert sum(1 for x in w if abs(x) == l) >= 2
+
+
+class TestWordDraws:
+    """Choice lists built once per word give the same words, and leave the
+    rng in the same state, as lists rebuilt for every letter."""
+
+    @pytest.mark.parametrize("alphabet", [1, 2, 3, 5])
+    def test_reduced_word(self, alphabet):
+        cfg = TrialConfig(alphabet=alphabet)
+        letters = [x for l in range(1, alphabet + 1) for x in (l, -l)]
+        for seed in range(40):
+            rng, ref = random.Random(seed), random.Random(seed)
+            for length in (0, 1, 2, 7, 16):
+                w = random_reduced_word(cfg, rng, length)
+                assert w == rebuilt_choices_word(ref, letters, length)
+                assert len(w) == length and is_reduced(w)
+            assert rng.random() == ref.random()
+
+    def test_staggered_relators(self):
+        cfg = TrialConfig(max_word_length=6)
+        for seed in range(30):
+            ref = random.Random(seed)
+            relators = []
+            for lo, hi in ((1, 2), (2, 3), (3, 4)):
+                while True:
+                    length = ref.randint(2, 6)
+                    w = rebuilt_choices_word(ref, [lo, -lo, hi, -hi], length)
+                    if {abs(x) for x in w} == {lo, hi} and is_cyclically_reduced(w) \
+                            and is_simple(w):
+                        relators.append(w)
+                        break
+            p = random_staggered_presentation(cfg, random.Random(seed), 3)
+            assert p.relators == tuple(relators)
 
 
 class TestRandomSubgroup:

@@ -230,7 +230,7 @@ class TestSerialization:
         assert g.num_vertices == 2 and g.basepoint == 1
 
     def test_bad_vertex_id(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown vertex id 'nope'"):
             from_json(
                 {
                     "alphabet": 1,

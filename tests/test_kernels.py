@@ -5,10 +5,13 @@ rather than in the library: a fold that rebuilds and rescans the whole edge
 set once per merge, the based component of the full fiber product, a Betti
 count that rescans every edge for every component, connected components by
 breadth-first search over undirected neighbour lists, a conjugate that
-re-folds conjugated generators, and a collapse search that runs a greedy
-pass before a separate exhaustive one.  require_valid,
-which reads the cached label maps, is checked against the full diagnostics
-of validate.
+re-folds conjugated generators, a collapse search that runs a greedy pass
+before a separate exhaustive one, and a core that recounts every degree
+once per round of spur removal.  Tracing, canonical_form and intersect's
+product search read the dense letter table; their references look edges up
+in dicts keyed by (vertex, label) tuples.  require_valid, which reads the
+determinism flag of the letter table, is checked against the full
+diagnostics of validate.
 """
 
 import random
@@ -21,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wordcycles.complexes import TwoComplex, collapses_to_tree
-from wordcycles.cycles import decompose
+from wordcycles.cycles import _trace, decompose
 from wordcycles.generators import (
     TrialConfig,
     random_connected_automaton,
@@ -41,7 +44,7 @@ from wordcycles.graphs import (
     validate,
     wedge_of_words,
 )
-from wordcycles.subgroups import conjugate, intersect, stallings_graph
+from wordcycles.subgroups import SubgroupGraph, conjugate, intersect, stallings_graph
 from wordcycles.words import free_reduce, invert
 
 
@@ -119,6 +122,116 @@ def naive_betti(g: LabeledDigraph) -> tuple:
         (comp, sum(1 for s, _, _ in g.edges if s in comp) - len(comp) + 1)
         for comp in naive_components(g)
     )
+
+
+def out_map(g: LabeledDigraph) -> dict[tuple[int, int], int]:
+    """(vertex, label) -> edge index, following the edge forwards."""
+    return {(s, l): i for i, (s, d, l) in enumerate(g.edges)}
+
+
+def in_map(g: LabeledDigraph) -> dict[tuple[int, int], int]:
+    """(vertex, label) -> edge index, crossing the edge backwards."""
+    return {(d, l): i for i, (s, d, l) in enumerate(g.edges)}
+
+
+def map_trace(g: LabeledDigraph, v: int, w) -> tuple | None:
+    path = []
+    for x in w:
+        if x > 0:
+            i = out_map(g).get((v, x))
+            if i is None:
+                return None
+            path.append((i, +1))
+            v = g.edges[i][1]
+        else:
+            i = in_map(g).get((v, -x))
+            if i is None:
+                return None
+            path.append((i, -1))
+            v = g.edges[i][0]
+    return v, tuple(path)
+
+
+def map_bfs_numbering(g: LabeledDigraph, start: int) -> LabeledDigraph:
+    outs, ins = out_map(g), in_map(g)
+    number = {start: 0}
+    order = [start]
+    queue = deque([start])
+    while queue:
+        v = queue.popleft()
+        for l in range(1, g.alphabet + 1):
+            for lookup in (outs, ins):
+                i = lookup.get((v, l))
+                if i is None:
+                    continue
+                s, d, _ = g.edges[i]
+                u = d if lookup is outs else s
+                if u not in number:
+                    number[u] = len(order)
+                    order.append(u)
+                    queue.append(u)
+    if len(order) < g.num_vertices:
+        raise ValueError("canonical_form: graph must be connected")
+    edges = tuple(sorted((number[s], number[d], l) for s, d, l in g.edges))
+    base = number[g.basepoint] if g.basepoint is not None else None
+    return LabeledDigraph(g.alphabet, g.num_vertices, edges, base)
+
+
+def map_canonical_form(g: LabeledDigraph) -> LabeledDigraph:
+    if g.num_vertices == 0:
+        raise ValueError("canonical_form: graph must be connected")
+    if g.basepoint is not None:
+        return map_bfs_numbering(g, g.basepoint)
+    return min((map_bfs_numbering(g, start) for start in range(g.num_vertices)),
+               key=lambda h: h.edges)
+
+
+def map_intersection(g1: LabeledDigraph, g2: LabeledDigraph) -> LabeledDigraph:
+    """Breadth-first search of the based component of the fiber product,
+    one (vertex, label) dict lookup per factor and step."""
+    maps1, maps2 = (out_map(g1), in_map(g1)), (out_map(g2), in_map(g2))
+    start = (g1.basepoint, g2.basepoint)
+    number = {start: 0}
+    order = [start]
+    edges = []
+    for v1, v2 in order:
+        for l in range(1, g1.alphabet + 1):
+            for far, map1, map2 in ((1, maps1[0], maps2[0]), (0, maps1[1], maps2[1])):
+                i1, i2 = map1.get((v1, l)), map2.get((v2, l))
+                if i1 is None or i2 is None:
+                    continue
+                u = (g1.edges[i1][far], g2.edges[i2][far])
+                if u not in number:
+                    number[u] = len(order)
+                    order.append(u)
+                if far == 1:
+                    edges.append((number[v1, v2], number[u], l))
+    based = LabeledDigraph(g1.alphabet, len(order), tuple(edges), 0)
+    return map_canonical_form(round_core(based))
+
+
+def round_core(g: LabeledDigraph) -> LabeledDigraph:
+    """Recount every degree each round and drop all degree-1 vertices other
+    than the basepoint, with the edges they end, until none is left."""
+    alive = set(range(g.num_vertices))
+    edges = set(range(len(g.edges)))
+    while True:
+        degree = {v: 0 for v in alive}
+        for i in edges:
+            s, d, _ = g.edges[i]
+            degree[s] += 1
+            degree[d] += 1
+        spurs = {v for v in alive if degree[v] == 1 and v != g.basepoint}
+        if not spurs:
+            break
+        alive -= spurs
+        edges = {i for i in edges
+                 if g.edges[i][0] in alive and g.edges[i][1] in alive}
+    order = sorted(alive)
+    vmap = {v: i for i, v in enumerate(order)}
+    new_edges = tuple((vmap[s], vmap[d], l) for i in sorted(edges)
+                      for s, d, l in [g.edges[i]])
+    return LabeledDigraph(g.alphabet, len(order), new_edges, vmap[g.basepoint])
 
 
 def two_phase_collapse(x: TwoComplex, max_cells_exhaustive: int = 12) -> tuple:
@@ -211,6 +324,25 @@ def graphs_with_repeats(draw):
         v = draw(st.integers(0, g.num_vertices - 1))
         edges.append((v, v, draw(st.integers(1, g.alphabet))))
     return LabeledDigraph(g.alphabet, g.num_vertices, tuple(edges))
+
+
+@st.composite
+def deterministic_graphs(draw, max_vertices=9, alphabet=2, based=None):
+    """Deterministic labeled digraphs, possibly disconnected, with loops
+    and isolated vertices: random edges, each dropped if it would share a
+    (vertex, label) slot with an earlier one.  based: True, False, or None
+    for either."""
+    n = draw(st.integers(1, max_vertices))
+    vertex = st.integers(0, n - 1)
+    taken, edges = set(), []
+    for s, d, l in draw(st.lists(st.tuples(vertex, vertex, st.integers(1, alphabet)),
+                                 max_size=2 * n * alphabet)):
+        if (s, l) not in taken and (d, -l) not in taken:
+            taken |= {(s, l), (d, -l)}
+            edges.append((s, d, l))
+    if based is None:
+        based = draw(st.booleans())
+    return LabeledDigraph(alphabet, n, tuple(edges), draw(vertex) if based else None)
 
 
 @st.composite
@@ -372,3 +504,71 @@ class TestRequireValidAgainstValidate:
                     require_valid(g)
             else:
                 require_valid(g)
+
+
+class TestLetterTableAgainstMaps:
+    """Every reader of the letter table against the (vertex, label) dicts."""
+
+    @settings(max_examples=200)
+    @given(deterministic_graphs())
+    def test_slots(self, g):
+        outs, ins = out_map(g), in_map(g)
+        for v in range(g.num_vertices):
+            for l in range(1, g.alphabet + 1):
+                assert g.letter_table[l][v] == outs.get((v, l))
+                assert g.letter_table[-l][v] == ins.get((v, l))
+        assert g.deterministic
+
+    @settings(max_examples=200)
+    @given(deterministic_graphs(), st.lists(st.sampled_from([1, -1, 2, -2, 3, -3]),
+                                            min_size=1, max_size=8))
+    def test_trace_from_every_vertex(self, g, w):
+        # letters 3 and -3 lie beyond the alphabet: they trace nowhere
+        w = free_reduce(tuple(w)) or (1,)
+        for v in range(g.num_vertices):
+            assert _trace(g, v, w) == map_trace(g, v, w)
+
+    @settings(max_examples=200)
+    @given(deterministic_graphs())
+    def test_canonical_form(self, g):
+        try:
+            expected = map_canonical_form(g)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                canonical_form(g)
+        else:
+            assert canonical_form(g) == expected
+
+    @settings(max_examples=150)
+    @given(deterministic_graphs(based=True), deterministic_graphs(based=True))
+    def test_intersect(self, g1, g2):
+        got = intersect(SubgroupGraph(g1), SubgroupGraph(g2)).graph
+        assert got == map_intersection(g1, g2)
+
+
+class TestCoreAgainstRounds:
+    @settings(max_examples=300)
+    @given(deterministic_graphs(based=True))
+    def test_same_graph(self, g):
+        assert core(g) == round_core(g)
+
+    @settings(max_examples=100)
+    @given(generator_sets, words)
+    def test_grafted_subgroups(self, gens, g):
+        # conjugate's input: a path hangs off a Stallings graph
+        h = stallings_graph(gens, 2).graph
+        edges, v = list(h.edges), h.basepoint
+        for n, x in enumerate(g, start=h.num_vertices):
+            edges.append((v, n, x) if x > 0 else (n, v, -x))
+            v = n
+        grafted = fold(LabeledDigraph(2, h.num_vertices + len(g), tuple(edges), v))
+        assert core(grafted) == round_core(grafted)
+
+    def test_isolated_edge_loses_both_ends(self):
+        g = LabeledDigraph(1, 3, ((1, 2, 1),), basepoint=0)
+        assert core(g) == round_core(g) == LabeledDigraph(1, 1, (), 0)
+
+    def test_vertex_left_without_edges_stays(self):
+        # 1 and 3 are spurs of the first round; 2 is left with degree 0
+        g = LabeledDigraph(2, 4, ((1, 2, 1), (2, 3, 2), (0, 0, 1)), basepoint=0)
+        assert core(g) == round_core(g) == LabeledDigraph(2, 2, ((0, 0, 1),), 0)
