@@ -258,8 +258,8 @@ def _complex_from_json(obj: dict) -> complexes.TwoComplex:
     skeleton = graphs.from_json(obj["skeleton"])
     cells = tuple(
         tuple((graphs.json_int(s["edge"], "edge"), graphs.json_int(s["dir"], "dir"))
-              for s in cell)
-        for cell in obj["cells"]
+              for s in graphs.json_array(cell, "cell"))
+        for cell in graphs.json_array(obj["cells"], "cells")
     )
     return complexes.TwoComplex(skeleton, cells)
 
@@ -325,8 +325,9 @@ def complex_npi(word, attach, file):
 def complex_staggered(file):
     p = _load(file, "presentation", lambda obj: complexes.StaggeredPresentation(
         graphs.json_int(obj["alphabet"], "alphabet"),
-        tuple(_word(r) for r in obj["relators"]),
-        tuple(graphs.json_int(l, "ordered letter") for l in obj["ordered_letters"]),
+        tuple(_word(r) for r in graphs.json_array(obj["relators"], "relators")),
+        tuple(graphs.json_int(l, "ordered letter")
+              for l in graphs.json_array(obj["ordered_letters"], "ordered_letters")),
     ))
     ok, diagnostics = complexes.is_staggered(p)
     _emit({"staggered": ok, "diagnostics": diagnostics})
@@ -337,7 +338,7 @@ def complex_staggered(file):
 
 def _load_subgroup(path: str) -> subgroups.SubgroupGraph:
     return _load(path, "subgroup", lambda obj: subgroups.stallings_graph(
-        [_word(w) for w in obj["generators"]],
+        [_word(w) for w in graphs.json_array(obj["generators"], "generators")],
         graphs.json_int(obj["alphabet"], "alphabet"),
     ))
 

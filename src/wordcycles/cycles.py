@@ -36,12 +36,8 @@ def trace(g: LabeledDigraph, v: int, w: Word) -> tuple[int, tuple[Step, ...]] | 
 
 
 def _trace(g: LabeledDigraph, v: int, w: Word) -> tuple[int, tuple[Step, ...]] | None:
-    return _walk(g.edges, letter_steps(g, w), v)
-
-
-def _walk(edges, steps, v: int) -> tuple[int, tuple[Step, ...]] | None:
-    path: list[Step] = []
-    for row, far, _ in steps:
+    edges, path = g.edges, []
+    for row, far, _ in letter_steps(g, w):
         i = row[v]
         if i is None:
             return None
@@ -71,7 +67,6 @@ class WCycleClass:
 class WCycleDecomposition:
     word: Word
     sigma: dict[int, int]
-    witness_paths: dict[int, tuple[Step, ...]]
     classes: tuple[WCycleClass, ...]
     edge_multiplicity: dict[int, int]
 
@@ -87,27 +82,39 @@ class WCycleDecomposition:
 def decompose(g: LabeledDigraph, w: Word) -> WCycleDecomposition:
     """Cycle decomposition of sigma_w, with counts and edge multiplicities.
 
-    Rejects words that are not cyclically reduced or not primitive; the
-    caller must normalize first.
+    Traces keep only the crossed edge indices; a class path pairs them with
+    the signs of w's letters.  Rejects words that are not cyclically reduced
+    or not primitive; the caller must normalize first.
     """
     require_valid(g)
     require_simple_cyclic(w)
 
     sigma: dict[int, int] = {}
-    witness: dict[int, tuple[Step, ...]] = {}
+    crossed: dict[int, list[int]] = {}  # edge indices of each vertex's trace
+    edges = g.edges
     steps = letter_steps(g, w)
     for v in range(g.num_vertices):
-        res = _walk(g.edges, steps, v)
-        if res is not None:
-            sigma[v] = res[0]
-            witness[v] = res[1]
+        u = v
+        path = []
+        for row, far, _ in steps:
+            i = row[u]
+            if i is None:
+                break
+            path.append(i)
+            u = edges[i][far]
+        else:
+            sigma[v] = u
+            crossed[v] = path
     if len(set(sigma.values())) != len(sigma):
         raise ValueError("sigma_w is not injective: graph is not deterministic")
 
     # Injectivity means every orbit is a simple path or a simple cycle; a
     # forward walk can only re-enter at its own starting vertex.
+    # a list: resizing a tuple(genexpr) hoards memory in the tuple free lists
+    directions = [1 if x > 0 else -1 for x in w]
     on_cycle: dict[int, bool] = {}
     classes: list[WCycleClass] = []
+    multiplicity: Counter[int] = Counter()
     for start in sigma:
         if start in on_cycle:
             continue
@@ -123,19 +130,16 @@ def decompose(g: LabeledDigraph, w: Word) -> WCycleDecomposition:
                 raise RuntimeError("walk re-entered off its start; sigma_w not injective")
             for u in walk:
                 on_cycle[u] = True
-            path = tuple(step for u in walk for step in witness[u])
-            classes.append(WCycleClass(tuple(walk), path))
+            indices = [i for u in walk for i in crossed[u]]
+            multiplicity.update(indices)
+            classes.append(WCycleClass(tuple(walk),
+                                       tuple(zip(indices, directions * len(walk)))))
         else:
             if v is not None and on_cycle[v]:
                 raise RuntimeError("sigma_w orbit path merged into a cycle")
             for u in walk:
                 on_cycle[u] = False
-
-    multiplicity: Counter[int] = Counter()
-    for c in classes:
-        for edge_index, _ in c.path:
-            multiplicity[edge_index] += 1
-    return WCycleDecomposition(w, sigma, witness, tuple(classes), dict(multiplicity))
+    return WCycleDecomposition(w, sigma, tuple(classes), dict(multiplicity))
 
 
 def oracle_counts(g: LabeledDigraph, w: Word, max_vertices: int = 8) -> tuple[int, int]:

@@ -162,12 +162,13 @@ def betti(g: LabeledDigraph) -> BettiReport:
 def fold(g: LabeledDigraph, rng: random.Random | None = None) -> LabeledDigraph:
     """Fold g until deterministic (worklist union-find, after Touikan 2006).
 
-    Every class of identified vertices keeps a label -> neighbour map for
-    its outgoing edges and one for its incoming edges.  Two same-label edges
-    leaving (resp. entering) one class put their far ends on a worklist of
-    pending merges; a merge moves the smaller class's map entries into the
-    larger's, and each label clash there is pushed too.  A merge costs
-    O(alphabet), so the fold is near-linear.  Parallel duplicates collapse.
+    Each label on some edge gets two rows over the vertices, one per signed
+    letter, holding at a class root a vertex the letter leads to from that
+    class, or -1: memory is O(V * labels used + E) whatever the alphabet.
+    Two same-letter edges at one class put their far ends on a worklist of
+    pending merges; a merge copies the smaller class's row entries into the
+    larger's and pushes each clash.  A merge costs O(labels used), so the
+    fold is near-linear.  Parallel duplicates collapse.
 
     Output vertices are numbered by the least input vertex of their class,
     and edges are sorted.  The result is independent of the merge order up
@@ -177,15 +178,16 @@ def fold(g: LabeledDigraph, rng: random.Random | None = None) -> LabeledDigraph:
     n = g.num_vertices
     parent = list(range(n))
     size = [1] * n
-    outs, ins = [{} for _ in range(n)], [{} for _ in range(n)]
+    rows = {l: ([-1] * n, [-1] * n) for l in {l for _, _, l in g.edges}}  # (out, in)
     pending: list[tuple[int, int]] = []
     for s, d, l in g.edges:
-        other = outs[s].setdefault(l, d)
-        if other != d:
-            pending.append((other, d))
-        other = ins[d].setdefault(l, s)
-        if other != s:
-            pending.append((other, s))
+        out, into = rows[l]
+        if out[s] >= 0:  # two same-letter edges at s: their far ends fold
+            pending.append((out[s], d))
+        if into[d] >= 0:
+            pending.append((into[d], s))
+        out[s], into[d] = d, s
+    all_rows = [row for pair in rows.values() for row in pair]
 
     while pending:
         if rng is not None:
@@ -202,12 +204,12 @@ def fold(g: LabeledDigraph, rng: random.Random | None = None) -> LabeledDigraph:
             a, b = b, a
         parent[a] = b
         size[b] += size[a]
-        for nbrs in (outs, ins):
-            into = nbrs[b]
-            for l, u in nbrs[a].items():
-                other = into.setdefault(l, u)
-                if other != u:
-                    pending.append((other, u))
+        for row in all_rows:
+            u, other = row[a], row[b]
+            if other < 0:
+                row[b] = u
+            elif u >= 0 and u != other:
+                pending.append((other, u))
 
     root_number: dict[int, int] = {}
     number = []
@@ -215,9 +217,10 @@ def fold(g: LabeledDigraph, rng: random.Random | None = None) -> LabeledDigraph:
         while parent[v] != v:
             parent[v] = v = parent[parent[v]]
         number.append(root_number.setdefault(v, len(root_number)))
-    # a root's outgoing map holds its class's one edge per label
+    # a root's entry in a label's out row is its class's one edge
     new_edges = tuple(sorted((number[r], number[u], l)
-                             for r in root_number for l, u in outs[r].items()))
+                             for l, (out, _) in rows.items()
+                             for r in root_number if (u := out[r]) >= 0))
     base = number[g.basepoint] if g.basepoint is not None else None
     return LabeledDigraph(g.alphabet, len(root_number), new_edges, base)
 
@@ -403,13 +406,20 @@ def json_int(value, field: str) -> int:
     return value
 
 
+def json_array(value, field: str) -> list:
+    """value if it is a JSON array; a string or object is not iterated."""
+    if type(value) is not list:
+        raise ValueError(f"{field} must be an array, got {value!r}")
+    return value
+
+
 def from_json(obj: dict) -> LabeledDigraph:
-    names = list(obj["vertices"])
+    names = json_array(obj["vertices"], "vertices")
     if len(set(names)) != len(names):
         raise ValueError("duplicate vertex ids")
     vmap = {name: i for i, name in enumerate(names)}
     edges = []
-    for e in obj["edges"]:
+    for e in json_array(obj["edges"], "edges"):
         try:
             ends, label = (e["src"], e["dst"]), e["label"]
         except KeyError as exc:

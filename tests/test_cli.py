@@ -113,6 +113,9 @@ ONE_EDGE = to_json(LabeledDigraph(1, 1, ((0, 0, 1),)))
     {"skeleton": ONE_EDGE, "cells": [[{"edge": False, "dir": 1}]]},
     {"skeleton": {**ONE_EDGE, "edges": [{"src": "v0", "dst": "v0", "label": 1.7}]},
      "cells": []},
+    {"skeleton": ONE_EDGE, "cells": ""},
+    {"skeleton": ONE_EDGE, "cells": {}},
+    {"skeleton": {**ONE_EDGE, "edges": {}}, "cells": []},
 ])
 def test_malformed_complex_file(runner, tmp_path, obj):
     path = tmp_path / "x.json"
@@ -122,6 +125,14 @@ def test_malformed_complex_file(runner, tmp_path, obj):
     assert isinstance(result.exception, SystemExit)
     assert "bad complex file" in result.output
     assert "Traceback" not in result.output
+
+
+def test_cell_must_be_an_array(runner, tmp_path):
+    # a step where a cell belongs: iterating it would read its keys as steps
+    path = tmp_path / "x.json"
+    path.write_text(json.dumps({"skeleton": ONE_EDGE, "cells": [{"edge": 0, "dir": 1}]}))
+    result = runner.invoke(main, ["complex", "collapse", str(path)])
+    assert result.exit_code == 2 and "cell must be an array" in result.output
 
 
 def test_complex_npi(runner, rose_file):
@@ -223,6 +234,8 @@ def test_bad_graph_file(runner, tmp_path):
     {"alphabet": 2.9, "generators": ["a"]},
     {"alphabet": True, "generators": ["a"]},
     {"alphabet": "2", "generators": ["a"]},
+    {"alphabet": 2, "generators": "ab"},
+    {"alphabet": 2, "generators": {"ab": 1}},
 ])
 def test_malformed_subgroup_file(runner, tmp_path, obj):
     path = tmp_path / "sub.json"
@@ -240,6 +253,9 @@ def test_malformed_subgroup_file(runner, tmp_path, obj):
     {"alphabet": 2, "relators": ["ab"], "ordered_letters": ["x"]},
     {"alphabet": 2.5, "relators": ["ab"], "ordered_letters": [1, 2]},
     {"alphabet": 2, "relators": ["ab"], "ordered_letters": [1.9, 2]},
+    {"alphabet": 2, "relators": "ab", "ordered_letters": [1, 2]},
+    {"alphabet": 2, "relators": ["ab"], "ordered_letters": ""},
+    {"alphabet": 2, "relators": ["ab"], "ordered_letters": {}},
 ])
 def test_malformed_staggered_file(runner, tmp_path, obj):
     path = tmp_path / "pres.json"
@@ -258,6 +274,10 @@ MALFORMED_GRAPHS = [
     ({"alphabet": True}, "must be an integer"),
     ({"edges": [{"src": "v0", "dst": "v0"}]}, "edge is missing key 'label'"),
     ({"edges": [{"dst": "v0", "label": 1}]}, "edge is missing key 'src'"),
+    ({"vertices": {"v0": 1, "v1": 2}, "edges": {}}, "vertices must be an array"),
+    ({"vertices": "v0", "edges": []}, "vertices must be an array"),
+    ({"edges": {}}, "edges must be an array"),
+    ({"edges": "e"}, "edges must be an array"),
 ]
 
 

@@ -9,13 +9,16 @@ re-folds conjugated generators, a collapse search that runs a greedy pass
 before a separate exhaustive one, and a core that recounts every degree
 once per round of spur removal.  Tracing, canonical_form and intersect's
 product search read the dense letter table; their references look edges up
-in dicts keyed by (vertex, label) tuples.  require_valid, which reads the
-determinism flag of the letter table, is checked against the full
+in dicts keyed by (vertex, label) tuples.  decompose, which keeps only the
+edge indices of each trace, is checked against a decomposition that stores
+every vertex's whole (edge, direction) trace.  require_valid, which reads
+the determinism flag of the letter table, is checked against the full
 diagnostics of validate.
 """
 
 import random
 import re
+import tracemalloc
 from collections import Counter, deque
 from dataclasses import replace
 
@@ -24,10 +27,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wordcycles.complexes import TwoComplex, collapses_to_tree
-from wordcycles.cycles import _trace, decompose
+from wordcycles.cycles import WCycleClass, _trace, decompose
 from wordcycles.generators import (
     TrialConfig,
     random_connected_automaton,
+    random_permutation_automaton,
     random_simple_word,
 )
 from wordcycles.graphs import (
@@ -45,7 +49,7 @@ from wordcycles.graphs import (
     wedge_of_words,
 )
 from wordcycles.subgroups import SubgroupGraph, conjugate, intersect, stallings_graph
-from wordcycles.words import free_reduce, invert
+from wordcycles.words import cyclic_reduce, free_reduce, invert, is_simple
 
 
 def naive_fold(g: LabeledDigraph) -> LabeledDigraph:
@@ -150,6 +154,41 @@ def map_trace(g: LabeledDigraph, v: int, w) -> tuple | None:
             path.append((i, -1))
             v = g.edges[i][0]
     return v, tuple(path)
+
+
+def witness_decompose(g: LabeledDigraph, w) -> tuple:
+    """(sigma, classes, edge_multiplicity): sigma_w from a map_trace of w
+    from every vertex, each whole (edge, direction) trace kept as a witness
+    path, and each class path joined from the witnesses of its vertices."""
+    sigma, witness = {}, {}
+    for v in range(g.num_vertices):
+        res = map_trace(g, v, w)
+        if res is not None:
+            sigma[v], witness[v] = res
+    if len(set(sigma.values())) != len(sigma):
+        raise ValueError("sigma_w is not injective: graph is not deterministic")
+    on_cycle, classes = {}, []
+    for start in sigma:
+        if start in on_cycle:
+            continue
+        walk, seen, v = [], set(), start
+        while v is not None and v not in on_cycle and v not in seen:
+            seen.add(v)
+            walk.append(v)
+            v = sigma.get(v)
+        if v is not None and v in seen:
+            for u in walk:
+                on_cycle[u] = True
+            path = tuple(step for u in walk for step in witness[u])
+            classes.append(WCycleClass(tuple(walk), path))
+        else:
+            for u in walk:
+                on_cycle[u] = False
+    multiplicity = Counter()
+    for c in classes:
+        for edge_index, _ in c.path:
+            multiplicity[edge_index] += 1
+    return sigma, tuple(classes), dict(multiplicity)
 
 
 def map_bfs_numbering(g: LabeledDigraph, start: int) -> LabeledDigraph:
@@ -281,9 +320,29 @@ def two_phase_collapse(x: TwoComplex, max_cells_exhaustive: int = 12) -> tuple:
     return seq is not None, tuple(seq or ()), True
 
 
-letters = st.integers(min_value=1, max_value=2).flatmap(lambda l: st.sampled_from([l, -l]))
-words = st.lists(letters, min_size=1, max_size=10).map(lambda w: free_reduce(tuple(w)))
-generator_sets = st.lists(words.filter(bool), min_size=1, max_size=5)
+def letters_from(labels):
+    return st.sampled_from(labels).flatmap(lambda l: st.sampled_from([l, -l]))
+
+
+def words_from(labels):
+    return st.lists(letters_from(labels), min_size=1, max_size=10).map(
+        lambda w: free_reduce(tuple(w)))
+
+
+def generator_sets_from(labels):
+    return st.lists(words_from(labels).filter(bool), min_size=1, max_size=5)
+
+
+letters = letters_from([1, 2])
+words = words_from([1, 2])
+generator_sets = generator_sets_from([1, 2])
+
+
+def simple_words_from(labels):
+    """Cyclically reduced words that are not proper powers."""
+    return st.lists(letters_from(labels), min_size=1, max_size=8).map(
+        lambda w: cyclic_reduce(free_reduce(tuple(w)))[0]).filter(
+        lambda w: w and is_simple(w))
 
 
 @st.composite
@@ -383,6 +442,10 @@ def wedge_complexes(draw):
     return TwoComplex(g, tuple(draw(st.permutations(cells))))
 
 
+# last-in first-out, or a seeded random order
+fold_orders = st.none() | st.integers(0, 2**32).map(random.Random)
+
+
 def assert_fold_matches(g, rng):
     fast, slow = fold(g, rng), naive_fold(g)
     assert validate(fast) == []
@@ -411,6 +474,33 @@ class TestFoldAgainstReference:
     @given(connected_graphs(), st.integers(0, 2**32))
     def test_small_graphs_random_order(self, g, seed):
         assert_fold_matches(g, random.Random(seed))
+
+    @settings(max_examples=80)
+    @given(generator_sets_from([1, 2, 3]), fold_orders)
+    def test_wedges_three_letters(self, gens, rng):
+        assert_fold_matches(wedge_of_words(gens, 3), rng)
+
+    @settings(max_examples=80)
+    @given(generator_sets_from([1, 3]), st.sampled_from([3, 5]), fold_orders)
+    def test_wedges_skipping_a_letter(self, gens, alphabet, rng):
+        # labels 2, 4 and 5 are on no edge, so they get no rows
+        assert_fold_matches(wedge_of_words(gens, alphabet), rng)
+
+    @settings(max_examples=80)
+    @given(connected_graphs(alphabet=3), fold_orders)
+    def test_small_graphs_three_letters(self, g, rng):
+        assert_fold_matches(g, rng)
+
+    def test_memory_ignores_declared_alphabet(self):
+        g = wedge_of_words([(1, 2)], 10**6)
+        tracemalloc.start()
+        try:
+            folded = fold(g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert folded == LabeledDigraph(10**6, 2, ((0, 1, 1), (1, 0, 2)), 0)
+        assert peak < 1 << 20
 
     def test_numbering_follows_least_member(self):
         # 1 and 2 are identified; the class is numbered after vertex 1
@@ -572,3 +662,35 @@ class TestCoreAgainstRounds:
         # 1 and 3 are spurs of the first round; 2 is left with degree 0
         g = LabeledDigraph(2, 4, ((1, 2, 1), (2, 3, 2), (0, 0, 1)), basepoint=0)
         assert core(g) == round_core(g) == LabeledDigraph(2, 2, ((0, 0, 1),), 0)
+
+
+
+def assert_decompose_matches(g, w):
+    dec = decompose(g, w)
+    sigma, classes, multiplicity = witness_decompose(g, w)
+    assert dec.sigma == sigma
+    assert dec.classes == classes
+    assert dec.edge_multiplicity == multiplicity
+
+
+class TestDecomposeAgainstWitnessPaths:
+    @settings(max_examples=300)
+    @given(deterministic_graphs(), simple_words_from([1, 2, 3]))
+    def test_deterministic_graphs(self, g, w):
+        # letter 3 lies beyond the alphabet: a word with it traces nowhere
+        assert_decompose_matches(g, w)
+
+    @settings(max_examples=150)
+    @given(st.integers(0, 2**32), st.integers(1, 12), simple_words_from([1, 2]))
+    def test_permutation_covers(self, seed, n, w):
+        # every word traces from every vertex, so every vertex is on a cycle
+        g = random_permutation_automaton(TrialConfig(max_vertices=n, alphabet=2), seed)
+        assert_decompose_matches(g, w)
+        assert sum(c.period for c in decompose(g, w).classes) == g.num_vertices
+
+    def test_letter_beyond_the_alphabet(self):
+        g = LabeledDigraph(2, 2, ((0, 1, 1), (1, 0, 1), (0, 0, 2)))
+        for w in [(3,), (1, 3), (2, -3)]:
+            assert_decompose_matches(g, w)
+            assert decompose(g, w).sigma == {}
+        assert_decompose_matches(g, (1, 2))
