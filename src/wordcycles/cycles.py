@@ -5,15 +5,20 @@ sigma_w on the vertex set.  A based w-cycle is a vertex on a sigma_w-orbit
 cycle; equivalence classes of w-cycles are exactly the orbit cycles.  The
 central facts checked here: the class count is at most the first Betti
 number, and strictly less with multiplicity when every edge is traversed
-at least twice.
+at least twice.  The counts come from sigma_w's cycles alone; class paths
+and edge multiplicities are traced only when read.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from collections.abc import Iterator
+from dataclasses import dataclass, field
+from functools import cached_property
+from operator import le
 
-from .graphs import LabeledDigraph, betti, is_connected, letter_steps, require_valid
+from .graphs import (BettiReport, LabeledDigraph, betti, is_connected, letter_steps,
+                     require_valid)
 from .words import Word, is_reduced, require_simple_cyclic
 
 # A path step is (edge index, direction); direction -1 crosses the edge
@@ -65,81 +70,84 @@ class WCycleClass:
 
 @dataclass(frozen=True)
 class WCycleDecomposition:
+    """classes and edge_multiplicity are built on first read (see decompose)."""
+
     word: Word
     sigma: dict[int, int]
-    classes: tuple[WCycleClass, ...]
-    edge_multiplicity: dict[int, int]
+    cycles: tuple[tuple[int, ...], ...]  # orbit cycles, vertices in sigma_w order
+    graph: LabeledDigraph = field(repr=False)
 
     @property
     def count_with_multiplicity(self) -> int:
-        return sum(c.period for c in self.classes)
+        return sum(map(len, self.cycles))
 
     @property
     def class_count(self) -> int:
-        return len(self.classes)
+        return len(self.cycles)
+
+    def _traces(self) -> Iterator[list[int]]:
+        """Per cycle, the edges crossed reading w^period from its first vertex."""
+        edges, steps = self.graph.edges, letter_steps(self.graph, self.word)
+        for cycle in self.cycles:
+            v, path = cycle[0], []
+            for row, far, _ in steps * len(cycle):
+                i = row[v]
+                path.append(i)
+                v = edges[i][far]
+            yield path
+
+    @cached_property
+    def classes(self) -> tuple[WCycleClass, ...]:
+        # a list: resizing a tuple(genexpr) hoards memory in the tuple free lists
+        directions = [1 if x > 0 else -1 for x in self.word]
+        return tuple(WCycleClass(c, tuple(zip(path, directions * len(c))))
+                     for c, path in zip(self.cycles, self._traces()))
+
+    @cached_property
+    def edge_multiplicity(self) -> dict[int, int]:
+        return dict(Counter(i for path in self._traces() for i in path))
 
 
 def decompose(g: LabeledDigraph, w: Word) -> WCycleDecomposition:
-    """Cycle decomposition of sigma_w, with counts and edge multiplicities.
+    """Cycle decomposition of sigma_w.
 
-    Traces keep only the crossed edge indices; a class path pairs them with
-    the signs of w's letters.  Rejects words that are not cyclically reduced
-    or not primitive; the caller must normalize first.
+    Only sigma_w and its orbit cycles, which give the counts, are computed
+    here.  Class paths and edge multiplicities are built on first read by
+    tracing w again from the cycle vertices alone.  Rejects words that are
+    not cyclically reduced or not primitive; the caller must normalize first.
     """
     require_valid(g)
     require_simple_cyclic(w)
 
     sigma: dict[int, int] = {}
-    crossed: dict[int, list[int]] = {}  # edge indices of each vertex's trace
-    edges = g.edges
-    steps = letter_steps(g, w)
+    edges, steps = g.edges, letter_steps(g, w)
     for v in range(g.num_vertices):
         u = v
-        path = []
         for row, far, _ in steps:
             i = row[u]
             if i is None:
                 break
-            path.append(i)
             u = edges[i][far]
         else:
             sigma[v] = u
-            crossed[v] = path
     if len(set(sigma.values())) != len(sigma):
         raise ValueError("sigma_w is not injective: graph is not deterministic")
 
-    # Injectivity means every orbit is a simple path or a simple cycle; a
-    # forward walk can only re-enter at its own starting vertex.
-    # a list: resizing a tuple(genexpr) hoards memory in the tuple free lists
-    directions = [1 if x > 0 else -1 for x in w]
-    on_cycle: dict[int, bool] = {}
-    classes: list[WCycleClass] = []
-    multiplicity: Counter[int] = Counter()
+    # Injectivity means every orbit is a simple path or a simple cycle, so a
+    # walk meets a cycle only if it starts on it, and then goes all round it.
+    seen: set[int] = set()
+    cycles: list[tuple[int, ...]] = []
     for start in sigma:
-        if start in on_cycle:
+        if start in seen:
             continue
-        walk: list[int] = []
-        seen: set[int] = set()
-        v: int | None = start
-        while v is not None and v not in on_cycle and v not in seen:
+        walk, v = [], start
+        while v in sigma and v not in seen:
             seen.add(v)
             walk.append(v)
-            v = sigma.get(v)
-        if v is not None and v in seen:
-            if v != start:
-                raise RuntimeError("walk re-entered off its start; sigma_w not injective")
-            for u in walk:
-                on_cycle[u] = True
-            indices = [i for u in walk for i in crossed[u]]
-            multiplicity.update(indices)
-            classes.append(WCycleClass(tuple(walk),
-                                       tuple(zip(indices, directions * len(walk)))))
-        else:
-            if v is not None and on_cycle[v]:
-                raise RuntimeError("sigma_w orbit path merged into a cycle")
-            for u in walk:
-                on_cycle[u] = False
-    return WCycleDecomposition(w, sigma, tuple(classes), dict(multiplicity))
+            v = sigma[v]
+        if v == start:
+            cycles.append(tuple(walk))
+    return WCycleDecomposition(w, sigma, tuple(cycles), g)
 
 
 def oracle_counts(g: LabeledDigraph, w: Word, max_vertices: int = 8) -> tuple[int, int]:
@@ -218,26 +226,30 @@ class ComponentVerdict:
 
 @dataclass(frozen=True)
 class MainInequalityReport:
-    """Class count <= first Betti number, per component and in total."""
+    """Class count <= first Betti number, per component and in total.  The
+    per-component verdicts are built on first read."""
 
     word: Word
-    per_component: tuple[ComponentVerdict, ...]
+    component_classes: tuple[int, ...]  # in component order
+    betti_report: BettiReport
     total_classes: int
     total_betti: int
     passed: bool
     count_with_multiplicity: int
 
+    @property
+    def per_component(self) -> tuple[ComponentVerdict, ...]:
+        return tuple(ComponentVerdict(comp, k, b, k <= b, k == b) for (comp, b), k
+                     in zip(self.betti_report.per_component, self.component_classes))
+
 
 def check_main_inequality(g: LabeledDigraph, w: Word) -> MainInequalityReport:
     dec = decompose(g, w)
     report = betti(g)
-    verdicts = []
-    for comp, b in report.per_component:
-        k = sum(1 for c in dec.classes if c.vertices[0] in comp)
-        verdicts.append(ComponentVerdict(comp, k, b, k <= b, k == b))
-    total_k = dec.class_count
-    passed = all(v.passed for v in verdicts) and total_k <= report.total
-    return MainInequalityReport(w, tuple(verdicts), total_k, report.total, passed,
+    in_comp = Counter(g.component_of[cycle[0]] for cycle in dec.cycles)
+    counts = tuple(in_comp[c] for c in range(len(report.bettis)))
+    passed = all(map(le, counts, report.bettis)) and dec.class_count <= report.total
+    return MainInequalityReport(w, counts, report, dec.class_count, report.total, passed,
                                 dec.count_with_multiplicity)
 
 

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
 
@@ -138,21 +139,36 @@ def component_containing(g: LabeledDigraph, v: int) -> LabeledDigraph:
 
 @dataclass(frozen=True)
 class BettiReport:
-    per_component: tuple[tuple[frozenset[int], int], ...]
+    """First Betti numbers of a graph.  total is computed on construction;
+    the per-component numbers (bettis, in component order) and the vertex
+    sets paired with them (per_component) are built when first read.  A
+    report built from an explicit per_component serves both from it."""
+
+    _per_component: tuple[tuple[frozenset[int], int], ...] | None
     total: int
+    graph: LabeledDigraph | None = field(default=None, repr=False)
+
+    @cached_property
+    def bettis(self) -> tuple[int, ...]:
+        if self._per_component is not None:
+            return tuple(b for _, b in self._per_component)
+        comp_of = self.graph.component_of
+        edge_count = Counter(comp_of[s] for s, _, _ in self.graph.edges)
+        size = Counter(comp_of)
+        return tuple(edge_count[c] - size[c] + 1 for c in range(len(size)))
+
+    @cached_property
+    def per_component(self) -> tuple[tuple[frozenset[int], int], ...]:
+        if self._per_component is not None:
+            return self._per_component
+        return tuple(zip(components(self.graph), self.bettis))
 
 
 def betti(g: LabeledDigraph) -> BettiReport:
-    """First Betti numbers, per component and total (|E| - |V| + #components)."""
+    """First Betti numbers, total |E| - |V| + #components (see BettiReport)."""
     if g.num_vertices == 0:
         raise ValueError("betti: empty vertex set")
-    comps = components(g)
-    comp_of = g.component_of
-    edge_count = [0] * len(comps)
-    for s, _, _ in g.edges:
-        edge_count[comp_of[s]] += 1
-    per = tuple((comp, e - len(comp) + 1) for comp, e in zip(comps, edge_count))
-    return BettiReport(per, sum(b for _, b in per))
+    return BettiReport(None, len(g.edges) - g.num_vertices + max(g.component_of) + 1, g)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import warnings
 from dataclasses import dataclass
 
 from .graphs import (
+    BettiReport,
     LabeledDigraph,
     betti,
     canonical_form,
@@ -137,10 +138,14 @@ def reduced_rank(b: int) -> int:
 
 @dataclass(frozen=True)
 class RedRankReport:
-    per_component: tuple[tuple[frozenset[int], int], ...]
+    fiber_betti: BettiReport  # of the fiber product
     lhs: int  # summed reduced ranks of the product components
     rhs: int  # product of the factors' reduced ranks
     passed: bool
+
+    @property
+    def per_component(self) -> tuple[tuple[frozenset[int], int], ...]:
+        return tuple((comp, reduced_rank(b)) for comp, b in self.fiber_betti.per_component)
 
 
 def check_shnc(g1: SubgroupGraph, g2: SubgroupGraph) -> RedRankReport:
@@ -148,12 +153,10 @@ def check_shnc(g1: SubgroupGraph, g2: SubgroupGraph) -> RedRankReport:
     for h in (g1, g2):
         if not is_connected(h.graph):
             raise ValueError("check_shnc: factors must be connected")
-    fp = fiber_product(g1.graph, g2.graph)
-    report = betti(fp)
-    per = tuple((comp, reduced_rank(b)) for comp, b in report.per_component)
-    lhs = sum(r for _, r in per)
+    report = betti(fiber_product(g1.graph, g2.graph))
+    lhs = sum(map(reduced_rank, report.bettis))
     rhs = reduced_rank(betti(g1.graph).total) * reduced_rank(betti(g2.graph).total)
-    return RedRankReport(per, lhs, rhs, lhs <= rhs)
+    return RedRankReport(report, lhs, rhs, lhs <= rhs)
 
 
 @dataclass(frozen=True)
@@ -177,8 +180,7 @@ def check_restated_inequality(cycle_w: Word, g2: LabeledDigraph) -> RestatedRepo
     g1 = circle(cycle_w, alphabet)
     if g2.alphabet != alphabet:
         g2 = LabeledDigraph(alphabet, g2.num_vertices, g2.edges, g2.basepoint)
-    fp = fiber_product(g1, g2)
-    bettis = tuple(b for _, b in betti(fp).per_component)
+    bettis = betti(fiber_product(g1, g2)).bettis
     lhs = sum(bettis)
     rhs = betti(g1).total * betti(g2).total
     k = decompose(g2, cycle_w).class_count

@@ -545,9 +545,17 @@ class TestBettiAgainstReference:
     @settings(max_examples=100)
     @given(any_graphs())
     def test_per_component(self, g):
+        expected = naive_betti(g)
         report = betti(g)
-        assert report.per_component == naive_betti(g)
-        assert report.total == sum(b for _, b in naive_betti(g))
+        assert report.total == sum(b for _, b in expected)
+        assert report.bettis == tuple(b for _, b in expected)
+        assert report.per_component == expected
+        assert report.total == sum(b for _, b in expected)
+        # per_component read first, before the integers and the total
+        report = betti(g)
+        assert report.per_component == expected
+        assert report.bettis == tuple(b for _, b in expected)
+        assert report.total == sum(b for _, b in expected)
 
 
 class TestPartitionAgainstReference:
@@ -671,6 +679,12 @@ def assert_decompose_matches(g, w):
     assert dec.sigma == sigma
     assert dec.classes == classes
     assert dec.edge_multiplicity == multiplicity
+    # the lazy views read in the other order, on a fresh decomposition
+    dec = decompose(g, w)
+    assert dec.edge_multiplicity == multiplicity
+    assert dec.classes == classes
+    assert dec.count_with_multiplicity == sum(c.period for c in classes)
+    assert dec.class_count == len(classes)
 
 
 class TestDecomposeAgainstWitnessPaths:
