@@ -186,32 +186,27 @@ def check_npi(
         raise ValueError("check_npi: graph must be connected")
     require_simple_cyclic(w)
     dec = decompose(g, w)
-    by_vertex: dict[int, tuple[int, Cell]] = {}
-    for c in dec.classes:
-        for i, v in enumerate(c.vertices):
-            # trace of w^period based at v: rotate the class path
-            offset = i * len(w)
-            by_vertex[v] = (c.period, c.path[offset:] + c.path[:offset])
-
+    place = {v: (j, i) for j, cycle in enumerate(dec.cycles) for i, v in enumerate(cycle)}
     cells: list[Cell] = []
     used_orbits: set[int] = set()
-    orbit_of = {v: j for j, c in enumerate(dec.classes) for v in c.vertices}
     for v, n in attachments:
-        if v not in by_vertex:
+        if v not in place:
             raise ValueError(f"attachment at vertex {v}: w^n never closes there")
-        period, path = by_vertex[v]
-        if n != period:
+        j, i = place[v]  # v is vertex i of orbit cycle j
+        if n != len(dec.cycles[j]):
             raise ValueError(
                 f"attachment at vertex {v}: exponent {n} is not the minimal "
-                f"closing exponent {period}, so this is not an immersion"
+                f"closing exponent {len(dec.cycles[j])}, so this is not an immersion"
             )
-        if orbit_of[v] in used_orbits:
+        if j in used_orbits:
             raise ValueError(
                 f"attachment at vertex {v}: duplicates another attachment's "
                 "cycle class, so this is not an immersion"
             )
-        used_orbits.add(orbit_of[v])
-        cells.append(path)
+        used_orbits.add(j)
+        # the trace of w^period based at v: the class path, rotated
+        path, offset = dec.classes[j].path, i * len(w)
+        cells.append(path[offset:] + path[:offset])
 
     y = TwoComplex(g, tuple(cells))
     chi = euler_characteristic(y)

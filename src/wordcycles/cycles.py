@@ -14,11 +14,10 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from functools import cached_property
 from operator import le
 
-from .graphs import (BettiReport, LabeledDigraph, betti, is_connected, letter_steps,
-                     require_valid)
+from .graphs import (BettiReport, LabeledDigraph, betti, cached_property, is_connected,
+                     letter_steps, require_valid)
 from .words import Word, is_reduced, require_simple_cyclic
 
 # A path step is (edge index, direction); direction -1 crosses the edge
@@ -37,17 +36,13 @@ def trace(g: LabeledDigraph, v: int, w: Word) -> tuple[int, tuple[Step, ...]] | 
         raise ValueError("trace: word must be reduced and nonempty")
     if not (0 <= v < g.num_vertices):
         raise ValueError(f"trace: vertex {v} not in graph")
-    return _trace(g, v, w)
-
-
-def _trace(g: LabeledDigraph, v: int, w: Word) -> tuple[int, tuple[Step, ...]] | None:
-    edges, path = g.edges, []
-    for row, far, _ in letter_steps(g, w):
-        i = row[v]
-        if i is None:
+    sink, table, path = g.num_vertices, g.letter_table, []
+    for x, row in zip(w, letter_steps(g, w)):
+        u = row[v]
+        if u == sink:
             return None
-        path.append((i, far or -1))  # +1 forwards (far end is dst), -1 backwards
-        v = edges[i][far]
+        path.append((table[x][v], 1 if x > 0 else -1))
+        v = u
     return v, tuple(path)
 
 
@@ -87,13 +82,13 @@ class WCycleDecomposition:
 
     def _traces(self) -> Iterator[list[int]]:
         """Per cycle, the edges crossed reading w^period from its first vertex."""
-        edges, steps = self.graph.edges, letter_steps(self.graph, self.word)
+        g = self.graph  # with a cycle, every letter of w lies in the alphabet
+        steps = [(g.letter_table[x], g.successor[x]) for x in self.word if self.cycles]
         for cycle in self.cycles:
             v, path = cycle[0], []
-            for row, far, _ in steps * len(cycle):
-                i = row[v]
-                path.append(i)
-                v = edges[i][far]
+            for edge, row in steps * len(cycle):
+                path.append(edge[v])
+                v = row[v]
             yield path
 
     @cached_property
@@ -112,22 +107,22 @@ def decompose(g: LabeledDigraph, w: Word) -> WCycleDecomposition:
     """Cycle decomposition of sigma_w.
 
     Only sigma_w and its orbit cycles, which give the counts, are computed
-    here.  Class paths and edge multiplicities are built on first read by
-    tracing w again from the cycle vertices alone.  Rejects words that are
-    not cyclically reduced or not primitive; the caller must normalize first.
+    here, walking w's successor rows from every vertex.  Class paths and
+    edge multiplicities are built on first read by tracing w again from the
+    cycle vertices alone.  Rejects words that are not cyclically reduced or
+    not primitive; the caller must normalize first.
     """
     require_valid(g)
     require_simple_cyclic(w)
 
     sigma: dict[int, int] = {}
-    edges, steps = g.edges, letter_steps(g, w)
-    for v in range(g.num_vertices):
+    sink, rows = g.num_vertices, letter_steps(g, w)
+    for v in range(sink):
         u = v
-        for row, far, _ in steps:
-            i = row[u]
-            if i is None:
+        for row in rows:
+            u = row[u]
+            if u == sink:
                 break
-            u = edges[i][far]
         else:
             sigma[v] = u
     if len(set(sigma.values())) != len(sigma):
@@ -135,17 +130,13 @@ def decompose(g: LabeledDigraph, w: Word) -> WCycleDecomposition:
 
     # Injectivity means every orbit is a simple path or a simple cycle, so a
     # walk meets a cycle only if it starts on it, and then goes all round it.
-    seen: set[int] = set()
-    cycles: list[tuple[int, ...]] = []
+    unseen, cycles = dict(sigma), []
     for start in sigma:
-        if start in seen:
-            continue
         walk, v = [], start
-        while v in sigma and v not in seen:
-            seen.add(v)
+        while v in unseen:
             walk.append(v)
-            v = sigma[v]
-        if v == start:
+            v = unseen.pop(v)
+        if walk and v == start:
             cycles.append(tuple(walk))
     return WCycleDecomposition(w, sigma, tuple(cycles), g)
 
@@ -246,11 +237,12 @@ class MainInequalityReport:
 def check_main_inequality(g: LabeledDigraph, w: Word) -> MainInequalityReport:
     dec = decompose(g, w)
     report = betti(g)
-    in_comp = Counter(g.component_of[cycle[0]] for cycle in dec.cycles)
-    counts = tuple(in_comp[c] for c in range(len(report.bettis)))
+    counts, comp_of = [0] * len(report.bettis), g.component_of
+    for cycle in dec.cycles:
+        counts[comp_of[cycle[0]]] += 1
     passed = all(map(le, counts, report.bettis)) and dec.class_count <= report.total
-    return MainInequalityReport(w, counts, report, dec.class_count, report.total, passed,
-                                dec.count_with_multiplicity)
+    return MainInequalityReport(w, tuple(counts), report, dec.class_count, report.total,
+                                passed, dec.count_with_multiplicity)
 
 
 def collapsed_hypothesis(g: LabeledDigraph, w: Word) -> tuple[bool, dict[int, int]]:

@@ -4,20 +4,36 @@ Vertices are dense ints 0..n-1 internally; the JSON file format uses opaque
 string ids.  Edges are (src, dst, label) triples with labels in 1..alphabet.
 Determinism means: at most one outgoing and at most one incoming edge per
 label at every vertex.
+
+A graph caches its index on first read: successor rows for walks, the edge
+letter_table for readers of edge paths, and one union-find partition that
+gives the components and their Betti numbers.
 """
 
 from __future__ import annotations
 
 import json
 import random
-from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import accumulate
 
 from .words import Word, format_word, is_cyclically_reduced
 
 Edge = tuple[int, int, int]  # (src, dst, label)
+
+
+class cached_property:
+    """functools.cached_property less the lock that Python 3.11 takes on
+    each first read, which costs more than a small graph's index."""
+
+    def __init__(self, fn):
+        self.fn, self.name = fn, fn.__name__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        obj.__dict__[self.name] = value = self.fn(obj)
+        return value
 
 
 @dataclass(frozen=True)
@@ -55,6 +71,19 @@ class LabeledDigraph:
             raise ValueError("basepoint is not a vertex")
 
     @cached_property
+    def successor(self) -> list[list[int]]:
+        """successor[x][v]: the vertex that signed letter x leads to from v,
+        rows indexed as in letter_table.  A missing edge leads to the sink
+        slot num_vertices, which leads to itself, so a walk reads u = row[u]
+        with no test.  On a nondeterministic graph the last edge wins."""
+        n = self.num_vertices
+        rows = [[n] * (n + 1) for _ in range(2 * self.alphabet + 1)]
+        for s, d, l in self.edges:
+            rows[l][s] = d
+            rows[-l][d] = s
+        return rows
+
+    @cached_property
     def letter_table(self) -> list[list[int | None]]:
         """letter_table[x][v]: index of the edge that signed letter x crosses
         from v, or None.  A negative x indexes from the end of the list, so
@@ -69,29 +98,42 @@ class LabeledDigraph:
 
     @cached_property
     def deterministic(self) -> bool:
-        """No two edges share a slot of letter_table: every edge fills two."""
-        free = sum(row.count(None) for row in self.letter_table)
-        return len(self.letter_table) * self.num_vertices - free == 2 * len(self.edges)
+        """No two edges share a slot of successor: every edge fills two."""
+        n = self.num_vertices
+        return sum(n + 1 - row.count(n) for row in self.successor) == 2 * len(self.edges)
 
     @cached_property
-    def component_of(self) -> tuple[int, ...]:
-        """Component number of each vertex, edge direction ignored; the
-        components are numbered in the order of their least vertices."""
-        parent = list(range(self.num_vertices))
+    def _partition(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(component_of, first Betti number of each component) from one
+        union-find pass over the edges.  A root holds edges - vertices + 1 of
+        its class: an edge inside a class adds 1, a union adds the roots'."""
+        parent, cyclomatic = list(range(self.num_vertices)), [0] * self.num_vertices
         # find, inlined: walk to the root, halving the path on the way
         for s, d, _ in self.edges:
             while parent[s] != s:
                 parent[s] = s = parent[parent[s]]
             while parent[d] != d:
                 parent[d] = d = parent[parent[d]]
-            parent[s] = d
-        number: dict[int, int] = {}  # a class is first met at its least vertex
-        comp = []
+            if s == d:
+                cyclomatic[d] += 1
+            else:
+                parent[s] = d
+                cyclomatic[d] += cyclomatic[s]
+        number, comp, bettis = [None] * self.num_vertices, [], []
         for v in range(self.num_vertices):
             while parent[v] != v:
                 parent[v] = v = parent[parent[v]]
-            comp.append(number.setdefault(v, len(number)))
-        return tuple(comp)
+            if number[v] is None:  # root v's class is first met at its least vertex
+                number[v] = len(bettis)
+                bettis.append(cyclomatic[v])
+            comp.append(number[v])
+        return tuple(comp), tuple(bettis)
+
+    @property
+    def component_of(self) -> tuple[int, ...]:
+        """Component number of each vertex, edge direction ignored; the
+        components are numbered in the order of their least vertices."""
+        return self._partition[0]
 
 
 def validate(g: LabeledDigraph) -> list[DeterminismViolation]:
@@ -130,6 +172,8 @@ def component_containing(g: LabeledDigraph, v: int) -> LabeledDigraph:
     if not 0 <= v < g.num_vertices:
         raise ValueError(f"vertex {v} not in graph")
     comp_of = g.component_of
+    if not any(comp_of):  # g is connected: its own component, cached index and all
+        return g
     c = comp_of[v]
     order = [u for u in range(g.num_vertices) if comp_of[u] == c]
     vmap = {u: i for i, u in enumerate(order)}
@@ -139,23 +183,20 @@ def component_containing(g: LabeledDigraph, v: int) -> LabeledDigraph:
 
 @dataclass(frozen=True)
 class BettiReport:
-    """First Betti numbers of a graph.  total is computed on construction;
-    the per-component numbers (bettis, in component order) and the vertex
-    sets paired with them (per_component) are built when first read.  A
-    report built from an explicit per_component serves both from it."""
+    """First Betti numbers of a graph.  total and the per-component numbers
+    (bettis, in component order) come from the graph's cached partition;
+    the vertex sets paired with them (per_component) are built when first
+    read.  A report built from an explicit per_component serves all three."""
 
     _per_component: tuple[tuple[frozenset[int], int], ...] | None
     total: int
     graph: LabeledDigraph | None = field(default=None, repr=False)
 
-    @cached_property
+    @property
     def bettis(self) -> tuple[int, ...]:
         if self._per_component is not None:
             return tuple(b for _, b in self._per_component)
-        comp_of = self.graph.component_of
-        edge_count = Counter(comp_of[s] for s, _, _ in self.graph.edges)
-        size = Counter(comp_of)
-        return tuple(edge_count[c] - size[c] + 1 for c in range(len(size)))
+        return self.graph._partition[1]
 
     @cached_property
     def per_component(self) -> tuple[tuple[frozenset[int], int], ...]:
@@ -168,7 +209,7 @@ def betti(g: LabeledDigraph) -> BettiReport:
     """First Betti numbers, total |E| - |V| + #components (see BettiReport)."""
     if g.num_vertices == 0:
         raise ValueError("betti: empty vertex set")
-    return BettiReport(None, len(g.edges) - g.num_vertices + max(g.component_of) + 1, g)
+    return BettiReport(None, sum(g._partition[1]), g)
 
 
 # ---------------------------------------------------------------------------
@@ -244,16 +285,17 @@ def fold(g: LabeledDigraph, rng: random.Random | None = None) -> LabeledDigraph:
 def core(g: LabeledDigraph) -> LabeledDigraph:
     """Spur removal: delete degree-1 vertices other than the basepoint.
 
-    Spurs go in rounds: every spur of a round loses its one edge, and only
-    the far ends of those edges can be spurs of the next round.  So an
-    isolated edge loses both ends at once, and a vertex whose degree drops
-    to 0 stays.  O(V*alphabet + E); g itself when it has no spur.
+    Spurs go in rounds: every spur of a round loses its one edge, read from
+    its successor slots, and only the far ends of those edges can be spurs
+    of the next round.  So an isolated edge loses both ends at once, and a
+    vertex whose degree drops to 0 stays.  O(V*alphabet + E); g itself when
+    it has no spur.
     """
     base = g.basepoint
     if base is None:
         raise ValueError("core: graph has no basepoint")
     require_valid(g)
-    degree = [0] * g.num_vertices  # -1 once removed
+    degree = [0] * g.num_vertices + [-1]  # -1 once removed; the sink always is
     for s, d, _ in g.edges:
         degree[s] += 1
         degree[d] += 1
@@ -264,14 +306,11 @@ def core(g: LabeledDigraph) -> LabeledDigraph:
         far_ends = []
         for v in spurs:
             degree[v] = -1
-            for row in g.letter_table:
-                i = row[v]
-                if i is not None:
-                    s, d, _ = g.edges[i]
-                    u = d if s == v else s
-                    if degree[u] >= 0:  # v's one live edge
-                        degree[u] -= 1
-                        far_ends.append(u)
+            for row in g.successor:
+                u = row[v]
+                if degree[u] >= 0:  # v's one live edge
+                    degree[u] -= 1
+                    far_ends.append(u)
         spurs = [u for u in set(far_ends) if degree[u] == 1 and u != base]
     number = list(accumulate((k >= 0 for k in degree), initial=0))  # kept before v
     new_edges = tuple((number[s], number[d], l) for s, d, l in g.edges
@@ -306,28 +345,30 @@ def fiber_product(g1: LabeledDigraph, g2: LabeledDigraph) -> LabeledDigraph:
 # Canonical form
 
 
-def letter_steps(g: LabeledDigraph, letters) -> list[tuple[list[int | None], int, int]]:
-    """(letter_table row, far, x) per signed letter x; far is the position in
-    an edge triple of the end that x leads to.  A letter beyond the alphabet
-    gets row 0, which holds no edge."""
-    t, a = g.letter_table, g.alphabet
-    return [(t[x] if abs(x) <= a else t[0], 1 if x > 0 else 0, x) for x in letters]
+def letter_steps(g: LabeledDigraph, letters) -> list[list[int]]:
+    """The successor row of each signed letter; beyond the alphabet, row 0."""
+    rows, a = g.successor, g.alphabet
+    return [rows[x] if abs(x) <= a else rows[0] for x in letters]
+
+
+def walk(g: LabeledDigraph, v: int, letters) -> int:
+    """Where reading letters from v leads: the sink if it falls off g."""
+    for row in letter_steps(g, letters):
+        v = row[v]
+    return v
 
 
 def _bfs_numbering(g: LabeledDigraph, start: int) -> LabeledDigraph:
-    edges = g.edges
-    steps = letter_steps(g, [x for l in range(1, g.alphabet + 1) for x in (l, -l)])
-    number: list[int | None] = [None] * g.num_vertices
+    rows = letter_steps(g, [x for l in range(1, g.alphabet + 1) for x in (l, -l)])
+    number: list[int | None] = [None] * g.num_vertices + [-1]  # the sink is never queued
     number[start] = 0
     order = [start]
     for v in order:  # order grows while it is read: the BFS queue
-        for row, far, _ in steps:
-            i = row[v]
-            if i is not None:
-                u = edges[i][far]
-                if number[u] is None:
-                    number[u] = len(order)
-                    order.append(u)
+        for row in rows:
+            u = row[v]
+            if number[u] is None:
+                number[u] = len(order)
+                order.append(u)
     if len(order) < g.num_vertices:  # g is deterministic, so every edge was crossed
         raise ValueError("canonical_form: graph must be connected")
     edges = tuple(sorted((number[s], number[d], l) for s, d, l in g.edges))

@@ -17,9 +17,10 @@ from .graphs import (
     is_connected,
     letter_steps,
     require_valid,
+    walk,
     wedge_of_words,
 )
-from .cycles import _trace, decompose
+from .cycles import decompose
 from .words import Word, format_word, free_reduce, invert, require_simple_cyclic
 
 
@@ -64,11 +65,8 @@ def is_trivial(h: SubgroupGraph) -> bool:
 
 def contains(h: SubgroupGraph, w: Word) -> bool:
     """Membership: the freely reduced word traces closed at the basepoint."""
-    r = free_reduce(w)
-    if not r:
-        return True
-    res = _trace(h.graph, h.graph.basepoint, r)
-    return res is not None and res[0] == h.graph.basepoint
+    base = h.graph.basepoint
+    return walk(h.graph, base, free_reduce(w)) == base
 
 
 def conjugate(h: SubgroupGraph, g: Word) -> SubgroupGraph:
@@ -93,19 +91,17 @@ def intersect(h1: SubgroupGraph, h2: SubgroupGraph) -> SubgroupGraph:
     g1, g2 = h1.graph, h2.graph
     if g1.alphabet != g2.alphabet:
         raise ValueError("alphabet mismatch")
-    e1, e2, n2 = g1.edges, g2.edges, g2.num_vertices
+    sink1, n2 = g1.num_vertices, g2.num_vertices
     letters = [x for l in range(1, g1.alphabet + 1) for x in (l, -l)]
-    steps = [(row1, row2, far, x) for (row1, far, x), (row2, _, _)
-             in zip(letter_steps(g1, letters), letter_steps(g2, letters))]
+    steps = list(zip(letter_steps(g1, letters), letter_steps(g2, letters), letters))
     number = {g1.basepoint * n2 + g2.basepoint: 0}  # pair (u1, u2) is u1 * n2 + u2
     order = [(g1.basepoint, g2.basepoint)]
     edges = []
     for src, (v1, v2) in enumerate(order):  # order grows while it is read: the BFS queue
-        for row1, row2, far, x in steps:
-            i1, i2 = row1[v1], row2[v2]
-            if i1 is None or i2 is None:
+        for row1, row2, x in steps:
+            u1, u2 = row1[v1], row2[v2]
+            if u1 == sink1 or u2 == n2:  # n2 is g2's sink
                 continue
-            u1, u2 = e1[i1][far], e2[i2][far]
             dst = number.setdefault(u1 * n2 + u2, len(order))
             if dst == len(order):
                 order.append((u1, u2))

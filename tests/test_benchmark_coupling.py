@@ -1,0 +1,132 @@
+"""Every check computes through the module-level names cycles.decompose and
+graphs.betti.
+
+perfbench/run.py judges each cycle decomposition and Betti number the
+library computes by wrapping those two functions in every wordcycles module
+namespace that holds them (perfbench/layers.py, ``patch``).  A check that
+walked sigma_w or counted components some other way would escape that
+judgement.  This test installs the same kind of wrapper, checks what it
+sees against the brute-force oracle and a breadth-first component count,
+and requires each suite to go through it.
+"""
+
+import sys
+
+import pytest
+
+from wordcycles import cycles, graphs
+from wordcycles.generators import TrialConfig
+from wordcycles.verify import run_suite
+
+ORACLE_MAX_VERTICES = 8
+
+# Small versions of the acceptance configs.
+CONFIGS = {
+    "main": dict(max_vertices=12, alphabet=3, max_word_length=8),
+    "strict": dict(max_vertices=6, alphabet=2, max_word_length=8),
+    "npi": dict(max_vertices=10, alphabet=2, max_word_length=8),
+    "equality-collapse": dict(max_vertices=10, alphabet=2, max_word_length=8),
+    "restated": dict(max_vertices=10, alphabet=2, max_word_length=8),
+    "conjugates": dict(max_vertices=10, alphabet=2, max_word_length=6),
+    "staggered": dict(max_vertices=10, alphabet=3, max_word_length=6),
+    "shnc": dict(max_vertices=8, alphabet=2, max_word_length=5),
+}
+DECOMPOSING = ["main", "strict", "npi", "equality-collapse", "restated", "conjugates",
+               "staggered"]
+BETTI_READING = ["main", "strict", "equality-collapse", "restated", "conjugates",
+                 "staggered", "shnc"]
+
+
+def patch_everywhere(monkeypatch, module, name: str, make) -> None:
+    """Replace module.name by make(current) in every wordcycles module that
+    holds it, as perfbench/layers.py does."""
+    current = getattr(module, name)
+    wrapper = make(current)
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name == "wordcycles" or mod_name.startswith("wordcycles."):
+            for attr, value in list(vars(mod).items()):
+                if value is current:
+                    monkeypatch.setattr(mod, attr, wrapper)
+
+
+def component_count(g) -> int:
+    """Breadth-first search over undirected neighbour sets."""
+    nbrs = [set() for _ in range(g.num_vertices)]
+    for s, d, _ in g.edges:
+        nbrs[s].add(d)
+        nbrs[d].add(s)
+    seen, count = set(), 0
+    for start in range(g.num_vertices):
+        if start not in seen:
+            count += 1
+            seen.add(start)
+            stack = [start]
+            while stack:
+                for u in nbrs[stack.pop()] - seen:
+                    seen.add(u)
+                    stack.append(u)
+    return count
+
+
+class Judged:
+    """Counts the calls of the wrapped functions and the results that
+    disagree with the references."""
+
+    def __init__(self, monkeypatch):
+        self.decompose_calls = self.betti_calls = self.mismatches = 0
+        patch_everywhere(monkeypatch, cycles, "decompose", self._decompose)
+        patch_everywhere(monkeypatch, graphs, "betti", self._betti)
+
+    def _decompose(self, fn):
+        def decompose(g, w, *args, **kwargs):
+            dec = fn(g, w, *args, **kwargs)
+            self.decompose_calls += 1
+            if g.num_vertices <= ORACLE_MAX_VERTICES:
+                self.mismatches += (dec.count_with_multiplicity, dec.class_count) \
+                    != cycles.oracle_counts(g, w)
+            return dec
+        return decompose
+
+    def _betti(self, fn):
+        def betti(g, *args, **kwargs):
+            report = fn(g, *args, **kwargs)
+            self.betti_calls += 1
+            expected = len(g.edges) - g.num_vertices + component_count(g)
+            self.mismatches += report.total != expected or sum(report.bettis) != expected
+            return report
+        return betti
+
+
+def run(monkeypatch, suite: str) -> tuple[Judged, int]:
+    judged = Judged(monkeypatch)
+    report = run_suite(suite, TrialConfig(master_seed=11, trials=20, **CONFIGS[suite]))
+    assert report.failure_count == 0
+    return judged, report.trials
+
+
+@pytest.mark.parametrize("suite", DECOMPOSING)
+def test_suite_decomposes_through_the_module_name(monkeypatch, suite):
+    judged, trials = run(monkeypatch, suite)
+    assert judged.decompose_calls >= trials
+    assert judged.mismatches == 0
+
+
+@pytest.mark.parametrize("suite", BETTI_READING)
+def test_suite_reads_betti_through_the_module_name(monkeypatch, suite):
+    judged, trials = run(monkeypatch, suite)
+    assert judged.betti_calls >= trials
+    assert judged.mismatches == 0
+
+
+def test_wrapper_sees_a_wrong_count(monkeypatch):
+    # the wrapper is live: a decompose that drops its cycles is caught
+    def make(fn):
+        def decompose(g, w):
+            dec = fn(g, w)
+            return cycles.WCycleDecomposition(dec.word, dec.sigma, (), dec.graph)
+        return decompose
+    patch_everywhere(monkeypatch, cycles, "decompose", make)
+    judged = Judged(monkeypatch)
+    run_suite("main", TrialConfig(master_seed=11, trials=20, **CONFIGS["main"]))
+    assert judged.decompose_calls >= 20
+    assert judged.mismatches > 0

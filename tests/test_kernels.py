@@ -7,13 +7,15 @@ count that rescans every edge for every component, connected components by
 breadth-first search over undirected neighbour lists, a conjugate that
 re-folds conjugated generators, a collapse search that runs a greedy pass
 before a separate exhaustive one, and a core that recounts every degree
-once per round of spur removal.  Tracing, canonical_form and intersect's
-product search read the dense letter table; their references look edges up
-in dicts keyed by (vertex, label) tuples.  decompose, which keeps only the
-edge indices of each trace, is checked against a decomposition that stores
-every vertex's whole (edge, direction) trace.  require_valid, which reads
-the determinism flag of the letter table, is checked against the full
-diagnostics of validate.
+once per round of spur removal.  The successor rows and the letter table,
+and tracing, walks, canonical_form and intersect's product search, which
+read them, are checked against dicts keyed by (vertex, label) tuples.
+decompose, which keeps only the edge indices of each trace, is checked
+against a decomposition that stores every vertex's whole (edge, direction)
+trace.  require_valid, which reads the determinism flag of the successor
+rows, is checked against the full diagnostics of validate.  check_npi, which
+rotates the class paths of the attached vertices alone, is checked against
+the construction that rotates one for every cycle vertex.
 """
 
 import random
@@ -21,13 +23,15 @@ import re
 import tracemalloc
 from collections import Counter, deque
 from dataclasses import replace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wordcycles.complexes import TwoComplex, collapses_to_tree
-from wordcycles.cycles import WCycleClass, _trace, decompose
+from wordcycles import complexes
+from wordcycles.complexes import NpiReport, TwoComplex, collapses_to_tree
+from wordcycles.cycles import WCycleClass, decompose, trace
 from wordcycles.generators import (
     TrialConfig,
     random_connected_automaton,
@@ -44,12 +48,15 @@ from wordcycles.graphs import (
     fiber_product,
     fold,
     is_connected,
+    letter_steps,
     require_valid,
     validate,
+    walk,
     wedge_of_words,
 )
 from wordcycles.subgroups import SubgroupGraph, conjugate, intersect, stallings_graph
-from wordcycles.words import cyclic_reduce, free_reduce, invert, is_simple
+from wordcycles.words import (cyclic_reduce, free_reduce, invert, is_simple,
+                              require_simple_cyclic)
 
 
 def naive_fold(g: LabeledDigraph) -> LabeledDigraph:
@@ -320,6 +327,46 @@ def two_phase_collapse(x: TwoComplex, max_cells_exhaustive: int = 12) -> tuple:
     return seq is not None, tuple(seq or ()), True
 
 
+def all_vertex_npi(g: LabeledDigraph, w, attachments) -> tuple:
+    """(report, cells) of check_npi as first written: the class path rotated
+    to start at every vertex of every class is stored, then looked up for
+    each attachment."""
+    if not is_connected(g):
+        raise ValueError("check_npi: graph must be connected")
+    require_simple_cyclic(w)
+    dec = decompose(g, w)
+    by_vertex = {}
+    for c in dec.classes:
+        for i, v in enumerate(c.vertices):
+            offset = i * len(w)
+            by_vertex[v] = (c.period, c.path[offset:] + c.path[:offset])
+    cells, used_orbits = [], set()
+    orbit_of = {v: j for j, c in enumerate(dec.classes) for v in c.vertices}
+    for v, n in attachments:
+        if v not in by_vertex:
+            raise ValueError(f"attachment at vertex {v}: w^n never closes there")
+        period, path = by_vertex[v]
+        if n != period:
+            raise ValueError(
+                f"attachment at vertex {v}: exponent {n} is not the minimal "
+                f"closing exponent {period}, so this is not an immersion")
+        if orbit_of[v] in used_orbits:
+            raise ValueError(
+                f"attachment at vertex {v}: duplicates another attachment's "
+                "cycle class, so this is not an immersion")
+        used_orbits.add(orbit_of[v])
+        cells.append(path)
+    chi = g.num_vertices - len(g.edges) + len(cells)
+    if chi <= 0:
+        return NpiReport(w, chi, "chi", True), cells
+    try:
+        result = collapses_to_tree(TwoComplex(g, tuple(cells)))
+    except ValueError:
+        return NpiReport(w, chi, "inconclusive", False), cells
+    branch = "contractible" if result.collapses else "fail"
+    return NpiReport(w, chi, branch, result.collapses), cells
+
+
 def letters_from(labels):
     return st.sampled_from(labels).flatmap(lambda l: st.sampled_from([l, -l]))
 
@@ -424,6 +471,26 @@ def gamma_w_and_npi_complexes(draw):
             offset = draw(st.integers(0, c.period - 1)) * len(w)
             cells.append(c.path[offset:] + c.path[:offset])
     return TwoComplex(g, tuple(cells))
+
+
+@st.composite
+def npi_instances(draw):
+    """(graph, word, attachments) over a random connected automaton: one
+    attachment at a drawn vertex of some of the cycle classes, and sometimes
+    one more at any vertex with any exponent, which may fail any of
+    check_npi's conditions."""
+    cfg = TrialConfig(max_vertices=draw(st.integers(1, 10)),
+                      alphabet=draw(st.integers(1, 3)),
+                      max_word_length=draw(st.integers(1, 6)))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    g = random_connected_automaton(cfg, rng)
+    w = random_simple_word(cfg, rng)
+    attachments = [(draw(st.sampled_from(cycle)), len(cycle))
+                   for cycle in decompose(g, w).cycles if draw(st.booleans())]
+    if draw(st.booleans()):
+        extra = (draw(st.integers(0, g.num_vertices - 1)), draw(st.integers(1, 4)))
+        attachments.insert(draw(st.integers(0, len(attachments))), extra)
+    return g, w, attachments
 
 
 @st.composite
@@ -557,6 +624,84 @@ class TestBettiAgainstReference:
         assert report.bettis == tuple(b for _, b in expected)
         assert report.total == sum(b for _, b in expected)
 
+    @settings(max_examples=200)
+    @given(graphs_with_repeats())
+    def test_partition_counts(self, g):
+        # loops, parallel duplicates and isolated vertices: the union-find
+        # pass counts each edge inside a class once
+        report = betti(g)
+        assert report.bettis == tuple(b for _, b in naive_betti(g))
+        assert report.total == sum(report.bettis)
+        assert len(report.bettis) == len(naive_components(g))
+
+
+class TestNpiAgainstAllVertexRotation:
+    """check_npi rotates the class paths of the attached vertices alone."""
+
+    def assert_matches(self, g, w, attachments):
+        try:
+            expected, cells = all_vertex_npi(g, w, attachments)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as raised:
+                complexes.check_npi(g, w, attachments)
+            assert str(raised.value) == str(exc)
+            return
+        with mock.patch.object(complexes, "euler_characteristic",
+                               wraps=complexes.euler_characteristic) as chi:
+            assert complexes.check_npi(g, w, attachments) == expected
+        assert chi.call_args.args[0].cells == tuple(cells)
+
+    @settings(max_examples=300)
+    @given(npi_instances())
+    def test_random_attachments(self, instance):
+        self.assert_matches(*instance)
+
+    @pytest.mark.parametrize("w", [(1,), (-1,)])
+    @pytest.mark.parametrize("attachments", [
+        [(3, 5)], [(5, 1)], [(0, 1)], [(2, 5), (4, 5)], [(6, 1), (1, 5)], []])
+    def test_rotations_and_errors(self, w, attachments):
+        # a 5-cycle of a-edges, and a b-edge 0 -> 5 to an a-edge 5 -> 6:
+        # vertices 5 and 6 lie on no cycle of a or A
+        g = LabeledDigraph(2, 7, tuple((v, (v + 1) % 5, 1) for v in range(5))
+                           + ((0, 5, 2), (5, 6, 1)))
+        self.assert_matches(g, w, attachments)
+
+    def test_disconnected_graph(self):
+        g = LabeledDigraph(1, 2, ((0, 0, 1),))
+        self.assert_matches(g, (1,), [(0, 1)])
+
+
+class TestSuccessorAgainstMaps:
+    """The successor rows against the far ends of the (vertex, label) dicts,
+    in which, as in the rows, the last of two edges sharing a slot wins."""
+
+    @settings(max_examples=200)
+    @given(graphs_with_repeats())
+    def test_rows(self, g):
+        n, outs, ins = g.num_vertices, out_map(g), in_map(g)
+        assert len(g.successor) == 2 * g.alphabet + 1
+        assert all(len(row) == n + 1 and row[n] == n for row in g.successor)
+        assert g.successor[0] == [n] * (n + 1)  # no letter: every vertex to the sink
+        for v in range(n):
+            for l in range(1, g.alphabet + 1):
+                i, j = outs.get((v, l)), ins.get((v, l))
+                assert g.successor[l][v] == (n if i is None else g.edges[i][1])
+                assert g.successor[-l][v] == (n if j is None else g.edges[j][0])
+        assert g.deterministic == (validate(g) == [])
+
+    @settings(max_examples=200)
+    @given(deterministic_graphs(), st.lists(st.sampled_from([1, -1, 2, -2, 3, -3]),
+                                            max_size=8))
+    def test_walk_from_every_vertex(self, g, w):
+        # letters 3 and -3 lie beyond the alphabet: their row sends all to the sink
+        n = g.num_vertices
+        for x, row in zip(w, letter_steps(g, w)):
+            assert row is g.successor[x if abs(x) <= g.alphabet else 0]
+        for v in range(n):
+            end = map_trace(g, v, w)
+            assert walk(g, v, w) == (n if end is None else end[0])
+            assert walk(g, n, w) == n  # the sink leads to itself
+
 
 class TestPartitionAgainstReference:
     """components, is_connected, component_containing and the connectivity
@@ -605,7 +750,8 @@ class TestRequireValidAgainstValidate:
 
 
 class TestLetterTableAgainstMaps:
-    """Every reader of the letter table against the (vertex, label) dicts."""
+    """The letter table, and trace, canonical_form and intersect, which read
+    it or the successor rows, against the (vertex, label) dicts."""
 
     @settings(max_examples=200)
     @given(deterministic_graphs())
@@ -624,7 +770,7 @@ class TestLetterTableAgainstMaps:
         # letters 3 and -3 lie beyond the alphabet: they trace nowhere
         w = free_reduce(tuple(w)) or (1,)
         for v in range(g.num_vertices):
-            assert _trace(g, v, w) == map_trace(g, v, w)
+            assert trace(g, v, w) == map_trace(g, v, w)
 
     @settings(max_examples=200)
     @given(deterministic_graphs())

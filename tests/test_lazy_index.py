@@ -1,0 +1,78 @@
+"""The edge-index letter_table is built only by readers of edge paths.
+
+Counting checks, walks, core, canonical_form and intersect read the
+successor rows alone, so on the small graphs the verify suites draw they
+do not pay for a second per-graph index.  Each case runs on fresh graphs
+and then looks in their instance dicts, where cached properties live.
+"""
+
+import pytest
+
+from wordcycles.cycles import check_main_inequality, decompose
+from wordcycles.generators import (
+    TrialConfig,
+    random_inverse_automaton,
+    random_permutation_automaton,
+    random_simple_word,
+    random_subgroup,
+)
+from wordcycles.graphs import LabeledDigraph, canonical_form, core
+from wordcycles.subgroups import contains, count_conjugates_meeting, intersect
+
+CFG = TrialConfig(max_vertices=12, alphabet=2, max_word_length=6)
+SEEDS = range(8)
+
+
+def built_table(*graphs: LabeledDigraph) -> bool:
+    return any("letter_table" in vars(g) for g in graphs)
+
+
+def based_cover(seed: int) -> LabeledDigraph:
+    g = random_permutation_automaton(CFG, seed)
+    return LabeledDigraph(g.alphabet, g.num_vertices, g.edges, 0)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+class TestCountsBuildNoLetterTable:
+    def test_decompose_class_count(self, seed):
+        g = random_permutation_automaton(CFG, seed)  # every vertex on a cycle
+        dec = decompose(g, random_simple_word(CFG, seed))
+        assert dec.class_count > 0
+        assert not built_table(g)
+
+    def test_class_paths_do_build_it(self, seed):
+        # the positive control: reading edge paths builds the table
+        g = random_permutation_automaton(CFG, seed)
+        decompose(g, random_simple_word(CFG, seed)).classes
+        assert built_table(g)
+
+    def test_check_main_inequality(self, seed):
+        g = random_inverse_automaton(CFG, seed)
+        check_main_inequality(g, random_simple_word(CFG, seed)).per_component
+        assert not built_table(g)
+
+    def test_core(self, seed):
+        g = random_inverse_automaton(CFG, seed)  # partial: spurs to remove
+        g = LabeledDigraph(g.alphabet, g.num_vertices, g.edges, 0)
+        cover = based_cover(seed)  # no spur: core returns it
+        assert not built_table(g, core(g), cover, core(cover))
+
+    def test_canonical_form(self, seed):
+        g = based_cover(seed)
+        unbased = LabeledDigraph(g.alphabet, g.num_vertices, g.edges)
+        assert not built_table(g, canonical_form(g), unbased, canonical_form(unbased))
+
+    def test_intersect(self, seed):
+        h1, h2 = random_subgroup(CFG, seed), random_subgroup(CFG, seed + 100)
+        assert not built_table(h1.graph, h2.graph, intersect(h1, h2).graph)
+
+    def test_contains(self, seed):
+        h = random_subgroup(CFG, seed)
+        for w in [(), (1,), (1, -2), (2, 2, -1), (3,)]:
+            contains(h, w)
+        assert not built_table(h.graph)
+
+    def test_count_conjugates_meeting(self, seed):
+        h = random_subgroup(CFG, seed)
+        count_conjugates_meeting(h, random_simple_word(CFG, seed))
+        assert not built_table(h.graph)
