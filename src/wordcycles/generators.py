@@ -4,6 +4,11 @@ staggered presentations.
 Every generator is a deterministic function of its seed.  Trial seeds are
 derived from (master seed, trial index) with a stable hash so that suites
 can fan out without changing results.
+
+Stream contract: draws are defined on rng.getrandbits and rng.random, so
+instances do not depend on how the stdlib implements shuffle or choice.  An
+index below n is getrandbits(n.bit_length()), redrawn while >= n, and is
+used where random.Random's shuffle, choice and randint use one.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from dataclasses import dataclass, replace
 from .graphs import LabeledDigraph, component_containing
 from .complexes import StaggeredPresentation, is_staggered
 from .subgroups import SubgroupGraph, stallings_graph
-from .words import Word, is_cyclically_reduced, is_simple
+from .words import Word, _period, is_cyclically_reduced
 
 
 @dataclass(frozen=True)
@@ -28,11 +33,12 @@ class TrialConfig:
     edge_density: float = 0.7
 
     def __post_init__(self):
-        if self.trials < 1 or self.max_vertices < 1 or self.alphabet < 1 \
-                or self.max_word_length < 1:
-            raise ValueError("all bounds must be positive")
-        if not 0.0 <= self.edge_density <= 1.0:
-            raise ValueError("edge density must lie in [0, 1]")
+        for name in ("trials", "max_vertices", "alphabet", "max_word_length"):
+            if type(getattr(self, name)) is not int or getattr(self, name) < 1:
+                raise ValueError(f"{name} must be a positive integer")
+        d = self.edge_density
+        if type(d) not in (int, float) or not 0.0 <= d <= 1.0:
+            raise ValueError("edge density must be a number in [0, 1]")
 
 
 def trial_seed(master_seed: int, index: int) -> int:
@@ -48,19 +54,30 @@ def _as_rng(seed_or_rng) -> random.Random:
     return random.Random(seed_or_rng)
 
 
+def _below(rng: random.Random, n: int) -> int:
+    """rng.randrange(n) for n >= 1, drawn from the same getrandbits calls."""
+    k = n.bit_length()
+    while (r := rng.getrandbits(k)) >= n:
+        pass
+    return r
+
+
 def random_inverse_automaton(cfg: TrialConfig, seed_or_rng) -> LabeledDigraph:
     """Per label, a random partial injection on the vertices: a random
     permutation with each mapped pair kept with the configured density.
     Deterministic by construction, so always a valid inverse automaton."""
     rng = _as_rng(seed_or_rng)
-    n = rng.randint(1, cfg.max_vertices)
+    getrandbits, random_, density = rng.getrandbits, rng.random, cfg.edge_density
+    n = 1 + _below(rng, cfg.max_vertices)
     edges = []
     for l in range(1, cfg.alphabet + 1):
         targets = list(range(n))
-        rng.shuffle(targets)
-        for v in range(n):
-            if rng.random() < cfg.edge_density:
-                edges.append((v, targets[v], l))
+        for i in range(n - 1, 0, -1):  # rng.shuffle(targets), inlined
+            k = (i + 1).bit_length()
+            while (j := getrandbits(k)) > i:
+                pass
+            targets[i], targets[j] = targets[j], targets[i]
+        edges += [(v, t, l) for v, t in enumerate(targets) if random_() < density]
     return LabeledDigraph(cfg.alphabet, n, tuple(edges))
 
 
@@ -68,7 +85,7 @@ def random_connected_automaton(cfg: TrialConfig, seed_or_rng) -> LabeledDigraph:
     """The component of a random automaton containing a random vertex."""
     rng = _as_rng(seed_or_rng)
     g = random_inverse_automaton(cfg, rng)
-    return component_containing(g, rng.randrange(g.num_vertices))
+    return component_containing(g, _below(rng, g.num_vertices))
 
 
 def random_permutation_automaton(cfg: TrialConfig, seed_or_rng) -> LabeledDigraph:
@@ -76,7 +93,7 @@ def random_permutation_automaton(cfg: TrialConfig, seed_or_rng) -> LabeledDigrap
     component taken.  Every word traces from every vertex."""
     rng = _as_rng(seed_or_rng)
     g = random_inverse_automaton(replace(cfg, edge_density=1.0), rng)
-    return component_containing(g, rng.randrange(g.num_vertices))
+    return component_containing(g, _below(rng, g.num_vertices))
 
 
 def random_reduced_word(cfg: TrialConfig, rng: random.Random, length: int) -> Word:
@@ -84,17 +101,18 @@ def random_reduced_word(cfg: TrialConfig, rng: random.Random, length: int) -> Wo
 
 
 def _reduced_word(rng: random.Random, first: list[int], length: int) -> Word:
-    """length letters drawn by rng.choice from first, less the inverse of the
-    letter before; each such list of choices is built once."""
-    after: dict[int, list[int]] = {}  # previous letter -> choices
-    letters: list[int] = []
-    choices = first
+    """length letters, each as rng.choice would draw it from first less the
+    inverse of the letter before.  first lists inverse pairs (l, -l), so the
+    inverse of first[j] is first[j ^ 1], and an index into the m - 1 choices
+    steps over that position."""
+    getrandbits, letters, m = rng.getrandbits, [], len(first)
+    n, k, skip = m, m.bit_length(), m  # the first letter has all m choices
     for _ in range(length):
-        x = rng.choice(choices)
-        letters.append(x)
-        choices = after.get(x)
-        if choices is None:
-            choices = after[x] = [y for y in first if y != -x]
+        while (j := getrandbits(k)) >= n:
+            pass
+        j += j >= skip
+        letters.append(first[j])
+        n, k, skip = m - 1, (m - 1).bit_length(), j ^ 1
     return tuple(letters)
 
 
@@ -102,12 +120,12 @@ def random_simple_word(cfg: TrialConfig, seed_or_rng) -> Word:
     """Random reduced word, re-rolled until cyclically reduced and primitive.
     Over one letter only a and A qualify, so the length is then 1."""
     rng = _as_rng(seed_or_rng)
-    length = rng.randint(1, cfg.max_word_length)
+    length = 1 + _below(rng, cfg.max_word_length)
     if cfg.alphabet == 1:
         length = 1
     while True:
         w = random_reduced_word(cfg, rng, length)
-        if is_cyclically_reduced(w) and is_simple(w):
+        if is_cyclically_reduced(w) and _period(w) == len(w):
             return w
 
 
@@ -122,12 +140,8 @@ def random_repeating_word(cfg: TrialConfig, seed_or_rng) -> Word:
     length = max(cfg.max_word_length, 2 * cfg.alphabet + 1)
     while True:
         w = random_reduced_word(cfg, rng, length)
-        if not (is_cyclically_reduced(w) and is_simple(w)):
-            continue
-        counts = [0] * (cfg.alphabet + 1)
-        for x in w:
-            counts[abs(x)] += 1
-        if all(c >= 2 for c in counts[1:]):
+        if is_cyclically_reduced(w) and _period(w) == len(w) and all(
+                w.count(l) + w.count(-l) >= 2 for l in range(1, cfg.alphabet + 1)):
             return w
 
 
@@ -135,7 +149,7 @@ def random_subgroup(
     cfg: TrialConfig, seed_or_rng, max_generators: int = 4
 ) -> SubgroupGraph:
     rng = _as_rng(seed_or_rng)
-    k = rng.randint(1, max_generators)
+    k = 1 + _below(rng, max_generators)
     gens = [random_simple_word(cfg, rng) for _ in range(k)]
     return stallings_graph(gens, cfg.alphabet)
 
@@ -151,10 +165,10 @@ def random_staggered_presentation(
     for i in range(num_relators):
         lo, hi = i + 1, i + 2
         while True:
-            length = rng.randint(2, max(4, cfg.max_word_length))
+            length = 2 + _below(rng, max(4, cfg.max_word_length) - 1)
             w = _reduced_word(rng, [lo, -lo, hi, -hi], length)
             used = {abs(x) for x in w}
-            if used == {lo, hi} and is_cyclically_reduced(w) and is_simple(w):
+            if used == {lo, hi} and is_cyclically_reduced(w) and _period(w) == len(w):
                 relators.append(w)
                 break
     p = StaggeredPresentation(

@@ -230,7 +230,8 @@ def fold(g: LabeledDigraph, rng: random.Random | None = None) -> LabeledDigraph:
     Output vertices are numbered by the least input vertex of their class,
     and edges are sorted.  The result is independent of the merge order up
     to canonical form; an rng pops the worklist in random order (used to
-    test exactly that), otherwise it is popped last-in first-out.
+    test exactly that), each index drawn from rng.getrandbits as
+    rng.randrange would draw it, otherwise it is popped last-in first-out.
     """
     n = g.num_vertices
     parent = list(range(n))
@@ -247,8 +248,10 @@ def fold(g: LabeledDigraph, rng: random.Random | None = None) -> LabeledDigraph:
     all_rows = [row for pair in rows.values() for row in pair]
 
     while pending:
-        if rng is not None:
-            i = rng.randrange(len(pending))
+        if rng is not None:  # i = rng.randrange(len(pending)), inlined
+            k = len(pending).bit_length()
+            while (i := rng.getrandbits(k)) >= len(pending):
+                pass
             pending[i], pending[-1] = pending[-1], pending[i]
         a, b = pending.pop()
         while parent[a] != a:  # find, inlined, halving the path

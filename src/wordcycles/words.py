@@ -4,11 +4,15 @@ A word is a tuple of nonzero ints: +i stands for the i-th generator a_i,
 -i for its inverse.  Text syntax: lowercase = generator ('a' = 1, 'b' = 2,
 ...), uppercase = inverse, so "abAB" is the commutator a b a^-1 b^-1.
 Generators past 26 are written "a3"/"A3" style with an explicit index.
+
+The predicates loop over letters in C (operator maps, slice comparisons),
+and each checks cyclic reduction at most once per word.
 """
 
 from __future__ import annotations
 
 import re
+from operator import eq, neg
 
 Word = tuple[int, ...]
 
@@ -69,13 +73,11 @@ def free_reduce(w: Word) -> Word:
 
 
 def is_reduced(w: Word) -> bool:
-    return all(w[i] != -w[i + 1] for i in range(len(w) - 1))
+    return not any(map(eq, w, map(neg, w[1:])))
 
 
 def is_cyclically_reduced(w: Word) -> bool:
-    if not is_reduced(w):
-        return False
-    return len(w) < 2 or w[0] != -w[-1]
+    return is_reduced(w) and (len(w) < 2 or w[0] != -w[-1])
 
 
 def cyclic_reduce(w: Word) -> tuple[Word, Word]:
@@ -100,11 +102,17 @@ def primitive_root(w: Word) -> tuple[Word, int]:
         raise ValueError("primitive_root: empty word")
     if not is_cyclically_reduced(w):
         raise ValueError("primitive_root: word must be cyclically reduced")
+    d = _period(w)
+    return w[:d], len(w) // d
+
+
+def _period(w: Word) -> int:
+    """The least d dividing |w| with w[d:] == w[:-d], i.e. w = w[:d]^(|w|/d)."""
     n = len(w)
-    for d in range(1, n + 1):
-        if n % d == 0 and w[:d] * (n // d) == w:
-            return w[:d], n // d
-    raise AssertionError("unreachable: d = n always works")
+    for d in range(1, n // 2 + 1):
+        if n % d == 0 and w[d:] == w[:-d]:
+            return d
+    return n
 
 
 def is_simple(w: Word) -> bool:
@@ -121,9 +129,9 @@ def require_simple_cyclic(w: Word) -> None:
             f"word {format_word(w)!r} is not cyclically reduced; "
             "apply cyclic_reduce first"
         )
-    if not is_simple(w):
-        root, p = primitive_root(w)
+    d = _period(w)
+    if d < len(w):
         raise ValueError(
-            f"word {format_word(w)!r} is the proper power {format_word(root)!r}^{p}; "
-            "use its primitive root"
+            f"word {format_word(w)!r} is the proper power {format_word(w[:d])!r}"
+            f"^{len(w) // d}; use its primitive root"
         )

@@ -15,7 +15,9 @@ against a decomposition that stores every vertex's whole (edge, direction)
 trace.  require_valid, which reads the determinism flag of the successor
 rows, is checked against the full diagnostics of validate.  check_npi, which
 rotates the class paths of the attached vertices alone, is checked against
-the construction that rotates one for every cycle vertex.
+the construction that rotates one for every cycle vertex.  fold's random pop
+order, drawn from getrandbits, is checked against the fold that drew it with
+rng.randrange: the same output and the same rng state after.
 """
 
 import random
@@ -86,6 +88,56 @@ def naive_fold(g: LabeledDigraph) -> LabeledDigraph:
     new_edges = tuple(sorted({(vmap[find(s)], vmap[find(d)], l) for s, d, l in g.edges}))
     base = vmap[find(g.basepoint)] if g.basepoint is not None else None
     return LabeledDigraph(g.alphabet, len(roots), new_edges, base)
+
+
+def randrange_fold(g: LabeledDigraph, rng: random.Random) -> LabeledDigraph:
+    """fold as it was written with rng.randrange drawing the pop index."""
+    n = g.num_vertices
+    parent = list(range(n))
+    size = [1] * n
+    rows = {l: ([-1] * n, [-1] * n) for l in {l for _, _, l in g.edges}}  # (out, in)
+    pending: list[tuple[int, int]] = []
+    for s, d, l in g.edges:
+        out, into = rows[l]
+        if out[s] >= 0:
+            pending.append((out[s], d))
+        if into[d] >= 0:
+            pending.append((into[d], s))
+        out[s], into[d] = d, s
+    all_rows = [row for pair in rows.values() for row in pair]
+
+    while pending:
+        i = rng.randrange(len(pending))
+        pending[i], pending[-1] = pending[-1], pending[i]
+        a, b = pending.pop()
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a == b:
+            continue
+        if size[a] > size[b]:
+            a, b = b, a
+        parent[a] = b
+        size[b] += size[a]
+        for row in all_rows:
+            u, other = row[a], row[b]
+            if other < 0:
+                row[b] = u
+            elif u >= 0 and u != other:
+                pending.append((other, u))
+
+    root_number: dict[int, int] = {}
+    number = []
+    for v in range(n):
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        number.append(root_number.setdefault(v, len(root_number)))
+    new_edges = tuple(sorted((number[r], number[u], l)
+                             for l, (out, _) in rows.items()
+                             for r in root_number if (u := out[r]) >= 0))
+    base = number[g.basepoint] if g.basepoint is not None else None
+    return LabeledDigraph(g.alphabet, len(root_number), new_edges, base)
 
 
 def naive_intersection(g1: LabeledDigraph, g2: LabeledDigraph) -> LabeledDigraph:
@@ -573,6 +625,32 @@ class TestFoldAgainstReference:
         # 1 and 2 are identified; the class is numbered after vertex 1
         g = LabeledDigraph(1, 4, ((0, 1, 1), (0, 2, 1), (3, 0, 1)), basepoint=3)
         assert fold(g) == LabeledDigraph(1, 3, ((0, 1, 1), (2, 0, 1)), basepoint=2)
+
+
+class TestFoldOrderAgainstRandrange:
+    """fold(g, rng) draws its pop index from getrandbits as rng.randrange
+    would: the same graph out, and the rng left in the same state."""
+
+    def assert_same_draws(self, g, seed):
+        rng, ref = random.Random(seed), random.Random(seed)
+        assert fold(g, rng) == randrange_fold(g, ref)
+        assert rng.getstate() == ref.getstate()
+
+    @settings(max_examples=300)
+    @given(graphs_with_repeats() | connected_graphs(alphabet=3), st.integers(0, 2**64))
+    def test_graphs(self, g, seed):
+        self.assert_same_draws(g, seed)
+
+    @settings(max_examples=100)
+    @given(generator_sets_from([1, 2, 3]), st.integers(0, 2**64))
+    def test_wedges(self, gens, seed):
+        self.assert_same_draws(wedge_of_words(gens, 3), seed)
+
+    def test_long_worklist(self):
+        # 200 parallel loops: the worklist outgrows every small bit width
+        g = LabeledDigraph(1, 201, tuple((0, v, 1) for v in range(1, 201)))
+        for seed in range(5):
+            self.assert_same_draws(g, seed)
 
 
 class TestIntersectAgainstReference:

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wordcycles.words import (
     cyclic_reduce,
@@ -129,3 +131,78 @@ class TestPredicates:
             require_simple_cyclic(w("abA"))
         with pytest.raises(ValueError, match="proper power"):
             require_simple_cyclic(w("abab"))
+
+
+def genexpr_is_reduced(w):
+    return all(w[i] != -w[i + 1] for i in range(len(w) - 1))
+
+
+def genexpr_is_cyclically_reduced(w):
+    if not genexpr_is_reduced(w):
+        return False
+    return len(w) < 2 or w[0] != -w[-1]
+
+
+def repeat_primitive_root(w):
+    """primitive_root as written with every divisor d tested by w[:d] * (n // d)."""
+    if not w:
+        raise ValueError("primitive_root: empty word")
+    if not genexpr_is_cyclically_reduced(w):
+        raise ValueError("primitive_root: word must be cyclically reduced")
+    n = len(w)
+    for d in range(1, n + 1):
+        if n % d == 0 and w[:d] * (n // d) == w:
+            return w[:d], n // d
+
+
+def repeat_require_simple_cyclic(w):
+    if not w:
+        raise ValueError("word must be nonempty")
+    if not genexpr_is_cyclically_reduced(w):
+        raise ValueError(f"word {format_word(w)!r} is not cyclically reduced; "
+                         "apply cyclic_reduce first")
+    root, p = repeat_primitive_root(w)
+    if p != 1:
+        raise ValueError(f"word {format_word(w)!r} is the proper power "
+                         f"{format_word(root)!r}^{p}; use its primitive root")
+
+
+def outcome(f, word):
+    """f's result, or the message of the ValueError it raised."""
+    try:
+        return f(word)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+raw_words = st.lists(st.sampled_from([1, -1, 2, -2, 3, -3]), max_size=12).map(tuple)
+# proper powers (and first powers) of short words, reduced or not
+powers = st.builds(lambda w, p: w * p,
+                   st.lists(st.sampled_from([1, -1, 2, -2]), min_size=1, max_size=4).map(tuple),
+                   st.integers(1, 5))
+edge_words = [(), (1,), (-1,), (1, 1), (1, -1), (1, 2, -1), (1, 2) * 3, (1, 1, 2) * 3,
+              (1, 2, 1), (2, -1) * 4, (1,) * 7, (1, 2, -1, -2)]
+
+
+class TestPredicatesAgainstOldDefinitions:
+    """The C-level predicates and the period search against the genexpr and
+    w[:d] * (n // d) definitions they replace: the same value or the same
+    ValueError message, on empty, one-letter, unreduced and proper-power words."""
+
+    def assert_same(self, word):
+        assert is_reduced(word) == genexpr_is_reduced(word)
+        assert is_cyclically_reduced(word) == genexpr_is_cyclically_reduced(word)
+        assert outcome(primitive_root, word) == outcome(repeat_primitive_root, word)
+        assert outcome(is_simple, word) == outcome(
+            lambda v: repeat_primitive_root(v)[1] == 1, word)
+        assert outcome(require_simple_cyclic, word) == outcome(
+            repeat_require_simple_cyclic, word)
+
+    @settings(max_examples=400)
+    @given(raw_words | powers)
+    def test_random_words(self, word):
+        self.assert_same(word)
+
+    @pytest.mark.parametrize("word", edge_words)
+    def test_edge_words(self, word):
+        self.assert_same(word)
