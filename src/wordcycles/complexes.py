@@ -1,11 +1,11 @@
 """2-complexes over an inverse automaton: discs glued along cycle classes,
-free-face collapsing, nonpositive-immersion checks, and staggered
-presentations.
+free-face collapsing (one greedy pass, which decides collapsibility),
+nonpositive-immersion checks, and staggered presentations.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+import heapq
 from dataclasses import dataclass
 
 from .graphs import LabeledDigraph, betti, is_connected, require_valid
@@ -63,80 +63,66 @@ def build_gamma_w(g: LabeledDigraph, w: Word) -> TwoComplex:
     return TwoComplex(g, tuple(c.path for c in dec.classes))
 
 
+def _incidence(x: TwoComplex) -> tuple[list[int], list[int]]:
+    """Per skeleton edge: how many times the cell boundaries cross it, and
+    the XOR of the crossing cells' indices, which is the cell that owns the
+    edge when the count is 1."""
+    count = [0] * len(x.skeleton.edges)
+    owner = [0] * len(x.skeleton.edges)
+    for k, cell in enumerate(x.cells):
+        for e, _ in cell:
+            count[e] += 1
+            owner[e] ^= k
+    return count, owner
+
+
 def free_faces(x: TwoComplex) -> list[tuple[int, int]]:
     """(edge index, cell index) pairs where the cell boundary traverses the
-    edge exactly once and no other cell touches it."""
-    return _free_faces(x.cells, frozenset(range(len(x.cells))),
-                       frozenset(range(len(x.skeleton.edges))))
-
-
-def _free_faces(
-    cells: tuple[Cell, ...],
-    live_cells: frozenset[int],
-    live_edges: frozenset[int],
-) -> list[tuple[int, int]]:
-    count: Counter[int] = Counter()
-    owner: dict[int, int] = {}
-    for k in live_cells:
-        for edge_index, _ in cells[k]:
-            count[edge_index] += 1
-            owner[edge_index] = k
-    return sorted(
-        (e, owner[e]) for e in live_edges if count.get(e) == 1
-    )
+    edge exactly once and no other cell touches it, in edge order."""
+    count, owner = _incidence(x)
+    return [(e, owner[e]) for e, c in enumerate(count) if c == 1]
 
 
 @dataclass(frozen=True)
 class CollapseResult:
     collapses: bool
     sequence: tuple[tuple[int, int], ...]  # (edge, cell) pairs, in order
-    exhaustive_used: bool
+    exhaustive_used: bool = False  # always False: the greedy pass decides
 
 
-def collapses_to_tree(x: TwoComplex, max_cells_exhaustive: int = 12) -> CollapseResult:
-    """Search for a free-face collapse order eliminating every 2-cell and
-    leaving a Betti-0 graph.
+def collapses_to_tree(x: TwoComplex) -> CollapseResult:
+    """Collapse free faces, least free edge first, while any is left.  The
+    greedy order is complete: a free face stays free until its own cell is
+    collapsed, so if any order removes every cell, this one does.  Free
+    edges come off a heap and counts are updated along each collapsed
+    boundary: O(B log B) in the total boundary length B.
 
-    Depth-first over collapse orders, free faces in sorted order, with
-    memoization of the cell/edge sets that fail.  The first descent is the
-    greedy collapse; once it fails the search is exhaustive, which is
-    bounded by max_cells_exhaustive cells.  The search keeps its own stack,
-    so a long greedy descent does not meet the recursion limit.
+    An edge goes only when one cell crosses it, so each live boundary is a
+    closed path over live edges that crosses its collapsed edge once.  A
+    closed path crosses a bridge an even number of times, so the live
+    skeleton stays connected; after k collapses it is a tree iff k is its
+    Betti number.
     """
     g = x.skeleton
     if not is_connected(g):
         raise ValueError("collapses_to_tree: skeleton must be connected")
-
-    def is_tree(edges: frozenset[int]) -> bool:
-        live = tuple(g.edges[i] for i in edges)
-        return betti(LabeledDigraph(g.alphabet, g.num_vertices, live)).total == 0
-
-    exhaustive = False
-    dead: set[tuple[frozenset[int], frozenset[int]]] = set()
+    count, owner = _incidence(x)
+    heap = [e for e, c in enumerate(count) if c == 1]  # sorted, hence a heap
     seq: list[tuple[int, int]] = []
-    path = []  # (cells, edges) left and the untried free faces, per collapse so far
-    state = (frozenset(range(len(x.cells))), frozenset(range(len(g.edges))))
-    while True:
-        cells, edges = state
-        if not cells and is_tree(edges):
-            return CollapseResult(True, tuple(seq), exhaustive)
-        faces = () if state in dead else _free_faces(x.cells, cells, edges)
-        path.append((state, iter(faces)))
-        while (step := next(path[-1][1], None)) is None:
-            if not exhaustive and x.cells:  # the greedy descent ends here
-                if len(x.cells) > max_cells_exhaustive:
-                    raise ValueError(
-                        f"exhaustive collapse search needs <= {max_cells_exhaustive} "
-                        f"cells, got {len(x.cells)}"
-                    )
-                exhaustive = True
-            dead.add(path.pop()[0])
-            if not path:
-                return CollapseResult(False, (), exhaustive)
-            seq.pop()
-        seq.append(step)
-        cells, edges = path[-1][0]
-        state = (cells - {step[1]}, edges - {step[0]})
+    while heap:
+        e = heapq.heappop(heap)
+        if count[e] != 1:  # its cell went through another edge
+            continue
+        k = owner[e]
+        seq.append((e, k))
+        for f, _ in x.cells[k]:
+            count[f] -= 1
+            owner[f] ^= k
+            if count[f] == 1:
+                heapq.heappush(heap, f)
+    if len(seq) == len(x.cells) == betti(g).total:
+        return CollapseResult(True, tuple(seq))
+    return CollapseResult(False, ())
 
 
 @dataclass(frozen=True)
@@ -167,7 +153,7 @@ def check_equality_collapse(g: LabeledDigraph, w: Word) -> EqualityCollapseRepor
 class NpiReport:
     word: Word
     euler: int
-    branch: str  # "chi", "contractible", "inconclusive", "fail"
+    branch: str  # "chi", "contractible" or "fail"
     passed: bool
 
 
@@ -212,11 +198,7 @@ def check_npi(
     chi = euler_characteristic(y)
     if chi <= 0:
         return NpiReport(w, chi, "chi", True)
-    try:
-        result = collapses_to_tree(y)
-    except ValueError:
-        return NpiReport(w, chi, "inconclusive", False)
-    if result.collapses:
+    if collapses_to_tree(y).collapses:
         return NpiReport(w, chi, "contractible", True)
     return NpiReport(w, chi, "fail", False)
 

@@ -1,14 +1,15 @@
 """Property-verification suites: each wraps one theorem check and runs it
-over seeded random instances, reporting pass/fail/inconclusive counts with
-full counterexample payloads.
+over seeded random instances, reporting pass/fail counts with full
+counterexample payloads.
 
 A suite is one trial function plus one ``SUITES`` entry.  The trial
 function ``trial(cfg, index, rng, report)`` draws one instance from rng,
 which is seeded by ``trial_seed(cfg.master_seed, index)``, checks it, and
-returns True (pass), False (fail, after appending a payload to
-report.failures) or None (inconclusive).  A suite that counts qualifying
-trials adds 1 to report.qualifying for each trial whose hypothesis held.
-``run_suite`` is the only loop over trials.
+returns True (pass) or False (fail, after appending a payload to
+report.failures).  A suite that counts qualifying trials adds 1 to
+report.qualifying for each trial whose hypothesis held.  ``run_suite`` is
+the only loop over trials.  Every check decides its instance, so a
+report's inconclusive count, kept in its JSON, reads 0.
 """
 
 from __future__ import annotations
@@ -145,8 +146,6 @@ def npi_trial(cfg, index, rng, report):
         if rng.random() < 0.7
     ]
     res = complexes.check_npi(g, w, attachments)
-    if res.branch == "inconclusive":
-        return None
     if not res.passed:
         report.failures.append(
             _payload(g, w, euler=res.euler, attachments=attachments)
@@ -258,7 +257,7 @@ class Suite:
     """run_suite drives cfg.trials + extra_trials calls of trial; a suite
     that counts qualifying trials reports qualifying, starting from 0."""
 
-    trial: Callable[[TrialConfig, int, random.Random, VerdictReport], bool | None]
+    trial: Callable[[TrialConfig, int, random.Random, VerdictReport], bool]
     extra_trials: int = 0
     counts_qualifying: bool = False
 
@@ -290,10 +289,7 @@ def run_suite(name: str, cfg: TrialConfig) -> VerdictReport:
     start = time.perf_counter()
     for i in range(report.trials):
         rng = random.Random(trial_seed(cfg.master_seed, i))
-        outcome = suite.trial(cfg, i, rng, report)
-        if outcome is None:
-            report.inconclusive += 1
-        elif outcome:
+        if suite.trial(cfg, i, rng, report):
             report.passes += 1
     report.wall_time = time.perf_counter() - start
     return report

@@ -1,5 +1,5 @@
 """Every check computes through the module-level names cycles.decompose and
-graphs.betti.
+graphs.betti, and the library results perfbench reads keep their fields.
 
 perfbench/run.py judges each cycle decomposition and Betti number the
 library computes by wrapping those two functions in every wordcycles module
@@ -7,16 +7,25 @@ namespace that holds them (perfbench/layers.py, ``patch``).  A check that
 walked sigma_w or counted components some other way would escape that
 judgement.  This test installs the same kind of wrapper, checks what it
 sees against the brute-force oracle and a breadth-first component count,
-and requires each suite to go through it.
+and requires each suite to go through it.  perfbench also reads
+CollapseResult.exhaustive_used (layers.py), NpiReport.branch and each
+VerdictReport's inconclusive and qualifying counts (workloads.py, run.py).
 """
 
+import random
 import sys
 
 import pytest
 
 from wordcycles import cycles, graphs
-from wordcycles.generators import TrialConfig
-from wordcycles.verify import run_suite
+from wordcycles.complexes import build_gamma_w, check_npi, collapses_to_tree
+from wordcycles.generators import (
+    TrialConfig,
+    random_connected_automaton,
+    random_simple_word,
+    trial_seed,
+)
+from wordcycles.verify import SUITES, run_suite
 
 ORACLE_MAX_VERTICES = 8
 
@@ -130,3 +139,24 @@ def test_wrapper_sees_a_wrong_count(monkeypatch):
     run_suite("main", TrialConfig(master_seed=11, trials=20, **CONFIGS["main"]))
     assert judged.decompose_calls >= 20
     assert judged.mismatches > 0
+
+
+def test_fields_the_benchmark_reads():
+    cfg = TrialConfig(master_seed=11, trials=50, **CONFIGS["npi"])
+    branches = set()
+    for i in range(cfg.trials):
+        rng = random.Random(trial_seed(cfg.master_seed, i))
+        g = random_connected_automaton(cfg, rng)
+        w = random_simple_word(cfg, rng)
+        assert collapses_to_tree(build_gamma_w(g, w)).exhaustive_used is False
+        attachments = [(c.vertices[rng.randrange(c.period)], c.period)
+                       for c in cycles.decompose(g, w).classes if rng.random() < 0.7]
+        branches.add(check_npi(g, w, attachments).branch)
+    assert branches <= {"chi", "contractible", "fail"}
+    assert "contractible" in branches
+    for name, suite in SUITES.items():
+        config = CONFIGS.get(name, dict(max_vertices=8, alphabet=3, max_word_length=5))
+        report = run_suite(name, TrialConfig(master_seed=11, trials=10, **config))
+        assert report.inconclusive == 0 and report.to_json()["inconclusive"] == 0
+        assert (report.qualifying is not None) == suite.counts_qualifying
+        assert ("qualifying" in report.to_json()) == suite.counts_qualifying

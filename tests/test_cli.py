@@ -98,6 +98,22 @@ def test_complex_roundtrip(runner, rose_file, tmp_path):
     assert obj["collapses_to_tree"] is False
 
 
+def test_complex_collapse_wedge_of_13_tori(runner, tmp_path):
+    # a valid complex with no free face: a verdict and exit 0, at any size
+    n = 13
+    skeleton = LabeledDigraph(2 * n, 1, tuple((0, 0, l) for l in range(1, 2 * n + 1)))
+    cells = [[{"edge": e, "dir": d}
+              for e, d in ((a, 1), (a + 1, 1), (a, -1), (a + 1, -1))]
+             for a in range(0, 2 * n, 2)]
+    path = tmp_path / "tori.json"
+    path.write_text(json.dumps({"skeleton": to_json(skeleton), "cells": cells}))
+    result = runner.invoke(main, ["complex", "collapse", str(path)])
+    assert result.exit_code == 0, result.output
+    obj = json.loads(result.output)
+    assert obj["collapses_to_tree"] is False
+    assert obj["sequence"] == [] and obj["free_faces"] == []
+
+
 ONE_EDGE = to_json(LabeledDigraph(1, 1, ((0, 0, 1),)))
 
 

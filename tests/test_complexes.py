@@ -2,6 +2,7 @@ import pytest
 
 from wordcycles.graphs import LabeledDigraph, betti, circle, rose
 from wordcycles.complexes import (
+    CollapseResult,
     StaggeredPresentation,
     TwoComplex,
     build_gamma_w,
@@ -27,6 +28,13 @@ def disc():
 
 def torus():
     return build_gamma_w(rose(2), w("abAB"))
+
+
+def wedge_of_tori(n):
+    """One vertex with loops a_j, b_j and a cell a_j b_j A_j B_j per j."""
+    g = LabeledDigraph(2 * n, 1, tuple((0, 0, l) for l in range(1, 2 * n + 1)))
+    a, b = range(0, 2 * n, 2), range(1, 2 * n, 2)
+    return TwoComplex(g, tuple(((e, 1), (f, 1), (e, -1), (f, -1)) for e, f in zip(a, b)))
 
 
 class TestBuildGammaW:
@@ -120,12 +128,25 @@ class TestCollapse:
         assert chi_after == euler_characteristic(x) == 1
 
     def test_cell_cap(self):
-        # 13 disjoint loop-discs sharing a vertex would exceed the cap only
-        # in exhaustive mode; greedy succeeds, so no error
+        # the greedy pass alone decides a disc, with no error
         words = w("ab")
         g = circle(words)
         x = build_gamma_w(g, words)
-        collapses_to_tree(x, max_cells_exhaustive=0)  # greedy is enough
+        collapses_to_tree(x)
+
+    def test_collapse_frees_the_next_cell(self):
+        # three parallel edges: edge 1 is shared and becomes free only once
+        # cell 1 has collapsed, and is then the least free edge
+        g = LabeledDigraph(3, 2, ((0, 1, 1), (0, 1, 2), (0, 1, 3)))
+        x = TwoComplex(g, (((1, 1), (2, -1)), ((0, 1), (1, -1))))
+        assert free_faces(x) == [(0, 1), (2, 0)]
+        assert collapses_to_tree(x) == CollapseResult(True, ((0, 1), (1, 0)))
+
+    def test_wedge_of_13_tori(self):
+        # every loop is crossed twice, so no face is ever free; deciding
+        # this needs no cap on the number of cells
+        x = wedge_of_tori(13)
+        assert collapses_to_tree(x) == CollapseResult(False, ())
 
     def test_long_greedy_descent(self):
         # a path with a disc on a loop at every vertex: more collapses in a
@@ -134,7 +155,7 @@ class TestCollapse:
         edges = tuple((v, v, 1) for v in range(n)) + tuple(
             (v, v + 1, 2) for v in range(n - 1))
         x = TwoComplex(LabeledDigraph(2, n, edges), tuple(((v, 1),) for v in range(n)))
-        res = collapses_to_tree(x, max_cells_exhaustive=0)
+        res = collapses_to_tree(x)
         assert res.collapses and not res.exhaustive_used
         assert res.sequence == tuple((v, v) for v in range(n))
 
