@@ -217,9 +217,9 @@ class StaggeredPresentation:
     ordered_letters: tuple[int, ...]
 
     def __post_init__(self):
-        for l in self.ordered_letters:
+        for l in (*self.ordered_letters, *(abs(x) for r in self.relators for x in r)):
             if not (1 <= l <= self.alphabet):
-                raise ValueError(f"ordered letter {l} outside alphabet")
+                raise ValueError(f"letter {l} outside alphabet 1..{self.alphabet}")
         if len(set(self.ordered_letters)) != len(self.ordered_letters):
             raise ValueError("ordered letters must be distinct")
 

@@ -23,6 +23,7 @@ from .words import Word, is_reduced, require_simple_cyclic
 # A path step is (edge index, direction); direction -1 crosses the edge
 # against its orientation.
 Step = tuple[int, int]
+ORACLE_MAX_VERTICES = 8  # oracle_counts is a slow reference, not a kernel
 
 
 def trace(g: LabeledDigraph, v: int, w: Word) -> tuple[int, tuple[Step, ...]] | None:
@@ -141,7 +142,7 @@ def decompose(g: LabeledDigraph, w: Word) -> WCycleDecomposition:
     return WCycleDecomposition(w, sigma, tuple(cycles), g)
 
 
-def oracle_counts(g: LabeledDigraph, w: Word, max_vertices: int = 8) -> tuple[int, int]:
+def oracle_counts(g: LabeledDigraph, w: Word) -> tuple[int, int]:
     """Brute-force (#_w, class count) by literal path enumeration.
 
     Independent of decompose: walks edge lists directly, finds for each
@@ -150,9 +151,9 @@ def oracle_counts(g: LabeledDigraph, w: Word, max_vertices: int = 8) -> tuple[in
     """
     require_valid(g)
     require_simple_cyclic(w)
-    if g.num_vertices > max_vertices:
+    if g.num_vertices > ORACLE_MAX_VERTICES:
         raise ValueError(
-            f"oracle bound exceeded: {g.num_vertices} > {max_vertices} vertices"
+            f"oracle bound exceeded: {g.num_vertices} > {ORACLE_MAX_VERTICES} vertices"
         )
 
     def step(v: int, letter: int) -> int | None:

@@ -22,6 +22,8 @@ from .complexes import StaggeredPresentation, is_staggered
 from .subgroups import SubgroupGraph, stallings_graph
 from .words import Word, _period, is_cyclically_reduced
 
+MAX_GENERATORS = 4  # random_subgroup draws 1 to this many generators
+
 
 @dataclass(frozen=True)
 class TrialConfig:
@@ -145,11 +147,9 @@ def random_repeating_word(cfg: TrialConfig, seed_or_rng) -> Word:
             return w
 
 
-def random_subgroup(
-    cfg: TrialConfig, seed_or_rng, max_generators: int = 4
-) -> SubgroupGraph:
+def random_subgroup(cfg: TrialConfig, seed_or_rng) -> SubgroupGraph:
     rng = _as_rng(seed_or_rng)
-    k = 1 + _below(rng, max_generators)
+    k = 1 + _below(rng, MAX_GENERATORS)
     gens = [random_simple_word(cfg, rng) for _ in range(k)]
     return stallings_graph(gens, cfg.alphabet)
 

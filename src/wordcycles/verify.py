@@ -1,22 +1,24 @@
-"""Property-verification suites: each wraps one theorem check and runs it
-over seeded random instances, reporting pass/fail counts with full
-counterexample payloads.
+"""Property-verification suites: each runs one theorem check over seeded
+random instances and reports pass/fail counts with counterexample payloads.
 
-A suite is one trial function plus one ``SUITES`` entry.  The trial
-function ``trial(cfg, index, rng, report)`` draws one instance from rng,
-which is seeded by ``trial_seed(cfg.master_seed, index)``, checks it, and
-returns True (pass) or False (fail, after appending a payload to
-report.failures).  A suite that counts qualifying trials adds 1 to
-report.qualifying for each trial whose hypothesis held.  ``run_suite`` is
-the only loop over trials.  Every check decides its instance, so a
-report's inconclusive count, kept in its JSON, reads 0.
+A suite is a draw function plus a ``SUITES`` entry naming its check.
+``draw(cfg, index, rng)`` returns one instance, drawn from rng (seeded by
+``trial_seed(cfg.master_seed, index)``), as the check's keyword arguments;
+the check's report has ``passed`` and, for a theorem with a hypothesis,
+``applicable``.  Only ``run_suite`` writes a VerdictReport: a trial passes
+when its report passed or was not applicable, ``qualifying`` counts the
+applicable trials of a suite that counts them, and all failure payloads
+share one shape.  Every check decides its instance, so the inconclusive
+count, kept in the report's JSON, reads 0.
 """
 
 from __future__ import annotations
 
 import random
+import sys
 import time
 from dataclasses import dataclass, field, replace
+from types import SimpleNamespace
 from typing import Callable
 
 from . import complexes, cycles, graphs, subgroups
@@ -62,160 +64,113 @@ class VerdictReport:
         return obj
 
 
-def _payload(g: graphs.LabeledDigraph, w: Word | None = None, **extra) -> dict:
-    obj = {"graph": graphs.to_json(g), **extra}
-    if w is not None:
-        obj["word"] = format_word(w)
-    return obj
+def _encode(value):
+    """An instance value in the library's file formats: graphs, subgroups and
+    presentations as their JSON files, words (tuples) in the text syntax."""
+    if isinstance(value, subgroups.SubgroupGraph):
+        value = value.graph
+    if isinstance(value, graphs.LabeledDigraph):
+        return graphs.to_json(value)
+    if isinstance(value, complexes.StaggeredPresentation):
+        return {**vars(value), "relators": _encode(list(value.relators))}
+    if isinstance(value, tuple):
+        return format_word(value)
+    if isinstance(value, list):
+        return [_encode(v) for v in value]
+    return value
 
 
-def main_trial(cfg, index, rng, report):
+def draw_main(cfg, index, rng):
     """Class count <= Betti number, per component and in total."""
-    g = random_inverse_automaton(cfg, rng)
-    w = random_simple_word(cfg, rng)
-    res = cycles.check_main_inequality(g, w)
-    if not res.passed:
-        report.failures.append(
-            _payload(g, w, classes=res.total_classes, betti=res.total_betti)
-        )
-    return res.passed
+    return {"g": random_inverse_automaton(cfg, rng), "w": random_simple_word(cfg, rng)}
 
 
-def oracle_trial(cfg, index, rng, report):
+def draw_oracle(cfg, index, rng):
     """Orbit-cycle counts agree exactly with brute-force path enumeration."""
-    cfg = replace(cfg, max_vertices=min(cfg.max_vertices, 8),
+    cfg = replace(cfg, max_vertices=min(cfg.max_vertices, cycles.ORACLE_MAX_VERTICES),
                   max_word_length=min(cfg.max_word_length, 6))
-    g = random_inverse_automaton(cfg, rng)
-    w = random_simple_word(cfg, rng)
+    return draw_main(cfg, index, rng)
+
+
+def oracle_check(g, w):
+    """decompose's two counts against the brute-force oracle_counts."""
     dec = cycles.decompose(g, w)
-    fast = (dec.count_with_multiplicity, dec.class_count)
     slow = cycles.oracle_counts(g, w)
-    if fast != slow:
-        report.failures.append(_payload(g, w, decompose=fast, oracle=slow))
-        return False
-    return True
+    return SimpleNamespace(
+        count_with_multiplicity=dec.count_with_multiplicity, class_count=dec.class_count,
+        oracle_count_with_multiplicity=slow[0], oracle_class_count=slow[1],
+        passed=(dec.count_with_multiplicity, dec.class_count) == slow)
 
 
-def strict_trial(cfg, index, rng, report):
+def draw_strict(cfg, index, rng):
     """Strict inequality with multiplicity when every edge is traversed at
     least twice.  Qualifying instances are found by rejection over rose
-    covers and words repeating every generator; the rest pass without
-    qualifying."""
-    g = random_permutation_automaton(cfg, rng)
-    w = random_repeating_word(cfg, rng)
-    res = cycles.check_strict_inequality(g, w)
-    if not res.applicable:
-        return True
-    report.qualifying += 1
-    if not res.passed:
-        report.failures.append(
-            _payload(g, w, count=res.count_with_multiplicity, betti=res.betti)
-        )
-    return res.passed
+    covers and words repeating every generator; the rest are not
+    applicable."""
+    return {"g": random_permutation_automaton(cfg, rng),
+            "w": random_repeating_word(cfg, rng)}
 
 
-def equality_collapse_trial(cfg, index, rng, report):
+def draw_equality_collapse(cfg, index, rng):
     """Whenever class count equals the Betti number, the disc complex
     collapses to a tree.  Trials below cfg.trials draw random connected
     instances (only those hitting equality qualify); the 100 after them
     read the circle of w, where equality 1 = 1 is automatic."""
     if index < cfg.trials:
-        g = random_connected_automaton(cfg, rng)
-        w = random_simple_word(cfg, rng)
-    else:
-        w = random_simple_word(cfg, rng)
-        g = graphs.circle(w, cfg.alphabet)
-    res = complexes.check_equality_collapse(g, w)
-    if res.applicable:
-        report.qualifying += 1
-    if not res.passed:
-        report.failures.append(
-            _payload(g, w, classes=res.class_count, betti=res.betti)
-        )
-    return res.passed
+        return {"g": random_connected_automaton(cfg, rng),
+                "w": random_simple_word(cfg, rng)}
+    w = random_simple_word(cfg, rng)
+    return {"g": graphs.circle(w, cfg.alphabet), "w": w}
 
 
-def npi_trial(cfg, index, rng, report):
+def draw_npi(cfg, index, rng):
     """Every generated immersion has Euler characteristic <= 0 or collapses."""
     g = random_connected_automaton(cfg, rng)
     w = random_simple_word(cfg, rng)
-    dec = cycles.decompose(g, w)
     attachments = [
-        (c.vertices[rng.randrange(c.period)], c.period)
-        for c in dec.classes
+        [c.vertices[rng.randrange(c.period)], c.period]
+        for c in cycles.decompose(g, w).classes
         if rng.random() < 0.7
     ]
-    res = complexes.check_npi(g, w, attachments)
-    if not res.passed:
-        report.failures.append(
-            _payload(g, w, euler=res.euler, attachments=attachments)
-        )
-    return res.passed
+    return {"g": g, "w": w, "attachments": attachments}
 
 
-def fold_confluence_trial(cfg, index, rng, report):
+def draw_fold_confluence(cfg, index, rng):
     """Any two fold orders agree up to canonical form, and every generator
     still traces closed at the base."""
-    k = rng.randint(1, 4)
-    gens = [random_simple_word(cfg, rng) for _ in range(k)]
-    wedge = graphs.wedge_of_words(gens, cfg.alphabet)
-    a = graphs.fold(wedge, random.Random(rng.getrandbits(64)))
-    b = graphs.fold(wedge, random.Random(rng.getrandbits(64)))
-    ca, cb = graphs.canonical_form(a), graphs.canonical_form(b)
-    closed = all(graphs.walk(ca, ca.basepoint, w) == ca.basepoint for w in gens)
-    ok = ca == cb and closed
-    if not ok:
-        report.failures.append(
-            _payload(wedge, generators=[format_word(w) for w in gens],
-                     confluent=ca == cb, traces_closed=closed)
-        )
-    return ok
+    gens = [random_simple_word(cfg, rng) for _ in range(rng.randint(1, 4))]
+    return {"generators": gens, "alphabet": cfg.alphabet,
+            "seeds": [rng.getrandbits(64), rng.getrandbits(64)]}
 
 
-def shnc_trial(cfg, index, rng, report):
+def fold_confluence_check(generators, alphabet, seeds):
+    """Each seed orders one fold of the wedge of the generators.  A failure
+    with ``unclosed`` 0 is a confluence failure."""
+    wedge = graphs.wedge_of_words(generators, alphabet)
+    a, b = (graphs.canonical_form(graphs.fold(wedge, random.Random(s))) for s in seeds)
+    unclosed = sum(graphs.walk(a, a.basepoint, w) != a.basepoint for w in generators)
+    return SimpleNamespace(unclosed=unclosed, passed=a == b and not unclosed)
+
+
+def draw_shnc(cfg, index, rng):
     """Strengthened Hanna Neumann inequality on random folded pairs."""
-    h1 = random_subgroup(cfg, rng)
-    h2 = random_subgroup(cfg, rng)
-    res = subgroups.check_shnc(h1, h2)
-    if not res.passed:
-        report.failures.append(
-            {
-                "graph1": graphs.to_json(h1.graph),
-                "graph2": graphs.to_json(h2.graph),
-                "lhs": res.lhs,
-                "rhs": res.rhs,
-            }
-        )
-    return res.passed
+    return {"g1": random_subgroup(cfg, rng), "g2": random_subgroup(cfg, rng)}
 
 
-def restated_trial(cfg, index, rng, report):
+def draw_restated(cfg, index, rng):
     """Betti form of the main inequality via the circle fiber product, with
     the orbit-count cross-check."""
-    g = random_inverse_automaton(cfg, rng)
-    w = random_simple_word(cfg, rng)
-    res = subgroups.check_restated_inequality(w, g)
-    if not res.passed:
-        report.failures.append(
-            _payload(g, w, lhs=res.lhs, rhs=res.rhs, classes=res.class_count)
-        )
-    return res.passed
+    return {"g2": random_inverse_automaton(cfg, rng),
+            "cycle_w": random_simple_word(cfg, rng)}
 
 
-def conjugates_trial(cfg, index, rng, report):
+def draw_conjugates(cfg, index, rng):
     """Conjugates of a maximal cyclic subgroup meeting H number at most
     rank(H)."""
-    h = random_subgroup(cfg, rng)
-    w = random_simple_word(cfg, rng)
-    res = subgroups.count_conjugates_meeting(h, w)
-    if not res.passed:
-        report.failures.append(
-            _payload(h.graph, w, count=res.count, rank=res.rank)
-        )
-    return res.passed
+    return {"h": random_subgroup(cfg, rng), "w": random_simple_word(cfg, rng)}
 
 
-def conjugate_intersection_trial(cfg, index, rng, report):
+def draw_conjugate_intersection(cfg, index, rng):
     """rank(H)+1 distinct cosets of a free factor H force a trivial
     conjugate intersection."""
     if cfg.alphabet < 2:
@@ -226,55 +181,45 @@ def conjugate_intersection_trial(cfg, index, rng, report):
     cosets: list[Word] = [()]
     while len(cosets) < r + 1:
         cand = free_reduce(random_simple_word(cfg, rng))
-        if all(
-            not subgroups.contains(h, cand + invert(c)) for c in cosets
-        ):
+        if not any(subgroups.contains(h, cand + invert(c)) for c in cosets):
             cosets.append(cand)
-    res = subgroups.check_conjugate_intersection(h, cosets)
-    if not res.passed:
-        report.failures.append(
-            _payload(h.graph, cosets=[format_word(c) for c in cosets])
-        )
-    return res.passed
+    return {"h": h, "cosets": cosets}
 
 
-def staggered_trial(cfg, index, rng, report):
+def draw_staggered(cfg, index, rng):
     """Summed relator class counts of staggered simple presentations stay
     at most the Betti number."""
     p = random_staggered_presentation(cfg, rng, rng.randint(2, 3))
-    g = random_connected_automaton(replace(cfg, alphabet=p.alphabet), rng)
-    res = complexes.check_multiword_inequality(g, p)
-    if not res.passed:
-        report.failures.append(
-            _payload(g, relators=[format_word(r) for r in p.relators],
-                     total=res.total, betti=res.betti)
-        )
-    return res.passed
+    return {"g": random_connected_automaton(replace(cfg, alphabet=p.alphabet), rng),
+            "p": p}
 
 
 @dataclass(frozen=True)
 class Suite:
-    """run_suite drives cfg.trials + extra_trials calls of trial; a suite
-    that counts qualifying trials reports qualifying, starting from 0."""
+    """run_suite checks cfg.trials + extra_trials drawn instances.  check is
+    "module.function" here, read at each run so that perfbench's wrappers on
+    the module see every call; counts_qualifying turns on qualifying."""
 
-    trial: Callable[[TrialConfig, int, random.Random, VerdictReport], bool]
+    draw: Callable[[TrialConfig, int, random.Random], dict]
+    check: str
     extra_trials: int = 0
     counts_qualifying: bool = False
 
 
 SUITES = {
-    "main": Suite(main_trial),
-    "strict": Suite(strict_trial, counts_qualifying=True),
-    "equality-collapse": Suite(equality_collapse_trial, extra_trials=100,
-                               counts_qualifying=True),
-    "oracle": Suite(oracle_trial),
-    "fold-confluence": Suite(fold_confluence_trial),
-    "shnc": Suite(shnc_trial),
-    "restated": Suite(restated_trial),
-    "conjugates": Suite(conjugates_trial),
-    "conjugate-intersection": Suite(conjugate_intersection_trial),
-    "staggered": Suite(staggered_trial),
-    "npi": Suite(npi_trial),
+    "main": Suite(draw_main, "cycles.check_main_inequality"),
+    "strict": Suite(draw_strict, "cycles.check_strict_inequality", counts_qualifying=True),
+    "equality-collapse": Suite(draw_equality_collapse, "complexes.check_equality_collapse",
+                               extra_trials=100, counts_qualifying=True),
+    "oracle": Suite(draw_oracle, "verify.oracle_check"),
+    "fold-confluence": Suite(draw_fold_confluence, "verify.fold_confluence_check"),
+    "shnc": Suite(draw_shnc, "subgroups.check_shnc"),
+    "restated": Suite(draw_restated, "subgroups.check_restated_inequality"),
+    "conjugates": Suite(draw_conjugates, "subgroups.count_conjugates_meeting"),
+    "conjugate-intersection": Suite(draw_conjugate_intersection,
+                                    "subgroups.check_conjugate_intersection"),
+    "staggered": Suite(draw_staggered, "complexes.check_multiword_inequality"),
+    "npi": Suite(draw_npi, "complexes.check_npi"),
 }
 
 
@@ -284,12 +229,22 @@ def run_suite(name: str, cfg: TrialConfig) -> VerdictReport:
             f"unknown suite {name!r}; choose from {', '.join(sorted(SUITES))}"
         )
     suite = SUITES[name]
+    module, _, function = suite.check.partition(".")
+    check = getattr(sys.modules[f"{__package__}.{module}"], function)
     report = VerdictReport(name, cfg.trials + suite.extra_trials, 0,
                            qualifying=0 if suite.counts_qualifying else None)
     start = time.perf_counter()
     for i in range(report.trials):
-        rng = random.Random(trial_seed(cfg.master_seed, i))
-        if suite.trial(cfg, i, rng, report):
+        instance = suite.draw(cfg, i, random.Random(trial_seed(cfg.master_seed, i)))
+        res = check(**instance)
+        applicable = getattr(res, "applicable", True)
+        if res.passed or not applicable:
             report.passes += 1
+        else:  # one payload shape: trial index, instance, the report's counts
+            report.failures.append(
+                {"trial": i, **{k: _encode(v) for k, v in instance.items()},
+                 **{k: v for k, v in vars(res).items() if type(v) is int}})
+        if applicable and suite.counts_qualifying:
+            report.qualifying += 1
     report.wall_time = time.perf_counter() - start
     return report

@@ -7,8 +7,10 @@ namespace that holds them (perfbench/layers.py, ``patch``).  A check that
 walked sigma_w or counted components some other way would escape that
 judgement.  This test installs the same kind of wrapper, checks what it
 sees against the brute-force oracle and a breadth-first component count,
-and requires each suite to go through it.  perfbench also reads
-CollapseResult.exhaustive_used (layers.py), NpiReport.branch and each
+and requires each suite to go through it.  perfbench's tracer wraps the
+subgroups checks the same way, so each suite must call its check through
+the module name, not through a function object it holds.  perfbench also
+reads CollapseResult.exhaustive_used (layers.py), NpiReport.branch and each
 VerdictReport's inconclusive and qualifying counts (workloads.py, run.py).
 """
 
@@ -17,7 +19,7 @@ import sys
 
 import pytest
 
-from wordcycles import cycles, graphs
+from wordcycles import cycles, graphs, subgroups
 from wordcycles.complexes import build_gamma_w, check_npi, collapses_to_tree
 from wordcycles.generators import (
     TrialConfig,
@@ -125,6 +127,31 @@ def test_suite_reads_betti_through_the_module_name(monkeypatch, suite):
     judged, trials = run(monkeypatch, suite)
     assert judged.betti_calls >= trials
     assert judged.mismatches == 0
+
+
+# The checks perfbench/layers.py traces one by one, with the suite calling each.
+TRACED_CHECKS = {"shnc": "check_shnc", "conjugates": "count_conjugates_meeting",
+                 "restated": "check_restated_inequality"}
+
+
+def test_tracer_sees_every_check(monkeypatch):
+    calls = dict.fromkeys(TRACED_CHECKS.values(), 0)
+
+    def make(name):
+        def wrap(fn):
+            def traced(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return traced
+        return wrap
+
+    for name in TRACED_CHECKS.values():
+        patch_everywhere(monkeypatch, subgroups, name, make(name))
+    for suite, name in TRACED_CHECKS.items():
+        before = calls[name]
+        report = run_suite(suite, TrialConfig(master_seed=11, trials=20, **CONFIGS[suite]))
+        assert report.failure_count == 0
+        assert calls[name] - before >= report.trials, suite
 
 
 def test_wrapper_sees_a_wrong_count(monkeypatch):

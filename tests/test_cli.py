@@ -1,4 +1,5 @@
 import json
+import shlex
 from pathlib import Path
 
 import pytest
@@ -272,6 +273,7 @@ def test_malformed_subgroup_file(runner, tmp_path, obj):
     {"alphabet": 2, "relators": "ab", "ordered_letters": [1, 2]},
     {"alphabet": 2, "relators": ["ab"], "ordered_letters": ""},
     {"alphabet": 2, "relators": ["ab"], "ordered_letters": {}},
+    {"alphabet": 2, "relators": ["ae"], "ordered_letters": [1]},
 ])
 def test_malformed_staggered_file(runner, tmp_path, obj):
     path = tmp_path / "pres.json"
@@ -325,3 +327,18 @@ def test_readme_graph_example_loads(runner, tmp_path):
     path = tmp_path / "g.json"
     path.write_text(block)
     assert runner.invoke(main, ["graph", "validate", str(path)]).exit_code == 0
+
+
+def test_readme_examples_parse(runner):
+    # --help exits 0 only once click has resolved every command and option
+    # name on the line; it stops before the files are read
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    lines = [line for block in readme.split("```sh\n")[1:]
+             for line in block.split("```", 1)[0].splitlines()
+             if line.startswith("wordcycles ")]
+    assert len(lines) >= 17
+    for line in lines:
+        result = runner.invoke(main, shlex.split(line, comments=True)[1:] + ["--help"])
+        assert result.exit_code == 0, line
+    for bad in (["graph", "nope"], ["verify", "main", "--nope"]):
+        assert runner.invoke(main, bad + ["--help"]).exit_code == 2

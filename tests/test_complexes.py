@@ -241,6 +241,12 @@ class TestStaggered:
         ok, diagnostics = is_staggered(p)
         assert not ok
 
+    @pytest.mark.parametrize("relator", ["ae", "E", "abc"])
+    def test_relator_letter_outside_alphabet(self, relator):
+        # such a relator traces nowhere, so it would count 0 classes and pass
+        with pytest.raises(ValueError, match="outside alphabet"):
+            StaggeredPresentation(2, (w(relator),), (1,))
+
 
 class TestMultiword:
     def test_single_relator_reduces_to_main(self):

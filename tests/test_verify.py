@@ -1,3 +1,8 @@
+import inspect
+import json
+import sys
+from types import SimpleNamespace
+
 import pytest
 
 from wordcycles.generators import TrialConfig
@@ -65,3 +70,30 @@ def test_different_seed_different_instances():
     assert instances(11) != instances(12)
     assert instances(11) == instances(11)
     assert trial_seed(11, 0) != trial_seed(12, 0)
+
+
+@pytest.mark.parametrize("name", sorted(SUITES))
+def test_failure_payloads(monkeypatch, name):
+    # plant, through the module attribute run_suite looks up, a check whose
+    # every report fails; applicable is left as the real check set it
+    module, _, function = SUITES[name].check.partition(".")
+    owner = sys.modules[f"wordcycles.{module}"]
+    check, reports = getattr(owner, function), []
+
+    def failing(**instance):
+        res = check(**instance)
+        reports.append(res)
+        return SimpleNamespace(**{**vars(res), "passed": False})
+
+    monkeypatch.setattr(owner, function, failing)
+    report = run_suite(name, SMALL)
+    assert report.passes + report.failure_count == report.trials == len(reports)
+    applicable = [i for i, res in enumerate(reports) if getattr(res, "applicable", True)]
+    assert [p["trial"] for p in report.failures] == applicable != []
+    params = list(inspect.signature(check).parameters)
+    for payload in report.failures:
+        counts = {k: v for k, v in vars(reports[payload["trial"]]).items()
+                  if type(v) is int}
+        assert set(payload) == {"trial", *params, *counts}
+        assert {k: payload[k] for k in counts} == counts
+    json.dumps(report.to_json())
