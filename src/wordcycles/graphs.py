@@ -238,26 +238,28 @@ def fold(g: LabeledDigraph, rng: random.Random | None = None) -> LabeledDigraph:
     size = [1] * n
     rows = {l: ([-1] * n, [-1] * n) for l in {l for _, _, l in g.edges}}  # (out, in)
     pending: list[tuple[int, int]] = []
+    push, pop = pending.append, pending.pop
     for s, d, l in g.edges:
         out, into = rows[l]
         if out[s] >= 0:  # two same-letter edges at s: their far ends fold
-            pending.append((out[s], d))
+            push((out[s], d))
         if into[d] >= 0:
-            pending.append((into[d], s))
+            push((into[d], s))
         out[s], into[d] = d, s
     all_rows = [row for pair in rows.values() for row in pair]
 
+    getrandbits = rng.getrandbits if rng is not None else None
     while pending:
-        if rng is not None:  # i = rng.randrange(len(pending)), inlined
+        if getrandbits is not None:  # i = rng.randrange(len(pending)), inlined
             k = len(pending).bit_length()
-            while (i := rng.getrandbits(k)) >= len(pending):
+            while (i := getrandbits(k)) >= len(pending):
                 pass
             pending[i], pending[-1] = pending[-1], pending[i]
-        a, b = pending.pop()
-        while parent[a] != a:  # find, inlined, halving the path
-            parent[a] = a = parent[parent[a]]
-        while parent[b] != b:
-            parent[b] = b = parent[parent[b]]
+        a, b = pop()
+        while (up := parent[a]) != a:  # find, inlined, halving the path
+            parent[a] = a = parent[up]
+        while (up := parent[b]) != b:
+            parent[b] = b = parent[up]
         if a == b:
             continue
         if size[a] > size[b]:
@@ -265,24 +267,28 @@ def fold(g: LabeledDigraph, rng: random.Random | None = None) -> LabeledDigraph:
         parent[a] = b
         size[b] += size[a]
         for row in all_rows:
-            u, other = row[a], row[b]
-            if other < 0:
-                row[b] = u
-            elif u >= 0 and u != other:
-                pending.append((other, u))
+            if (u := row[a]) >= 0:
+                if (other := row[b]) < 0:
+                    row[b] = u
+                elif u != other:
+                    push((other, u))
 
-    root_number: dict[int, int] = {}
+    roots: list[int] = []  # in the order of their classes' least vertices
+    root_number = [-1] * n
     number = []
     for v in range(n):
-        while parent[v] != v:
-            parent[v] = v = parent[parent[v]]
-        number.append(root_number.setdefault(v, len(root_number)))
+        while (up := parent[v]) != v:
+            parent[v] = v = parent[up]
+        if root_number[v] < 0:
+            root_number[v] = len(roots)
+            roots.append(v)
+        number.append(root_number[v])
     # a root's entry in a label's out row is its class's one edge
     new_edges = tuple(sorted((number[r], number[u], l)
                              for l, (out, _) in rows.items()
-                             for r in root_number if (u := out[r]) >= 0))
+                             for r in roots if (u := out[r]) >= 0))
     base = number[g.basepoint] if g.basepoint is not None else None
-    return LabeledDigraph(g.alphabet, len(root_number), new_edges, base)
+    return LabeledDigraph(g.alphabet, len(roots), new_edges, base)
 
 
 def core(g: LabeledDigraph) -> LabeledDigraph:
@@ -429,16 +435,10 @@ def wedge_of_words(words: list[Word], alphabet: int) -> LabeledDigraph:
     """Subdivided loops, one per word, wedged at a base vertex (unfolded)."""
     edges: list[Edge] = []
     n = 1
-    for w in words:
-        if not w:
-            continue
-        prev = 0
-        for i, x in enumerate(w):
-            nxt = 0 if i == len(w) - 1 else n
-            if i != len(w) - 1:
-                n += 1
-            edges.append((prev, nxt, x) if x > 0 else (nxt, prev, -x))
-            prev = nxt
+    for w in filter(None, words):
+        loop = [0, *range(n, n + len(w) - 1), 0]
+        n += len(w) - 1
+        edges += [(s, d, x) if x > 0 else (d, s, -x) for s, d, x in zip(loop, loop[1:], w)]
     return LabeledDigraph(alphabet, n, tuple(edges), 0)
 
 

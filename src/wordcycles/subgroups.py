@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import warnings
+from collections import defaultdict
 from dataclasses import dataclass
 
 from .graphs import (
@@ -18,7 +19,6 @@ from .graphs import (
     letter_steps,
     require_valid,
     walk,
-    wedge_of_words,
 )
 from .cycles import decompose
 from .words import Word, format_word, free_reduce, invert, require_simple_cyclic
@@ -36,8 +36,50 @@ class SubgroupGraph:
             raise ValueError("subgroup graph needs a basepoint")
 
 
+def _read(g: LabeledDigraph, words: list[Word], loops: bool) -> LabeledDigraph:
+    """g with each word read in at its basepoint, following g's edges and
+    creating the missing ones; rows are kept for the letters in use only.
+    With loops, each word is a freely reduced loop, walked backwards into the
+    basepoint too, so only the unread middle is new; where the walks meet at
+    two vertices a walked edge is added again, and that clash, or one of the
+    middle's ends with the other, is left to fold.  Without, the one word's
+    end becomes the basepoint, and nothing clashes."""
+    alphabet, n, base = g.alphabet, g.num_vertices, g.basepoint
+    size = n + sum(map(len, words))
+    rows = defaultdict(lambda: [-1] * size)  # a letter outside the alphabet gets its own row
+    edges = list(g.edges)
+    for s, d, l in edges:
+        rows[l][s], rows[-l][d] = d, s
+    for w in words:
+        v, i, u, j = base, 0, base, len(w)
+        while i < j and (t := rows[w[i]][v]) >= 0:  # forwards: p reads w[i-1] to v
+            p, v, i = v, t, i + 1
+        while loops and j > i and (t := rows[-w[j - 1]][u]) >= 0:  # backwards: q to u
+            q, u, j = u, t, j - 1
+        if loops and i == j:
+            if v != u:  # the walks meet at two vertices: add a walked edge again
+                s, d, x = (p, u, w[i - 1]) if i else (v, q, w[0])
+                edges.append((s, d, x) if x > 0 else (d, s, -x))
+            continue
+        for x in w[i:j - 1] if loops else w[i:]:  # follow or create
+            if (t := rows[x][v]) < 0:
+                t, n = n, n + 1
+                rows[x][v], rows[-x][t] = t, v
+                edges.append((v, t, x) if x > 0 else (t, v, -x))
+            v = t
+        if not loops:
+            base = v
+            break
+        x = w[j - 1]
+        rows[x][v], rows[-x][u] = u, v
+        edges.append((v, u, x) if x > 0 else (u, v, -x))
+    if max(map(abs, rows), default=0) > alphabet:  # rows holds every letter read
+        raise ValueError(f"letter {max(map(abs, rows))} outside alphabet 1..{alphabet}")
+    return LabeledDigraph(alphabet, n, tuple(edges), base)
+
+
 def stallings_graph(gens: list[Word], alphabet: int) -> SubgroupGraph:
-    """Fold and core the wedge of subdivided generator loops."""
+    """Read the generators' loops in at a base vertex, fold a clash, core."""
     if alphabet < 1:
         raise ValueError("alphabet must be nonempty")
     reduced = []
@@ -51,8 +93,10 @@ def stallings_graph(gens: list[Word], alphabet: int) -> SubgroupGraph:
             )
         if r:
             reduced.append(r)
-    g = canonical_form(core(fold(wedge_of_words(reduced, alphabet))))
-    return SubgroupGraph(g)
+    g = _read(LabeledDigraph(alphabet, 1, (), 0), reduced, loops=True)
+    if not g.deterministic:
+        g = fold(g)
+    return SubgroupGraph(canonical_form(core(g)))
 
 
 def rank(h: SubgroupGraph) -> int:
@@ -70,16 +114,9 @@ def contains(h: SubgroupGraph, w: Word) -> bool:
 
 
 def conjugate(h: SubgroupGraph, g: Word) -> SubgroupGraph:
-    """The subgroup graph of g^-1 H g: a path reading g is grafted at the
-    basepoint, its far end becomes the basepoint, then fold and core."""
-    gr = h.graph
-    edges = list(gr.edges)
-    v = gr.basepoint
-    for n, x in enumerate(g, start=gr.num_vertices):
-        edges.append((v, n, x) if x > 0 else (n, v, -x))
-        v = n
-    grafted = LabeledDigraph(gr.alphabet, gr.num_vertices + len(g), tuple(edges), v)
-    return SubgroupGraph(canonical_form(core(fold(grafted))))
+    """The subgroup graph of g^-1 H g: g is read from the basepoint, which
+    moves to its end, then core; no fold is needed."""
+    return SubgroupGraph(canonical_form(core(_read(h.graph, [tuple(g)], loops=False))))
 
 
 def intersect(h1: SubgroupGraph, h2: SubgroupGraph) -> SubgroupGraph:

@@ -61,6 +61,8 @@ def invert(w: Word) -> Word:
 
 def free_reduce(w: Word) -> Word:
     """The unique freely reduced word equal to w; idempotent."""
+    if 0 not in w and is_reduced(w):  # both scans run in C
+        return tuple(w)
     stack: list[int] = []
     for x in w:
         if x == 0:

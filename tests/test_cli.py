@@ -253,6 +253,7 @@ def test_bad_graph_file(runner, tmp_path):
     {"alphabet": "2", "generators": ["a"]},
     {"alphabet": 2, "generators": "ab"},
     {"alphabet": 2, "generators": {"ab": 1}},
+    {"alphabet": 2, "generators": ["B", "c"]},
 ])
 def test_malformed_subgroup_file(runner, tmp_path, obj):
     path = tmp_path / "sub.json"

@@ -4,14 +4,15 @@ The references are the straightforward quadratic algorithms, kept here
 rather than in the library: a fold that rebuilds and rescans the whole edge
 set once per merge, the based component of the full fiber product, a Betti
 count that rescans every edge for every component, connected components by
-breadth-first search over undirected neighbour lists, a conjugate that
-re-folds conjugated generators, a collapse search that rescans every live
-cell per collapse and backs its greedy pass with an exhaustive search (the
-incremental greedy pass must decide the same), and a core that recounts
-every degree once per round of spur removal.  The successor rows and the
-letter table, and tracing, walks, canonical_form and intersect's product
-search, which read them, are checked against dicts keyed by (vertex, label)
-tuples.
+breadth-first search over undirected neighbour lists, Stallings graphs and
+conjugates made by folding the wedge of the (conjugated) generators, where
+the library reads each word into the graph built so far, a collapse search
+that rescans every live cell per collapse and backs its greedy pass with an
+exhaustive search (the incremental greedy pass must decide the same), and a
+core that recounts every degree once per round of spur removal.  The
+successor rows and the letter table, and tracing, walks, canonical_form and
+intersect's product search, which read them, are checked against dicts keyed
+by (vertex, label) tuples.
 decompose, which keeps only the edge indices of each trace, is checked
 against a decomposition that stores every vertex's whole (edge, direction)
 trace.  require_valid, which reads the determinism flag of the successor
@@ -58,9 +59,10 @@ from wordcycles.graphs import (
     walk,
     wedge_of_words,
 )
-from wordcycles.subgroups import SubgroupGraph, conjugate, intersect, stallings_graph
+from wordcycles.subgroups import (SubgroupGraph, _read, conjugate, intersect,
+                                  stallings_graph)
 from wordcycles.words import (cyclic_reduce, free_reduce, invert, is_simple,
-                              require_simple_cyclic)
+                              parse_word, require_simple_cyclic)
 
 
 def naive_fold(g: LabeledDigraph) -> LabeledDigraph:
@@ -140,6 +142,13 @@ def randrange_fold(g: LabeledDigraph, rng: random.Random) -> LabeledDigraph:
                              for r in root_number if (u := out[r]) >= 0))
     base = number[g.basepoint] if g.basepoint is not None else None
     return LabeledDigraph(g.alphabet, len(root_number), new_edges, base)
+
+
+def wedge_fold(gens, alphabet: int) -> LabeledDigraph:
+    """The Stallings graph as the fold of the whole wedge of the freely
+    reduced generators' loops, cored."""
+    loops = [r for r in map(free_reduce, gens) if r]
+    return canonical_form(core(fold(wedge_of_words(loops, alphabet))))
 
 
 def naive_intersection(g1: LabeledDigraph, g2: LabeledDigraph) -> LabeledDigraph:
@@ -660,15 +669,70 @@ class TestIntersectAgainstReference:
         assert intersect(h1, h2).graph == naive_intersection(h1.graph, h2.graph)
 
 
-class TestConjugateAgainstRefold:
-    """conjugate grafts a path onto the graph; the reference re-folds the
-    conjugated generators."""
+@st.composite
+def raw_generator_sets(draw):
+    """(generators, alphabet) over 1-3 letters: words as drawn, so some are
+    unreduced or reduce to nothing, plus repeats and proper powers."""
+    alphabet = draw(st.integers(1, 3))
+    letter = letters_from(list(range(1, alphabet + 1)))
+    gens = draw(st.lists(st.lists(letter, max_size=8).map(tuple), max_size=5))
+    if gens and draw(st.booleans()):
+        gens.append(draw(st.sampled_from(gens)))
+    if gens and draw(st.booleans()):
+        gens.append(draw(st.sampled_from(gens)) * draw(st.integers(2, 3)))
+    return draw(st.permutations(gens)), alphabet
 
-    @settings(max_examples=100)
-    @given(generator_sets, words)
-    def test_random_subgroups(self, gens, g):
-        refold = stallings_graph([free_reduce(invert(g) + x + g) for x in gens], 2)
-        assert conjugate(stallings_graph(gens, 2), g) == refold
+
+class TestStallingsAgainstWedgeFold:
+    """stallings_graph reads each word into the graph built so far and
+    folds only a clash; the reference folds the whole wedge."""
+
+    @settings(max_examples=400)
+    @given(raw_generator_sets())
+    @pytest.mark.filterwarnings("ignore:generator")
+    def test_random_generators(self, instance):
+        gens, alphabet = instance
+        assert stallings_graph(gens, alphabet).graph == wedge_fold(gens, alphabet)
+
+    @pytest.mark.parametrize("texts", [
+        ("aa", "a"),   # the whole of a is read forwards, ending off the base
+        ("ba", "a"),   # the whole of a is read backwards, starting off it
+        ("abA",),      # the first and last new edges clash at the base
+    ])
+    def test_coincidences_need_fold(self, texts):
+        gens = [parse_word(t) for t in texts]
+        assert not _read(LabeledDigraph(2, 1, (), 0), gens, loops=True).deterministic
+        assert stallings_graph(gens, 2).graph == wedge_fold(gens, 2)
+
+    def test_memory_ignores_declared_alphabet(self):
+        tracemalloc.start()
+        try:
+            g = _read(LabeledDigraph(10**6, 1, (), 0), [(1, 2), (2, 1)], loops=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert g == LabeledDigraph(10**6, 3, ((0, 1, 1), (1, 0, 2), (0, 2, 2), (2, 0, 1)), 0)
+        assert peak < 1 << 20
+
+
+class TestConjugateAgainstRefold:
+    """conjugate reads g from the basepoint and creates the edges it
+    misses; the reference folds the wedge of the conjugated generators."""
+
+    @settings(max_examples=200)
+    @given(raw_generator_sets(), st.lists(letters_from([1, 2, 3]), max_size=6))
+    @pytest.mark.filterwarnings("ignore:generator")
+    def test_random_subgroups(self, instance, g):
+        gens, alphabet = instance
+        g = tuple(x for x in g if abs(x) <= alphabet)  # g may be unreduced
+        refold = wedge_fold([invert(g) + x + g for x in gens], alphabet)
+        assert conjugate(stallings_graph(gens, alphabet), g).graph == refold
+
+    def test_never_folds(self):
+        h = stallings_graph([parse_word("aba"), parse_word("bb")], 2)
+        with mock.patch("wordcycles.subgroups.fold", side_effect=AssertionError):
+            for g in ("", "a", "ab", "bA", "aAb", "BBa", "abab"):
+                conjugate(h, parse_word(g))
 
 
 class TestCollapseAgainstTwoPhase:

@@ -50,6 +50,11 @@ class TestStallingsGraph:
         with pytest.raises(ValueError):
             stallings_graph([w("a")], 0)
 
+    @pytest.mark.parametrize("gens", [[(-2,), (3,)], [(3,)], [(1, -3, 2)]])
+    def test_letter_outside_alphabet_rejected(self, gens):
+        with pytest.raises(ValueError, match="letter 3 outside alphabet 1..2"):
+            stallings_graph(gens, 2)
+
     def test_trivial_subgroup(self):
         h = stallings_graph([], 2)
         assert is_trivial(h) and rank(h) == 0
@@ -87,6 +92,11 @@ class TestConjugate:
         assert rank(c) == 1
         labels = sorted(l for *_, l in c.graph.edges)
         assert labels == [1, 2]
+
+    @pytest.mark.parametrize("g", [(3,), (1, 3), (-3, 3)])
+    def test_letter_outside_alphabet_rejected(self, g):
+        with pytest.raises(ValueError, match="letter 3 outside alphabet 1..2"):
+            conjugate(sg("ab", "B"), g)
 
     def test_round_trip(self):
         h = sg("abA", "bb")

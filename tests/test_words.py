@@ -60,6 +60,15 @@ class TestFreeReduce:
     def test_nested(self):
         assert free_reduce(w("abBAc")) == w("c")
 
+    @pytest.mark.parametrize("word", [(0,), (1, 0, -1), (1, 2, 0)])
+    def test_zero_letter_rejected(self, word):
+        with pytest.raises(ValueError, match="letters must be nonzero"):
+            free_reduce(word)
+
+    def test_reduced_input_returned_as_tuple(self):
+        assert free_reduce([1, 2, -1]) == (1, 2, -1)
+        assert free_reduce(()) == ()
+
 
 class TestCyclicReduce:
     def test_single_conjugating_letter(self):
