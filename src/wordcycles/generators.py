@@ -3,7 +3,10 @@ staggered presentations.
 
 Every generator is a deterministic function of its seed.  Trial seeds are
 derived from (master seed, trial index) with a stable hash so that suites
-can fan out without changing results.
+can fan out without changing results.  The hash is BLAKE2b, taken from the
+builtin _blake2 module: hashlib.blake2b is that same function, but importing
+hashlib also maps OpenSSL's libcrypto (about 3.5 MB of resident memory),
+which nothing here uses.
 
 Stream contract: draws are defined on rng.getrandbits and rng.random, so
 instances do not depend on how the stdlib implements shuffle or choice.  An
@@ -13,9 +16,13 @@ used where random.Random's shuffle, choice and randint use one.
 
 from __future__ import annotations
 
-import hashlib
 import random
 from dataclasses import dataclass, replace
+
+try:  # as random.py takes _sha512: hashlib is heavy to load
+    from _blake2 import blake2b
+except ImportError:
+    from hashlib import blake2b
 
 from .graphs import LabeledDigraph, component_containing
 from .complexes import StaggeredPresentation, is_staggered
@@ -44,9 +51,10 @@ class TrialConfig:
 
 
 def trial_seed(master_seed: int, index: int) -> int:
-    digest = hashlib.blake2b(
-        f"{master_seed}:{index}".encode(), digest_size=8
-    ).digest()
+    """The 8-byte BLAKE2b digest of f"{master_seed}:{index}", read as a
+    big-endian int.  A failure payload records this seed, and replay relies
+    on it: random.Random(seed) redraws the trial's instance."""
+    digest = blake2b(f"{master_seed}:{index}".encode(), digest_size=8).digest()
     return int.from_bytes(digest, "big")
 
 

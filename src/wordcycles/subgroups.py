@@ -5,6 +5,7 @@ from __future__ import annotations
 import warnings
 from collections import defaultdict
 from dataclasses import dataclass
+from itertools import chain
 
 from .graphs import (
     BettiReport,
@@ -43,10 +44,11 @@ def _read(g: LabeledDigraph, words: list[Word], loops: bool) -> LabeledDigraph:
     basepoint too, so only the unread middle is new; where the walks meet at
     two vertices a walked edge is added again, and that clash, or one of the
     middle's ends with the other, is left to fold.  Without, the one word's
-    end becomes the basepoint, and nothing clashes."""
+    end becomes the basepoint, and nothing clashes.  The callers check the
+    letters against the alphabet first, with _require_letters."""
     alphabet, n, base = g.alphabet, g.num_vertices, g.basepoint
     size = n + sum(map(len, words))
-    rows = defaultdict(lambda: [-1] * size)  # a letter outside the alphabet gets its own row
+    rows = defaultdict(lambda: [-1] * size)
     edges = list(g.edges)
     for s, d, l in edges:
         rows[l][s], rows[-l][d] = d, s
@@ -73,15 +75,21 @@ def _read(g: LabeledDigraph, words: list[Word], loops: bool) -> LabeledDigraph:
         x = w[j - 1]
         rows[x][v], rows[-x][u] = u, v
         edges.append((v, u, x) if x > 0 else (u, v, -x))
-    if max(map(abs, rows), default=0) > alphabet:  # rows holds every letter read
-        raise ValueError(f"letter {max(map(abs, rows))} outside alphabet 1..{alphabet}")
     return LabeledDigraph(alphabet, n, tuple(edges), base)
+
+
+def _require_letters(words: list[Word], alphabet: int) -> None:
+    """Every letter of the raw words lies in 1..alphabet, letters that free
+    reduction would cancel included; one scan in C."""
+    if (top := max(map(abs, chain.from_iterable(words)), default=0)) > alphabet:
+        raise ValueError(f"letter {top} outside alphabet 1..{alphabet}")
 
 
 def stallings_graph(gens: list[Word], alphabet: int) -> SubgroupGraph:
     """Read the generators' loops in at a base vertex, fold a clash, core."""
     if alphabet < 1:
         raise ValueError("alphabet must be nonempty")
+    _require_letters(gens, alphabet)
     reduced = []
     for w in gens:
         r = free_reduce(w)
@@ -116,6 +124,7 @@ def contains(h: SubgroupGraph, w: Word) -> bool:
 def conjugate(h: SubgroupGraph, g: Word) -> SubgroupGraph:
     """The subgroup graph of g^-1 H g: g is read from the basepoint, which
     moves to its end, then core; no fold is needed."""
+    _require_letters([g], h.graph.alphabet)
     return SubgroupGraph(canonical_form(core(_read(h.graph, [tuple(g)], loops=False))))
 
 

@@ -8,8 +8,10 @@ the check's report has ``passed`` and, for a theorem with a hypothesis,
 ``applicable``.  Only ``run_suite`` writes a VerdictReport: a trial passes
 when its report passed or was not applicable, ``qualifying`` counts the
 applicable trials of a suite that counts them, and all failure payloads
-share one shape.  Every check decides its instance, so the inconclusive
-count, kept in the report's JSON, reads 0.
+share one shape.  A payload p replays its trial: ``SUITES[p["suite"]].draw(
+TrialConfig(**p["config"]), p["trial"], random.Random(p["trial_seed"]))``
+redraws the instance.  Every check decides its instance, so the
+inconclusive count, kept in the report's JSON, reads 0.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 import random
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from types import SimpleNamespace
 from typing import Callable
 
@@ -235,14 +237,16 @@ def run_suite(name: str, cfg: TrialConfig) -> VerdictReport:
                            qualifying=0 if suite.counts_qualifying else None)
     start = time.perf_counter()
     for i in range(report.trials):
-        instance = suite.draw(cfg, i, random.Random(trial_seed(cfg.master_seed, i)))
+        seed = trial_seed(cfg.master_seed, i)
+        instance = suite.draw(cfg, i, random.Random(seed))
         res = check(**instance)
         applicable = getattr(res, "applicable", True)
         if res.passed or not applicable:
             report.passes += 1
-        else:  # one payload shape: trial index, instance, the report's counts
+        else:  # one payload shape: what replays the trial, instance, counts
             report.failures.append(
-                {"trial": i, **{k: _encode(v) for k, v in instance.items()},
+                {"suite": name, "trial": i, "trial_seed": seed, "config": asdict(cfg),
+                 **{k: _encode(v) for k, v in instance.items()},
                  **{k: v for k, v in vars(res).items() if type(v) is int}})
         if applicable and suite.counts_qualifying:
             report.qualifying += 1

@@ -50,7 +50,8 @@ class TestStallingsGraph:
         with pytest.raises(ValueError):
             stallings_graph([w("a")], 0)
 
-    @pytest.mark.parametrize("gens", [[(-2,), (3,)], [(3,)], [(1, -3, 2)]])
+    @pytest.mark.parametrize("gens", [[(-2,), (3,)], [(3,)], [(1, -3, 2)],
+                                      [(3, -3), (1,)], [(1, -3, 3)]])
     def test_letter_outside_alphabet_rejected(self, gens):
         with pytest.raises(ValueError, match="letter 3 outside alphabet 1..2"):
             stallings_graph(gens, 2)

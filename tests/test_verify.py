@@ -1,12 +1,15 @@
 import inspect
 import json
+import random
 import sys
+from dataclasses import asdict
 from types import SimpleNamespace
 
 import pytest
 
-from wordcycles.generators import TrialConfig
-from wordcycles.verify import SUITES, run_suite
+from wordcycles import verify
+from wordcycles.generators import TrialConfig, trial_seed
+from wordcycles.verify import SUITES, _encode, run_suite
 
 SMALL = TrialConfig(
     master_seed=11, trials=25, max_vertices=8, alphabet=2, max_word_length=6
@@ -72,10 +75,10 @@ def test_different_seed_different_instances():
     assert trial_seed(11, 0) != trial_seed(12, 0)
 
 
-@pytest.mark.parametrize("name", sorted(SUITES))
-def test_failure_payloads(monkeypatch, name):
-    # plant, through the module attribute run_suite looks up, a check whose
-    # every report fails; applicable is left as the real check set it
+def plant_failing_check(monkeypatch, name):
+    """Plant, through the module attribute run_suite looks up, a check whose
+    every report fails; applicable is left as the real check set it.  Returns
+    the real check and the list its reports are appended to."""
     module, _, function = SUITES[name].check.partition(".")
     owner = sys.modules[f"wordcycles.{module}"]
     check, reports = getattr(owner, function), []
@@ -86,6 +89,12 @@ def test_failure_payloads(monkeypatch, name):
         return SimpleNamespace(**{**vars(res), "passed": False})
 
     monkeypatch.setattr(owner, function, failing)
+    return check, reports
+
+
+@pytest.mark.parametrize("name", sorted(SUITES))
+def test_failure_payloads(monkeypatch, name):
+    check, reports = plant_failing_check(monkeypatch, name)
     report = run_suite(name, SMALL)
     assert report.passes + report.failure_count == report.trials == len(reports)
     applicable = [i for i, res in enumerate(reports) if getattr(res, "applicable", True)]
@@ -94,6 +103,36 @@ def test_failure_payloads(monkeypatch, name):
     for payload in report.failures:
         counts = {k: v for k, v in vars(reports[payload["trial"]]).items()
                   if type(v) is int}
-        assert set(payload) == {"trial", *params, *counts}
+        assert set(payload) == {"suite", "trial", "trial_seed", "config",
+                                *params, *counts}
         assert {k: payload[k] for k in counts} == counts
+        assert payload["suite"] == name
+        assert payload["trial_seed"] == trial_seed(SMALL.master_seed, payload["trial"])
+        assert payload["config"] == asdict(SMALL)
     json.dumps(report.to_json())
+
+
+@pytest.mark.parametrize("name", sorted(SUITES))
+def test_payload_replays_its_trial(monkeypatch, name):
+    # the payload alone, through JSON, redraws the instance it records
+    check, _ = plant_failing_check(monkeypatch, name)
+    report = run_suite(name, SMALL)
+    p = json.loads(json.dumps(report.failures[-1]))
+    instance = SUITES[p["suite"]].draw(TrialConfig(**p["config"]), p["trial"],
+                                       random.Random(p["trial_seed"]))
+    assert set(instance) == set(inspect.signature(check).parameters)
+    encoded = json.loads(json.dumps({k: _encode(v) for k, v in instance.items()}))
+    assert encoded == {k: p[k] for k in instance}
+
+
+def test_one_trial_seed_per_trial(monkeypatch):
+    # perfbench times each verify trial by its one trial_seed call
+    indices = []
+
+    def counted(master_seed, index):
+        indices.append(index)
+        return trial_seed(master_seed, index)
+
+    monkeypatch.setattr(verify, "trial_seed", counted)
+    report = run_suite("equality-collapse", SMALL)
+    assert indices == list(range(report.trials))
