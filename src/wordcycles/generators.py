@@ -19,10 +19,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 
-try:  # as random.py takes _sha512: hashlib is heavy to load
-    from _blake2 import blake2b
-except ImportError:
-    from hashlib import blake2b
+# hashlib.blake2b is this object, and hashlib defines it only when _blake2
+# imports (OpenSSL never supplies blake2), so a hashlib fallback would fail too.
+from _blake2 import blake2b
 
 from .graphs import LabeledDigraph, component_containing
 from .complexes import StaggeredPresentation, is_staggered

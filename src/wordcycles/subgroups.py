@@ -79,8 +79,9 @@ def _read(g: LabeledDigraph, words: list[Word], loops: bool) -> LabeledDigraph:
 
 
 def _require_letters(words: list[Word], alphabet: int) -> None:
-    """Every letter of the raw words lies in 1..alphabet, letters that free
-    reduction would cancel included; one scan in C."""
+    """No letter of the raw words exceeds alphabet in absolute value, letters
+    that free reduction would cancel included; one scan in C.  A zero letter
+    is left to the caller."""
     if (top := max(map(abs, chain.from_iterable(words)), default=0)) > alphabet:
         raise ValueError(f"letter {top} outside alphabet 1..{alphabet}")
 
@@ -124,6 +125,8 @@ def contains(h: SubgroupGraph, w: Word) -> bool:
 def conjugate(h: SubgroupGraph, g: Word) -> SubgroupGraph:
     """The subgroup graph of g^-1 H g: g is read from the basepoint, which
     moves to its end, then core; no fold is needed."""
+    if 0 in g:  # stallings_graph rejects zero through free_reduce
+        raise ValueError("letters must be nonzero")
     _require_letters([g], h.graph.alphabet)
     return SubgroupGraph(canonical_form(core(_read(h.graph, [tuple(g)], loops=False))))
 

@@ -99,6 +99,11 @@ class TestConjugate:
         with pytest.raises(ValueError, match="letter 3 outside alphabet 1..2"):
             conjugate(sg("ab", "B"), g)
 
+    @pytest.mark.parametrize("g", [(0,), (1, 0, -1)])
+    def test_zero_letter_rejected(self, g):
+        with pytest.raises(ValueError, match="letters must be nonzero"):
+            conjugate(sg("ab", "B"), g)
+
     def test_round_trip(self):
         h = sg("abA", "bb")
         back = conjugate(conjugate(h, w("ab")), w("BA"))
