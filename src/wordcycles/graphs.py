@@ -216,39 +216,17 @@ def betti(g: LabeledDigraph) -> BettiReport:
 # Stallings folding
 
 
-def fold(g: LabeledDigraph, rng: random.Random | None = None) -> LabeledDigraph:
-    """Fold g until deterministic (worklist union-find, after Touikan 2006).
-
-    Each label on some edge gets two rows over the vertices, one per signed
-    letter, holding at a class root a vertex the letter leads to from that
-    class, or -1: memory is O(V * labels used + E) whatever the alphabet.
-    Two same-letter edges at one class put their far ends on a worklist of
-    pending merges; a merge copies the smaller class's row entries into the
-    larger's and pushes each clash.  A merge costs O(labels used), so the
-    fold is near-linear.  Parallel duplicates collapse.
-
-    Output vertices are numbered by the least input vertex of their class,
-    and edges are sorted.  The result is independent of the merge order up
-    to canonical form; an rng pops the worklist in random order (used to
-    test exactly that), each index drawn from rng.getrandbits as
-    rng.randrange would draw it, otherwise it is popped last-in first-out.
-    """
-    n = g.num_vertices
+def _merge(rows: list[list[int]], n: int, pending: list[tuple[int, int]],
+           getrandbits=None) -> list[int]:
+    """Merge the vertex pairs on the pending worklist, and each pair a merge
+    makes clash, on rows: a row per signed letter, holding at a class root
+    a vertex the letter leads to from the class, or -1.  A merge copies the
+    smaller class's root entries into the larger's, O(len(rows)).  Pops
+    last-in first-out, or at indices drawn from getrandbits as
+    rng.randrange would draw them.  Returns the union-find parents."""
     parent = list(range(n))
     size = [1] * n
-    rows = {l: ([-1] * n, [-1] * n) for l in {l for _, _, l in g.edges}}  # (out, in)
-    pending: list[tuple[int, int]] = []
     push, pop = pending.append, pending.pop
-    for s, d, l in g.edges:
-        out, into = rows[l]
-        if out[s] >= 0:  # two same-letter edges at s: their far ends fold
-            push((out[s], d))
-        if into[d] >= 0:
-            push((into[d], s))
-        out[s], into[d] = d, s
-    all_rows = [row for pair in rows.values() for row in pair]
-
-    getrandbits = rng.getrandbits if rng is not None else None
     while pending:
         if getrandbits is not None:  # i = rng.randrange(len(pending)), inlined
             k = len(pending).bit_length()
@@ -266,12 +244,43 @@ def fold(g: LabeledDigraph, rng: random.Random | None = None) -> LabeledDigraph:
             a, b = b, a
         parent[a] = b
         size[b] += size[a]
-        for row in all_rows:
+        for row in rows:
             if (u := row[a]) >= 0:
                 if (other := row[b]) < 0:
                     row[b] = u
                 elif u != other:
                     push((other, u))
+    return parent
+
+
+def fold(g: LabeledDigraph, rng: random.Random | None = None) -> LabeledDigraph:
+    """Fold g until deterministic (worklist union-find, after Touikan 2006).
+
+    Each label on some edge gets two rows over the vertices, one per signed
+    letter: memory is O(V * labels used + E) whatever the alphabet.  Two
+    same-letter edges at one vertex put their far ends on the worklist of
+    _merge, whose merges cost O(labels used), so the fold is near-linear.
+    Parallel duplicates collapse.
+
+    Output vertices are numbered by the least input vertex of their class,
+    and edges are sorted.  The result is independent of the merge order up
+    to canonical form; an rng pops the worklist in random order (used to
+    test exactly that), each index drawn from rng.getrandbits as
+    rng.randrange would draw it, otherwise it is popped last-in first-out.
+    """
+    n = g.num_vertices
+    rows = {l: ([-1] * n, [-1] * n) for l in {l for _, _, l in g.edges}}  # (out, in)
+    pending: list[tuple[int, int]] = []
+    push = pending.append
+    for s, d, l in g.edges:
+        out, into = rows[l]
+        if out[s] >= 0:  # two same-letter edges at s: their far ends fold
+            push((out[s], d))
+        if into[d] >= 0:
+            push((into[d], s))
+        out[s], into[d] = d, s
+    parent = _merge([row for pair in rows.values() for row in pair], n, pending,
+                    rng.getrandbits if rng is not None else None)
 
     roots: list[int] = []  # in the order of their classes' least vertices
     root_number = [-1] * n
@@ -291,36 +300,46 @@ def fold(g: LabeledDigraph, rng: random.Random | None = None) -> LabeledDigraph:
     return LabeledDigraph(g.alphabet, len(roots), new_edges, base)
 
 
-def core(g: LabeledDigraph) -> LabeledDigraph:
-    """Spur removal: delete degree-1 vertices other than the basepoint.
-
-    Spurs go in rounds: every spur of a round loses its one edge, read from
-    its successor slots, and only the far ends of those edges can be spurs
-    of the next round.  So an isolated edge loses both ends at once, and a
-    vertex whose degree drops to 0 stays.  O(V*alphabet + E); g itself when
-    it has no spur.
-    """
-    base = g.basepoint
-    if base is None:
-        raise ValueError("core: graph has no basepoint")
-    require_valid(g)
-    degree = [0] * g.num_vertices + [-1]  # -1 once removed; the sink always is
-    for s, d, _ in g.edges:
+def _strip_spurs(rows, n: int, edges, base: int) -> list[int] | None:
+    """Remove the spurs, degree-1 vertices other than base, of the graph on
+    vertices 0..n-1 with these edges, in rounds; the degrees left, -1 for a
+    removed vertex, or None if there was no spur.  rows[i][v] is where the
+    i-th signed letter leads from v: the sink n, or -1, if nowhere.  Every
+    spur of a round loses its one live edge, and only the far ends of those
+    edges can be spurs of the next round, so an isolated edge loses both
+    ends at once, and a vertex whose degree drops to 0 stays."""
+    degree = [0] * n + [-1]  # the sink's -1 is also degree[-1]
+    for s, d, _ in edges:
         degree[s] += 1
         degree[d] += 1
     spurs = [v for v, k in enumerate(degree) if k == 1 and v != base]
     if not spurs:
-        return g
+        return None
     while spurs:  # an edge is gone once either end is
         far_ends = []
         for v in spurs:
             degree[v] = -1
-            for row in g.successor:
+            for row in rows:
                 u = row[v]
                 if degree[u] >= 0:  # v's one live edge
                     degree[u] -= 1
                     far_ends.append(u)
         spurs = [u for u in set(far_ends) if degree[u] == 1 and u != base]
+    return degree
+
+
+def core(g: LabeledDigraph) -> LabeledDigraph:
+    """Spur removal (_strip_spurs): delete degree-1 vertices other than the
+    basepoint, reading each spur's edge from its successor slots.
+    O(V*alphabet + E); g itself when it has no spur.
+    """
+    base = g.basepoint
+    if base is None:
+        raise ValueError("core: graph has no basepoint")
+    require_valid(g)
+    degree = _strip_spurs(g.successor, g.num_vertices, g.edges, base)
+    if degree is None:
+        return g
     number = list(accumulate((k >= 0 for k in degree), initial=0))  # kept before v
     new_edges = tuple((number[s], number[d], l) for s, d, l in g.edges
                       if degree[s] >= 0 and degree[d] >= 0)
@@ -367,9 +386,11 @@ def walk(g: LabeledDigraph, v: int, letters) -> int:
     return v
 
 
-def _bfs_numbering(g: LabeledDigraph, start: int) -> LabeledDigraph:
-    rows = letter_steps(g, [x for l in range(1, g.alphabet + 1) for x in (l, -l)])
-    number: list[int | None] = [None] * g.num_vertices + [-1]  # the sink is never queued
+def _bfs_number(rows, number: list, start: int) -> int:
+    """Number vertices breadth-first from start along rows, the successor
+    rows of the letters 1, -1, 2, -2, ...: number[v], None for a vertex to
+    number and -1 for one never to queue (the sink, a removed vertex),
+    becomes v's place in the order.  Returns the count numbered."""
     number[start] = 0
     order = [start]
     for v in order:  # order grows while it is read: the BFS queue
@@ -378,11 +399,24 @@ def _bfs_numbering(g: LabeledDigraph, start: int) -> LabeledDigraph:
             if number[u] is None:
                 number[u] = len(order)
                 order.append(u)
-    if len(order) < g.num_vertices:  # g is deterministic, so every edge was crossed
+    return len(order)
+
+
+def _renumbered(number: list, edges) -> tuple[Edge, ...]:
+    """The edges with their ends renumbered, sorted."""
+    renumbered = [(number[s], number[d], l) for s, d, l in edges]
+    renumbered.sort()
+    return tuple(renumbered)
+
+
+def _bfs_numbering(g: LabeledDigraph, start: int) -> LabeledDigraph:
+    rows = letter_steps(g, [x for l in range(1, g.alphabet + 1) for x in (l, -l)])
+    number: list[int | None] = [None] * g.num_vertices + [-1]  # the sink is never queued
+    if _bfs_number(rows, number, start) < g.num_vertices:
+        # g is deterministic, so every edge was crossed
         raise ValueError("canonical_form: graph must be connected")
-    edges = tuple(sorted((number[s], number[d], l) for s, d, l in g.edges))
     base = number[g.basepoint] if g.basepoint is not None else None
-    return LabeledDigraph(g.alphabet, g.num_vertices, edges, base)
+    return LabeledDigraph(g.alphabet, g.num_vertices, _renumbered(number, g.edges), base)
 
 
 def canonical_form(g: LabeledDigraph) -> LabeledDigraph:
@@ -400,6 +434,21 @@ def canonical_form(g: LabeledDigraph) -> LabeledDigraph:
         (_bfs_numbering(g, start) for start in range(g.num_vertices)),
         key=lambda h: h.edges,
     )
+
+
+def _core_form(alphabet: int, rows: dict[int, list[int]], n: int, edges,
+               base: int) -> LabeledDigraph:
+    """canonical_form(core(g)) for the connected deterministic graph g with
+    these edges and base, read off its slot rows: rows[x][v] is where
+    letter x leads from v, or -1, for each letter x on an edge.  g's
+    vertices are base and the ends of its edges, all below n."""
+    steps = [rows[x] for x in sorted(rows, key=lambda x: (abs(x), -x))]  # 1, -1, 2, ...
+    number = [None] * n + [-1]
+    if (degree := _strip_spurs(steps, n, edges, base)) is not None:
+        number = [None if k >= 0 else -1 for k in degree]
+        edges = [(s, d, l) for s, d, l in edges if degree[s] >= 0 and degree[d] >= 0]
+    count = _bfs_number(steps, number, base)
+    return LabeledDigraph(alphabet, count, _renumbered(number, edges), 0)
 
 
 def isomorphic(g1: LabeledDigraph, g2: LabeledDigraph) -> bool:

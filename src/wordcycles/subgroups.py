@@ -9,11 +9,12 @@ from itertools import chain
 
 from .graphs import (
     BettiReport,
+    Edge,
     LabeledDigraph,
+    _core_form,
+    _merge,
     betti,
-    canonical_form,
     circle,
-    core,
     fiber_product,
     fold,
     is_connected,
@@ -37,31 +38,33 @@ class SubgroupGraph:
             raise ValueError("subgroup graph needs a basepoint")
 
 
-def _read(g: LabeledDigraph, words: list[Word], loops: bool) -> LabeledDigraph:
-    """g with each word read in at its basepoint, following g's edges and
-    creating the missing ones; rows are kept for the letters in use only.
-    With loops, each word is a freely reduced loop, walked backwards into the
-    basepoint too, so only the unread middle is new; where the walks meet at
-    two vertices a walked edge is added again, and that clash, or one of the
-    middle's ends with the other, is left to fold.  Without, the one word's
-    end becomes the basepoint, and nothing clashes.  The callers check the
-    letters against the alphabet first, with _require_letters."""
-    alphabet, n, base = g.alphabet, g.num_vertices, g.basepoint
+def _read(g: LabeledDigraph, words: list[Word], loops: bool):
+    """Read each word in at g's basepoint, following g's edges and creating
+    the missing ones, on slot rows: rows[x][v] is where letter x leads from
+    v, or -1, for the letters in use.  Returns (rows, edges, n, base,
+    pending), pending the vertex pairs that clashes force together.  With
+    loops, each word is a freely reduced loop, walked backwards into the
+    basepoint too, so only the unread middle is new; the two vertices where
+    the walks meet, or the far ends of the middle's first and last edges
+    where both leave one vertex by the same letter, are pending.  Without,
+    the one word's end becomes the basepoint, and nothing clashes.  The
+    callers check the letters first, with _require_letters."""
+    n, base = g.num_vertices, g.basepoint
     size = n + sum(map(len, words))
     rows = defaultdict(lambda: [-1] * size)
     edges = list(g.edges)
     for s, d, l in edges:
         rows[l][s], rows[-l][d] = d, s
+    pending = []
     for w in words:
         v, i, u, j = base, 0, base, len(w)
-        while i < j and (t := rows[w[i]][v]) >= 0:  # forwards: p reads w[i-1] to v
-            p, v, i = v, t, i + 1
-        while loops and j > i and (t := rows[-w[j - 1]][u]) >= 0:  # backwards: q to u
-            q, u, j = u, t, j - 1
+        while i < j and (t := rows[w[i]][v]) >= 0:  # forwards: w[:i] reads to v
+            v, i = t, i + 1
+        while loops and j > i and (t := rows[-w[j - 1]][u]) >= 0:  # backwards: w[j:] from u
+            u, j = t, j - 1
         if loops and i == j:
-            if v != u:  # the walks meet at two vertices: add a walked edge again
-                s, d, x = (p, u, w[i - 1]) if i else (v, q, w[0])
-                edges.append((s, d, x) if x > 0 else (d, s, -x))
+            if v != u:  # the walks meet at two vertices
+                pending.append((v, u))
             continue
         for x in w[i:j - 1] if loops else w[i:]:  # follow or create
             if (t := rows[x][v]) < 0:
@@ -73,9 +76,31 @@ def _read(g: LabeledDigraph, words: list[Word], loops: bool) -> LabeledDigraph:
             base = v
             break
         x = w[j - 1]
+        if (t := rows[-x][u]) >= 0:  # the first new edge also leaves u reading -x
+            pending.append((t, v))
         rows[x][v], rows[-x][u] = u, v
         edges.append((v, u, x) if x > 0 else (u, v, -x))
-    return LabeledDigraph(alphabet, n, tuple(edges), base)
+    return rows, edges, n, base, pending
+
+
+def _fold_clashes(rows: dict[int, list[int]], n: int, base: int,
+                  pending) -> tuple[list[Edge], int]:
+    """Merge the pending vertex pairs on rows, then point each class root's
+    slots at class roots; the folded graph's edges, between the roots, and
+    base's root."""
+    parent = _merge(list(rows.values()), n, pending)
+    root = []
+    for v in range(n):
+        while (up := parent[v]) != v:  # find, inlined, halving the path
+            parent[v] = v = parent[up]
+        root.append(v)
+    roots = [v for v in range(n) if root[v] == v]
+    for row in rows.values():
+        for r in roots:
+            if (u := row[r]) >= 0:
+                row[r] = root[u]
+    return [(r, row[r], x) for x, row in rows.items() if x > 0
+            for r in roots if row[r] >= 0], root[base]
 
 
 def _require_letters(words: list[Word], alphabet: int) -> None:
@@ -87,7 +112,9 @@ def _require_letters(words: list[Word], alphabet: int) -> None:
 
 
 def stallings_graph(gens: list[Word], alphabet: int) -> SubgroupGraph:
-    """Read the generators' loops in at a base vertex, fold a clash, core."""
+    """Read the generators' loops in at a base vertex on slot rows, merge
+    the vertex pairs its clashes force together on the same rows, then core
+    and number the result canonically in one pass."""
     if alphabet < 1:
         raise ValueError("alphabet must be nonempty")
     _require_letters(gens, alphabet)
@@ -102,10 +129,11 @@ def stallings_graph(gens: list[Word], alphabet: int) -> SubgroupGraph:
             )
         if r:
             reduced.append(r)
-    g = _read(LabeledDigraph(alphabet, 1, (), 0), reduced, loops=True)
-    if not g.deterministic:
-        g = fold(g)
-    return SubgroupGraph(canonical_form(core(g)))
+    rows, edges, n, base, pending = _read(LabeledDigraph(alphabet, 1, (), 0), reduced,
+                                          loops=True)
+    if pending:
+        edges, base = _fold_clashes(rows, n, base, pending)
+    return SubgroupGraph(_core_form(alphabet, rows, n, edges, base))
 
 
 def rank(h: SubgroupGraph) -> int:
@@ -123,41 +151,48 @@ def contains(h: SubgroupGraph, w: Word) -> bool:
 
 
 def conjugate(h: SubgroupGraph, g: Word) -> SubgroupGraph:
-    """The subgroup graph of g^-1 H g: g is read from the basepoint, which
-    moves to its end, then core; no fold is needed."""
+    """The subgroup graph of g^-1 H g: g is read from the basepoint on H's
+    slot rows, the basepoint moves to its end, and one pass cores and
+    numbers the result; nothing clashes, so nothing is merged."""
     if 0 in g:  # stallings_graph rejects zero through free_reduce
         raise ValueError("letters must be nonzero")
     _require_letters([g], h.graph.alphabet)
-    return SubgroupGraph(canonical_form(core(_read(h.graph, [tuple(g)], loops=False))))
+    rows, edges, n, base, _ = _read(h.graph, [tuple(g)], loops=False)
+    return SubgroupGraph(_core_form(h.graph.alphabet, rows, n, edges, base))
 
 
 def intersect(h1: SubgroupGraph, h2: SubgroupGraph) -> SubgroupGraph:
     """Based component of the fiber product, cored: the intersection.
 
     Only the based component is built, breadth-first from the basepoint
-    pair, so the cost follows its size rather than |V1|*|V2|.
+    pair, so the cost follows its size rather than |V1|*|V2|.  The search
+    records the component's slot rows as it goes, and one pass cores and
+    numbers them.
     """
     g1, g2 = h1.graph, h2.graph
     if g1.alphabet != g2.alphabet:
         raise ValueError("alphabet mismatch")
     sink1, n2 = g1.num_vertices, g2.num_vertices
     letters = [x for l in range(1, g1.alphabet + 1) for x in (l, -l)]
-    steps = list(zip(letter_steps(g1, letters), letter_steps(g2, letters), letters))
+    rows = {x: [] for x in letters}  # the product's slot rows, a vertex at a time
+    steps = list(zip(letter_steps(g1, letters), letter_steps(g2, letters), letters,
+                     rows.values()))
     number = {g1.basepoint * n2 + g2.basepoint: 0}  # pair (u1, u2) is u1 * n2 + u2
     order = [(g1.basepoint, g2.basepoint)]
     edges = []
     for src, (v1, v2) in enumerate(order):  # order grows while it is read: the BFS queue
-        for row1, row2, x in steps:
+        for row1, row2, x, row in steps:
             u1, u2 = row1[v1], row2[v2]
             if u1 == sink1 or u2 == n2:  # n2 is g2's sink
+                row.append(-1)
                 continue
             dst = number.setdefault(u1 * n2 + u2, len(order))
             if dst == len(order):
                 order.append((u1, u2))
+            row.append(dst)
             if x > 0:  # each edge is added once, from its source
                 edges.append((src, dst, x))
-    based = LabeledDigraph(g1.alphabet, len(order), tuple(edges), 0)
-    return SubgroupGraph(canonical_form(core(based)))
+    return SubgroupGraph(_core_form(g1.alphabet, rows, len(order), edges, 0))
 
 
 @dataclass(frozen=True)
@@ -171,8 +206,7 @@ class ConjugatesReport:
 def count_conjugates_meeting(h: SubgroupGraph, w: Word) -> ConjugatesReport:
     """Distinct conjugates of the maximal cyclic subgroup generated by w that
     meet H nontrivially: one per cycle class; at most rank(H)."""
-    require_simple_cyclic(w)
-    count = decompose(h.graph, w).class_count
+    count = decompose(h.graph, w).class_count  # decompose checks w first
     r = rank(h)
     return ConjugatesReport(w, count, r, count <= r)
 
@@ -199,7 +233,8 @@ def check_shnc(g1: SubgroupGraph, g2: SubgroupGraph) -> RedRankReport:
         if not is_connected(h.graph):
             raise ValueError("check_shnc: factors must be connected")
     report = betti(fiber_product(g1.graph, g2.graph))
-    lhs = sum(map(reduced_rank, report.bettis))
+    b = report.bettis
+    lhs = sum(b) - len(b) + b.count(0)  # each component's reduced rank, summed
     rhs = reduced_rank(betti(g1.graph).total) * reduced_rank(betti(g2.graph).total)
     return RedRankReport(report, lhs, rhs, lhs <= rhs)
 

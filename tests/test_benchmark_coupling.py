@@ -9,7 +9,8 @@ judgement.  This test installs the same kind of wrapper, checks what it
 sees against the brute-force oracle and a breadth-first component count,
 and requires each suite to go through it.  perfbench's tracer wraps the
 subgroups checks the same way, so each suite must call its check through
-the module name, not through a function object it holds.  perfbench also
+the module name, not through a function object it holds, and the fold
+confluence suite must fold through graphs.fold.  perfbench also
 reads CollapseResult.exhaustive_used (layers.py), NpiReport.branch and each
 VerdictReport's inconclusive and qualifying counts (workloads.py, run.py).
 """
@@ -41,6 +42,7 @@ CONFIGS = {
     "conjugates": dict(max_vertices=10, alphabet=2, max_word_length=6),
     "staggered": dict(max_vertices=10, alphabet=3, max_word_length=6),
     "shnc": dict(max_vertices=8, alphabet=2, max_word_length=5),
+    "fold-confluence": dict(max_vertices=10, alphabet=2, max_word_length=8),
 }
 DECOMPOSING = ["main", "strict", "npi", "equality-collapse", "restated", "conjugates",
                "staggered"]
@@ -152,6 +154,27 @@ def test_tracer_sees_every_check(monkeypatch):
         report = run_suite(suite, TrialConfig(master_seed=11, trials=20, **CONFIGS[suite]))
         assert report.failure_count == 0
         assert calls[name] - before >= report.trials, suite
+
+
+def test_fold_confluence_folds_through_the_module_name(monkeypatch):
+    # perfbench/selftest.py plants a graphs.fold that returns a rose, which
+    # only a comparison with an independent fold shows.  Stallings graphs,
+    # conjugates and intersections are built without fold, so the fold
+    # confluence check is what must call it, twice a trial, by module name.
+    calls = 0
+
+    def make(fn):
+        def fold(g, rng=None):
+            nonlocal calls
+            calls += 1
+            return fn(g, rng)
+        return fold
+
+    patch_everywhere(monkeypatch, graphs, "fold", make)
+    config = TrialConfig(master_seed=11, trials=20, **CONFIGS["fold-confluence"])
+    report = run_suite("fold-confluence", config)
+    assert report.failure_count == 0
+    assert calls >= 2 * report.trials
 
 
 def test_wrapper_sees_a_wrong_count(monkeypatch):

@@ -45,6 +45,7 @@ from wordcycles.generators import (
 )
 from wordcycles.graphs import (
     LabeledDigraph,
+    _core_form,
     betti,
     canonical_form,
     component_containing,
@@ -683,9 +684,33 @@ def raw_generator_sets(draw):
     return draw(st.permutations(gens)), alphabet
 
 
+@st.composite
+def cascading_generator_sets(draw):
+    """(generators, alphabet) over 1-3 letters built to make reading clash
+    and its merges cascade: words sharing a drawn prefix and suffix, so
+    that they are read wholly forwards or backwards along each other, words
+    whose whole reading follows earlier ones, their inverses and cyclic
+    shifts, and unreduced words such as u x X v."""
+    alphabet = draw(st.integers(1, 3))
+    letter = letters_from(list(range(1, alphabet + 1)))
+    part = st.lists(letter, max_size=4).map(tuple)
+    prefix, suffix = draw(part), draw(part)
+    gens = [prefix + draw(part) + suffix for _ in range(draw(st.integers(1, 4)))]
+    for _ in range(draw(st.integers(0, 3))):
+        w = draw(st.sampled_from(gens))
+        k = draw(st.integers(0, len(w)))
+        gens.append(draw(st.sampled_from([w[:k], w[k:], w[k:] + w[:k], invert(w),
+                                          w * 2])))
+    if draw(st.booleans()):
+        x = draw(letter)
+        gens.append(draw(part) + (x, -x) + draw(part))
+    return draw(st.permutations(gens)), alphabet
+
+
 class TestStallingsAgainstWedgeFold:
     """stallings_graph reads each word into the graph built so far and
-    folds only a clash; the reference folds the whole wedge."""
+    merges only the vertex pairs a clash forces together; the reference
+    folds the whole wedge."""
 
     @settings(max_examples=400)
     @given(raw_generator_sets())
@@ -694,6 +719,16 @@ class TestStallingsAgainstWedgeFold:
         gens, alphabet = instance
         assert stallings_graph(gens, alphabet).graph == wedge_fold(gens, alphabet)
 
+    @settings(max_examples=400)
+    @given(cascading_generator_sets())
+    @pytest.mark.filterwarnings("ignore:generator")
+    def test_cascading_merges(self, instance):
+        gens, alphabet = instance
+        assert stallings_graph(gens, alphabet).graph == wedge_fold(gens, alphabet)
+
+    # the pairs that reading leaves to merge, by the vertices it numbered
+    PENDING = {("aa", "a"): [(1, 0)], ("ba", "a"): [(0, 1)], ("abA",): [(1, 2)]}
+
     @pytest.mark.parametrize("texts", [
         ("aa", "a"),   # the whole of a is read forwards, ending off the base
         ("ba", "a"),   # the whole of a is read backwards, starting off it
@@ -701,17 +736,22 @@ class TestStallingsAgainstWedgeFold:
     ])
     def test_coincidences_need_fold(self, texts):
         gens = [parse_word(t) for t in texts]
-        assert not _read(LabeledDigraph(2, 1, (), 0), gens, loops=True).deterministic
+        *_, pending = _read(LabeledDigraph(2, 1, (), 0), gens, loops=True)
+        assert pending == self.PENDING[texts]
         assert stallings_graph(gens, 2).graph == wedge_fold(gens, 2)
 
     def test_memory_ignores_declared_alphabet(self):
+        # reading and the finishing pass keep rows for the letters in use only
         tracemalloc.start()
         try:
-            g = _read(LabeledDigraph(10**6, 1, (), 0), [(1, 2), (2, 1)], loops=True)
+            rows, edges, n, base, pending = _read(LabeledDigraph(10**6, 1, (), 0),
+                                                  [(1, 2), (2, 1)], loops=True)
+            g = _core_form(10**6, rows, n, edges, base)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert g == LabeledDigraph(10**6, 3, ((0, 1, 1), (1, 0, 2), (0, 2, 2), (2, 0, 1)), 0)
+        assert pending == []
+        assert g == LabeledDigraph(10**6, 3, ((0, 1, 1), (0, 2, 2), (1, 0, 2), (2, 0, 1)), 0)
         assert peak < 1 << 20
 
 
@@ -731,6 +771,12 @@ class TestConjugateAgainstRefold:
     def test_never_folds(self):
         h = stallings_graph([parse_word("aba"), parse_word("bb")], 2)
         with mock.patch("wordcycles.subgroups.fold", side_effect=AssertionError):
+            for g in ("", "a", "ab", "bA", "aAb", "BBa", "abab"):
+                conjugate(h, parse_word(g))
+
+    def test_never_merges(self):
+        h = stallings_graph([parse_word("aba"), parse_word("bb")], 2)
+        with mock.patch("wordcycles.subgroups._merge", side_effect=AssertionError):
             for g in ("", "a", "ab", "bA", "aAb", "BBa", "abab"):
                 conjugate(h, parse_word(g))
 
