@@ -35,6 +35,8 @@ def trace(g: LabeledDigraph, v: int, w: Word) -> tuple[int, tuple[Step, ...]] | 
     require_valid(g)
     if not w or not is_reduced(w):
         raise ValueError("trace: word must be reduced and nonempty")
+    if 0 in w:
+        raise ValueError("letters must be nonzero")
     if not (0 <= v < g.num_vertices):
         raise ValueError(f"trace: vertex {v} not in graph")
     sink, table, path = g.num_vertices, g.letter_table, []

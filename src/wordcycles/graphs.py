@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import random
+from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import accumulate
 
@@ -253,68 +254,90 @@ def _merge(rows: list[list[int]], n: int, pending: list[tuple[int, int]],
     return parent
 
 
-def fold(g: LabeledDigraph, rng: random.Random | None = None) -> LabeledDigraph:
-    """Fold g until deterministic (worklist union-find, after Touikan 2006).
-
-    Each label on some edge gets two rows over the vertices, one per signed
-    letter: memory is O(V * labels used + E) whatever the alphabet.  Two
-    same-letter edges at one vertex put their far ends on the worklist of
-    _merge, whose merges cost O(labels used), so the fold is near-linear.
-    Parallel duplicates collapse.
-
-    Output vertices are numbered by the least input vertex of their class,
-    and edges are sorted.  The result is independent of the merge order up
-    to canonical form; an rng pops the worklist in random order (used to
-    test exactly that), each index drawn from rng.getrandbits as
-    rng.randrange would draw it, otherwise it is popped last-in first-out.
-    """
-    n = g.num_vertices
-    rows = {l: ([-1] * n, [-1] * n) for l in {l for _, _, l in g.edges}}  # (out, in)
+def _load_rows(edges, size: int) -> tuple[dict, list[tuple[int, int]]]:
+    """Slot rows of the graph with these edges on vertices below size, rows
+    l and -l for each label in turn (rows[x][v]: where letter x leads from
+    v, or -1; a letter on no edge gets its row when first read), and the
+    far ends of same-letter edges at one vertex, which clash."""
+    rows = defaultdict(lambda: [-1] * size)
+    pairs = {}
+    for l in {l for _, _, l in edges}:
+        rows[l], rows[-l] = pairs[l] = ([-1] * size, [-1] * size)  # (out, in)
     pending: list[tuple[int, int]] = []
     push = pending.append
-    for s, d, l in g.edges:
-        out, into = rows[l]
+    for s, d, l in edges:
+        out, into = pairs[l]
         if out[s] >= 0:  # two same-letter edges at s: their far ends fold
             push((out[s], d))
         if into[d] >= 0:
             push((into[d], s))
         out[s], into[d] = d, s
-    parent = _merge([row for pair in rows.values() for row in pair], n, pending,
-                    rng.getrandbits if rng is not None else None)
+    return rows, pending
 
-    roots: list[int] = []  # in the order of their classes' least vertices
-    root_number = [-1] * n
-    number = []
+
+def _fold_clashes(rows: dict[int, list[int]], n: int, pending,
+                  getrandbits=None) -> tuple[list[int], list[int], list[Edge]]:
+    """Merge the pending vertex pairs on the slot rows of a graph on
+    vertices below n (_merge, popping as it says), then number the classes
+    in the order of their least vertices.  Returns (the class roots, each
+    vertex's class, with number[-1] = -1 so that an empty slot maps to
+    itself, the folded edges between classes): a class has one edge per
+    letter, in its root's slot."""
+    parent = _merge(list(rows.values()), n, pending, getrandbits)
+    roots: list[int] = []
+    number = [-1] * (n + 1)
     for v in range(n):
-        while (up := parent[v]) != v:
-            parent[v] = v = parent[up]
-        if root_number[v] < 0:
-            root_number[v] = len(roots)
-            roots.append(v)
-        number.append(root_number[v])
-    # a root's entry in a label's out row is its class's one edge
-    new_edges = tuple(sorted((number[r], number[u], l)
-                             for l, (out, _) in rows.items()
-                             for r in roots if (u := out[r]) >= 0))
+        r = v
+        while (up := parent[r]) != r:  # find, inlined, halving the path
+            parent[r] = r = parent[up]
+        if number[r] < 0:
+            number[r] = len(roots)
+            roots.append(r)
+        number[v] = number[r]
+    return roots, number, [(number[r], number[u], x) for x, row in rows.items()
+                           if x > 0 for r in roots if (u := row[r]) >= 0]
+
+
+def fold(g: LabeledDigraph, rng: random.Random | None = None) -> LabeledDigraph:
+    """Fold g until deterministic (worklist union-find, after Touikan 2006).
+
+    Each label on some edge gets two slot rows over the vertices, one per
+    signed letter (_load_rows): memory is O(V * labels used + E) whatever
+    the alphabet.  Two same-letter edges at one vertex put their far ends
+    on the worklist of _merge, whose merges cost O(labels used), so the
+    fold is near-linear.  Parallel duplicates collapse.
+
+    Output vertices are numbered by the least input vertex of their class
+    (_fold_clashes), and edges are sorted.  The result is independent of
+    the merge order up to canonical form; an rng pops the worklist in
+    random order (used to test exactly that), each index drawn from
+    rng.getrandbits as rng.randrange would draw it, otherwise it is popped
+    last-in first-out.
+    """
+    n = g.num_vertices
+    rows, pending = _load_rows(g.edges, n)
+    roots, number, edges = _fold_clashes(rows, n, pending,
+                                         rng.getrandbits if rng is not None else None)
+    edges.sort()
     base = number[g.basepoint] if g.basepoint is not None else None
-    return LabeledDigraph(g.alphabet, len(roots), new_edges, base)
+    return LabeledDigraph(g.alphabet, len(roots), tuple(edges), base)
 
 
-def _strip_spurs(rows, n: int, edges, base: int) -> list[int] | None:
+def _strip_spurs(rows, n: int, edges, base: int) -> tuple[list[int] | None, list[Edge]]:
     """Remove the spurs, degree-1 vertices other than base, of the graph on
     vertices 0..n-1 with these edges, in rounds; the degrees left, -1 for a
-    removed vertex, or None if there was no spur.  rows[i][v] is where the
-    i-th signed letter leads from v: the sink n, or -1, if nowhere.  Every
-    spur of a round loses its one live edge, and only the far ends of those
-    edges can be spurs of the next round, so an isolated edge loses both
-    ends at once, and a vertex whose degree drops to 0 stays."""
+    removed vertex, or None if there was no spur, and the edges kept.
+    rows[i][v] is where the i-th signed letter leads from v: the sink n, or
+    -1, if nowhere.  Every spur of a round loses its one live edge, and only
+    the far ends of those edges can be spurs of the next round, so an
+    isolated edge loses both ends at once; a vertex left at degree 0 stays."""
     degree = [0] * n + [-1]  # the sink's -1 is also degree[-1]
     for s, d, _ in edges:
         degree[s] += 1
         degree[d] += 1
     spurs = [v for v, k in enumerate(degree) if k == 1 and v != base]
     if not spurs:
-        return None
+        return None, edges
     while spurs:  # an edge is gone once either end is
         far_ends = []
         for v in spurs:
@@ -325,7 +348,7 @@ def _strip_spurs(rows, n: int, edges, base: int) -> list[int] | None:
                     degree[u] -= 1
                     far_ends.append(u)
         spurs = [u for u in set(far_ends) if degree[u] == 1 and u != base]
-    return degree
+    return degree, [(s, d, l) for s, d, l in edges if degree[s] >= 0 and degree[d] >= 0]
 
 
 def core(g: LabeledDigraph) -> LabeledDigraph:
@@ -337,12 +360,11 @@ def core(g: LabeledDigraph) -> LabeledDigraph:
     if base is None:
         raise ValueError("core: graph has no basepoint")
     require_valid(g)
-    degree = _strip_spurs(g.successor, g.num_vertices, g.edges, base)
+    degree, edges = _strip_spurs(g.successor, g.num_vertices, g.edges, base)
     if degree is None:
         return g
     number = list(accumulate((k >= 0 for k in degree), initial=0))  # kept before v
-    new_edges = tuple((number[s], number[d], l) for s, d, l in g.edges
-                      if degree[s] >= 0 and degree[d] >= 0)
+    new_edges = tuple((number[s], number[d], l) for s, d, l in edges)
     return LabeledDigraph(g.alphabet, number[-1], new_edges, number[base])
 
 
@@ -386,37 +408,25 @@ def walk(g: LabeledDigraph, v: int, letters) -> int:
     return v
 
 
-def _bfs_number(rows, number: list, start: int) -> int:
-    """Number vertices breadth-first from start along rows, the successor
-    rows of the letters 1, -1, 2, -2, ...: number[v], None for a vertex to
-    number and -1 for one never to queue (the sink, a removed vertex),
-    becomes v's place in the order.  Returns the count numbered."""
+def _bfs_form(alphabet: int, steps, number: list, edges, start: int, size: int,
+              basepoint: int | None = 0) -> LabeledDigraph:
+    """The graph with these edges, based at start (0) or not (None), its
+    size vertices numbered breadth-first from start along steps, the rows
+    of the letters 1, -1, 2, -2, ...: number[v] is None for a vertex to
+    number and -1 for one never to queue (the sink, a removed vertex)."""
     number[start] = 0
     order = [start]
     for v in order:  # order grows while it is read: the BFS queue
-        for row in rows:
+        for row in steps:
             u = row[v]
             if number[u] is None:
                 number[u] = len(order)
                 order.append(u)
-    return len(order)
-
-
-def _renumbered(number: list, edges) -> tuple[Edge, ...]:
-    """The edges with their ends renumbered, sorted."""
+    if len(order) < size:  # on a deterministic graph, every edge was crossed
+        raise ValueError("canonical_form: graph must be connected")
     renumbered = [(number[s], number[d], l) for s, d, l in edges]
     renumbered.sort()
-    return tuple(renumbered)
-
-
-def _bfs_numbering(g: LabeledDigraph, start: int) -> LabeledDigraph:
-    rows = letter_steps(g, [x for l in range(1, g.alphabet + 1) for x in (l, -l)])
-    number: list[int | None] = [None] * g.num_vertices + [-1]  # the sink is never queued
-    if _bfs_number(rows, number, start) < g.num_vertices:
-        # g is deterministic, so every edge was crossed
-        raise ValueError("canonical_form: graph must be connected")
-    base = number[g.basepoint] if g.basepoint is not None else None
-    return LabeledDigraph(g.alphabet, g.num_vertices, _renumbered(number, g.edges), base)
+    return LabeledDigraph(alphabet, size, tuple(renumbered), basepoint)
 
 
 def canonical_form(g: LabeledDigraph) -> LabeledDigraph:
@@ -426,14 +436,14 @@ def canonical_form(g: LabeledDigraph) -> LabeledDigraph:
     basepoints, iff their canonical forms are equal.
     """
     require_valid(g)
-    if g.num_vertices == 0:
+    n = g.num_vertices
+    if n == 0:
         raise ValueError("canonical_form: graph must be connected")
-    if g.basepoint is not None:
-        return _bfs_numbering(g, g.basepoint)
-    return min(
-        (_bfs_numbering(g, start) for start in range(g.num_vertices)),
-        key=lambda h: h.edges,
-    )
+    steps = letter_steps(g, [x for l in range(1, g.alphabet + 1) for x in (l, -l)])
+    if g.basepoint is not None:  # the sink n is never queued
+        return _bfs_form(g.alphabet, steps, [None] * n + [-1], g.edges, g.basepoint, n)
+    return min((_bfs_form(g.alphabet, steps, [None] * n + [-1], g.edges, start, n, None)
+                for start in range(n)), key=lambda h: h.edges)
 
 
 def _core_form(alphabet: int, rows: dict[int, list[int]], n: int, edges,
@@ -441,14 +451,14 @@ def _core_form(alphabet: int, rows: dict[int, list[int]], n: int, edges,
     """canonical_form(core(g)) for the connected deterministic graph g with
     these edges and base, read off its slot rows: rows[x][v] is where
     letter x leads from v, or -1, for each letter x on an edge.  g's
-    vertices are base and the ends of its edges, all below n."""
-    steps = [rows[x] for x in sorted(rows, key=lambda x: (abs(x), -x))]  # 1, -1, 2, ...
-    number = [None] * n + [-1]
-    if (degree := _strip_spurs(steps, n, edges, base)) is not None:
+    vertices are 0..n-1."""
+    steps = [rows[x] for l in sorted(rows) if l > 0 for x in (l, -l)]  # 1, -1, 2, ...
+    number, size = [None] * n + [-1], n
+    degree, edges = _strip_spurs(steps, n, edges, base)
+    if degree is not None:
         number = [None if k >= 0 else -1 for k in degree]
-        edges = [(s, d, l) for s, d, l in edges if degree[s] >= 0 and degree[d] >= 0]
-    count = _bfs_number(steps, number, base)
-    return LabeledDigraph(alphabet, count, _renumbered(number, edges), 0)
+        size = n + 1 - degree.count(-1)
+    return _bfs_form(alphabet, steps, number, edges, base, size)
 
 
 def isomorphic(g1: LabeledDigraph, g2: LabeledDigraph) -> bool:

@@ -3,20 +3,18 @@
 from __future__ import annotations
 
 import warnings
-from collections import defaultdict
 from dataclasses import dataclass
 from itertools import chain
 
 from .graphs import (
     BettiReport,
-    Edge,
     LabeledDigraph,
     _core_form,
-    _merge,
+    _fold_clashes,
+    _load_rows,
     betti,
     circle,
     fiber_product,
-    fold,
     is_connected,
     letter_steps,
     require_valid,
@@ -40,22 +38,19 @@ class SubgroupGraph:
 
 def _read(g: LabeledDigraph, words: list[Word], loops: bool):
     """Read each word in at g's basepoint, following g's edges and creating
-    the missing ones, on slot rows: rows[x][v] is where letter x leads from
-    v, or -1, for the letters in use.  Returns (rows, edges, n, base,
-    pending), pending the vertex pairs that clashes force together.  With
-    loops, each word is a freely reduced loop, walked backwards into the
-    basepoint too, so only the unread middle is new; the two vertices where
-    the walks meet, or the far ends of the middle's first and last edges
-    where both leave one vertex by the same letter, are pending.  Without,
-    the one word's end becomes the basepoint, and nothing clashes.  The
-    callers check the letters first, with _require_letters."""
+    the missing ones, on g's slot rows (_load_rows, with room for the new
+    vertices): rows[x][v] is where letter x leads from v, or -1, for the
+    letters in use.  Returns (rows, edges, n, base, pending), pending the
+    vertex pairs that clashes force together.  With loops, each word is a
+    freely reduced loop, walked backwards into the basepoint too, so only
+    the unread middle is new; the two vertices where the walks meet, or the
+    far ends of the middle's first and last edges where both leave one
+    vertex by the same letter, are pending.  Without, the one word's end
+    becomes the basepoint, and nothing clashes.  The callers check the
+    letters first, with _require_letters."""
     n, base = g.num_vertices, g.basepoint
-    size = n + sum(map(len, words))
-    rows = defaultdict(lambda: [-1] * size)
     edges = list(g.edges)
-    for s, d, l in edges:
-        rows[l][s], rows[-l][d] = d, s
-    pending = []
+    rows, pending = _load_rows(edges, n + sum(map(len, words)))  # g clashes nowhere
     for w in words:
         v, i, u, j = base, 0, base, len(w)
         while i < j and (t := rows[w[i]][v]) >= 0:  # forwards: w[:i] reads to v
@@ -83,26 +78,6 @@ def _read(g: LabeledDigraph, words: list[Word], loops: bool):
     return rows, edges, n, base, pending
 
 
-def _fold_clashes(rows: dict[int, list[int]], n: int, base: int,
-                  pending) -> tuple[list[Edge], int]:
-    """Merge the pending vertex pairs on rows, then point each class root's
-    slots at class roots; the folded graph's edges, between the roots, and
-    base's root."""
-    parent = _merge(list(rows.values()), n, pending)
-    root = []
-    for v in range(n):
-        while (up := parent[v]) != v:  # find, inlined, halving the path
-            parent[v] = v = parent[up]
-        root.append(v)
-    roots = [v for v in range(n) if root[v] == v]
-    for row in rows.values():
-        for r in roots:
-            if (u := row[r]) >= 0:
-                row[r] = root[u]
-    return [(r, row[r], x) for x, row in rows.items() if x > 0
-            for r in roots if row[r] >= 0], root[base]
-
-
 def _require_letters(words: list[Word], alphabet: int) -> None:
     """No letter of the raw words exceeds alphabet in absolute value, letters
     that free reduction would cancel included; one scan in C.  A zero letter
@@ -112,9 +87,11 @@ def _require_letters(words: list[Word], alphabet: int) -> None:
 
 
 def stallings_graph(gens: list[Word], alphabet: int) -> SubgroupGraph:
-    """Read the generators' loops in at a base vertex on slot rows, merge
-    the vertex pairs its clashes force together on the same rows, then core
-    and number the result canonically in one pass."""
+    """Read the generators' loops in at a base vertex on slot rows (_read),
+    fold the vertex pairs its clashes force together on the same rows
+    (_fold_clashes, as fold does), move each class root's slots to the
+    class number in place, so the rows become the folded graph's, then
+    core and number the result canonically in one pass (_core_form)."""
     if alphabet < 1:
         raise ValueError("alphabet must be nonempty")
     _require_letters(gens, alphabet)
@@ -132,7 +109,11 @@ def stallings_graph(gens: list[Word], alphabet: int) -> SubgroupGraph:
     rows, edges, n, base, pending = _read(LabeledDigraph(alphabet, 1, (), 0), reduced,
                                           loops=True)
     if pending:
-        edges, base = _fold_clashes(rows, n, base, pending)
+        roots, number, edges = _fold_clashes(rows, n, pending)
+        for row in rows.values():  # class i's slots move to i from its root, which is >= i
+            for i, r in enumerate(roots):
+                row[i] = number[row[r]]
+        n, base = len(roots), number[base]
     return SubgroupGraph(_core_form(alphabet, rows, n, edges, base))
 
 

@@ -126,6 +126,8 @@ def require_simple_cyclic(w: Word) -> None:
     """Shared precondition of the cycle-counting operations."""
     if not w:
         raise ValueError("word must be nonempty")
+    if 0 in w:
+        raise ValueError("letters must be nonzero")
     if not is_cyclically_reduced(w):
         raise ValueError(
             f"word {format_word(w)!r} is not cyclically reduced; "

@@ -158,9 +158,11 @@ def test_tracer_sees_every_check(monkeypatch):
 
 def test_fold_confluence_folds_through_the_module_name(monkeypatch):
     # perfbench/selftest.py plants a graphs.fold that returns a rose, which
-    # only a comparison with an independent fold shows.  Stallings graphs,
-    # conjugates and intersections are built without fold, so the fold
-    # confluence check is what must call it, twice a trial, by module name.
+    # only a comparison with an independent fold shows.  Stallings graphs
+    # share fold's private loader and fold tail but never call graphs.fold,
+    # and conjugates and intersections do not fold at all, so the planted
+    # fault still reaches only the fold confluence check, which must call
+    # it, twice a trial, by module name.
     calls = 0
 
     def make(fn):

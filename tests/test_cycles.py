@@ -38,6 +38,10 @@ class TestTrace:
         with pytest.raises(ValueError):
             trace(rose(2), 0, w("aA"))
 
+    def test_rejects_zero_letter(self):
+        with pytest.raises(ValueError, match="letters must be nonzero"):
+            trace(rose(2), 0, (1, 0))
+
     def test_rejects_invalid_graph(self):
         bad = LabeledDigraph(1, 3, ((0, 1, 1), (0, 2, 1)))
         with pytest.raises(ValueError):

@@ -768,15 +768,10 @@ class TestConjugateAgainstRefold:
         refold = wedge_fold([invert(g) + x + g for x in gens], alphabet)
         assert conjugate(stallings_graph(gens, alphabet), g).graph == refold
 
-    def test_never_folds(self):
-        h = stallings_graph([parse_word("aba"), parse_word("bb")], 2)
-        with mock.patch("wordcycles.subgroups.fold", side_effect=AssertionError):
-            for g in ("", "a", "ab", "bA", "aAb", "BBa", "abab"):
-                conjugate(h, parse_word(g))
-
     def test_never_merges(self):
+        # every fold, graphs.fold and Stallings graphs alike, merges in _merge
         h = stallings_graph([parse_word("aba"), parse_word("bb")], 2)
-        with mock.patch("wordcycles.subgroups._merge", side_effect=AssertionError):
+        with mock.patch("wordcycles.graphs._merge", side_effect=AssertionError):
             for g in ("", "a", "ab", "bA", "aAb", "BBa", "abab"):
                 conjugate(h, parse_word(g))
 

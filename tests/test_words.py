@@ -136,6 +136,8 @@ class TestPredicates:
     def test_require_simple_cyclic_messages(self):
         with pytest.raises(ValueError, match="nonempty"):
             require_simple_cyclic(())
+        with pytest.raises(ValueError, match="letters must be nonzero"):
+            require_simple_cyclic((1, 0))
         with pytest.raises(ValueError, match="cyclically reduced"):
             require_simple_cyclic(w("abA"))
         with pytest.raises(ValueError, match="proper power"):
