@@ -231,13 +231,13 @@ def is_staggered(p: StaggeredPresentation) -> tuple[bool, list[str]]:
     diagnostics: list[str] = []
     extents: list[tuple[int, int]] = []
     for idx, r in enumerate(p.relators):
-        name = format_word(r) or "(empty)"
         if not r or not is_cyclically_reduced(r):
-            diagnostics.append(f"relator {idx} ({name}) is not cyclically reduced")
+            diagnostics.append(
+                f"relator {idx} ({format_word(r) or '(empty)'}) is not cyclically reduced")
             continue
         positions = [position[abs(x)] for x in r if abs(x) in position]
         if not positions:
-            diagnostics.append(f"relator {idx} ({name}) traverses no ordered letter")
+            diagnostics.append(f"relator {idx} ({format_word(r)}) traverses no ordered letter")
             continue
         extents.append((min(positions), max(positions)))
     if len(extents) == len(p.relators):

@@ -403,6 +403,8 @@ def letter_steps(g: LabeledDigraph, letters) -> list[list[int]]:
 
 def walk(g: LabeledDigraph, v: int, letters) -> int:
     """Where reading letters from v leads: the sink if it falls off g."""
+    if 0 in (letters := tuple(letters)):  # letters may be an iterator: read it once
+        raise ValueError("letters must be nonzero")
     for row in letter_steps(g, letters):
         v = row[v]
     return v
@@ -480,6 +482,8 @@ def circle(w: Word, alphabet: int | None = None) -> LabeledDigraph:
     """The cycle of length |w| reading w once around, based at its start."""
     if not w:
         raise ValueError("circle: word must be nonempty")
+    if 0 in w:
+        raise ValueError("letters must be nonzero")
     if not is_cyclically_reduced(w):
         raise ValueError("circle: word must be cyclically reduced")
     n = len(w)

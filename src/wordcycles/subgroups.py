@@ -9,6 +9,7 @@ from itertools import chain
 from .graphs import (
     BettiReport,
     LabeledDigraph,
+    _bfs_form,
     _core_form,
     _fold_clashes,
     _load_rows,
@@ -18,10 +19,13 @@ from .graphs import (
     is_connected,
     letter_steps,
     require_valid,
+    rose,
     walk,
 )
 from .cycles import decompose
 from .words import Word, format_word, free_reduce, invert, require_simple_cyclic
+
+_START = rose(0)  # one vertex, the base, which every Stallings read starts from
 
 
 @dataclass(frozen=True)
@@ -91,7 +95,10 @@ def stallings_graph(gens: list[Word], alphabet: int) -> SubgroupGraph:
     fold the vertex pairs its clashes force together on the same rows
     (_fold_clashes, as fold does), move each class root's slots to the
     class number in place, so the rows become the folded graph's, then
-    core and number the result canonically in one pass (_core_form)."""
+    number it breadth-first (_bfs_form).  No spur pass: every vertex off the
+    base lies on the image of a freely reduced loop, which enters and leaves
+    it by different slots, so the result is core (Stallings, Invent. Math.
+    1983; Kapovich & Myasnikov, J. Algebra 2002)."""
     if alphabet < 1:
         raise ValueError("alphabet must be nonempty")
     _require_letters(gens, alphabet)
@@ -106,15 +113,15 @@ def stallings_graph(gens: list[Word], alphabet: int) -> SubgroupGraph:
             )
         if r:
             reduced.append(r)
-    rows, edges, n, base, pending = _read(LabeledDigraph(alphabet, 1, (), 0), reduced,
-                                          loops=True)
+    rows, edges, n, base, pending = _read(_START, reduced, loops=True)
     if pending:
         roots, number, edges = _fold_clashes(rows, n, pending)
         for row in rows.values():  # class i's slots move to i from its root, which is >= i
             for i, r in enumerate(roots):
                 row[i] = number[row[r]]
         n, base = len(roots), number[base]
-    return SubgroupGraph(_core_form(alphabet, rows, n, edges, base))
+    steps = [rows[x] for l in sorted(rows) if l > 0 for x in (l, -l)]  # 1, -1, 2, ...
+    return SubgroupGraph(_bfs_form(alphabet, steps, [None] * n + [-1], edges, base, n))
 
 
 def rank(h: SubgroupGraph) -> int:

@@ -102,6 +102,8 @@ def primitive_root(w: Word) -> tuple[Word, int]:
     """
     if not w:
         raise ValueError("primitive_root: empty word")
+    if 0 in w:
+        raise ValueError("letters must be nonzero")
     if not is_cyclically_reduced(w):
         raise ValueError("primitive_root: word must be cyclically reduced")
     d = _period(w)

@@ -19,6 +19,7 @@ from wordcycles.graphs import (
     to_dot,
     to_json,
     validate,
+    walk,
     wedge_of_words,
 )
 from wordcycles.cycles import trace
@@ -98,6 +99,23 @@ class TestFold:
     def test_terminates_and_valid(self):
         g = wedge_of_words([parse_word("abA"), parse_word("ab"), parse_word("b")], 2)
         assert validate(fold(g)) == []
+
+
+class TestZeroLetter:
+    def test_circle_rejects_zero(self):
+        with pytest.raises(ValueError, match="letters must be nonzero"):
+            circle((1, 0))
+
+    def test_walk_rejects_zero(self):
+        with pytest.raises(ValueError, match="letters must be nonzero"):
+            walk(rose(2), 0, (0,))
+        with pytest.raises(ValueError, match="letters must be nonzero"):
+            walk(rose(2), 0, iter((1, 0)))
+
+    def test_walk_reads_an_iterator_once(self):
+        g = circle(parse_word("ab"))
+        assert walk(g, 0, iter(parse_word("ab"))) == 0
+        assert walk(g, 0, iter(parse_word("a"))) == 1
 
 
 class TestCore:

@@ -726,6 +726,16 @@ class TestStallingsAgainstWedgeFold:
         gens, alphabet = instance
         assert stallings_graph(gens, alphabet).graph == wedge_fold(gens, alphabet)
 
+    @settings(max_examples=200)
+    @given(raw_generator_sets() | cascading_generator_sets())
+    @pytest.mark.filterwarnings("ignore:generator")
+    def test_never_strips_spurs(self, instance):
+        # a folded bouquet of reduced loops is core relative to its base
+        gens, alphabet = instance
+        want = wedge_fold(gens, alphabet)  # the reference cores through _strip_spurs
+        with mock.patch("wordcycles.graphs._strip_spurs", side_effect=AssertionError):
+            assert stallings_graph(gens, alphabet).graph == want
+
     # the pairs that reading leaves to merge, by the vertices it numbered
     PENDING = {("aa", "a"): [(1, 0)], ("ba", "a"): [(0, 1)], ("abA",): [(1, 2)]}
 

@@ -138,6 +138,10 @@ class TestPredicates:
             require_simple_cyclic(())
         with pytest.raises(ValueError, match="letters must be nonzero"):
             require_simple_cyclic((1, 0))
+        with pytest.raises(ValueError, match="letters must be nonzero"):
+            is_simple((1, 0))
+        with pytest.raises(ValueError, match="letters must be nonzero"):
+            primitive_root((0,))
         with pytest.raises(ValueError, match="cyclically reduced"):
             require_simple_cyclic(w("abA"))
         with pytest.raises(ValueError, match="proper power"):
