@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from operator import le
 
 from .graphs import (BettiReport, LabeledDigraph, betti, cached_property, is_connected,
-                     letter_steps, require_valid)
+                     require_valid)
 from .words import Word, is_reduced, require_simple_cyclic
 
 # A path step is (edge index, direction); direction -1 crosses the edge
@@ -39,10 +39,10 @@ def trace(g: LabeledDigraph, v: int, w: Word) -> tuple[int, tuple[Step, ...]] | 
         raise ValueError("letters must be nonzero")
     if not (0 <= v < g.num_vertices):
         raise ValueError(f"trace: vertex {v} not in graph")
-    sink, table, path = g.num_vertices, g.letter_table, []
-    for x, row in zip(w, letter_steps(g, w)):
-        u = row[v]
-        if u == sink:
+    rows, table, path = g.successor, g.letter_table, []
+    for x in w:
+        u = rows[x][v]
+        if u < 0:
             return None
         path.append((table[x][v], 1 if x > 0 else -1))
         v = u
@@ -85,7 +85,7 @@ class WCycleDecomposition:
 
     def _traces(self) -> Iterator[list[int]]:
         """Per cycle, the edges crossed reading w^period from its first vertex."""
-        g = self.graph  # with a cycle, every letter of w lies in the alphabet
+        g = self.graph  # with a cycle, every letter of w is on an edge
         steps = [(g.letter_table[x], g.successor[x]) for x in self.word if self.cycles]
         for cycle in self.cycles:
             v, path = cycle[0], []
@@ -119,12 +119,13 @@ def decompose(g: LabeledDigraph, w: Word) -> WCycleDecomposition:
     require_simple_cyclic(w)
 
     sigma: dict[int, int] = {}
-    sink, rows = g.num_vertices, letter_steps(g, w)
-    for v in range(sink):
+    successor = g.successor
+    rows = [successor[x] for x in w]
+    for v in range(g.num_vertices):
         u = v
         for row in rows:
             u = row[u]
-            if u == sink:
+            if u < 0:
                 break
         else:
             sigma[v] = u

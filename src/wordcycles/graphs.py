@@ -72,36 +72,34 @@ class LabeledDigraph:
             raise ValueError("basepoint is not a vertex")
 
     @cached_property
-    def successor(self) -> list[list[int]]:
-        """successor[x][v]: the vertex that signed letter x leads to from v,
-        rows indexed as in letter_table.  A missing edge leads to the sink
-        slot num_vertices, which leads to itself, so a walk reads u = row[u]
-        with no test.  On a nondeterministic graph the last edge wins."""
-        n = self.num_vertices
-        rows = [[n] * (n + 1) for _ in range(2 * self.alphabet + 1)]
-        for s, d, l in self.edges:
-            rows[l][s] = d
-            rows[-l][d] = s
+    def successor(self) -> dict[int, list[int]]:
+        """successor[x][v]: where signed letter x leads from v, or -1
+        (_load_rows on num_vertices + 1 slots): rows for the labels on edges,
+        an all -1 row for another letter once read.  Slot -1 is never
+        written, so the sink -1 leads to itself and a walk reads u = row[u]
+        with no test.  The last of two edges sharing a slot wins."""
+        rows, clashes = _load_rows(self.edges, self.num_vertices + 1)
+        self.__dict__["deterministic"] = not clashes
         return rows
 
     @cached_property
-    def letter_table(self) -> list[list[int | None]]:
+    def deterministic(self) -> bool:
+        """No two edges share a slot: successor's loader found no clash."""
+        self.successor  # building the rows sets this attribute
+        return self.deterministic
+
+    @cached_property
+    def letter_table(self) -> dict[int, list[int | None]]:
         """letter_table[x][v]: index of the edge that signed letter x crosses
-        from v, or None.  A negative x indexes from the end of the list, so
-        rows 1..alphabet are the letters and the rows after them their
-        inverses; row 0 (no letter) holds no edge.  On a nondeterministic
-        graph the last of two edges sharing a slot holds it."""
-        table = [[None] * self.num_vertices for _ in range(2 * self.alphabet + 1)]
+        from v, or None, with rows keyed as in successor, only for the labels
+        on some edge.  On a nondeterministic graph the last of two edges
+        sharing a slot holds it."""
+        n = self.num_vertices
+        table = {x: [None] * n for l in {l for _, _, l in self.edges} for x in (l, -l)}
         for i, (s, d, l) in enumerate(self.edges):
             table[l][s] = i
             table[-l][d] = i
         return table
-
-    @cached_property
-    def deterministic(self) -> bool:
-        """No two edges share a slot of successor: every edge fills two."""
-        n = self.num_vertices
-        return sum(n + 1 - row.count(n) for row in self.successor) == 2 * len(self.edges)
 
     @cached_property
     def _partition(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -149,7 +147,7 @@ def validate(g: LabeledDigraph) -> list[DeterminismViolation]:
 
 def require_valid(g: LabeledDigraph) -> None:
     """Raise ValueError unless g is deterministic.  This reads the cached
-    flag: O(1) on a graph whose letter table is already built."""
+    flag: O(1) on a graph whose successor rows are already built."""
     if not g.deterministic:
         raise ValueError(
             "graph is not deterministic: " + "; ".join(str(v) for v in validate(g))
@@ -264,13 +262,13 @@ def _load_rows(edges, size: int) -> tuple[dict, list[tuple[int, int]]]:
     for l in {l for _, _, l in edges}:
         rows[l], rows[-l] = pairs[l] = ([-1] * size, [-1] * size)  # (out, in)
     pending: list[tuple[int, int]] = []
-    push = pending.append
     for s, d, l in edges:
         out, into = pairs[l]
-        if out[s] >= 0:  # two same-letter edges at s: their far ends fold
-            push((out[s], d))
-        if into[d] >= 0:
-            push((into[d], s))
+        if out[s] >= 0 or into[d] >= 0:  # one test on the common, clash-free path
+            if out[s] >= 0:  # two same-letter edges at s: their far ends fold
+                pending.append((out[s], d))
+            if into[d] >= 0:
+                pending.append((into[d], s))
         out[s], into[d] = d, s
     return rows, pending
 
@@ -327,11 +325,11 @@ def _strip_spurs(rows, n: int, edges, base: int) -> tuple[list[int] | None, list
     """Remove the spurs, degree-1 vertices other than base, of the graph on
     vertices 0..n-1 with these edges, in rounds; the degrees left, -1 for a
     removed vertex, or None if there was no spur, and the edges kept.
-    rows[i][v] is where the i-th signed letter leads from v: the sink n, or
-    -1, if nowhere.  Every spur of a round loses its one live edge, and only
-    the far ends of those edges can be spurs of the next round, so an
-    isolated edge loses both ends at once; a vertex left at degree 0 stays."""
-    degree = [0] * n + [-1]  # the sink's -1 is also degree[-1]
+    rows[i][v] is where the i-th signed letter leads from v, or -1 (the
+    sink).  Every spur of a round loses its one live edge, and only the far
+    ends of those edges can be spurs of the next round, so an isolated edge
+    loses both ends at once; a vertex left at degree 0 stays."""
+    degree = [0] * n + [-1]  # the sink -1 reads degree[-1]
     for s, d, _ in edges:
         degree[s] += 1
         degree[d] += 1
@@ -354,13 +352,13 @@ def _strip_spurs(rows, n: int, edges, base: int) -> tuple[list[int] | None, list
 def core(g: LabeledDigraph) -> LabeledDigraph:
     """Spur removal (_strip_spurs): delete degree-1 vertices other than the
     basepoint, reading each spur's edge from its successor slots.
-    O(V*alphabet + E); g itself when it has no spur.
+    O(V * labels used + E); g itself when it has no spur.
     """
     base = g.basepoint
     if base is None:
         raise ValueError("core: graph has no basepoint")
     require_valid(g)
-    degree, edges = _strip_spurs(g.successor, g.num_vertices, g.edges, base)
+    degree, edges = _strip_spurs(list(g.successor.values()), g.num_vertices, g.edges, base)
     if degree is None:
         return g
     number = list(accumulate((k >= 0 for k in degree), initial=0))  # kept before v
@@ -377,13 +375,13 @@ def fiber_product(g1: LabeledDigraph, g2: LabeledDigraph) -> LabeledDigraph:
     require_valid(g1)
     require_valid(g2)
     n2 = g2.num_vertices
-    by_label: list[list[tuple[int, int]]] = [[] for _ in range(g2.alphabet + 1)]
+    by_label: dict[int, list[tuple[int, int]]] = {}
     for s2, d2, l2 in g2.edges:
-        by_label[l2].append((s2, d2))
+        by_label.setdefault(l2, []).append((s2, d2))
     edges = tuple(
         (s1 * n2 + s2, d1 * n2 + d2, l1)  # pair (v1, v2) is vertex v1 * n2 + v2
         for s1, d1, l1 in g1.edges
-        for s2, d2 in by_label[l1]
+        for s2, d2 in by_label.get(l1, ())
     )
     base = None
     if g1.basepoint is not None and g2.basepoint is not None:
@@ -395,33 +393,32 @@ def fiber_product(g1: LabeledDigraph, g2: LabeledDigraph) -> LabeledDigraph:
 # Canonical form
 
 
-def letter_steps(g: LabeledDigraph, letters) -> list[list[int]]:
-    """The successor row of each signed letter; beyond the alphabet, row 0."""
-    rows, a = g.successor, g.alphabet
-    return [rows[x] if abs(x) <= a else rows[0] for x in letters]
-
-
 def walk(g: LabeledDigraph, v: int, letters) -> int:
-    """Where reading letters from v leads: the sink if it falls off g."""
+    """Where reading letters from v leads: -1 if it falls off g, or from -1."""
     if 0 in (letters := tuple(letters)):  # letters may be an iterator: read it once
         raise ValueError("letters must be nonzero")
-    for row in letter_steps(g, letters):
-        v = row[v]
+    rows = g.successor
+    for x in letters:
+        v = rows[x][v]
     return v
+
+
+def _steps(rows: dict[int, list[int]]) -> list[list[int]]:
+    """The rows of the letters 1, -1, 2, -2, ... that have rows, in order."""
+    return [row for l in sorted(rows) if l > 0 for row in (rows[l], rows[-l])]
 
 
 def _bfs_form(alphabet: int, steps, number: list, edges, start: int, size: int,
               basepoint: int | None = 0) -> LabeledDigraph:
     """The graph with these edges, based at start (0) or not (None), its
-    size vertices numbered breadth-first from start along steps, the rows
-    of the letters 1, -1, 2, -2, ...: number[v] is None for a vertex to
-    number and -1 for one never to queue (the sink, a removed vertex)."""
+    size vertices numbered breadth-first from start along steps (_steps),
+    never into the sink -1: number[v] is None for a vertex to number and -1
+    for one never to queue (a removed vertex)."""
     number[start] = 0
     order = [start]
     for v in order:  # order grows while it is read: the BFS queue
         for row in steps:
-            u = row[v]
-            if number[u] is None:
+            if (u := row[v]) >= 0 and number[u] is None:  # skip the sink: reads at -1 are slow
                 number[u] = len(order)
                 order.append(u)
     if len(order) < size:  # on a deterministic graph, every edge was crossed
@@ -441,10 +438,10 @@ def canonical_form(g: LabeledDigraph) -> LabeledDigraph:
     n = g.num_vertices
     if n == 0:
         raise ValueError("canonical_form: graph must be connected")
-    steps = letter_steps(g, [x for l in range(1, g.alphabet + 1) for x in (l, -l)])
-    if g.basepoint is not None:  # the sink n is never queued
-        return _bfs_form(g.alphabet, steps, [None] * n + [-1], g.edges, g.basepoint, n)
-    return min((_bfs_form(g.alphabet, steps, [None] * n + [-1], g.edges, start, n, None)
+    steps = _steps(g.successor)
+    if g.basepoint is not None:
+        return _bfs_form(g.alphabet, steps, [None] * n, g.edges, g.basepoint, n)
+    return min((_bfs_form(g.alphabet, steps, [None] * n, g.edges, start, n, None)
                 for start in range(n)), key=lambda h: h.edges)
 
 
@@ -454,8 +451,8 @@ def _core_form(alphabet: int, rows: dict[int, list[int]], n: int, edges,
     these edges and base, read off its slot rows: rows[x][v] is where
     letter x leads from v, or -1, for each letter x on an edge.  g's
     vertices are 0..n-1."""
-    steps = [rows[x] for l in sorted(rows) if l > 0 for x in (l, -l)]  # 1, -1, 2, ...
-    number, size = [None] * n + [-1], n
+    steps = _steps(rows)
+    number, size = [None] * n, n
     degree, edges = _strip_spurs(steps, n, edges, base)
     if degree is not None:
         number = [None if k >= 0 else -1 for k in degree]

@@ -13,11 +13,11 @@ from .graphs import (
     _core_form,
     _fold_clashes,
     _load_rows,
+    _steps,
     betti,
     circle,
     fiber_product,
     is_connected,
-    letter_steps,
     require_valid,
     rose,
     walk,
@@ -120,8 +120,7 @@ def stallings_graph(gens: list[Word], alphabet: int) -> SubgroupGraph:
             for i, r in enumerate(roots):
                 row[i] = number[row[r]]
         n, base = len(roots), number[base]
-    steps = [rows[x] for l in sorted(rows) if l > 0 for x in (l, -l)]  # 1, -1, 2, ...
-    return SubgroupGraph(_bfs_form(alphabet, steps, [None] * n + [-1], edges, base, n))
+    return SubgroupGraph(_bfs_form(alphabet, _steps(rows), [None] * n, edges, base, n))
 
 
 def rank(h: SubgroupGraph) -> int:
@@ -153,25 +152,24 @@ def intersect(h1: SubgroupGraph, h2: SubgroupGraph) -> SubgroupGraph:
     """Based component of the fiber product, cored: the intersection.
 
     Only the based component is built, breadth-first from the basepoint
-    pair, so the cost follows its size rather than |V1|*|V2|.  The search
-    records the component's slot rows as it goes, and one pass cores and
-    numbers them.
+    pair along the letters on edges of both graphs, so the cost follows its
+    size rather than |V1|*|V2|.  The search records the component's slot
+    rows as it goes, and one pass cores and numbers them.
     """
     g1, g2 = h1.graph, h2.graph
     if g1.alphabet != g2.alphabet:
         raise ValueError("alphabet mismatch")
-    sink1, n2 = g1.num_vertices, g2.num_vertices
-    letters = [x for l in range(1, g1.alphabet + 1) for x in (l, -l)]
-    rows = {x: [] for x in letters}  # the product's slot rows, a vertex at a time
-    steps = list(zip(letter_steps(g1, letters), letter_steps(g2, letters), letters,
-                     rows.values()))
+    n2, rows1, rows2 = g2.num_vertices, g1.successor, g2.successor
+    # the product's slot rows, a vertex at a time, for the letters on both graphs
+    rows = {x: [] for l in sorted(rows1) if l > 0 and l in rows2 for x in (l, -l)}
+    steps = [(rows1[x], rows2[x], x, row) for x, row in rows.items()]
     number = {g1.basepoint * n2 + g2.basepoint: 0}  # pair (u1, u2) is u1 * n2 + u2
     order = [(g1.basepoint, g2.basepoint)]
     edges = []
     for src, (v1, v2) in enumerate(order):  # order grows while it is read: the BFS queue
         for row1, row2, x, row in steps:
             u1, u2 = row1[v1], row2[v2]
-            if u1 == sink1 or u2 == n2:  # n2 is g2's sink
+            if u1 < 0 or u2 < 0:
                 row.append(-1)
                 continue
             dst = number.setdefault(u1 * n2 + u2, len(order))

@@ -87,12 +87,10 @@ def cyclic_reduce(w: Word) -> tuple[Word, Word]:
 
     The core is cyclically reduced; the identity holds after free reduction.
     """
-    r = list(free_reduce(w))
-    conj: list[int] = []
-    while len(r) >= 2 and r[0] == -r[-1]:
-        conj.append(r[0])
-        r = r[1:-1]
-    return tuple(r), tuple(conj)
+    r, k = free_reduce(w), 0  # the conjugator: the longest prefix whose inverse ends r
+    while 2 * k + 1 < len(r) and r[k] == -r[-1 - k]:
+        k += 1
+    return r[k:len(r) - k], r[:k]
 
 
 def primitive_root(w: Word) -> tuple[Word, int]:

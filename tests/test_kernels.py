@@ -10,13 +10,16 @@ the library reads each word into the graph built so far, a collapse search
 that rescans every live cell per collapse and backs its greedy pass with an
 exhaustive search (the incremental greedy pass must decide the same), and a
 core that recounts every degree once per round of spur removal.  The
-successor rows and the letter table, and tracing, walks, canonical_form and
-intersect's product search, which read them, are checked against dicts keyed
-by (vertex, label) tuples.
+successor rows and the letter table, dicts keyed by signed letter with rows
+only for the labels on edges (a successor row reads -1, the sink, where no
+edge leads), and tracing, walks, canonical_form and intersect's product
+search, which read them, are checked against dicts keyed by (vertex, label)
+tuples; on tiny graphs declared with alphabet 10^6 each per-letter kernel
+peaks under 1 MiB.
 decompose, which keeps only the edge indices of each trace, is checked
 against a decomposition that stores every vertex's whole (edge, direction)
-trace.  require_valid, which reads the determinism flag of the successor
-rows, is checked against the full diagnostics of validate.  check_npi, which
+trace.  require_valid, which reads the determinism flag that loading the
+successor rows sets, is checked against the full diagnostics of validate.  check_npi, which
 rotates the class paths of the attached vertices alone, is checked against
 the construction that rotates one for every cycle vertex.  fold's random pop
 order, drawn from getrandbits, is checked against the fold that drew it with
@@ -36,7 +39,7 @@ from hypothesis import strategies as st
 
 from wordcycles import complexes
 from wordcycles.complexes import NpiReport, TwoComplex, collapses_to_tree
-from wordcycles.cycles import WCycleClass, decompose, trace
+from wordcycles.cycles import WCycleClass, check_main_inequality, decompose, trace
 from wordcycles.generators import (
     TrialConfig,
     random_connected_automaton,
@@ -54,7 +57,6 @@ from wordcycles.graphs import (
     fiber_product,
     fold,
     is_connected,
-    letter_steps,
     require_valid,
     validate,
     walk,
@@ -874,6 +876,10 @@ class TestNpiAgainstAllVertexRotation:
         self.assert_matches(g, (1,), [(0, 1)])
 
 
+def letters_in_use(g: LabeledDigraph) -> set[int]:
+    return {x for _, _, l in g.edges for x in (l, -l)}
+
+
 class TestSuccessorAgainstMaps:
     """The successor rows against the far ends of the (vertex, label) dicts,
     in which, as in the rows, the last of two edges sharing a slot wins."""
@@ -882,28 +888,30 @@ class TestSuccessorAgainstMaps:
     @given(graphs_with_repeats())
     def test_rows(self, g):
         n, outs, ins = g.num_vertices, out_map(g), in_map(g)
-        assert len(g.successor) == 2 * g.alphabet + 1
-        assert all(len(row) == n + 1 and row[n] == n for row in g.successor)
-        assert g.successor[0] == [n] * (n + 1)  # no letter: every vertex to the sink
+        fresh = replace(g)  # its flag read before its rows
+        assert fresh.deterministic == (validate(g) == [])
+        assert set(g.successor) == letters_in_use(g)
+        assert fresh.successor == g.successor
+        assert all(len(row) == n + 1 and row[-1] == -1 for row in g.successor.values())
         for v in range(n):
             for l in range(1, g.alphabet + 1):
                 i, j = outs.get((v, l)), ins.get((v, l))
-                assert g.successor[l][v] == (n if i is None else g.edges[i][1])
-                assert g.successor[-l][v] == (n if j is None else g.edges[j][0])
+                assert g.successor[l][v] == (-1 if i is None else g.edges[i][1])
+                assert g.successor[-l][v] == (-1 if j is None else g.edges[j][0])
         assert g.deterministic == (validate(g) == [])
 
     @settings(max_examples=200)
     @given(deterministic_graphs(), st.lists(st.sampled_from([1, -1, 2, -2, 3, -3]),
                                             max_size=8))
     def test_walk_from_every_vertex(self, g, w):
-        # letters 3 and -3 lie beyond the alphabet: their row sends all to the sink
-        n = g.num_vertices
-        for x, row in zip(w, letter_steps(g, w)):
-            assert row is g.successor[x if abs(x) <= g.alphabet else 0]
+        # letters 3 and -3 lie beyond the alphabet: they lead every vertex to -1
+        n, used = g.num_vertices, letters_in_use(g)
         for v in range(n):
             end = map_trace(g, v, w)
-            assert walk(g, v, w) == (n if end is None else end[0])
-            assert walk(g, n, w) == n  # the sink leads to itself
+            assert walk(g, v, w) == (-1 if end is None else end[0])
+            assert walk(g, -1, w) == -1  # the sink leads to itself
+        for x in w:  # a letter on no edge reads an all-sink row
+            assert x in used or g.successor[x] == [-1] * (n + 1)
 
 
 class TestPartitionAgainstReference:
@@ -960,10 +968,12 @@ class TestLetterTableAgainstMaps:
     @given(deterministic_graphs())
     def test_slots(self, g):
         outs, ins = out_map(g), in_map(g)
+        assert set(g.letter_table) == letters_in_use(g)
+        blank = [None] * g.num_vertices  # a letter on no edge has no row
         for v in range(g.num_vertices):
             for l in range(1, g.alphabet + 1):
-                assert g.letter_table[l][v] == outs.get((v, l))
-                assert g.letter_table[-l][v] == ins.get((v, l))
+                assert g.letter_table.get(l, blank)[v] == outs.get((v, l))
+                assert g.letter_table.get(-l, blank)[v] == ins.get((v, l))
         assert g.deterministic
 
     @settings(max_examples=200)
@@ -991,6 +1001,75 @@ class TestLetterTableAgainstMaps:
     def test_intersect(self, g1, g2):
         got = intersect(SubgroupGraph(g1), SubgroupGraph(g2)).graph
         assert got == map_intersection(g1, g2)
+
+
+def tiny(alphabet: int, based: bool = True) -> LabeledDigraph:
+    """A 2-cycle on a at vertices 0 and 1, and a b-path 1 -> 2 -> 3 to a spur."""
+    return LabeledDigraph(alphabet, 4, ((0, 1, 1), (1, 0, 1), (1, 2, 2), (2, 3, 2)),
+                          0 if based else None)
+
+
+def shape(result):
+    """A result with its graph's declared alphabet left out."""
+    if isinstance(result, SubgroupGraph):
+        result = result.graph
+    if isinstance(result, LabeledDigraph):
+        return result.num_vertices, result.edges, result.basepoint
+    return result
+
+
+PER_LETTER_KERNELS = {
+    "decompose": lambda a: decompose(tiny(a), (1,)).cycles,
+    "check_main_inequality": lambda a: check_main_inequality(tiny(a), (1,)).component_classes,
+    "trace": lambda a: trace(tiny(a), 0, (1, 2, 2)),
+    "walk": lambda a: walk(tiny(a), 0, (1, 2, 3)),  # c is on no edge
+    "canonical_form": lambda a: canonical_form(tiny(a)),
+    "canonical_form_unbased": lambda a: canonical_form(tiny(a, based=False)),
+    "core": lambda a: core(tiny(a)),
+    "fiber_product": lambda a: fiber_product(tiny(a), tiny(a)),
+    "intersect": lambda a: intersect(stallings_graph([(1,), (2, 1, -2)], a),
+                                     stallings_graph([(1, 1), (2,)], a)),
+    "conjugate": lambda a: conjugate(stallings_graph([(1, 2)], a), (3, 1)),
+}
+
+
+class TestMemoryIgnoresDeclaredAlphabet:
+    """Every per-letter structure follows the labels on edges: each kernel,
+    on tiny graphs declared with alphabet 10^6, peaks under 1 MiB and gives
+    what it gives at alphabet 3."""
+
+    @pytest.mark.parametrize("name", PER_LETTER_KERNELS)
+    def test_peak(self, name):
+        kernel = PER_LETTER_KERNELS[name]
+        tracemalloc.start()
+        try:
+            result = kernel(10**6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert shape(result) == shape(kernel(3))
+        assert peak < 1 << 20
+
+
+class TestCanonicalIgnoresLettersRead:
+    """Reading a letter on no edge gives it an all-sink row; canonical
+    forms and intersections do not depend on which such rows exist."""
+
+    @settings(max_examples=150)
+    @given(deterministic_graphs(based=True), deterministic_graphs(based=True),
+           st.lists(st.sampled_from([1, -1, 2, -2, 3, -3, 7]), min_size=1, max_size=4))
+    def test_after_walks(self, g1, g2, w):
+        g1 = component_containing(g1, g1.basepoint)
+        want = canonical_form(g1), canonical_form(replace(g1, basepoint=None))
+        product = intersect(SubgroupGraph(g1), SubgroupGraph(g2)).graph
+        g1, g2 = replace(g1, alphabet=7), replace(g2, alphabet=7)
+        walk(g1, g1.basepoint, w)
+        walk(g2, g2.basepoint, w[::-1])
+        unbased = replace(g1, basepoint=None)
+        walk(unbased, -1, w)
+        assert shape(canonical_form(g1)) == shape(want[0])
+        assert shape(canonical_form(unbased)) == shape(want[1])
+        assert shape(intersect(SubgroupGraph(g1), SubgroupGraph(g2))) == shape(product)
 
 
 class TestCoreAgainstRounds:

@@ -82,3 +82,34 @@ def test_format_entry_matches_the_bench_files(name):
 def test_parse_seeds():
     assert pairs.parse_seeds("501-503") == [501, 502, 503]
     assert pairs.parse_seeds("7") == [7]
+
+
+class TestIncorrectRun:
+    """A run that reports "correct": false ends the tool with exit 1 and no
+    entry: numbers from a wrong engine are not a measurement."""
+
+    def fake_run(self, correct):
+        stamp = {"stamp": {"nproc": 2, "python": "3.11.7", "git_sha": "unknown"},
+                 "slowdown": 1.0}
+        metrics = {name: {"value": 1.0} for name in pairs.end_to_end()}
+        return stamp, {"correct": correct, "metrics": metrics}
+
+    def run_main(self, monkeypatch, wrong):
+        """main over seeds 1-3, the run of (side, seed) wrong reporting not correct."""
+        monkeypatch.setattr(pairs, "export", lambda rev, into: "0" * 40)
+        monkeypatch.setattr(pairs, "run_once", lambda root, workload, seed, seconds:
+                            self.fake_run((root == pairs.ROOT, seed) != wrong))
+        return pairs.main(["--parent", "HEAD", "--workload", "verify-acceptance",
+                           "--seeds", "1-3", "--seconds", "1"])
+
+    @pytest.mark.parametrize("wrong", [(True, 2), (False, 3)])
+    def test_exits_1_without_entry(self, monkeypatch, capsys, wrong):
+        with pytest.raises(SystemExit) as exited:
+            self.run_main(monkeypatch, wrong)
+        assert exited.value.code not in (0, None)
+        assert "not correct" in str(exited.value.code)
+        assert capsys.readouterr().out == ""
+
+    def test_correct_runs_print_the_entry(self, monkeypatch, capsys):
+        assert self.run_main(monkeypatch, None) == 0
+        assert '"pairs": 3' in capsys.readouterr().out

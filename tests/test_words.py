@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -70,7 +72,36 @@ class TestFreeReduce:
         assert free_reduce(()) == ()
 
 
+def slicing_cyclic_reduce(word):
+    """The reference: cancel the end letters one pair at a time, slicing the
+    word each time (quadratic in the conjugator's length)."""
+    r = list(free_reduce(word))
+    conj = []
+    while len(r) >= 2 and r[0] == -r[-1]:
+        conj.append(r[0])
+        r = r[1:-1]
+    return tuple(r), tuple(conj)
+
+
+signed_words = st.lists(st.sampled_from([1, -1, 2, -2, 3, -3]), max_size=12).map(tuple)
+
+
 class TestCyclicReduce:
+    @settings(max_examples=500)
+    @given(signed_words | st.builds(lambda u, c: u + c + invert(u), signed_words,
+                                    signed_words))
+    def test_against_slicing_loop(self, word):
+        assert cyclic_reduce(word) == slicing_cyclic_reduce(word)
+
+    def test_long_conjugator(self):
+        # b^k a B^k: the slicing loop takes minutes at this k
+        k = 100_000
+        word = (2,) * k + (1,) + (-2,) * k
+        start = time.perf_counter()
+        assert cyclic_reduce(word) == ((1,), (2,) * k)
+        assert cyclic_reduce(word + (2,) * k) == ((2,) * k + (1,), ())
+        assert time.perf_counter() - start < 2
+
     def test_single_conjugating_letter(self):
         assert cyclic_reduce(w("baB")) == (w("a"), w("b"))
 

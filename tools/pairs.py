@@ -14,7 +14,8 @@ reads better.
 A named claim meets the rule when the change wins at least 9 pairs in 10
 and its median is better than the parent's by more than the parent's
 interquartile range; the verdict goes to stderr, and the exit status is 1
-when a claim misses.  Standard library only.
+when a claim misses.  A run that reports "correct": false, or fails, also
+exits 1, with no entry printed.  Standard library only.
 """
 
 from __future__ import annotations
@@ -79,8 +80,6 @@ def run_once(root: Path, workload: str, seed: int, seconds: float) -> tuple[dict
     if proc.returncode != 0:
         sys.exit(f"{' '.join(cmd)} in {root} exited {proc.returncode}:\n{proc.stderr}")
     stamp, result = map(json.loads, proc.stdout.splitlines()[-2:])
-    if not result["correct"]:
-        print(f"warning: seed {seed} in {root}: run not correct", file=sys.stderr)
     return stamp, result
 
 
@@ -137,6 +136,8 @@ def main(argv=None) -> int:
         for i, seed in enumerate(seeds):
             for side in ("parent", "change")[::1 if i % 2 == 0 else -1]:
                 stamp, result = run_once(sides[side], args.workload, seed, args.seconds)
+                if not result["correct"]:
+                    sys.exit(f"{side} seed {seed}: run not correct; no entry printed")
                 if side == "parent" and first_stamp is None:
                     first_stamp = stamp
                     if stamp["stamp"]["git_sha"] == "unknown":  # an export has no .git
