@@ -9,6 +9,7 @@ named property suite; exit code 0 means no failures, 1 means failures
 from __future__ import annotations
 
 import json
+import os
 import sys
 
 import click
@@ -32,7 +33,7 @@ def _read_json(path: str):
             return json.load(sys.stdin)
         with open(path) as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # bad bytes, digits, depth
         raise click.UsageError(f"cannot read {path}: {exc}")
 
 
@@ -418,6 +419,9 @@ def subgroup_shnc(file1, file2):
 def verify_cmd(suite, seed, trials, max_vertices, alphabet, max_word_length,
                density, out):
     """Run a named property suite over seeded random instances."""
+    parent = os.path.dirname(os.path.abspath(out))
+    if os.path.isdir(out) or not os.access(out if os.path.exists(out) else parent, os.W_OK):
+        raise _Fail(f"cannot write --out {out}: not a writable file path")
     try:
         cfg = TrialConfig(
             master_seed=seed,

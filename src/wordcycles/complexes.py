@@ -9,7 +9,7 @@ import heapq
 from dataclasses import dataclass
 
 from .graphs import LabeledDigraph, betti, is_connected, require_valid
-from .cycles import Step, decompose
+from .cycles import Step, decompose, trace
 from .words import (
     Word,
     format_word,
@@ -162,27 +162,28 @@ def check_npi(
 ) -> NpiReport:
     """Nonpositive-immersion check for a complex over the one-relator target.
 
-    Each attachment (v, n) glues a disc along the closed trace of w^n at v.
-    The encoding is an immersion exactly when n is the minimal closing
-    exponent at v and the attachment vertices lie in pairwise distinct
-    sigma_w-orbit cycles; both are enforced.  Verdict: Euler characteristic
-    <= 0, or collapsible to a tree (hence contractible).
+    Each attachment (v, n) glues a disc along trace(g, v, w^n), the closed
+    trace of w^n at v.  The encoding is an immersion exactly when n is the
+    minimal closing exponent at v and the attachment vertices lie in
+    pairwise distinct sigma_w-orbit cycles; both are enforced.  Verdict:
+    Euler characteristic <= 0, or collapsible to a tree (hence contractible).
     """
     if not is_connected(g):
         raise ValueError("check_npi: graph must be connected")
     require_simple_cyclic(w)
     dec = decompose(g, w)
-    place = {v: (j, i) for j, cycle in enumerate(dec.cycles) for i, v in enumerate(cycle)}
+    place = {v: j for j, cycle in enumerate(dec.cycles) for v in cycle}
     cells: list[Cell] = []
     used_orbits: set[int] = set()
     for v, n in attachments:
         if v not in place:
             raise ValueError(f"attachment at vertex {v}: w^n never closes there")
-        j, i = place[v]  # v is vertex i of orbit cycle j
-        if n != len(dec.cycles[j]):
+        j = place[v]  # v lies on orbit cycle j
+        period = len(dec.cycles[j])
+        if n != period:
             raise ValueError(
                 f"attachment at vertex {v}: exponent {n} is not the minimal "
-                f"closing exponent {len(dec.cycles[j])}, so this is not an immersion"
+                f"closing exponent {period}, so this is not an immersion"
             )
         if j in used_orbits:
             raise ValueError(
@@ -190,9 +191,7 @@ def check_npi(
                 "cycle class, so this is not an immersion"
             )
         used_orbits.add(j)
-        # the trace of w^period based at v: the class path, rotated
-        path, offset = dec.classes[j].path, i * len(w)
-        cells.append(path[offset:] + path[:offset])
+        cells.append(trace(g, v, w * period)[1])
 
     y = TwoComplex(g, tuple(cells))
     chi = euler_characteristic(y)

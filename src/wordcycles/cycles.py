@@ -12,7 +12,6 @@ and edge multiplicities are traced only when read.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 from operator import le
 
@@ -29,8 +28,9 @@ ORACLE_MAX_VERTICES = 8  # oracle_counts is a slow reference, not a kernel
 def trace(g: LabeledDigraph, v: int, w: Word) -> tuple[int, tuple[Step, ...]] | None:
     """Follow w from v; None if some letter has no matching edge.
 
-    Determinism makes the path unique.  Letters with sign -1 traverse an
-    edge backwards.
+    The one walk into (edge, direction) steps: class paths, edge
+    multiplicities and NPI discs are all traces of w^n.  Determinism makes
+    the path unique.  Letters with sign -1 traverse an edge backwards.
     """
     require_valid(g)
     if not w or not is_reduced(w):
@@ -39,6 +39,7 @@ def trace(g: LabeledDigraph, v: int, w: Word) -> tuple[int, tuple[Step, ...]] | 
         raise ValueError("letters must be nonzero")
     if not (0 <= v < g.num_vertices):
         raise ValueError(f"trace: vertex {v} not in graph")
+    # a list: resizing a tuple(genexpr) hoards memory in the tuple free lists
     rows, table, path = g.successor, g.letter_table, []
     for x in w:
         u = rows[x][v]
@@ -68,7 +69,9 @@ class WCycleClass:
 
 @dataclass(frozen=True)
 class WCycleDecomposition:
-    """classes and edge_multiplicity are built on first read (see decompose)."""
+    """sigma_w and its orbit cycles.  On first read, each cycle's class path
+    is the trace of w^period from its first vertex, and edge_multiplicity
+    counts the edges of those paths."""
 
     word: Word
     sigma: dict[int, int]
@@ -83,27 +86,15 @@ class WCycleDecomposition:
     def class_count(self) -> int:
         return len(self.cycles)
 
-    def _traces(self) -> Iterator[list[int]]:
-        """Per cycle, the edges crossed reading w^period from its first vertex."""
-        g = self.graph  # with a cycle, every letter of w is on an edge
-        steps = [(g.letter_table[x], g.successor[x]) for x in self.word if self.cycles]
-        for cycle in self.cycles:
-            v, path = cycle[0], []
-            for edge, row in steps * len(cycle):
-                path.append(edge[v])
-                v = row[v]
-            yield path
-
     @cached_property
     def classes(self) -> tuple[WCycleClass, ...]:
-        # a list: resizing a tuple(genexpr) hoards memory in the tuple free lists
-        directions = [1 if x > 0 else -1 for x in self.word]
-        return tuple(WCycleClass(c, tuple(zip(path, directions * len(c))))
-                     for c, path in zip(self.cycles, self._traces()))
+        """Per orbit cycle c, the closed trace of w^len(c) from c[0]."""
+        return tuple(WCycleClass(c, trace(self.graph, c[0], self.word * len(c))[1])
+                     for c in self.cycles)
 
     @cached_property
     def edge_multiplicity(self) -> dict[int, int]:
-        return dict(Counter(i for path in self._traces() for i in path))
+        return dict(Counter(e for c in self.classes for e, _ in c.path))
 
 
 def decompose(g: LabeledDigraph, w: Word) -> WCycleDecomposition:
@@ -111,8 +102,8 @@ def decompose(g: LabeledDigraph, w: Word) -> WCycleDecomposition:
 
     Only sigma_w and its orbit cycles, which give the counts, are computed
     here, walking w's successor rows from every vertex.  Class paths and
-    edge multiplicities are built on first read by tracing w again from the
-    cycle vertices alone.  Rejects words that are not cyclically reduced or
+    edge multiplicities are built on first read, with trace, from the cycle
+    vertices alone.  Rejects words that are not cyclically reduced or
     not primitive; the caller must normalize first.
     """
     require_valid(g)

@@ -129,11 +129,8 @@ def draw_npi(cfg, index, rng):
     """Every generated immersion has Euler characteristic <= 0 or collapses."""
     g = random_connected_automaton(cfg, rng)
     w = random_simple_word(cfg, rng)
-    attachments = [
-        [c.vertices[rng.randrange(c.period)], c.period]
-        for c in cycles.decompose(g, w).classes
-        if rng.random() < 0.7
-    ]
+    attachments = [[c[rng.randrange(len(c))], len(c)]
+                   for c in cycles.decompose(g, w).cycles if rng.random() < 0.7]
     return {"g": g, "w": w, "attachments": attachments}
 
 

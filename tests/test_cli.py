@@ -228,6 +228,19 @@ def test_verify_one_letter_alphabet(runner, tmp_path, suite, code):
     assert result.exit_code == code
 
 
+@pytest.mark.parametrize("out", ["", "missing/ce.json"], ids=["directory", "no-parent"])
+def test_verify_unwritable_out(runner, tmp_path, out):
+    # rejected before the first trial, though a passing run writes nothing
+    def verify(path):
+        return runner.invoke(main, ["verify", "main", "--trials", "1", "--out", path])
+
+    result = verify(str(tmp_path / out))
+    assert result.exit_code == 2
+    assert result.output.count("\n") == 1 and "cannot write --out" in result.output
+    assert verify(str(tmp_path / "ce.json")).exit_code == 0
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_verify_bad_config(runner):
     result = runner.invoke(main, ["verify", "main", "--trials", "0"])
     assert result.exit_code == 2
@@ -238,6 +251,19 @@ def test_bad_graph_file(runner, tmp_path):
     path.write_text("{not json")
     result = runner.invoke(main, ["graph", "betti", str(path)])
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize("content", [
+    b"\xff\xfe",  # not UTF-8
+    b"[" * 100_000 + b"]" * 100_000,  # nested past the decoder's recursion limit
+    b'{"alphabet": ' + b"9" * 5000 + b', "num_vertices": 1, "edges": []}',  # int digits
+], ids=["bytes", "depth", "digits"])
+def test_unreadable_graph_file(runner, tmp_path, content):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    result = runner.invoke(main, ["graph", "validate", str(path)])
+    assert result.exit_code == 2
+    assert f"cannot read {path}: " in result.output
 
 
 @pytest.mark.parametrize("obj", [

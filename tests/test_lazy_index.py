@@ -6,6 +6,8 @@ do not pay for a second per-graph index.  Each case runs on fresh graphs
 and then looks in their instance dicts, where cached properties live.
 """
 
+import random
+
 import pytest
 
 from wordcycles.cycles import check_main_inequality, decompose
@@ -18,6 +20,7 @@ from wordcycles.generators import (
 )
 from wordcycles.graphs import LabeledDigraph, canonical_form, core
 from wordcycles.subgroups import contains, count_conjugates_meeting, intersect
+from wordcycles.verify import SUITES
 
 CFG = TrialConfig(max_vertices=12, alphabet=2, max_word_length=6)
 SEEDS = range(8)
@@ -76,3 +79,10 @@ class TestCountsBuildNoLetterTable:
         h = random_subgroup(CFG, seed)
         count_conjugates_meeting(h, random_simple_word(CFG, seed))
         assert not built_table(h.graph)
+
+
+def test_npi_draw():
+    # attachments are read off the orbit cycles; only check_npi traces discs
+    instances = [SUITES["npi"].draw(CFG, seed, random.Random(seed)) for seed in SEEDS]
+    assert not built_table(*(i["g"] for i in instances))
+    assert any(decompose(i["g"], i["w"]).cycles for i in instances)  # a class was drawn

@@ -70,6 +70,55 @@ class TestClaimRule:
         assert not pairs.meets_claim(metric, "lower")
 
 
+class TestNoRegression:
+    """The per-metric verdict, with BENCHMARK.json's bound of 0.25."""
+
+    def verdict(self, parent_ops, change_ops, name="ops_per_s"):
+        tail = [10] * len(parent_ops)
+        return pairs.no_regression(runs(tail, tail, parent_ops, change_ops), name,
+                                   BETTER[name], 0.25)
+
+    def test_worse_by_more_than_the_bound(self):
+        assert self.verdict(OPS, [74] * 10) == "regressed"
+        assert self.verdict(OPS, [76] * 10) == "ok"
+
+    def test_lower_is_better(self):
+        parent, change = [10] * 10, [13] * 10
+        tail_runs = runs(parent, change, OPS, OPS)
+        assert pairs.no_regression(tail_runs, "op_tail_ms", "lower", 0.25) == "regressed"
+        assert pairs.no_regression(tail_runs, "op_tail_ms", "lower", 0.5) == "ok"
+        faster = runs(parent, [7] * 10, OPS, OPS)
+        assert pairs.no_regression(faster, "op_tail_ms", "lower", 0.25) == "ok"
+
+    def test_parent_spread_wider_than_the_bound(self):
+        wide = [40, 60, 70, 80, 100, 100, 120, 130, 140, 160]  # IQR 60 > 25
+        assert self.verdict(wide, wide) == "unresolved"
+        assert self.verdict(wide, [161] * 10) == "ok"  # every change run better
+        assert self.verdict(wide, [160] * 10) == "unresolved"  # a tie is not better
+        assert self.verdict(wide, [60] * 10) == "regressed"  # checked first
+
+    def test_main_prints_a_verdict_per_metric_and_exits_1(self, monkeypatch, capsys):
+        def fake_run(root, workload, seed, seconds):
+            stamp = {"stamp": {"nproc": 2, "python": "3.11.7", "git_sha": "unknown"},
+                     "slowdown": 1.0}
+            values = {name: 1.0 for name in pairs.end_to_end()}
+            if root == pairs.ROOT:  # the change: half the throughput
+                values["ops_per_s"] = 0.5
+            return stamp, {"correct": True,
+                           "metrics": {k: {"value": v} for k, v in values.items()}}
+
+        monkeypatch.setattr(pairs, "export", lambda rev, into: "0" * 40)
+        monkeypatch.setattr(pairs, "run_once", fake_run)
+        assert pairs.main(["--parent", "HEAD", "--workload", "verify-acceptance",
+                           "--seeds", "1-3", "--seconds", "1"]) == 1
+        out, err = capsys.readouterr()
+        assert '"pairs": 3' in out  # the entry is still printed
+        verdicts = [line for line in err.splitlines() if line.startswith("no-regression")]
+        assert len(verdicts) == len(pairs.end_to_end())
+        assert "no-regression ops_per_s: regressed" in err
+        assert "no-regression op_p50_ms: ok" in err
+
+
 @pytest.mark.parametrize("name", ["BENCH_verify-acceptance.json",
                                   "BENCH_subgroups-large.json"])
 def test_format_entry_matches_the_bench_files(name):

@@ -11,6 +11,8 @@ The entry, printed on stdout in the layout of the files' "entries" list,
 gives, for each end-to-end metric of BENCHMARK.json, each side's median
 and inclusive quartiles over its runs, and the pairs in which the change
 reads better.
+Each end-to-end metric also gets a no-regression verdict on stderr
+(see no_regression), and the exit status is 1 when one regressed.
 A named claim meets the rule when the change wins at least 9 pairs in 10
 and its median is better than the parent's by more than the parent's
 interquartile range; the verdict goes to stderr, and the exit status is 1
@@ -33,10 +35,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def end_to_end(root: Path = ROOT) -> dict[str, str]:
-    """Each end-to-end metric of BENCHMARK.json: "higher" or "lower"."""
+def end_to_end(root: Path = ROOT, key: str = "better") -> dict:
+    """Each end-to-end metric of BENCHMARK.json: "higher" or "lower", or
+    its field named key, such as "bound"."""
     spec = json.loads((root / "BENCHMARK.json").read_text())
-    return {m["name"]: m["better"] for m in spec["end_to_end"]}
+    return {m["name"]: m[key] for m in spec["end_to_end"]}
 
 
 def spread(values: list[float]) -> dict[str, float]:
@@ -70,6 +73,24 @@ def meets_claim(metric: dict, direction: str) -> bool:
     if direction == "lower":
         gap = -gap
     return 10 * wins >= 9 * pairs and gap > parent["q3"] - parent["q1"]
+
+
+def no_regression(runs: list[dict], name: str, direction: str, bound: float) -> str:
+    """One metric's verdict: "regressed" when the change's median is worse
+    than the parent's by more than bound times the parent's median; else
+    "unresolved" when the parent's interquartile range is wider than that
+    margin, unless every change run reads better than every parent run;
+    else "ok"."""
+    sign = 1 if direction == "higher" else -1
+    parent = [sign * r[name] for r in runs if r["side"] == "parent"]
+    change = [sign * r[name] for r in runs if r["side"] == "change"]
+    margin = bound * abs(statistics.median(parent))
+    if statistics.median(parent) - statistics.median(change) > margin:
+        return "regressed"
+    q1, _, q3 = statistics.quantiles(parent, n=4, method="inclusive")
+    if q3 - q1 > margin and min(change) <= max(parent):
+        return "unresolved"
+    return "ok"
 
 
 def run_once(root: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
@@ -154,13 +175,20 @@ def main(argv=None) -> int:
              "claim": args.claim,
              "host": f"{info['nproc']}-core host, Python {info['python']}",
              "stamp": first_stamp, "metrics": summarize(runs, better), "runs": runs}
+    bounds, regressed = end_to_end(key="bound"), False
+    for name, direction in better.items():
+        verdict = no_regression(runs, name, direction, bounds[name])
+        regressed |= verdict == "regressed"
+        m = entry["metrics"][name]
+        print(f"no-regression {name}: {verdict} (median {m['parent']['median']} -> "
+              f"{m['change']['median']}, bound {bounds[name]})", file=sys.stderr)
     met = True
     if args.claim is not None:
         met = meets_claim(entry["metrics"][args.claim], better[args.claim])
         print(f"claim {args.claim}: {'meets' if met else 'misses'} the rule "
               f"(wins {entry['metrics'][args.claim]['wins']})", file=sys.stderr)
     print(format_entry(entry))
-    return 0 if met else 1
+    return 0 if met and not regressed else 1
 
 
 if __name__ == "__main__":
