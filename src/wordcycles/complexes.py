@@ -10,13 +10,7 @@ from dataclasses import dataclass
 
 from .graphs import LabeledDigraph, betti, is_connected, require_valid
 from .cycles import Step, decompose, trace
-from .words import (
-    Word,
-    format_word,
-    is_cyclically_reduced,
-    is_simple,
-    require_simple_cyclic,
-)
+from .words import Word, format_word, is_cyclically_reduced, is_simple
 
 Cell = tuple[Step, ...]  # closed combinatorial boundary path
 
@@ -170,8 +164,7 @@ def check_npi(
     """
     if not is_connected(g):
         raise ValueError("check_npi: graph must be connected")
-    require_simple_cyclic(w)
-    dec = decompose(g, w)
+    dec = decompose(g, w)  # decompose checks g, then w
     place = {v: j for j, cycle in enumerate(dec.cycles) for v in cycle}
     cells: list[Cell] = []
     used_orbits: set[int] = set()

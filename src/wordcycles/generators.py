@@ -103,9 +103,7 @@ def random_connected_automaton(cfg: TrialConfig, seed_or_rng) -> LabeledDigraph:
 def random_permutation_automaton(cfg: TrialConfig, seed_or_rng) -> LabeledDigraph:
     """Full permutations for every label (a cover of the rose), connected
     component taken.  Every word traces from every vertex."""
-    rng = _as_rng(seed_or_rng)
-    g = random_inverse_automaton(replace(cfg, edge_density=1.0), rng)
-    return component_containing(g, _below(rng, g.num_vertices))
+    return random_connected_automaton(replace(cfg, edge_density=1.0), seed_or_rng)
 
 
 def random_reduced_word(cfg: TrialConfig, rng: random.Random, length: int) -> Word:

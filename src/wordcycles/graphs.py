@@ -274,13 +274,12 @@ def _load_rows(edges, size: int) -> tuple[dict, list[tuple[int, int]]]:
 
 
 def _fold_clashes(rows: dict[int, list[int]], n: int, pending,
-                  getrandbits=None) -> tuple[list[int], list[int], list[Edge]]:
+                  getrandbits=None) -> tuple[list[int], list[int]]:
     """Merge the pending vertex pairs on the slot rows of a graph on
     vertices below n (_merge, popping as it says), then number the classes
     in the order of their least vertices.  Returns (the class roots, each
     vertex's class, with number[-1] = -1 so that an empty slot maps to
-    itself, the folded edges between classes): a class has one edge per
-    letter, in its root's slot."""
+    itself): a class has one edge per letter, in its root's slot."""
     parent = _merge(list(rows.values()), n, pending, getrandbits)
     roots: list[int] = []
     number = [-1] * (n + 1)
@@ -292,8 +291,7 @@ def _fold_clashes(rows: dict[int, list[int]], n: int, pending,
             number[r] = len(roots)
             roots.append(r)
         number[v] = number[r]
-    return roots, number, [(number[r], number[u], x) for x, row in rows.items()
-                           if x > 0 for r in roots if (u := row[r]) >= 0]
+    return roots, number
 
 
 def fold(g: LabeledDigraph, rng: random.Random | None = None) -> LabeledDigraph:
@@ -306,36 +304,38 @@ def fold(g: LabeledDigraph, rng: random.Random | None = None) -> LabeledDigraph:
     fold is near-linear.  Parallel duplicates collapse.
 
     Output vertices are numbered by the least input vertex of their class
-    (_fold_clashes), and edges are sorted.  The result is independent of
-    the merge order up to canonical form; an rng pops the worklist in
-    random order (used to test exactly that), each index drawn from
-    rng.getrandbits as rng.randrange would draw it, otherwise it is popped
-    last-in first-out.
+    (_fold_clashes), and the edges, read off the class roots' slots, are
+    sorted.  The result is independent of the merge order up to canonical
+    form; an rng pops the worklist in random order (used to test exactly
+    that), each index drawn from rng.getrandbits as rng.randrange would
+    draw it, otherwise it is popped last-in first-out.
     """
     n = g.num_vertices
     rows, pending = _load_rows(g.edges, n)
-    roots, number, edges = _fold_clashes(rows, n, pending,
-                                         rng.getrandbits if rng is not None else None)
-    edges.sort()
+    roots, number = _fold_clashes(rows, n, pending,
+                                  rng.getrandbits if rng is not None else None)
+    edges = sorted((i, number[u], x) for x, row in rows.items() if x > 0
+                   for i, r in enumerate(roots) if (u := row[r]) >= 0)
     base = number[g.basepoint] if g.basepoint is not None else None
     return LabeledDigraph(g.alphabet, len(roots), tuple(edges), base)
 
 
-def _strip_spurs(rows, n: int, edges, base: int) -> tuple[list[int] | None, list[Edge]]:
+def _strip_spurs(rows, n: int, base: int) -> list[int] | None:
     """Remove the spurs, degree-1 vertices other than base, of the graph on
-    vertices 0..n-1 with these edges, in rounds; the degrees left, -1 for a
-    removed vertex, or None if there was no spur, and the edges kept.
-    rows[i][v] is where the i-th signed letter leads from v, or -1 (the
-    sink).  Every spur of a round loses its one live edge, and only the far
-    ends of those edges can be spurs of the next round, so an isolated edge
-    loses both ends at once; a vertex left at degree 0 stays."""
-    degree = [0] * n + [-1]  # the sink -1 reads degree[-1]
-    for s, d, _ in edges:
-        degree[s] += 1
-        degree[d] += 1
+    vertices 0..n-1 with these slot rows, in rounds; the degrees left, -1
+    for a removed vertex, or None if there was no spur.  rows[i][v] is
+    where the i-th signed letter leads from v, or -1 (the sink), in at
+    least n slots, so a vertex's degree is its filled slots; with no rows
+    there is no edge and no spur.  Every spur of a round loses its one live
+    edge, and only the far ends of those edges can be spurs of the next
+    round, so an isolated edge loses both ends at once; a vertex left at
+    degree 0 stays."""
+    degree = [len(rows) - slots.count(-1) for slots in zip(*rows)]
+    del degree[n:]  # the slots past n are empty
+    degree.append(-1)  # the sink -1 reads degree[-1]
     spurs = [v for v, k in enumerate(degree) if k == 1 and v != base]
     if not spurs:
-        return None, edges
+        return None
     while spurs:  # an edge is gone once either end is
         far_ends = []
         for v in spurs:
@@ -346,7 +346,7 @@ def _strip_spurs(rows, n: int, edges, base: int) -> tuple[list[int] | None, list
                     degree[u] -= 1
                     far_ends.append(u)
         spurs = [u for u in set(far_ends) if degree[u] == 1 and u != base]
-    return degree, [(s, d, l) for s, d, l in edges if degree[s] >= 0 and degree[d] >= 0]
+    return degree
 
 
 def core(g: LabeledDigraph) -> LabeledDigraph:
@@ -358,12 +358,13 @@ def core(g: LabeledDigraph) -> LabeledDigraph:
     if base is None:
         raise ValueError("core: graph has no basepoint")
     require_valid(g)
-    degree, edges = _strip_spurs(list(g.successor.values()), g.num_vertices, g.edges, base)
+    degree = _strip_spurs(list(g.successor.values()), g.num_vertices, base)
     if degree is None:
         return g
     number = list(accumulate((k >= 0 for k in degree), initial=0))  # kept before v
-    new_edges = tuple((number[s], number[d], l) for s, d, l in edges)
-    return LabeledDigraph(g.alphabet, number[-1], new_edges, number[base])
+    edges = tuple((number[s], number[d], l) for s, d, l in g.edges
+                  if degree[s] >= 0 and degree[d] >= 0)
+    return LabeledDigraph(g.alphabet, number[-1], edges, number[base])
 
 
 def fiber_product(g1: LabeledDigraph, g2: LabeledDigraph) -> LabeledDigraph:
@@ -403,29 +404,35 @@ def walk(g: LabeledDigraph, v: int, letters) -> int:
     return v
 
 
-def _steps(rows: dict[int, list[int]]) -> list[list[int]]:
-    """The rows of the letters 1, -1, 2, -2, ... that have rows, in order."""
-    return [row for l in sorted(rows) if l > 0 for row in (rows[l], rows[-l])]
-
-
-def _bfs_form(alphabet: int, steps, number: list, edges, start: int, size: int,
-              basepoint: int | None = 0) -> LabeledDigraph:
-    """The graph with these edges, based at start (0) or not (None), its
-    size vertices numbered breadth-first from start along steps (_steps),
-    never into the sink -1: number[v] is None for a vertex to number and -1
-    for one never to queue (a removed vertex)."""
+def _bfs_form(alphabet: int, rows: dict[int, list[int]], number: list, start: int,
+              size: int, basepoint: int | None = 0) -> LabeledDigraph:
+    """The graph on these slot rows (rows[x][v]: where letter x leads from
+    v, or -1), based at start (0) or not (None), its size vertices numbered
+    breadth-first from start along the letters 1, -1, 2, -2, ... that have
+    rows, never into the sink -1: number[v] is None for a vertex to number
+    and -1 for one never to queue (a removed vertex).  Each edge is read
+    off its source's positive-letter slot as the source is numbered; an
+    edge into a removed vertex is skipped."""
+    steps = [(l, rows[l], rows[-l]) for l in sorted(rows) if l > 0]
     number[start] = 0
     order = [start]
+    edges = []
     for v in order:  # order grows while it is read: the BFS queue
-        for row in steps:
-            if (u := row[v]) >= 0 and number[u] is None:  # skip the sink: reads at -1 are slow
+        src = number[v]
+        for l, out, back in steps:
+            if (u := out[v]) >= 0:  # skip the sink: reads at -1 are slow
+                if (dst := number[u]) is None:
+                    number[u] = dst = len(order)
+                    order.append(u)
+                if dst >= 0:
+                    edges.append((src, dst, l))
+            if (u := back[v]) >= 0 and number[u] is None:
                 number[u] = len(order)
                 order.append(u)
     if len(order) < size:  # on a deterministic graph, every edge was crossed
         raise ValueError("canonical_form: graph must be connected")
-    renumbered = [(number[s], number[d], l) for s, d, l in edges]
-    renumbered.sort()
-    return LabeledDigraph(alphabet, size, tuple(renumbered), basepoint)
+    edges.sort()
+    return LabeledDigraph(alphabet, size, tuple(edges), basepoint)
 
 
 def canonical_form(g: LabeledDigraph) -> LabeledDigraph:
@@ -438,26 +445,23 @@ def canonical_form(g: LabeledDigraph) -> LabeledDigraph:
     n = g.num_vertices
     if n == 0:
         raise ValueError("canonical_form: graph must be connected")
-    steps = _steps(g.successor)
     if g.basepoint is not None:
-        return _bfs_form(g.alphabet, steps, [None] * n, g.edges, g.basepoint, n)
-    return min((_bfs_form(g.alphabet, steps, [None] * n, g.edges, start, n, None)
+        return _bfs_form(g.alphabet, g.successor, [None] * n, g.basepoint, n)
+    return min((_bfs_form(g.alphabet, g.successor, [None] * n, start, n, None)
                 for start in range(n)), key=lambda h: h.edges)
 
 
-def _core_form(alphabet: int, rows: dict[int, list[int]], n: int, edges,
+def _core_form(alphabet: int, rows: dict[int, list[int]], n: int,
                base: int) -> LabeledDigraph:
-    """canonical_form(core(g)) for the connected deterministic graph g with
-    these edges and base, read off its slot rows: rows[x][v] is where
-    letter x leads from v, or -1, for each letter x on an edge.  g's
-    vertices are 0..n-1."""
-    steps = _steps(rows)
+    """canonical_form(core(g)) for the connected deterministic graph g on
+    vertices 0..n-1 with these slot rows and base: rows[x][v] is where
+    letter x leads from v, or -1, for each letter x on an edge."""
     number, size = [None] * n, n
-    degree, edges = _strip_spurs(steps, n, edges, base)
+    degree = _strip_spurs(list(rows.values()), n, base)
     if degree is not None:
         number = [None if k >= 0 else -1 for k in degree]
         size = n + 1 - degree.count(-1)
-    return _bfs_form(alphabet, steps, number, edges, base, size)
+    return _bfs_form(alphabet, rows, number, base, size)
 
 
 def isomorphic(g1: LabeledDigraph, g2: LabeledDigraph) -> bool:

@@ -13,7 +13,6 @@ from .graphs import (
     _core_form,
     _fold_clashes,
     _load_rows,
-    _steps,
     betti,
     circle,
     fiber_product,
@@ -44,17 +43,17 @@ def _read(g: LabeledDigraph, words: list[Word], loops: bool):
     """Read each word in at g's basepoint, following g's edges and creating
     the missing ones, on g's slot rows (_load_rows, with room for the new
     vertices): rows[x][v] is where letter x leads from v, or -1, for the
-    letters in use.  Returns (rows, edges, n, base, pending), pending the
-    vertex pairs that clashes force together.  With loops, each word is a
-    freely reduced loop, walked backwards into the basepoint too, so only
-    the unread middle is new; the two vertices where the walks meet, or the
-    far ends of the middle's first and last edges where both leave one
-    vertex by the same letter, are pending.  Without, the one word's end
-    becomes the basepoint, and nothing clashes.  The callers check the
-    letters first, with _require_letters."""
+    letters in use, which are then the graph's only record of its edges.
+    Returns (rows, n, base, pending): n counts the new vertices too, and
+    pending holds the vertex pairs that clashes force together.  With
+    loops, each word is a freely reduced loop, walked backwards into the
+    basepoint too, so only the unread middle is new; the two vertices where
+    the walks meet, or the far ends of the middle's first and last edges
+    where both leave one vertex by the same letter, are pending.  Without,
+    the one word's end becomes the basepoint, and nothing clashes.  The
+    callers check the letters first, with _require_letters."""
     n, base = g.num_vertices, g.basepoint
-    edges = list(g.edges)
-    rows, pending = _load_rows(edges, n + sum(map(len, words)))  # g clashes nowhere
+    rows, pending = _load_rows(g.edges, n + sum(map(len, words)))  # g clashes nowhere
     for w in words:
         v, i, u, j = base, 0, base, len(w)
         while i < j and (t := rows[w[i]][v]) >= 0:  # forwards: w[:i] reads to v
@@ -69,7 +68,6 @@ def _read(g: LabeledDigraph, words: list[Word], loops: bool):
             if (t := rows[x][v]) < 0:
                 t, n = n, n + 1
                 rows[x][v], rows[-x][t] = t, v
-                edges.append((v, t, x) if x > 0 else (t, v, -x))
             v = t
         if not loops:
             base = v
@@ -78,8 +76,7 @@ def _read(g: LabeledDigraph, words: list[Word], loops: bool):
         if (t := rows[-x][u]) >= 0:  # the first new edge also leaves u reading -x
             pending.append((t, v))
         rows[x][v], rows[-x][u] = u, v
-        edges.append((v, u, x) if x > 0 else (u, v, -x))
-    return rows, edges, n, base, pending
+    return rows, n, base, pending
 
 
 def _require_letters(words: list[Word], alphabet: int) -> None:
@@ -113,14 +110,14 @@ def stallings_graph(gens: list[Word], alphabet: int) -> SubgroupGraph:
             )
         if r:
             reduced.append(r)
-    rows, edges, n, base, pending = _read(_START, reduced, loops=True)
+    rows, n, base, pending = _read(_START, reduced, loops=True)
     if pending:
-        roots, number, edges = _fold_clashes(rows, n, pending)
+        roots, number = _fold_clashes(rows, n, pending)
         for row in rows.values():  # class i's slots move to i from its root, which is >= i
             for i, r in enumerate(roots):
                 row[i] = number[row[r]]
         n, base = len(roots), number[base]
-    return SubgroupGraph(_bfs_form(alphabet, _steps(rows), [None] * n, edges, base, n))
+    return SubgroupGraph(_bfs_form(alphabet, rows, [None] * n, base, n))
 
 
 def rank(h: SubgroupGraph) -> int:
@@ -144,8 +141,8 @@ def conjugate(h: SubgroupGraph, g: Word) -> SubgroupGraph:
     if 0 in g:  # stallings_graph rejects zero through free_reduce
         raise ValueError("letters must be nonzero")
     _require_letters([g], h.graph.alphabet)
-    rows, edges, n, base, _ = _read(h.graph, [tuple(g)], loops=False)
-    return SubgroupGraph(_core_form(h.graph.alphabet, rows, n, edges, base))
+    rows, n, base, _ = _read(h.graph, [tuple(g)], loops=False)
+    return SubgroupGraph(_core_form(h.graph.alphabet, rows, n, base))
 
 
 def intersect(h1: SubgroupGraph, h2: SubgroupGraph) -> SubgroupGraph:
@@ -162,12 +159,11 @@ def intersect(h1: SubgroupGraph, h2: SubgroupGraph) -> SubgroupGraph:
     n2, rows1, rows2 = g2.num_vertices, g1.successor, g2.successor
     # the product's slot rows, a vertex at a time, for the letters on both graphs
     rows = {x: [] for l in sorted(rows1) if l > 0 and l in rows2 for x in (l, -l)}
-    steps = [(rows1[x], rows2[x], x, row) for x, row in rows.items()]
+    steps = [(rows1[x], rows2[x], row) for x, row in rows.items()]
     number = {g1.basepoint * n2 + g2.basepoint: 0}  # pair (u1, u2) is u1 * n2 + u2
     order = [(g1.basepoint, g2.basepoint)]
-    edges = []
-    for src, (v1, v2) in enumerate(order):  # order grows while it is read: the BFS queue
-        for row1, row2, x, row in steps:
+    for v1, v2 in order:  # order grows while it is read: the BFS queue
+        for row1, row2, row in steps:
             u1, u2 = row1[v1], row2[v2]
             if u1 < 0 or u2 < 0:
                 row.append(-1)
@@ -176,9 +172,7 @@ def intersect(h1: SubgroupGraph, h2: SubgroupGraph) -> SubgroupGraph:
             if dst == len(order):
                 order.append((u1, u2))
             row.append(dst)
-            if x > 0:  # each edge is added once, from its source
-                edges.append((src, dst, x))
-    return SubgroupGraph(_core_form(g1.alphabet, rows, len(order), edges, 0))
+    return SubgroupGraph(_core_form(g1.alphabet, rows, len(order), 0))
 
 
 @dataclass(frozen=True)
@@ -239,14 +233,13 @@ def check_restated_inequality(cycle_w: Word, g2: LabeledDigraph) -> RestatedRepo
     """Betti-number form of the counting inequality via a fiber product with
     the circle reading w; cross-checked against the orbit-cycle count."""
     require_simple_cyclic(cycle_w)
-    require_valid(g2)
     if g2.num_vertices == 0:
         raise ValueError("graph is empty")
     alphabet = max(g2.alphabet, max(abs(x) for x in cycle_w))
     g1 = circle(cycle_w, alphabet)
     if g2.alphabet != alphabet:
         g2 = LabeledDigraph(alphabet, g2.num_vertices, g2.edges, g2.basepoint)
-    bettis = betti(fiber_product(g1, g2)).bettis
+    bettis = betti(fiber_product(g1, g2)).bettis  # fiber_product checks g2
     lhs = sum(bettis)
     rhs = betti(g1).total * betti(g2).total
     k = decompose(g2, cycle_w).class_count

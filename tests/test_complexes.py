@@ -211,6 +211,13 @@ class TestNpi:
         with pytest.raises(ValueError):
             check_npi(rose(2), w("abab"), [])
 
+    def test_nondeterministic_graph_reported_before_word(self):
+        # decompose checks the graph, then the word; check_npi adds no check of its own
+        g = LabeledDigraph(1, 2, ((0, 1, 1), (0, 0, 1)))
+        with pytest.raises(ValueError, match="graph is not deterministic: vertex 0: "
+                                             "2 outgoing edges with label 1"):
+            check_npi(g, w("aA"), [])
+
 
 class TestStaggered:
     def test_single_relator(self):

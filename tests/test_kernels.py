@@ -515,6 +515,30 @@ def deterministic_graphs(draw, max_vertices=9, alphabet=2, based=None):
 
 
 @st.composite
+def graphs_with_hanging_trees(draw, max_vertices=12, alphabet=3):
+    """Based, connected, deterministic graphs: each vertex hangs off an
+    earlier one by a free slot, and extra edges are kept where both their
+    slots are free, so trees hang off the cycles the extra edges close."""
+    n = draw(st.integers(1, max_vertices))
+    taken, edges = set(), []
+
+    def add(v, u, x):  # the edge reading x from v to u
+        taken.update({(v, x), (u, -x)})
+        edges.append((v, u, x) if x > 0 else (u, v, -x))
+
+    for u in range(1, n):
+        v, x = draw(st.sampled_from([(v, x) for v in range(u) for l in range(1, alphabet + 1)
+                                     for x in (l, -l) if (v, x) not in taken]))
+        add(v, u, x)
+    vertex = st.integers(0, n - 1)
+    for v, u, x in draw(st.lists(st.tuples(vertex, vertex, letters_from(
+            list(range(1, alphabet + 1)))), max_size=n)):
+        if (v, x) not in taken and (u, -x) not in taken:
+            add(v, u, x)
+    return LabeledDigraph(alphabet, n, tuple(draw(st.permutations(edges))), draw(vertex))
+
+
+@st.composite
 def gamma_w_and_npi_complexes(draw):
     """Over a random connected automaton and a random simple word: Gamma_w,
     or a complex like check_npi builds, with a disc for some of the cycle
@@ -756,9 +780,9 @@ class TestStallingsAgainstWedgeFold:
         # reading and the finishing pass keep rows for the letters in use only
         tracemalloc.start()
         try:
-            rows, edges, n, base, pending = _read(LabeledDigraph(10**6, 1, (), 0),
-                                                  [(1, 2), (2, 1)], loops=True)
-            g = _core_form(10**6, rows, n, edges, base)
+            rows, n, base, pending = _read(LabeledDigraph(10**6, 1, (), 0),
+                                           [(1, 2), (2, 1)], loops=True)
+            g = _core_form(10**6, rows, n, base)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -1070,6 +1094,22 @@ class TestCanonicalIgnoresLettersRead:
         assert shape(canonical_form(g1)) == shape(want[0])
         assert shape(canonical_form(unbased)) == shape(want[1])
         assert shape(intersect(SubgroupGraph(g1), SubgroupGraph(g2))) == shape(product)
+
+
+class TestCoreFormAgainstCoreThenCanonical:
+    """_core_form strips spurs and numbers the vertices on the slot rows
+    alone: degrees are counted from the rows, rows that walks left for
+    letters on no edge included, and edges into removed vertices are
+    skipped as the kept vertices are numbered."""
+
+    @settings(max_examples=300)
+    @given(graphs_with_hanging_trees(),
+           st.lists(letters_from([1, 2, 3, 4]), min_size=1, max_size=4))
+    def test_same_graph(self, g, letters):
+        walk(g, g.basepoint, letters)  # reading a letter on no edge adds its row
+        want = canonical_form(core(g))
+        assert want == canonical_form(round_core(g))
+        assert _core_form(g.alphabet, g.successor, g.num_vertices, g.basepoint) == want
 
 
 class TestCoreAgainstRounds:

@@ -193,6 +193,14 @@ class TestRestated:
         rep = check_restated_inequality(w("ab"), g)
         assert rep.lhs == 0 and rep.class_count == 0 and rep.passed
 
+    def test_nondeterministic_graph_rejected(self):
+        # the check is fiber_product's, on g2 relabelled to w's alphabet
+        g = LabeledDigraph(1, 2, ((0, 1, 1), (0, 0, 1)))
+        with pytest.raises(ValueError) as raised:
+            check_restated_inequality(w("ab"), g)
+        assert str(raised.value) == ("graph is not deterministic: vertex 0: 2 outgoing "
+                                     "edges with label 1")
+
 
 class TestConjugateIntersection:
     def test_a_with_b_power_cosets(self):

@@ -1,0 +1,126 @@
+"""One sha256 per graph builder over seeded instances, to show that a
+change leaves every builder's output as it was.
+
+    python3 tools/outputs.py [--count N]
+
+For each builder, instance i is drawn from random.Random(i) for i below
+count, and the builder's results are hashed as graphs.dumps prints them
+(what the CLI prints), one result after another.  Each line is
+"<sha256>  <builder>".  Run it in two checkouts and compare the lines: the
+wordcycles package is imported from the checkout the script lies in.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import random
+import sys
+import warnings
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+
+from wordcycles.generators import (  # noqa: E402
+    TrialConfig, random_connected_automaton, random_subgroup)
+from wordcycles.graphs import (  # noqa: E402
+    LabeledDigraph, canonical_form, component_containing, core, dumps, fiber_product, fold)
+from wordcycles.subgroups import conjugate, intersect, stallings_graph  # noqa: E402
+
+COUNT = 500  # instances per builder
+
+
+def config(rng: random.Random) -> TrialConfig:
+    return TrialConfig(alphabet=rng.randint(1, 3), max_vertices=14, edge_density=0.6)
+
+
+def letters(rng: random.Random, alphabet: int, most: int) -> tuple[int, ...]:
+    """Up to most letters over the alphabet, drawn freely, so cancelling
+    pairs occur."""
+    return tuple(rng.choice((1, -1)) * rng.randint(1, alphabet)
+                 for _ in range(rng.randint(0, most)))
+
+
+def based(rng: random.Random, cfg: TrialConfig | None = None) -> LabeledDigraph:
+    """A connected automaton, hanging trees and all, based at a random vertex."""
+    g = random_connected_automaton(cfg or config(rng), rng)
+    return LabeledDigraph(g.alphabet, g.num_vertices, g.edges, rng.randrange(g.num_vertices))
+
+
+def tangle(rng: random.Random) -> LabeledDigraph:
+    """Random edges, based, clashes and parallel duplicates included."""
+    alphabet, n = rng.randint(1, 3), rng.randint(1, 12)
+    edges = tuple((rng.randrange(n), rng.randrange(n), rng.randint(1, alphabet))
+                  for _ in range(rng.randint(0, 2 * n)))
+    return LabeledDigraph(alphabet, n, edges, rng.randrange(n))
+
+
+def product_pair(rng: random.Random):
+    cfg = config(rng)
+    return based(rng, cfg), based(rng, cfg)
+
+
+def subgroup_pair(rng: random.Random):
+    cfg = config(rng)
+    return random_subgroup(cfg, rng), random_subgroup(cfg, rng)
+
+
+def unbased_form(rng: random.Random) -> LabeledDigraph:
+    return canonical_form(random_connected_automaton(config(rng), rng))
+
+
+def stallings(rng: random.Random) -> LabeledDigraph:
+    alphabet = rng.randint(1, 3)
+    gens = [letters(rng, alphabet, 10) for _ in range(rng.randint(1, 4))]
+    return stallings_graph(gens, alphabet).graph
+
+
+def conjugated(rng: random.Random) -> LabeledDigraph:
+    h = random_subgroup(config(rng), rng)
+    return conjugate(h, letters(rng, h.graph.alphabet, 8)).graph
+
+
+def component(rng: random.Random) -> LabeledDigraph:
+    g = tangle(rng)
+    return component_containing(g, rng.randrange(g.num_vertices))
+
+
+BUILDERS = {
+    "canonical_form/based": lambda rng: canonical_form(based(rng)),
+    "canonical_form/unbased": unbased_form,
+    "core": lambda rng: core(based(rng)),
+    # fold's output does not depend on its pop order: the two fold lines agree
+    "fold/lifo": lambda rng: fold(tangle(rng)),
+    "fold/seeded": lambda rng: fold(tangle(rng), random.Random(rng.getrandbits(32))),
+    "fiber_product": lambda rng: fiber_product(*product_pair(rng)),
+    "component_containing": component,
+    "stallings_graph": stallings,
+    "conjugate": conjugated,
+    "intersect": lambda rng: intersect(*subgroup_pair(rng)).graph,
+}
+
+
+def digests(count: int = COUNT) -> dict[str, str]:
+    """builder name -> sha256 of its results' dumps over instances 0..count-1."""
+    out = {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # stallings_graph warns of unreduced generators
+        for name, build in BUILDERS.items():
+            h = hashlib.sha256()
+            for i in range(count):
+                h.update(dumps(build(random.Random(i))).encode() + b"\n")
+            out[name] = h.hexdigest()
+    return out
+
+
+def main(argv=None) -> None:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--count", type=int, default=COUNT, help="instances per builder")
+    args = ap.parse_args(argv)
+    for name, digest in digests(args.count).items():
+        print(f"{digest}  {name}")
+
+
+if __name__ == "__main__":
+    main()
