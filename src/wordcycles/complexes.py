@@ -8,7 +8,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from .graphs import LabeledDigraph, betti, is_connected, require_valid
+from .graphs import LabeledDigraph, _built, betti, is_connected, require_valid
 from .cycles import Step, decompose, trace
 from .words import Word, format_word, is_cyclically_reduced, is_simple
 
@@ -21,30 +21,22 @@ class TwoComplex:
     cells: tuple[Cell, ...]
 
     def __post_init__(self):
-        num_edges = len(self.skeleton.edges)
+        edges, num_edges = self.skeleton.edges, len(self.skeleton.edges)
         for k, cell in enumerate(self.cells):
             if not cell:
                 raise ValueError(f"cell {k} has an empty boundary")
+            ends = []  # each step's (start, end)
             for e, d in cell:
                 if not 0 <= e < num_edges:
                     raise ValueError(f"cell {k}: edge {e} outside 0..{num_edges - 1}")
                 if d not in (1, -1):
                     raise ValueError(f"cell {k}: direction {d} is not +1 or -1")
-            v = self._step_start(cell[0])
-            for step in cell:
-                if self._step_start(step) != v:
-                    raise ValueError(f"cell {k} boundary is not a path")
-                v = self._step_end(step)
-            if v != self._step_start(cell[0]):
+                s, t, _ = edges[e]
+                ends.append((s, t) if d > 0 else (t, s))
+            if any(t != s for (_, t), (s, _) in zip(ends, ends[1:])):
+                raise ValueError(f"cell {k} boundary is not a path")
+            if ends[-1][1] != ends[0][0]:
                 raise ValueError(f"cell {k} boundary is not closed")
-
-    def _step_start(self, step: Step) -> int:
-        s, d, _ = self.skeleton.edges[step[0]]
-        return s if step[1] > 0 else d
-
-    def _step_end(self, step: Step) -> int:
-        s, d, _ = self.skeleton.edges[step[0]]
-        return d if step[1] > 0 else s
 
 
 def euler_characteristic(x: TwoComplex) -> int:
@@ -54,7 +46,7 @@ def euler_characteristic(x: TwoComplex) -> int:
 def build_gamma_w(g: LabeledDigraph, w: Word) -> TwoComplex:
     """One disc per cycle class, glued along the class trace path."""
     dec = decompose(g, w)
-    return TwoComplex(g, tuple(c.path for c in dec.classes))
+    return _built(TwoComplex, g, tuple(c.path for c in dec.classes))
 
 
 def _incidence(x: TwoComplex) -> tuple[list[int], list[int]]:
@@ -138,7 +130,7 @@ def check_equality_collapse(g: LabeledDigraph, w: Word) -> EqualityCollapseRepor
     b = betti(g).total
     if dec.class_count != b:
         return EqualityCollapseReport(w, False, dec.class_count, b, None, True)
-    result = collapses_to_tree(TwoComplex(g, tuple(c.path for c in dec.classes)))
+    result = collapses_to_tree(_built(TwoComplex, g, tuple(c.path for c in dec.classes)))
     return EqualityCollapseReport(w, True, dec.class_count, b, result.collapses,
                                   result.collapses)
 
@@ -186,7 +178,7 @@ def check_npi(
         used_orbits.add(j)
         cells.append(trace(g, v, w * period)[1])
 
-    y = TwoComplex(g, tuple(cells))
+    y = _built(TwoComplex, g, tuple(cells))
     chi = euler_characteristic(y)
     if chi <= 0:
         return NpiReport(w, chi, "chi", True)

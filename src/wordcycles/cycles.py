@@ -120,11 +120,9 @@ def decompose(g: LabeledDigraph, w: Word) -> WCycleDecomposition:
                 break
         else:
             sigma[v] = u
-    if len(set(sigma.values())) != len(sigma):
-        raise ValueError("sigma_w is not injective: graph is not deterministic")
 
-    # Injectivity means every orbit is a simple path or a simple cycle, so a
-    # walk meets a cycle only if it starts on it, and then goes all round it.
+    # g is deterministic, so sigma_w is injective and each orbit a simple path
+    # or cycle: a walk meets a cycle only if it starts on it, then goes round it.
     unseen, cycles = dict(sigma), []
     for start in sigma:
         walk, v = [], start

@@ -26,8 +26,8 @@ from dataclasses import dataclass, replace
 # imports (OpenSSL never supplies blake2), so a hashlib fallback would fail too.
 from _blake2 import blake2b
 
-from .graphs import LabeledDigraph, component_containing
-from .complexes import StaggeredPresentation, is_staggered
+from .graphs import LabeledDigraph, _built, component_containing
+from .complexes import StaggeredPresentation
 from .subgroups import SubgroupGraph, stallings_graph
 from .words import Word, _period
 
@@ -90,7 +90,7 @@ def random_inverse_automaton(cfg: TrialConfig, seed_or_rng) -> LabeledDigraph:
                 pass
             targets[i], targets[j] = targets[j], targets[i]
         edges += [(v, t, l) for v, t in enumerate(targets) if random_() < density]
-    return LabeledDigraph(cfg.alphabet, n, tuple(edges))
+    return _built(LabeledDigraph, cfg.alphabet, n, tuple(edges), None)
 
 
 def random_connected_automaton(cfg: TrialConfig, seed_or_rng) -> LabeledDigraph:
@@ -173,7 +173,8 @@ def random_staggered_presentation(
     cfg: TrialConfig, seed_or_rng, num_relators: int
 ) -> StaggeredPresentation:
     """Relator i draws from the letter window {i+1, i+2} and must use both,
-    so the ordered mins and maxes increase strictly.  All letters ordered."""
+    so the ordered mins and maxes increase strictly: staggered by
+    construction.  All letters ordered."""
     rng = _as_rng(seed_or_rng)
     alphabet = max(cfg.alphabet, num_relators + 1)
     relators = []
@@ -186,11 +187,6 @@ def random_staggered_presentation(
             if used == {lo, hi} and w[0] != -w[-1] and _period(w) == length:
                 relators.append(w)
                 break
-    p = StaggeredPresentation(
+    return StaggeredPresentation(
         alphabet, tuple(relators), tuple(range(1, alphabet + 1))
     )
-    ok, diagnostics = is_staggered(p)
-    if not ok:
-        raise RuntimeError("generated presentation is not staggered: "
-                           + "; ".join(diagnostics))
-    return p

@@ -37,6 +37,16 @@ class cached_property:
         return value
 
 
+def _built(cls, *values):
+    """cls from its field values, in order, set as its __init__ sets them
+    but with no __post_init__ check: only for values the library builds,
+    valid by construction.  Outside data is checked where it enters."""
+    obj = object.__new__(cls)
+    for name, value in zip(cls.__dataclass_fields__, values):
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 @dataclass(frozen=True)
 class DeterminismViolation:
     vertex: int
@@ -177,7 +187,7 @@ def component_containing(g: LabeledDigraph, v: int) -> LabeledDigraph:
     order = [u for u in range(g.num_vertices) if comp_of[u] == c]
     vmap = {u: i for i, u in enumerate(order)}
     edges = tuple((vmap[s], vmap[d], l) for s, d, l in g.edges if comp_of[s] == c)
-    return LabeledDigraph(g.alphabet, len(vmap), edges, vmap.get(g.basepoint))
+    return _built(LabeledDigraph, g.alphabet, len(vmap), edges, vmap.get(g.basepoint))
 
 
 @dataclass(frozen=True)
@@ -317,7 +327,7 @@ def fold(g: LabeledDigraph, rng: random.Random | None = None) -> LabeledDigraph:
     edges = sorted((i, number[u], x) for x, row in rows.items() if x > 0
                    for i, r in enumerate(roots) if (u := row[r]) >= 0)
     base = number[g.basepoint] if g.basepoint is not None else None
-    return LabeledDigraph(g.alphabet, len(roots), tuple(edges), base)
+    return _built(LabeledDigraph, g.alphabet, len(roots), tuple(edges), base)
 
 
 def _strip_spurs(rows, n: int, base: int) -> list[int] | None:
@@ -364,7 +374,7 @@ def core(g: LabeledDigraph) -> LabeledDigraph:
     number = list(accumulate((k >= 0 for k in degree), initial=0))  # kept before v
     edges = tuple((number[s], number[d], l) for s, d, l in g.edges
                   if degree[s] >= 0 and degree[d] >= 0)
-    return LabeledDigraph(g.alphabet, number[-1], edges, number[base])
+    return _built(LabeledDigraph, g.alphabet, number[-1], edges, number[base])
 
 
 def fiber_product(g1: LabeledDigraph, g2: LabeledDigraph) -> LabeledDigraph:
@@ -387,7 +397,7 @@ def fiber_product(g1: LabeledDigraph, g2: LabeledDigraph) -> LabeledDigraph:
     base = None
     if g1.basepoint is not None and g2.basepoint is not None:
         base = g1.basepoint * n2 + g2.basepoint
-    return LabeledDigraph(g1.alphabet, g1.num_vertices * n2, edges, base)
+    return _built(LabeledDigraph, g1.alphabet, g1.num_vertices * n2, edges, base)
 
 
 # ---------------------------------------------------------------------------
@@ -396,6 +406,8 @@ def fiber_product(g1: LabeledDigraph, g2: LabeledDigraph) -> LabeledDigraph:
 
 def walk(g: LabeledDigraph, v: int, letters) -> int:
     """Where reading letters from v leads: -1 if it falls off g, or from -1."""
+    if not -1 <= v < g.num_vertices:  # slot rows have n + 1 entries, the last the sink's
+        raise ValueError(f"walk: vertex {v} not in graph")
     if 0 in (letters := tuple(letters)):  # letters may be an iterator: read it once
         raise ValueError("letters must be nonzero")
     rows = g.successor
@@ -432,7 +444,7 @@ def _bfs_form(alphabet: int, rows: dict[int, list[int]], number: list, start: in
     if len(order) < size:  # on a deterministic graph, every edge was crossed
         raise ValueError("canonical_form: graph must be connected")
     edges.sort()
-    return LabeledDigraph(alphabet, size, tuple(edges), basepoint)
+    return _built(LabeledDigraph, alphabet, size, tuple(edges), basepoint)
 
 
 def canonical_form(g: LabeledDigraph) -> LabeledDigraph:

@@ -10,6 +10,7 @@ from .graphs import (
     BettiReport,
     LabeledDigraph,
     _bfs_form,
+    _built,
     _core_form,
     _fold_clashes,
     _load_rows,
@@ -117,7 +118,7 @@ def stallings_graph(gens: list[Word], alphabet: int) -> SubgroupGraph:
             for i, r in enumerate(roots):
                 row[i] = number[row[r]]
         n, base = len(roots), number[base]
-    return SubgroupGraph(_bfs_form(alphabet, rows, [None] * n, base, n))
+    return _built(SubgroupGraph, _bfs_form(alphabet, rows, [None] * n, base, n))
 
 
 def rank(h: SubgroupGraph) -> int:
@@ -142,7 +143,7 @@ def conjugate(h: SubgroupGraph, g: Word) -> SubgroupGraph:
         raise ValueError("letters must be nonzero")
     _require_letters([g], h.graph.alphabet)
     rows, n, base, _ = _read(h.graph, [tuple(g)], loops=False)
-    return SubgroupGraph(_core_form(h.graph.alphabet, rows, n, base))
+    return _built(SubgroupGraph, _core_form(h.graph.alphabet, rows, n, base))
 
 
 def intersect(h1: SubgroupGraph, h2: SubgroupGraph) -> SubgroupGraph:
@@ -172,7 +173,7 @@ def intersect(h1: SubgroupGraph, h2: SubgroupGraph) -> SubgroupGraph:
             if dst == len(order):
                 order.append((u1, u2))
             row.append(dst)
-    return SubgroupGraph(_core_form(g1.alphabet, rows, len(order), 0))
+    return _built(SubgroupGraph, _core_form(g1.alphabet, rows, len(order), 0))
 
 
 @dataclass(frozen=True)
@@ -238,7 +239,7 @@ def check_restated_inequality(cycle_w: Word, g2: LabeledDigraph) -> RestatedRepo
     alphabet = max(g2.alphabet, max(abs(x) for x in cycle_w))
     g1 = circle(cycle_w, alphabet)
     if g2.alphabet != alphabet:
-        g2 = LabeledDigraph(alphabet, g2.num_vertices, g2.edges, g2.basepoint)
+        g2 = _built(LabeledDigraph, alphabet, g2.num_vertices, g2.edges, g2.basepoint)
     bettis = betti(fiber_product(g1, g2)).bettis  # fiber_product checks g2
     lhs = sum(bettis)
     rhs = betti(g1).total * betti(g2).total

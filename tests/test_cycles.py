@@ -95,14 +95,6 @@ class TestDecompose:
         dec = decompose(A_SQUARE, w("a"))
         assert dec.edge_multiplicity == {0: 1, 1: 1, 2: 1, 3: 1}
 
-    def test_non_injective_sigma_raises(self, monkeypatch):
-        # Reachable only with validation bypassed: two a-edges enter vertex 2,
-        # so sigma_a sends both 0 and 1 there.  The check must survive -O.
-        monkeypatch.setattr("wordcycles.cycles.require_valid", lambda g: None)
-        g = LabeledDigraph(1, 3, ((0, 2, 1), (1, 2, 1)))
-        with pytest.raises(ValueError, match="not injective"):
-            decompose(g, w("a"))
-
 
 class TestOracle:
     def test_a_square(self):

@@ -309,12 +309,6 @@ class TestRandomStaggered:
             assert ok
             assert all(is_simple(r) for r in p.relators)
 
-    def test_failed_self_check_raises(self, monkeypatch):
-        monkeypatch.setattr("wordcycles.generators.is_staggered",
-                            lambda p: (False, ["planted diagnostic"]))
-        with pytest.raises(RuntimeError, match="planted diagnostic"):
-            random_staggered_presentation(TrialConfig(alphabet=3), 0, 2)
-
 
 def instance_stream(cfg: TrialConfig, trials: int = 200) -> str:
     """sha256 over the instances every generator draws for the first trial

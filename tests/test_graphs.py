@@ -26,6 +26,25 @@ from wordcycles.cycles import trace
 from wordcycles.words import parse_word
 
 
+class TestConstructorChecks:
+    """The public constructor checks what it is given; graphs the library
+    builds for itself skip these checks, so they must hold for outside data."""
+
+    @pytest.mark.parametrize("args, message", [
+        ((-1, 1, ()), "alphabet size must be >= 0"),
+        ((1, -1, ()), "vertex count must be >= 0"),
+        ((1, 2, ((0, 2, 1),)), r"edge \(0,2,1\) has endpoint outside vertex range"),
+        ((1, 2, ((-1, 0, 1),)), r"edge \(-1,0,1\) has endpoint outside vertex range"),
+        ((2, 2, ((0, 1, 3),)), r"edge \(0,1,3\) has label outside 1..2"),
+        ((2, 2, ((0, 1, 0),)), r"edge \(0,1,0\) has label outside 1..2"),
+        ((1, 2, (), 2), "basepoint is not a vertex"),
+        ((1, 2, (), -1), "basepoint is not a vertex"),
+    ])
+    def test_rejects(self, args, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            LabeledDigraph(*args)
+
+
 class TestValidate:
     def test_rose_is_valid(self):
         assert validate(rose(2)) == []
@@ -116,6 +135,15 @@ class TestZeroLetter:
         g = circle(parse_word("ab"))
         assert walk(g, 0, iter(parse_word("ab"))) == 0
         assert walk(g, 0, iter(parse_word("a"))) == 1
+
+
+class TestWalk:
+    @pytest.mark.parametrize("v", [-3, -2, 3, 7])
+    def test_walk_rejects_a_start_off_the_graph(self, v):
+        # slot rows have n + 1 entries: -3 would read vertex 1's slot, 7 none
+        g = LabeledDigraph(1, 3, ((0, 1, 1), (1, 2, 1)))
+        with pytest.raises(ValueError, match=f"^walk: vertex {v} not in graph$"):
+            walk(g, v, (1,))
 
 
 class TestCore:
