@@ -44,7 +44,6 @@ from .cycles import (
     collapsed_hypothesis,
     decompose,
     oracle_counts,
-    trace,
 )
 from .complexes import (
     StaggeredPresentation,

@@ -3,7 +3,8 @@
 All graph/complex/subgroup commands read JSON from a file argument (or '-'
 for standard input) and write JSON to standard output.  `verify` runs a
 named property suite; exit code 0 means no failures, 1 means failures
-(counterexamples are dumped to --out), 2 means invalid input.
+(counterexamples are dumped to --out), 2 means invalid input, reported in
+one line on standard error (_Fail).
 """
 
 from __future__ import annotations
@@ -27,6 +28,24 @@ from .words import (
 )
 
 
+class _Fail(click.ClickException):
+    """Invalid input: one line, "Error: ...", on standard error, and exit 2."""
+
+    exit_code = 2
+
+
+class _Main(click.Group):
+    def invoke(self, ctx):
+        """Every command runs here, so the library's ValueError, and
+        run_suite's KeyError for an unknown suite, fail in one place."""
+        try:
+            return super().invoke(ctx)
+        except ValueError as exc:
+            raise _Fail(str(exc))
+        except KeyError as exc:  # str() would quote the message
+            raise _Fail(exc.args[0])
+
+
 def _read_json(path: str):
     try:
         if path == "-":
@@ -34,17 +53,17 @@ def _read_json(path: str):
         with open(path) as fh:
             return json.load(fh)
     except (OSError, ValueError, RecursionError) as exc:  # bad bytes, digits, depth
-        raise click.UsageError(f"cannot read {path}: {exc}")
+        raise _Fail(f"cannot read {path}: {exc}")
 
 
 def _load(path: str, kind: str, build):
-    """build(obj) from the JSON in path; malformed content is a one-line
-    usage error (exit 2)."""
+    """build(obj) from the JSON in path; malformed content, bad words
+    included, fails naming the file."""
     obj = _read_json(path)
     try:
         return build(obj)
     except (KeyError, TypeError, ValueError) as exc:
-        raise click.UsageError(f"bad {kind} file {path}: {exc}")
+        raise _Fail(f"bad {kind} file {path}: {exc}")
 
 
 def _load_graph(path: str) -> graphs.LabeledDigraph:
@@ -62,27 +81,7 @@ def _emit_graph(g: graphs.LabeledDigraph, dot: bool) -> None:
         _emit(graphs.to_json(g))
 
 
-def _word(text: str):
-    if not isinstance(text, str):
-        raise click.UsageError(f"word must be a string, got {text!r}")
-    try:
-        return parse_word(text)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
-
-
-class _Fail(click.ClickException):
-    exit_code = 2
-
-
-def _guard(fn, *args, **kwargs):
-    try:
-        return fn(*args, **kwargs)
-    except (ValueError, KeyError) as exc:
-        raise _Fail(str(exc))
-
-
-@click.group()
+@click.group(cls=_Main)
 def main():
     """Cycle counting in inverse automata, collapsible complexes, and
     subgroup graphs of free groups."""
@@ -100,7 +99,7 @@ def words():
 @click.argument("word")
 def words_normalize(word):
     """Reduce, cyclically reduce, and factor WORD."""
-    w = _word(word)
+    w = parse_word(word)
     reduced = free_reduce(w)
     core_word, conj = cyclic_reduce(w)
     obj = {
@@ -142,7 +141,7 @@ def graph_validate(file):
 @click.argument("file")
 def graph_betti(file):
     g = _load_graph(file)
-    report = _guard(graphs.betti, g)
+    report = graphs.betti(g)
     _emit(
         {
             "total": report.total,
@@ -158,21 +157,21 @@ def graph_betti(file):
 @click.argument("file")
 @_dot_flag
 def graph_fold(file, dot):
-    _emit_graph(_guard(graphs.fold, _load_graph(file)), dot)
+    _emit_graph(graphs.fold(_load_graph(file)), dot)
 
 
 @graph.command("core")
 @click.argument("file")
 @_dot_flag
 def graph_core(file, dot):
-    _emit_graph(_guard(graphs.core, _load_graph(file)), dot)
+    _emit_graph(graphs.core(_load_graph(file)), dot)
 
 
 @graph.command("canon")
 @click.argument("file")
 @_dot_flag
 def graph_canon(file, dot):
-    _emit_graph(_guard(graphs.canonical_form, _load_graph(file)), dot)
+    _emit_graph(graphs.canonical_form(_load_graph(file)), dot)
 
 
 @graph.command("fiber")
@@ -180,7 +179,7 @@ def graph_canon(file, dot):
 @click.argument("file2")
 @_dot_flag
 def graph_fiber(file1, file2, dot):
-    g = _guard(graphs.fiber_product, _load_graph(file1), _load_graph(file2))
+    g = graphs.fiber_product(_load_graph(file1), _load_graph(file2))
     _emit_graph(g, dot)
 
 
@@ -197,8 +196,8 @@ def wcycles():
 @click.argument("file")
 def wcycles_count(word, file):
     g = _load_graph(file)
-    w = _word(word)
-    res = _guard(cycles.check_main_inequality, g, w)
+    w = parse_word(word)
+    res = cycles.check_main_inequality(g, w)
     _emit(
         {
             "word": format_word(w),
@@ -224,7 +223,7 @@ def wcycles_count(word, file):
 @click.argument("file")
 def wcycles_decompose(word, file):
     g = _load_graph(file)
-    dec = _guard(cycles.decompose, g, _word(word))
+    dec = cycles.decompose(g, parse_word(word))
     _emit(
         {
             "word": word,
@@ -274,7 +273,7 @@ def complex_group():
 @click.option("-w", "--word", "word", required=True)
 @click.argument("file")
 def complex_gamma_w(word, file):
-    x = _guard(complexes.build_gamma_w, _load_graph(file), _word(word))
+    x = complexes.build_gamma_w(_load_graph(file), parse_word(word))
     _emit(_complex_to_json(x))
 
 
@@ -282,7 +281,7 @@ def complex_gamma_w(word, file):
 @click.argument("file")
 def complex_collapse(file):
     x = _load(file, "complex", _complex_from_json)
-    res = _guard(complexes.collapses_to_tree, x)
+    res = complexes.collapses_to_tree(x)
     _emit(
         {
             "euler_characteristic": complexes.euler_characteristic(x),
@@ -310,8 +309,8 @@ def complex_npi(word, attach, file):
             v, n = spec.split(":")
             attachments.append((int(v), int(n)))
         except ValueError:
-            raise click.UsageError(f"bad attachment {spec!r}; expected V:N")
-    res = _guard(complexes.check_npi, g, _word(word), attachments)
+            raise _Fail(f"bad attachment {spec!r}; expected V:N")
+    res = complexes.check_npi(g, parse_word(word), attachments)
     _emit(
         {
             "euler_characteristic": res.euler,
@@ -326,7 +325,7 @@ def complex_npi(word, attach, file):
 def complex_staggered(file):
     p = _load(file, "presentation", lambda obj: complexes.StaggeredPresentation(
         graphs.json_int(obj["alphabet"], "alphabet"),
-        tuple(_word(r) for r in graphs.json_array(obj["relators"], "relators")),
+        tuple(parse_word(r) for r in graphs.json_array(obj["relators"], "relators")),
         tuple(graphs.json_int(l, "ordered letter")
               for l in graphs.json_array(obj["ordered_letters"], "ordered_letters")),
     ))
@@ -339,7 +338,7 @@ def complex_staggered(file):
 
 def _load_subgroup(path: str) -> subgroups.SubgroupGraph:
     return _load(path, "subgroup", lambda obj: subgroups.stallings_graph(
-        [_word(w) for w in graphs.json_array(obj["generators"], "generators")],
+        [parse_word(w) for w in graphs.json_array(obj["generators"], "generators")],
         graphs.json_int(obj["alphabet"], "alphabet"),
     ))
 
@@ -368,7 +367,7 @@ def subgroup_rank(file):
 @click.argument("file")
 def subgroup_conjugates(word, file):
     h = _load_subgroup(file)
-    res = _guard(subgroups.count_conjugates_meeting, h, _word(word))
+    res = subgroups.count_conjugates_meeting(h, parse_word(word))
     _emit(
         {
             "word": format_word(res.word),
@@ -384,7 +383,7 @@ def subgroup_conjugates(word, file):
 @click.argument("file2")
 @_dot_flag
 def subgroup_intersect(file1, file2, dot):
-    h = _guard(subgroups.intersect, _load_subgroup(file1), _load_subgroup(file2))
+    h = subgroups.intersect(_load_subgroup(file1), _load_subgroup(file2))
     _emit_graph(h.graph, dot)
 
 
@@ -392,7 +391,7 @@ def subgroup_intersect(file1, file2, dot):
 @click.argument("file1")
 @click.argument("file2")
 def subgroup_shnc(file1, file2):
-    res = _guard(subgroups.check_shnc, _load_subgroup(file1), _load_subgroup(file2))
+    res = subgroups.check_shnc(_load_subgroup(file1), _load_subgroup(file2))
     _emit(
         {
             "lhs": res.lhs,
@@ -422,18 +421,15 @@ def verify_cmd(suite, seed, trials, max_vertices, alphabet, max_word_length,
     parent = os.path.dirname(os.path.abspath(out))
     if os.path.isdir(out) or not os.access(out if os.path.exists(out) else parent, os.W_OK):
         raise _Fail(f"cannot write --out {out}: not a writable file path")
-    try:
-        cfg = TrialConfig(
-            master_seed=seed,
-            trials=trials,
-            max_vertices=max_vertices,
-            alphabet=alphabet,
-            max_word_length=max_word_length,
-            edge_density=density,
-        )
-        report = verify.run_suite(suite, cfg)
-    except (KeyError, ValueError) as exc:
-        raise _Fail(str(exc).strip('"'))
+    cfg = TrialConfig(
+        master_seed=seed,
+        trials=trials,
+        max_vertices=max_vertices,
+        alphabet=alphabet,
+        max_word_length=max_word_length,
+        edge_density=density,
+    )
+    report = verify.run_suite(suite, cfg)
     _emit(report.to_json())
     if report.failures:
         with open(out, "w") as fh:

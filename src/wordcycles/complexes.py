@@ -9,7 +9,7 @@ import heapq
 from dataclasses import dataclass
 
 from .graphs import LabeledDigraph, _built, betti, is_connected, require_valid
-from .cycles import Step, decompose, trace
+from .cycles import Step, _trace, decompose
 from .words import Word, format_word, is_cyclically_reduced, is_simple
 
 Cell = tuple[Step, ...]  # closed combinatorial boundary path
@@ -148,7 +148,7 @@ def check_npi(
 ) -> NpiReport:
     """Nonpositive-immersion check for a complex over the one-relator target.
 
-    Each attachment (v, n) glues a disc along trace(g, v, w^n), the closed
+    Each attachment (v, n) glues a disc along _trace(g, v, w^n), the closed
     trace of w^n at v.  The encoding is an immersion exactly when n is the
     minimal closing exponent at v and the attachment vertices lie in
     pairwise distinct sigma_w-orbit cycles; both are enforced.  Verdict:
@@ -176,7 +176,7 @@ def check_npi(
                 "cycle class, so this is not an immersion"
             )
         used_orbits.add(j)
-        cells.append(trace(g, v, w * period)[1])
+        cells.append(_trace(g, v, w * period))
 
     y = _built(TwoComplex, g, tuple(cells))
     chi = euler_characteristic(y)

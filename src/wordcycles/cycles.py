@@ -17,7 +17,7 @@ from operator import le
 
 from .graphs import (BettiReport, LabeledDigraph, betti, cached_property, is_connected,
                      require_valid)
-from .words import Word, is_reduced, require_simple_cyclic
+from .words import Word, require_simple_cyclic
 
 # A path step is (edge index, direction); direction -1 crosses the edge
 # against its orientation.
@@ -25,29 +25,21 @@ Step = tuple[int, int]
 ORACLE_MAX_VERTICES = 8  # oracle_counts is a slow reference, not a kernel
 
 
-def trace(g: LabeledDigraph, v: int, w: Word) -> tuple[int, tuple[Step, ...]] | None:
-    """Follow w from v; None if some letter has no matching edge.
+def _trace(g: LabeledDigraph, v: int, w: Word) -> tuple[Step, ...]:
+    """The (edge, direction) steps of reading w from v; letters with sign -1
+    cross an edge backwards.
 
-    The one walk into (edge, direction) steps: class paths, edge
-    multiplicities and NPI discs are all traces of w^n.  Determinism makes
-    the path unique.  Letters with sign -1 traverse an edge backwards.
+    The one walk into steps: class paths, edge multiplicities and NPI discs
+    are all traces of w^n.  No checks: the callers pass a graph and a word
+    that decompose has checked, and a vertex v on a sigma_w cycle, so that
+    w^n read from v never falls off g.  Endpoints are walk's, which checks.
     """
-    require_valid(g)
-    if not w or not is_reduced(w):
-        raise ValueError("trace: word must be reduced and nonempty")
-    if 0 in w:
-        raise ValueError("letters must be nonzero")
-    if not (0 <= v < g.num_vertices):
-        raise ValueError(f"trace: vertex {v} not in graph")
     # a list: resizing a tuple(genexpr) hoards memory in the tuple free lists
     rows, table, path = g.successor, g.letter_table, []
     for x in w:
-        u = rows[x][v]
-        if u < 0:
-            return None
         path.append((table[x][v], 1 if x > 0 else -1))
-        v = u
-    return v, tuple(path)
+        v = rows[x][v]
+    return tuple(path)
 
 
 @dataclass(frozen=True)
@@ -89,7 +81,7 @@ class WCycleDecomposition:
     @cached_property
     def classes(self) -> tuple[WCycleClass, ...]:
         """Per orbit cycle c, the closed trace of w^len(c) from c[0]."""
-        return tuple(WCycleClass(c, trace(self.graph, c[0], self.word * len(c))[1])
+        return tuple(WCycleClass(c, _trace(self.graph, c[0], self.word * len(c)))
                      for c in self.cycles)
 
     @cached_property
@@ -102,7 +94,7 @@ def decompose(g: LabeledDigraph, w: Word) -> WCycleDecomposition:
 
     Only sigma_w and its orbit cycles, which give the counts, are computed
     here, walking w's successor rows from every vertex.  Class paths and
-    edge multiplicities are built on first read, with trace, from the cycle
+    edge multiplicities are built on first read, with _trace, from the cycle
     vertices alone.  Rejects words that are not cyclically reduced or
     not primitive; the caller must normalize first.
     """

@@ -16,21 +16,22 @@ from .graphs import (
     _load_rows,
     betti,
     circle,
+    component_containing,
     fiber_product,
     is_connected,
     require_valid,
-    rose,
     walk,
 )
 from .cycles import decompose
 from .words import Word, format_word, free_reduce, invert, require_simple_cyclic
 
-_START = rose(0)  # one vertex, the base, which every Stallings read starts from
-
 
 @dataclass(frozen=True)
 class SubgroupGraph:
-    """Folded, based, core labeled digraph in canonical form."""
+    """Folded, based, core labeled digraph in canonical form.  The
+    constructor checks that the graph is folded and based, then keeps the
+    core of its based component in canonical form, so that two graphs of
+    one subgroup make equal SubgroupGraphs."""
 
     graph: LabeledDigraph
 
@@ -38,46 +39,45 @@ class SubgroupGraph:
         require_valid(self.graph)
         if self.graph.basepoint is None:
             raise ValueError("subgroup graph needs a basepoint")
+        g = component_containing(self.graph, self.graph.basepoint)
+        object.__setattr__(self, "graph", _core_form(g.alphabet, g.successor,
+                                                     g.num_vertices, g.basepoint))
 
 
-def _read(g: LabeledDigraph, words: list[Word], loops: bool):
-    """Read each word in at g's basepoint, following g's edges and creating
-    the missing ones, on g's slot rows (_load_rows, with room for the new
-    vertices): rows[x][v] is where letter x leads from v, or -1, for the
-    letters in use, which are then the graph's only record of its edges.
-    Returns (rows, n, base, pending): n counts the new vertices too, and
-    pending holds the vertex pairs that clashes force together.  With
-    loops, each word is a freely reduced loop, walked backwards into the
-    basepoint too, so only the unread middle is new; the two vertices where
-    the walks meet, or the far ends of the middle's first and last edges
-    where both leave one vertex by the same letter, are pending.  Without,
-    the one word's end becomes the basepoint, and nothing clashes.  The
-    callers check the letters first, with _require_letters."""
-    n, base = g.num_vertices, g.basepoint
-    rows, pending = _load_rows(g.edges, n + sum(map(len, words)))  # g clashes nowhere
-    for w in words:
-        v, i, u, j = base, 0, base, len(w)
+def _read(loops: list[Word]):
+    """Read each freely reduced loop in at base vertex 0 on slot rows
+    (_load_rows, with room for the new vertices): rows[x][v] is where
+    letter x leads from v, or -1, for the letters in use, which are then
+    the graph's only record of its edges.  Returns (rows, n, pending): n
+    counts the vertices, and pending holds the vertex pairs that clashes
+    force together.  Each loop is walked forwards from the base and
+    backwards into it, so only the unread middle is new; the two vertices
+    where the walks meet, or the far ends of the middle's first and last
+    edges where both leave one vertex by the same letter, are pending.  The
+    middle only creates: the forward walk stopped at an empty slot, and a
+    new vertex has only its back slot filled, which the reduced loop never
+    reads next.  The callers check the letters first, with
+    _require_letters."""
+    n = 1
+    rows, pending = _load_rows((), n + sum(map(len, loops)))
+    for w in loops:
+        v, i, u, j = 0, 0, 0, len(w)
         while i < j and (t := rows[w[i]][v]) >= 0:  # forwards: w[:i] reads to v
             v, i = t, i + 1
-        while loops and j > i and (t := rows[-w[j - 1]][u]) >= 0:  # backwards: w[j:] from u
+        while j > i and (t := rows[-w[j - 1]][u]) >= 0:  # backwards: w[j:] from u
             u, j = t, j - 1
-        if loops and i == j:
+        if i == j:
             if v != u:  # the walks meet at two vertices
                 pending.append((v, u))
             continue
-        for x in w[i:j - 1] if loops else w[i:]:  # follow or create
-            if (t := rows[x][v]) < 0:
-                t, n = n, n + 1
-                rows[x][v], rows[-x][t] = t, v
-            v = t
-        if not loops:
-            base = v
-            break
+        for x in w[i:j - 1]:  # create the middle's vertices
+            rows[x][v], rows[-x][n] = n, v
+            v, n = n, n + 1
         x = w[j - 1]
         if (t := rows[-x][u]) >= 0:  # the first new edge also leaves u reading -x
             pending.append((t, v))
         rows[x][v], rows[-x][u] = u, v
-    return rows, n, base, pending
+    return rows, n, pending
 
 
 def _require_letters(words: list[Word], alphabet: int) -> None:
@@ -111,14 +111,14 @@ def stallings_graph(gens: list[Word], alphabet: int) -> SubgroupGraph:
             )
         if r:
             reduced.append(r)
-    rows, n, base, pending = _read(_START, reduced, loops=True)
-    if pending:
+    rows, n, pending = _read(reduced)
+    if pending:  # the base stays 0: classes are numbered by their least vertices
         roots, number = _fold_clashes(rows, n, pending)
         for row in rows.values():  # class i's slots move to i from its root, which is >= i
             for i, r in enumerate(roots):
                 row[i] = number[row[r]]
-        n, base = len(roots), number[base]
-    return _built(SubgroupGraph, _bfs_form(alphabet, rows, [None] * n, base, n))
+        n = len(roots)
+    return _built(SubgroupGraph, _bfs_form(alphabet, rows, [None] * n, 0, n))
 
 
 def rank(h: SubgroupGraph) -> int:
@@ -136,14 +136,22 @@ def contains(h: SubgroupGraph, w: Word) -> bool:
 
 
 def conjugate(h: SubgroupGraph, g: Word) -> SubgroupGraph:
-    """The subgroup graph of g^-1 H g: g is read from the basepoint on H's
-    slot rows, the basepoint moves to its end, and one pass cores and
-    numbers the result; nothing clashes, so nothing is merged."""
+    """The subgroup graph of g^-1 H g: g, which may be unreduced, is read
+    from the basepoint on H's slot rows (_load_rows, with room for the new
+    vertices), following H's edges and creating the missing ones; the
+    basepoint moves to its end, and one pass cores and numbers the result.
+    Nothing clashes, so nothing is merged."""
     if 0 in g:  # stallings_graph rejects zero through free_reduce
         raise ValueError("letters must be nonzero")
     _require_letters([g], h.graph.alphabet)
-    rows, n, base, _ = _read(h.graph, [tuple(g)], loops=False)
-    return _built(SubgroupGraph, _core_form(h.graph.alphabet, rows, n, base))
+    n, v = h.graph.num_vertices, h.graph.basepoint
+    rows, _ = _load_rows(h.graph.edges, n + len(g))  # H clashes nowhere
+    for x in g:  # follow or create
+        if (t := rows[x][v]) < 0:
+            t, n = n, n + 1
+            rows[x][v], rows[-x][t] = t, v
+        v = t
+    return _built(SubgroupGraph, _core_form(h.graph.alphabet, rows, n, v))
 
 
 def intersect(h1: SubgroupGraph, h2: SubgroupGraph) -> SubgroupGraph:

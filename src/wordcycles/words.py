@@ -21,6 +21,8 @@ _TOKEN = re.compile(r"([a-zA-Z])([0-9]*)")
 
 def parse_word(text: str) -> Word:
     """Parse the text syntax above into a Word.  Whitespace is ignored."""
+    if not isinstance(text, str):
+        raise ValueError(f"word must be a string, got {text!r}")
     text = "".join(text.split())
     letters = []
     pos = 0

@@ -370,3 +370,67 @@ def test_readme_examples_parse(runner):
         assert result.exit_code == 0, line
     for bad in (["graph", "nope"], ["verify", "main", "--nope"]):
         assert runner.invoke(main, bad + ["--help"]).exit_code == 2
+
+
+GRAPH = to_json(rose(2))
+ONE_LINE_FAILURES = {
+    # id: (args, {file name: content}, the one line on stderr, {path} for tmp_path)
+    "missing-file": (["graph", "betti", "{path}/none.json"], {},
+                     "Error: cannot read {path}/none.json: [Errno 2] No such file or "
+                     "directory: '{path}/none.json'"),
+    "not-json": (["graph", "betti", "{path}/g.json"], {"g.json": "{not json"},
+                 "Error: cannot read {path}/g.json: Expecting property name enclosed in "
+                 "double quotes: line 1 column 2 (char 1)"),
+    "graph": (["graph", "fold", "{path}/g.json"],
+              {"g.json": {**GRAPH, "edges": [{"src": "v0", "dst": "v9", "label": 1}]}},
+              "Error: bad graph file {path}/g.json: unknown vertex id 'v9'"),
+    "complex": (["complex", "collapse", "{path}/x.json"],
+                {"x.json": {"skeleton": GRAPH, "cells": ""}},
+                "Error: bad complex file {path}/x.json: cells must be an array, got ''"),
+    "presentation": (["complex", "staggered", "{path}/p.json"],
+                     {"p.json": {"alphabet": 2, "relators": ["ab"], "ordered_letters": {}}},
+                     "Error: bad presentation file {path}/p.json: ordered_letters must be "
+                     "an array, got {{}}"),
+    "subgroup": (["subgroup", "rank", "{path}/s.json"],
+                 {"s.json": {"alphabet": "two", "generators": ["a"]}},
+                 "Error: bad subgroup file {path}/s.json: alphabet must be an integer, "
+                 "got 'two'"),
+    "word-option": (["wcycles", "count", "-w", "a#", "{path}/g.json"], {"g.json": GRAPH},
+                    "Error: bad character '#' at position 1 in word"),
+    "word-in-presentation": (["complex", "staggered", "{path}/p.json"],
+                             {"p.json": {"alphabet": 2, "relators": ["a#"],
+                                         "ordered_letters": [1]}},
+                             "Error: bad presentation file {path}/p.json: bad character "
+                             "'#' at position 1 in word"),
+    "word-in-subgroup": (["subgroup", "rank", "{path}/s.json"],
+                         {"s.json": {"alphabet": 2, "generators": [5]}},
+                         "Error: bad subgroup file {path}/s.json: word must be a string, "
+                         "got 5"),
+    "attach": (["complex", "npi", "-w", "ab", "--attach", "0-1", "{path}/g.json"],
+               {"g.json": GRAPH}, "Error: bad attachment '0-1'; expected V:N"),
+    "kernel": (["graph", "canon", "{path}/g.json"],
+               {"g.json": to_json(LabeledDigraph(1, 2, ()))},
+               "Error: canonical_form: graph must be connected"),
+    "unknown-suite": (["verify", "nope"], {},
+                      "Error: unknown suite 'nope'; choose from conjugate-intersection, "
+                      "conjugates, equality-collapse, fold-confluence, main, npi, oracle, "
+                      "restated, shnc, staggered, strict"),
+    "config": (["verify", "main", "--trials", "0"], {},
+               "Error: trials must be a positive integer"),
+    "out": (["verify", "main", "--out", "{path}"], {},
+            "Error: cannot write --out {path}: not a writable file path"),
+}
+
+
+@pytest.mark.parametrize("case", ONE_LINE_FAILURES)
+def test_invalid_input_fails_in_one_line(tmp_path, case):
+    # click 8.2+ keeps stdout and stderr apart
+    args, files, line = ONE_LINE_FAILURES[case]
+    for name, content in files.items():
+        text = content if isinstance(content, str) else json.dumps(content)
+        (tmp_path / name).write_text(text)
+    result = CliRunner().invoke(main, [a.format(path=tmp_path) for a in args])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert result.stdout == ""
+    assert result.stderr == line.format(path=tmp_path) + "\n"

@@ -1,8 +1,10 @@
 """Any JSON value, placed anywhere in a graph, complex, subgroup or
 staggered-presentation file, gives exit 0 or 2 from every command that
 reads the file: never a traceback, which exits 1, the code verify keeps
-for a counterexample.  Values include huge integers, so a declared
-alphabet of 10^9 or more must cost no more than a small one."""
+for a counterexample.  Exit 2 prints one line, "Error: ...", on stderr and
+nothing on stdout, whichever check rejected the input.  Values include
+huge integers, so a declared alphabet of 10^9 or more must cost no more
+than a small one."""
 
 import json
 
@@ -107,3 +109,7 @@ def test_exit_0_or_2(valid_files, case):
         result = runner.invoke(main, args, input=text)
         assert result.exit_code in (0, 2), (kind, args, text, result.output)
         assert result.exception is None or isinstance(result.exception, SystemExit)
+        if result.exit_code == 2:
+            assert result.stdout == "", (kind, args, text, result.output)
+            assert result.stderr.startswith("Error: "), (kind, args, text, result.stderr)
+            assert result.stderr.count("\n") == 1, (kind, args, text, result.stderr)

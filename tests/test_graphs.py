@@ -22,7 +22,6 @@ from wordcycles.graphs import (
     walk,
     wedge_of_words,
 )
-from wordcycles.cycles import trace
 from wordcycles.words import parse_word
 
 
@@ -112,8 +111,7 @@ class TestFold:
         assert f.num_vertices == 1
         assert f.edges == ((0, 0, 1),)
         for word in ("a", "aa"):
-            end, _ = trace(f, f.basepoint, parse_word(word))
-            assert end == f.basepoint
+            assert walk(f, f.basepoint, parse_word(word)) == f.basepoint
 
     def test_terminates_and_valid(self):
         g = wedge_of_words([parse_word("abA"), parse_word("ab"), parse_word("b")], 2)

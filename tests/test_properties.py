@@ -14,6 +14,7 @@ from wordcycles.graphs import (
     fold,
     rose,
     validate,
+    walk,
     wedge_of_words,
 )
 from wordcycles.cycles import check_main_inequality, decompose, oracle_counts
@@ -171,12 +172,9 @@ class TestGraphProperties:
     @settings(max_examples=40)
     @given(st.lists(reduced_words.filter(bool), min_size=1, max_size=3))
     def test_generators_survive_fold(self, gens):
-        from wordcycles.cycles import trace
-
         folded = fold(wedge_of_words(gens, 3))
         for w in gens:
-            res = trace(folded, folded.basepoint, w)
-            assert res is not None and res[0] == folded.basepoint
+            assert walk(folded, folded.basepoint, w) == folded.basepoint
 
     def test_rose_identity_for_product(self):
         cfg = TrialConfig(max_vertices=6, alphabet=2, max_word_length=6)

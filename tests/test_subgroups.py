@@ -2,6 +2,7 @@ import pytest
 
 from wordcycles.graphs import LabeledDigraph, canonical_form, rose
 from wordcycles.subgroups import (
+    SubgroupGraph,
     check_conjugate_intersection,
     check_restated_inequality,
     check_shnc,
@@ -69,6 +70,32 @@ class TestStallingsGraph:
         h = sg(*gens)
         for text in gens:
             assert contains(h, w(text))
+
+
+class TestConstructor:
+    """SubgroupGraph(g) checks g, then keeps the canonical core of its based
+    component, so graphs of one subgroup make equal subgroup graphs."""
+
+    def test_spur_is_cored_away(self):
+        h = SubgroupGraph(LabeledDigraph(1, 2, ((0, 1, 1),), 0))
+        assert is_trivial(h)
+        assert h == stallings_graph([], 1)
+
+    def test_renumbered_from_the_basepoint(self):
+        h = SubgroupGraph(LabeledDigraph(1, 2, ((0, 1, 1), (1, 0, 1)), 1))
+        assert h == stallings_graph([w("aa")], 1)
+
+    def test_other_components_dropped(self):
+        h = SubgroupGraph(LabeledDigraph(2, 3, ((1, 2, 2), (0, 0, 1), (2, 1, 2)), 0))
+        assert h == stallings_graph([w("a")], 2)
+
+    def test_needs_a_basepoint(self):
+        with pytest.raises(ValueError, match="needs a basepoint"):
+            SubgroupGraph(LabeledDigraph(1, 1, ((0, 0, 1),)))
+
+    def test_needs_a_folded_graph(self):
+        with pytest.raises(ValueError):
+            SubgroupGraph(LabeledDigraph(1, 2, ((0, 0, 1), (0, 1, 1)), 0))
 
 
 class TestMembership:

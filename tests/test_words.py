@@ -48,6 +48,12 @@ class TestParsing:
         with pytest.raises(ValueError):
             w("a0")
 
+    @pytest.mark.parametrize("value", [5, None, ["a"], b"ab", {"a": 1}])
+    def test_non_string_rejected(self, value):
+        # JSON files carry words as values of any type
+        with pytest.raises(ValueError, match="^word must be a string, got "):
+            parse_word(value)
+
 
 class TestFreeReduce:
     def test_forced_cancellation(self):
