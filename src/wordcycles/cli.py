@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import os
 import sys
+import warnings
 
 import click
 
@@ -38,12 +39,14 @@ class _Main(click.Group):
     def invoke(self, ctx):
         """Every command runs here, so the library's ValueError, and
         run_suite's KeyError for an unknown suite, fail in one place."""
-        try:
-            return super().invoke(ctx)
-        except ValueError as exc:
-            raise _Fail(str(exc))
-        except KeyError as exc:  # str() would quote the message
-            raise _Fail(exc.args[0])
+        with warnings.catch_warnings():  # a warning in one line, not Python's two
+            warnings.showwarning = lambda msg, *_: click.echo(f"Warning: {msg}", err=True)
+            try:
+                return super().invoke(ctx)
+            except ValueError as exc:
+                raise _Fail(str(exc))
+            except KeyError as exc:  # str() would quote the message
+                raise _Fail(exc.args[0])
 
 
 def _read_json(path: str):
@@ -397,7 +400,8 @@ def subgroup_shnc(file1, file2):
             "lhs": res.lhs,
             "rhs": res.rhs,
             "inequality_holds": res.passed,
-            "component_reduced_ranks": [r for _, r in res.per_component],
+            "component_reduced_ranks": [subgroups.reduced_rank(b)
+                                        for b in res.fiber_betti.bettis],
         }
     )
 

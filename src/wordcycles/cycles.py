@@ -35,10 +35,10 @@ def _trace(g: LabeledDigraph, v: int, w: Word) -> tuple[Step, ...]:
     w^n read from v never falls off g.  Endpoints are walk's, which checks.
     """
     # a list: resizing a tuple(genexpr) hoards memory in the tuple free lists
-    rows, table, path = g.successor, g.letter_table, []
-    for x in w:
-        path.append((table[x][v], 1 if x > 0 else -1))
-        v = rows[x][v]
+    rows, index, path = g.successor, g.edge_index, []
+    for x in w:  # each step's edge, looked up by its ends and label
+        u, v = v, rows[x][v]
+        path.append((index[u, v, x], 1) if x > 0 else (index[v, u, -x], -1))
     return tuple(path)
 
 
@@ -103,7 +103,10 @@ def decompose(g: LabeledDigraph, w: Word) -> WCycleDecomposition:
 
     sigma: dict[int, int] = {}
     successor = g.successor
-    rows = [successor[x] for x in w]
+    try:
+        rows = [successor[x] for x in w]
+    except KeyError:  # a letter of w is on no edge: w reads from no vertex
+        return WCycleDecomposition(w, sigma, (), g)
     for v in range(g.num_vertices):
         u = v
         for row in rows:

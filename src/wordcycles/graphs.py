@@ -5,16 +5,15 @@ string ids.  Edges are (src, dst, label) triples with labels in 1..alphabet.
 Determinism means: at most one outgoing and at most one incoming edge per
 label at every vertex.
 
-A graph caches its index on first read: successor rows for walks, the edge
-letter_table for readers of edge paths, and one union-find partition that
-gives the components and their Betti numbers.
+A graph builds its index once, on first read, and no read changes it: the
+successor rows (its one per-letter table), the edge_index that _trace reads,
+and one union-find partition that gives the components and Betti numbers.
 """
 
 from __future__ import annotations
 
 import json
 import random
-from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import accumulate
 
@@ -84,10 +83,10 @@ class LabeledDigraph:
     @cached_property
     def successor(self) -> dict[int, list[int]]:
         """successor[x][v]: where signed letter x leads from v, or -1
-        (_load_rows on num_vertices + 1 slots): rows for the labels on edges,
-        an all -1 row for another letter once read.  Slot -1 is never
-        written, so the sink -1 leads to itself and a walk reads u = row[u]
-        with no test.  The last of two edges sharing a slot wins."""
+        (_load_rows on num_vertices + 1 slots), with rows for the labels on
+        edges only and never grown: a letter with no row falls off.  Slot -1
+        is never written, so the sink -1 leads to itself and a walk reads
+        u = row[u] with no test.  The last of two edges sharing a slot wins."""
         rows, clashes = _load_rows(self.edges, self.num_vertices + 1)
         self.__dict__["deterministic"] = not clashes
         return rows
@@ -99,17 +98,9 @@ class LabeledDigraph:
         return self.deterministic
 
     @cached_property
-    def letter_table(self) -> dict[int, list[int | None]]:
-        """letter_table[x][v]: index of the edge that signed letter x crosses
-        from v, or None, with rows keyed as in successor, only for the labels
-        on some edge.  On a nondeterministic graph the last of two edges
-        sharing a slot holds it."""
-        n = self.num_vertices
-        table = {x: [None] * n for l in {l for _, _, l in self.edges} for x in (l, -l)}
-        for i, (s, d, l) in enumerate(self.edges):
-            table[l][s] = i
-            table[-l][d] = i
-        return table
+    def edge_index(self) -> dict[Edge, int]:
+        """edge_index[e]: e's index in edges, read by cycles._trace alone."""
+        return {e: i for i, e in enumerate(self.edges)}
 
     @cached_property
     def _partition(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -262,14 +253,13 @@ def _merge(rows: list[list[int]], n: int, pending: list[tuple[int, int]],
     return parent
 
 
-def _load_rows(edges, size: int) -> tuple[dict, list[tuple[int, int]]]:
+def _load_rows(edges, size: int, labels=()) -> tuple[dict, list[tuple[int, int]]]:
     """Slot rows of the graph with these edges on vertices below size, rows
-    l and -l for each label in turn (rows[x][v]: where letter x leads from
-    v, or -1; a letter on no edge gets its row when first read), and the
-    far ends of same-letter edges at one vertex, which clash."""
-    rows = defaultdict(lambda: [-1] * size)
-    pairs = {}
-    for l in {l for _, _, l in edges}:
+    l and -l for each label on an edge or in labels (rows[x][v]: where letter
+    x leads from v, or -1), and the far ends of same-letter edges at one
+    vertex, which clash."""
+    rows, pairs = {}, {}
+    for l in {l for _, _, l in edges}.union(labels):
         rows[l], rows[-l] = pairs[l] = ([-1] * size, [-1] * size)  # (out, in)
     pending: list[tuple[int, int]] = []
     for s, d, l in edges:
@@ -411,8 +401,11 @@ def walk(g: LabeledDigraph, v: int, letters) -> int:
     if 0 in (letters := tuple(letters)):  # letters may be an iterator: read it once
         raise ValueError("letters must be nonzero")
     rows = g.successor
-    for x in letters:
-        v = rows[x][v]
+    try:
+        for x in letters:
+            v = rows[x][v]
+    except KeyError:  # x is on no edge
+        return -1
     return v
 
 

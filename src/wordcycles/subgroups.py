@@ -18,7 +18,6 @@ from .graphs import (
     circle,
     component_containing,
     fiber_product,
-    is_connected,
     require_valid,
     walk,
 )
@@ -44,22 +43,22 @@ class SubgroupGraph:
                                                      g.num_vertices, g.basepoint))
 
 
-def _read(loops: list[Word]):
+def _read(loops: list[Word], labels: set[int]):
     """Read each freely reduced loop in at base vertex 0 on slot rows
-    (_load_rows, with room for the new vertices): rows[x][v] is where
-    letter x leads from v, or -1, for the letters in use, which are then
-    the graph's only record of its edges.  Returns (rows, n, pending): n
-    counts the vertices, and pending holds the vertex pairs that clashes
-    force together.  Each loop is walked forwards from the base and
-    backwards into it, so only the unread middle is new; the two vertices
-    where the walks meet, or the far ends of the middle's first and last
-    edges where both leave one vertex by the same letter, are pending.  The
-    middle only creates: the forward walk stopped at an empty slot, and a
-    new vertex has only its back slot filled, which the reduced loop never
-    reads next.  The callers check the letters first, with
-    _require_letters."""
+    (_load_rows, with room for the new vertices, and rows for the labels,
+    which hold the loops' letters): rows[x][v] is where letter x leads from
+    v, or -1, the graph's only record of its edges.  Returns (rows, n,
+    pending): n counts the vertices, and pending holds the vertex pairs
+    that clashes force together.  Each loop is walked forwards from the
+    base and backwards into it, so only the unread middle is new; the two
+    vertices where the walks meet, or the far ends of the middle's first
+    and last edges where both leave one vertex by the same letter, are
+    pending.  The middle only creates: the forward walk stopped at an empty
+    slot, and a new vertex has only its back slot filled, which the reduced
+    loop never reads next.  The callers check the letters first, with
+    _require_letters, which returns the labels."""
     n = 1
-    rows, pending = _load_rows((), n + sum(map(len, loops)))
+    rows, pending = _load_rows((), n + sum(map(len, loops)), labels)
     for w in loops:
         v, i, u, j = 0, 0, 0, len(w)
         while i < j and (t := rows[w[i]][v]) >= 0:  # forwards: w[:i] reads to v
@@ -80,12 +79,14 @@ def _read(loops: list[Word]):
     return rows, n, pending
 
 
-def _require_letters(words: list[Word], alphabet: int) -> None:
-    """No letter of the raw words exceeds alphabet in absolute value, letters
-    that free reduction would cancel included; one scan in C.  A zero letter
-    is left to the caller."""
-    if (top := max(map(abs, chain.from_iterable(words)), default=0)) > alphabet:
+def _require_letters(words: list[Word], alphabet: int) -> set[int]:
+    """The labels of the raw words' letters, those that free reduction would
+    cancel included, once none exceeds alphabet; one scan in C.  A zero
+    letter is left to the caller."""
+    labels = set(map(abs, chain.from_iterable(words)))
+    if (top := max(labels, default=0)) > alphabet:
         raise ValueError(f"letter {top} outside alphabet 1..{alphabet}")
+    return labels
 
 
 def stallings_graph(gens: list[Word], alphabet: int) -> SubgroupGraph:
@@ -99,7 +100,7 @@ def stallings_graph(gens: list[Word], alphabet: int) -> SubgroupGraph:
     1983; Kapovich & Myasnikov, J. Algebra 2002)."""
     if alphabet < 1:
         raise ValueError("alphabet must be nonempty")
-    _require_letters(gens, alphabet)
+    labels = _require_letters(gens, alphabet)
     reduced = []
     for w in gens:
         r = free_reduce(w)
@@ -111,7 +112,7 @@ def stallings_graph(gens: list[Word], alphabet: int) -> SubgroupGraph:
             )
         if r:
             reduced.append(r)
-    rows, n, pending = _read(reduced)
+    rows, n, pending = _read(reduced, labels)
     if pending:  # the base stays 0: classes are numbered by their least vertices
         roots, number = _fold_clashes(rows, n, pending)
         for row in rows.values():  # class i's slots move to i from its root, which is >= i
@@ -138,14 +139,14 @@ def contains(h: SubgroupGraph, w: Word) -> bool:
 def conjugate(h: SubgroupGraph, g: Word) -> SubgroupGraph:
     """The subgroup graph of g^-1 H g: g, which may be unreduced, is read
     from the basepoint on H's slot rows (_load_rows, with room for the new
-    vertices), following H's edges and creating the missing ones; the
-    basepoint moves to its end, and one pass cores and numbers the result.
-    Nothing clashes, so nothing is merged."""
+    vertices and rows for g's letters), following H's edges and creating
+    the missing ones; the basepoint moves to its end, and one pass cores and
+    numbers the result.  Nothing clashes, so nothing is merged."""
     if 0 in g:  # stallings_graph rejects zero through free_reduce
         raise ValueError("letters must be nonzero")
-    _require_letters([g], h.graph.alphabet)
+    labels = _require_letters([g], h.graph.alphabet)
     n, v = h.graph.num_vertices, h.graph.basepoint
-    rows, _ = _load_rows(h.graph.edges, n + len(g))  # H clashes nowhere
+    rows, _ = _load_rows(h.graph.edges, n + len(g), labels)  # H clashes nowhere
     for x in g:  # follow or create
         if (t := rows[x][v]) < 0:
             t, n = n, n + 1
@@ -218,9 +219,6 @@ class RedRankReport:
 
 def check_shnc(g1: SubgroupGraph, g2: SubgroupGraph) -> RedRankReport:
     """Strengthened Hanna Neumann inequality on the fiber product."""
-    for h in (g1, g2):
-        if not is_connected(h.graph):
-            raise ValueError("check_shnc: factors must be connected")
     report = betti(fiber_product(g1.graph, g2.graph))
     b = report.bettis
     lhs = sum(b) - len(b) + b.count(0)  # each component's reduced rank, summed

@@ -1,5 +1,8 @@
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -434,3 +437,32 @@ def test_invalid_input_fails_in_one_line(tmp_path, case):
     assert isinstance(result.exception, SystemExit)
     assert result.stdout == ""
     assert result.stderr == line.format(path=tmp_path) + "\n"
+
+
+UNREDUCED = {"alphabet": 2, "generators": ["aA", "b"]}
+WARNING = "Warning: generator aA was not freely reduced; using (empty)\n"
+
+
+def run_cli(tmp_path, *args):
+    """`python -m wordcycles.cli ARGS` in a fresh process, where Python's
+    own warning display is in force (pytest records warnings in process)."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    return subprocess.run([sys.executable, "-m", "wordcycles.cli", *args], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=60)
+
+
+class TestWarningsInOneLine:
+    def test_success(self, tmp_path):
+        (tmp_path / "s.json").write_text(json.dumps(UNREDUCED))
+        res = run_cli(tmp_path, "subgroup", "rank", "s.json")
+        assert res.returncode == 0
+        assert res.stderr == WARNING
+        assert res.stdout == json.dumps({"rank": 1, "trivial": False}, indent=2) + "\n"
+
+    def test_before_the_error_line(self, tmp_path):
+        (tmp_path / "s3.json").write_text(json.dumps({**UNREDUCED, "alphabet": 3}))
+        (tmp_path / "s.json").write_text(json.dumps({"alphabet": 2, "generators": ["a"]}))
+        res = run_cli(tmp_path, "subgroup", "intersect", "s3.json", "s.json")
+        assert res.returncode == 2
+        assert res.stderr == WARNING + "Error: alphabet mismatch\n"
+        assert res.stdout == ""

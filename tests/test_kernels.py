@@ -10,11 +10,11 @@ the library reads each word into the graph built so far, a collapse search
 that rescans every live cell per collapse and backs its greedy pass with an
 exhaustive search (the incremental greedy pass must decide the same), and a
 core that recounts every degree once per round of spur removal.  The
-successor rows and the letter table, dicts keyed by signed letter with rows
-only for the labels on edges (a successor row reads -1, the sink, where no
-edge leads), and tracing, walks, canonical_form and intersect's product
-search, which read them, are checked against dicts keyed by (vertex, label)
-tuples; on tiny graphs declared with alphabet 10^6 each per-letter kernel
+successor rows, a dict keyed by signed letter with rows only for the labels
+on edges (a row reads -1, the sink, where no edge leads), the edge index
+that tracing looks each step's edge up in, and tracing, walks,
+canonical_form and intersect's product search, which read them, are
+checked against dicts keyed by (vertex, label) tuples; on tiny graphs declared with alphabet 10^6 each per-letter kernel
 peaks under 1 MiB.
 decompose, which keeps only the edge indices of each trace, is checked
 against a decomposition that stores every vertex's whole (edge, direction)
@@ -62,10 +62,10 @@ from wordcycles.graphs import (
     walk,
     wedge_of_words,
 )
-from wordcycles.subgroups import (SubgroupGraph, _read, conjugate, intersect,
+from wordcycles.subgroups import (SubgroupGraph, _read, conjugate, contains, intersect,
                                   stallings_graph)
 from wordcycles.words import (cyclic_reduce, free_reduce, invert, is_simple,
-                              parse_word, require_simple_cyclic)
+                              parse_word, primitive_root, require_simple_cyclic)
 
 
 def naive_fold(g: LabeledDigraph) -> LabeledDigraph:
@@ -772,7 +772,7 @@ class TestStallingsAgainstWedgeFold:
     ])
     def test_coincidences_need_fold(self, texts):
         gens = [parse_word(t) for t in texts]
-        *_, pending = _read(gens)
+        *_, pending = _read(gens, {1, 2})
         assert pending == self.PENDING[texts]
         assert stallings_graph(gens, 2).graph == wedge_fold(gens, 2)
 
@@ -780,7 +780,7 @@ class TestStallingsAgainstWedgeFold:
         # reading and the finishing pass keep rows for the letters in use only
         tracemalloc.start()
         try:
-            rows, n, pending = _read([(1, 2), (2, 1)])
+            rows, n, pending = _read([(1, 2), (2, 1)], {1, 2})
             g = _core_form(10**6, rows, n, 0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -916,11 +916,12 @@ class TestSuccessorAgainstMaps:
         assert set(g.successor) == letters_in_use(g)
         assert fresh.successor == g.successor
         assert all(len(row) == n + 1 and row[-1] == -1 for row in g.successor.values())
+        blank = [-1] * (n + 1)  # a letter on no edge has no row
         for v in range(n):
             for l in range(1, g.alphabet + 1):
                 i, j = outs.get((v, l)), ins.get((v, l))
-                assert g.successor[l][v] == (-1 if i is None else g.edges[i][1])
-                assert g.successor[-l][v] == (-1 if j is None else g.edges[j][0])
+                assert g.successor.get(l, blank)[v] == (-1 if i is None else g.edges[i][1])
+                assert g.successor.get(-l, blank)[v] == (-1 if j is None else g.edges[j][0])
         assert g.deterministic == (validate(g) == [])
 
     @settings(max_examples=200)
@@ -933,8 +934,41 @@ class TestSuccessorAgainstMaps:
             end = map_trace(g, v, w)
             assert walk(g, v, w) == (-1 if end is None else end[0])
             assert walk(g, -1, w) == -1  # the sink leads to itself
-        for x in w:  # a letter on no edge reads an all-sink row
-            assert x in used or g.successor[x] == [-1] * (n + 1)
+        for x in w:  # a letter on no edge has no row, read or not
+            assert x in used or x not in g.successor
+
+
+class TestReadsNeverGrowTheIndex:
+    """A graph's successor keeps rows for the labels on its edges alone,
+    whatever letters its readers read."""
+
+    @settings(max_examples=150)
+    @given(deterministic_graphs(based=True), deterministic_graphs(based=True),
+           st.lists(st.sampled_from([1, -1, 2, -2, 3, -3, 7, -7]), min_size=1, max_size=6))
+    def test_after_every_reader(self, g1, g2, w):
+        # widened to alphabet 3, g reads 3 inside its alphabet and 7 beyond it,
+        # both on no edge
+        g = replace(component_containing(g1, g1.basepoint), alphabet=3)
+        h1, h2 = SubgroupGraph(g), SubgroupGraph(replace(g2, alphabet=3))
+        for v in range(-1, g.num_vertices):
+            walk(g, v, w)
+        contains(h1, w)
+        if r := cyclic_reduce(tuple(w))[0]:
+            decompose(g, primitive_root(r)[0]).classes
+            decompose(h1.graph, primitive_root(r)[0]).classes
+        canonical_form(g)
+        canonical_form(replace(g, basepoint=None))
+        core(g)
+        intersect(h1, h2)
+        for x in (g, h1.graph, h2.graph):
+            assert set(x.successor) == letters_in_use(x)
+
+    def test_two_thousand_absent_letters(self):
+        h = stallings_graph([(1, 2), (2, 1, 1)], 2)
+        assert len(h.graph.successor) == 4
+        for x in range(3, 2003):
+            assert not contains(h, (x,))
+        assert len(h.graph.successor) == 4
 
 
 class TestPartitionAgainstReference:
@@ -984,19 +1018,20 @@ class TestRequireValidAgainstValidate:
 
 
 class TestLetterTableAgainstMaps:
-    """The letter table, and trace, canonical_form and intersect, which read
+    """The edge index, and trace, canonical_form and intersect, which read
     it or the successor rows, against the (vertex, label) dicts."""
 
     @settings(max_examples=200)
     @given(deterministic_graphs())
     def test_slots(self, g):
-        outs, ins = out_map(g), in_map(g)
-        assert set(g.letter_table) == letters_in_use(g)
-        blank = [None] * g.num_vertices  # a letter on no edge has no row
-        for v in range(g.num_vertices):
+        outs, ins, rows = out_map(g), in_map(g), g.successor
+        assert g.edge_index == {e: i for i, e in enumerate(g.edges)}
+        for v in range(g.num_vertices):  # the lookups _trace makes, slot by slot
             for l in range(1, g.alphabet + 1):
-                assert g.letter_table.get(l, blank)[v] == outs.get((v, l))
-                assert g.letter_table.get(-l, blank)[v] == ins.get((v, l))
+                if (i := outs.get((v, l))) is not None:
+                    assert g.edge_index[v, rows[l][v], l] == i
+                if (j := ins.get((v, l))) is not None:
+                    assert g.edge_index[rows[-l][v], v, l] == j
         assert g.deterministic
 
     @settings(max_examples=200)
@@ -1076,8 +1111,8 @@ class TestMemoryIgnoresDeclaredAlphabet:
 
 
 class TestCanonicalIgnoresLettersRead:
-    """Reading a letter on no edge gives it an all-sink row; canonical
-    forms and intersections do not depend on which such rows exist."""
+    """Walks that read letters on no edge, and a declared alphabet widened
+    past them, leave canonical forms and intersections as they were."""
 
     @settings(max_examples=150)
     @given(deterministic_graphs(based=True), deterministic_graphs(based=True),
@@ -1098,15 +1133,15 @@ class TestCanonicalIgnoresLettersRead:
 
 class TestCoreFormAgainstCoreThenCanonical:
     """_core_form strips spurs and numbers the vertices on the slot rows
-    alone: degrees are counted from the rows, rows that walks left for
-    letters on no edge included, and edges into removed vertices are
-    skipped as the kept vertices are numbered."""
+    alone: degrees are counted from the rows, after walks that read letters
+    on no edge, and edges into removed vertices are skipped as the kept
+    vertices are numbered."""
 
     @settings(max_examples=300)
     @given(graphs_with_hanging_trees(),
            st.lists(letters_from([1, 2, 3, 4]), min_size=1, max_size=4))
     def test_same_graph(self, g, letters):
-        walk(g, g.basepoint, letters)  # reading a letter on no edge adds its row
+        walk(g, g.basepoint, letters)  # letters on no edge included: no row added
         want = canonical_form(core(g))
         assert want == canonical_form(round_core(g))
         assert _core_form(g.alphabet, g.successor, g.num_vertices, g.basepoint) == want

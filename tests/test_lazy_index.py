@@ -1,4 +1,4 @@
-"""The edge-index letter_table is built only by readers of edge paths.
+"""A graph's edge_index is built only by the reader of edge paths, _trace.
 
 Counting checks, walks, core, canonical_form and intersect read the
 successor rows alone, so on the small graphs the verify suites draw they
@@ -27,7 +27,7 @@ SEEDS = range(8)
 
 
 def built_table(*graphs: LabeledDigraph) -> bool:
-    return any("letter_table" in vars(g) for g in graphs)
+    return any("edge_index" in vars(g) for g in graphs)
 
 
 def based_cover(seed: int) -> LabeledDigraph:
@@ -44,7 +44,7 @@ class TestCountsBuildNoLetterTable:
         assert not built_table(g)
 
     def test_class_paths_do_build_it(self, seed):
-        # the positive control: reading edge paths builds the table
+        # the positive control: reading edge paths builds the index
         g = random_permutation_automaton(CFG, seed)
         decompose(g, random_simple_word(CFG, seed)).classes
         assert built_table(g)

@@ -1,6 +1,7 @@
 """tools/outputs.py: every graph builder's output over seeded instances,
-pinned by its sha256, so a change to a builder's internals that moves a
-single byte of what the CLI would print fails here."""
+and what each README CLI example prints, pinned by its sha256, so a change
+to a builder's internals that moves a single byte of what the CLI would
+print fails here."""
 
 import importlib.util
 from pathlib import Path
@@ -23,6 +24,43 @@ PINNED = {  # move one only in a change that declares that builder's output chan
     "intersect": "7c9c801a1a283a146612c0525652cb8bf5c9c9ad96aea4b52c382ad1032468ed",
 }
 
+CLI_PINNED = {  # exit code, stdout and stderr; move one only in a change that declares it
+    "wordcycles words normalize BaabA":
+        "3afaf6ef5d47290b667cf731d5e81172a1b1a757aa95c650c02ae8dcd07cbaf9",
+    "wordcycles graph validate g.json":
+        "9f2cac9b1a94d4aea5bad72fca5d04fa8785cf68cdf631293efb76f31914870d",
+    "wordcycles graph betti g.json":
+        "a959a62b0acf86d1b70c6f0716781364015d3418d43974d20e5901aebe90b04e",
+    "wordcycles graph fold g.json":
+        "31689a8170ccd20db884de5d9cbaf61a967376a0690dd7d21301e23d97a2f58e",
+    "wordcycles graph fiber g1.json g2.json --dot":
+        "f84ee263c5a2e478e95b969244e1101dcf45fc5d52276e2d461fabe74f92d798",
+    "wordcycles wcycles count g.json -w abAB":
+        "a4a03b15462dcfce0af70c14a6969171f84b97299a55bebdbaa0620674edecc0",
+    "wordcycles wcycles decompose g.json -w abAB":
+        "62848a7ccaa107b797223b02f0460726cbfdf6509707d12043cca0dfb81def72",
+    "wordcycles complex gamma-w g.json -w abAB":
+        "c70150913fb442db2eb44c70ca619d909e81cc686dabbb9abdfb7c0d1e6310ff",
+    "wordcycles complex collapse x.json":
+        "d9c2af1c3020fcbf5686c6e3b3ff53abb3e5b541f5d1e235ee4078b3f3e8a8b1",
+    "wordcycles complex npi g.json -w abAB --attach 0:1":
+        "ee14ae5befe45b0e80e1ec059d3a3d48e268595a1971ddcdbc2fff999004b4ce",
+    "wordcycles complex staggered p.json":
+        "1e515c045a0da211bc856b602d4de32c873069c2f7c2223d1d01dd60cecb5f99",
+    "wordcycles subgroup build s.json":
+        "23caf7b85a4b71c0ec0cf448d998ffa0e70bf6383b02ce94427cf1a647b304db",
+    "wordcycles subgroup rank s.json":
+        "4f5080de47e94e5e1618f08c25bc2b0f66e29c92140b9f81dc6d48c67e1391a2",
+    "wordcycles subgroup intersect s1.json s2.json":
+        "0bb005e0a339e157cd170b22a6a156763127d65826471ea3277f0e1a9930ef4c",
+    "wordcycles subgroup conjugates s.json -w a":
+        "8115d01a1b55d8c3c76cf468be226489f7cc7a512fb668874413c962ee2671fa",
+    "wordcycles subgroup shnc s1.json s2.json":
+        "8df0bd790e148620d8e5bca007c5480c1cb4a1473be360d7a561e2356d3ae67c",
+    "wordcycles verify main --seed 7 --trials 1000":
+        "74dba0b27494f6cc619378b9d1be131624500f0ba33870e809582c8aecfe29fe",
+}
+
 
 def test_builder_outputs_are_pinned():
     assert outputs.digests() == PINNED
@@ -31,5 +69,17 @@ def test_builder_outputs_are_pinned():
 def test_main_prints_one_line_per_builder(capsys):
     outputs.main(["--count", "3"])
     lines = capsys.readouterr().out.splitlines()
-    assert [line.split("  ")[1] for line in lines] == list(outputs.BUILDERS)
+    assert [line.split("  ")[1] for line in lines] == [*outputs.BUILDERS,
+                                                       *outputs.cli_examples()]
     assert all(len(line.split("  ")[0]) == 64 for line in lines)
+
+
+def test_cli_outputs_are_pinned():
+    assert outputs.cli_digests() == CLI_PINNED
+
+
+def test_every_readme_example_has_its_inputs():
+    # the 17 example lines of README's CLI section, each on an input file
+    assert len(outputs.cli_examples()) == 17
+    named = {a for e in outputs.cli_examples() for a in e.split() if a.endswith(".json")}
+    assert named == set(outputs.cli_inputs())

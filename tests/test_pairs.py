@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -102,12 +103,13 @@ class TestNoRegression:
             stamp = {"stamp": {"nproc": 2, "python": "3.11.7", "git_sha": "unknown"},
                      "slowdown": 1.0}
             values = {name: 1.0 for name in pairs.end_to_end()}
-            if root == pairs.ROOT:  # the change: half the throughput
+            if root.name == "change":  # half the throughput
                 values["ops_per_s"] = 0.5
             return stamp, {"correct": True,
                            "metrics": {k: {"value": v} for k, v in values.items()}}
 
         monkeypatch.setattr(pairs, "export", lambda rev, into: "0" * 40)
+        monkeypatch.setattr(pairs, "copy_checkout", lambda into: None)
         monkeypatch.setattr(pairs, "run_once", fake_run)
         assert pairs.main(["--parent", "HEAD", "--workload", "verify-acceptance",
                            "--seeds", "1-3", "--seconds", "1"]) == 1
@@ -146,8 +148,9 @@ class TestIncorrectRun:
     def run_main(self, monkeypatch, wrong):
         """main over seeds 1-3, the run of (side, seed) wrong reporting not correct."""
         monkeypatch.setattr(pairs, "export", lambda rev, into: "0" * 40)
+        monkeypatch.setattr(pairs, "copy_checkout", lambda into: None)
         monkeypatch.setattr(pairs, "run_once", lambda root, workload, seed, seconds:
-                            self.fake_run((root == pairs.ROOT, seed) != wrong))
+                            self.fake_run((root.name == "change", seed) != wrong))
         return pairs.main(["--parent", "HEAD", "--workload", "verify-acceptance",
                            "--seeds", "1-3", "--seconds", "1"])
 
@@ -162,3 +165,44 @@ class TestIncorrectRun:
     def test_correct_runs_print_the_entry(self, monkeypatch, capsys):
         assert self.run_main(monkeypatch, None) == 0
         assert '"pairs": 3' in capsys.readouterr().out
+
+
+def test_both_sides_run_from_fresh_copies(monkeypatch, tmp_path, capsys):
+    """Neither side runs in the checkout: the parent is its commit, the
+    change the files on disk, an uncommitted edit and an untracked file
+    included, an ignored file left out."""
+    checkout = tmp_path / "checkout"
+    checkout.mkdir()
+
+    def git(*args):
+        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+                       cwd=checkout, check=True, capture_output=True)
+
+    git("init", "-q")
+    (checkout / ".gitignore").write_text("*.log\n")
+    (checkout / "engine.py").write_text("committed\n")
+    git("add", "-A")
+    git("commit", "-q", "-m", "parent")
+    (checkout / "engine.py").write_text("edited\n")
+    (checkout / "new.py").write_text("untracked\n")
+    (checkout / "run.log").write_text("ignored\n")
+    seen = {}
+
+    def fake_run(root, workload, seed, seconds):
+        seen[root.name] = root, {p.name: p.read_text() for p in root.iterdir()}
+        stamp = {"stamp": {"nproc": 2, "python": "3.11.7", "git_sha": "unknown"},
+                 "slowdown": 1.0}
+        return stamp, {"correct": True,
+                       "metrics": {name: {"value": 1.0} for name in pairs.end_to_end()}}
+
+    monkeypatch.setattr(pairs, "ROOT", checkout)
+    monkeypatch.setattr(pairs, "run_once", fake_run)
+    assert pairs.main(["--parent", "HEAD", "--workload", "verify-acceptance",
+                       "--seeds", "1-2", "--seconds", "1"]) == 0
+    assert '"pairs": 2' in capsys.readouterr().out
+    (parent_root, parent_files), (change_root, change_files) = seen["parent"], seen["change"]
+    assert checkout not in (parent_root, change_root, *parent_root.parents,
+                            *change_root.parents)
+    assert parent_files == {".gitignore": "*.log\n", "engine.py": "committed\n"}
+    assert change_files == {".gitignore": "*.log\n", "engine.py": "edited\n",
+                            "new.py": "untracked\n"}

@@ -1,19 +1,25 @@
-"""One sha256 per graph builder over seeded instances, to show that a
-change leaves every builder's output as it was.
+"""One sha256 per graph builder over seeded instances, and one per README
+CLI example, to show that a change leaves every builder's output, and what
+the command prints, as it was.
 
     python3 tools/outputs.py [--count N]
 
 For each builder, instance i is drawn from random.Random(i) for i below
 count, and the builder's results are hashed as graphs.dumps prints them
 (what the CLI prints), one result after another.  Each line is
-"<sha256>  <builder>".  Run it in two checkouts and compare the lines: the
-wordcycles package is imported from the checkout the script lies in.
+"<sha256>  <builder>".  Then each `wordcycles ...` example line of
+README.md runs in process (click's CliRunner) on the fixed input files of
+cli_inputs, and its exit code, stdout and stderr are hashed together;
+verify's wall_time is dropped first.  Each line is "<sha256>  <example>".
+Run it in two checkouts and compare the lines: the wordcycles package is
+imported from the checkout the script lies in.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import random
 import sys
 import warnings
@@ -22,11 +28,18 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
+from click.testing import CliRunner  # noqa: E402
+
+from wordcycles.cli import main as cli  # noqa: E402
+from wordcycles.complexes import build_gamma_w  # noqa: E402
 from wordcycles.generators import (  # noqa: E402
-    TrialConfig, random_connected_automaton, random_subgroup)
+    TrialConfig, random_connected_automaton, random_simple_word,
+    random_staggered_presentation, random_subgroup)
 from wordcycles.graphs import (  # noqa: E402
-    LabeledDigraph, canonical_form, component_containing, core, dumps, fiber_product, fold)
+    LabeledDigraph, canonical_form, component_containing, core, dumps, fiber_product, fold,
+    to_json)
 from wordcycles.subgroups import conjugate, intersect, stallings_graph  # noqa: E402
+from wordcycles.words import format_word, parse_word  # noqa: E402
 
 COUNT = 500  # instances per builder
 
@@ -114,11 +127,70 @@ def digests(count: int = COUNT) -> dict[str, str]:
     return out
 
 
+def cli_examples() -> list[str]:
+    """The README's `wordcycles ...` example lines, comments dropped."""
+    lines = (ROOT / "README.md").read_text().splitlines()
+    return [" ".join(line.split("#")[0].split()) for line in lines
+            if line.startswith("wordcycles ")]
+
+
+def _based(cfg: TrialConfig, seed: int) -> LabeledDigraph:
+    g = random_connected_automaton(cfg, seed)
+    return LabeledDigraph(g.alphabet, g.num_vertices, g.edges, 0)
+
+
+def _subgroup(seed: int) -> dict:
+    rng, cfg = random.Random(seed), TrialConfig(max_word_length=8)
+    return {"alphabet": 2,
+            "generators": [format_word(random_simple_word(cfg, rng)) for _ in range(2)]}
+
+
+def cli_inputs() -> dict[str, dict]:
+    """The files the README examples name, from fixed seeds.  g.json is
+    based at vertex 0, where abAB closes at once (so --attach 0:1 holds),
+    and s.json is the README's own."""
+    g = _based(TrialConfig(max_vertices=8), 8)
+    x = build_gamma_w(g, parse_word("abAB"))
+    p = random_staggered_presentation(TrialConfig(), 3, 2)
+    return {
+        "g.json": to_json(g),
+        "g1.json": to_json(_based(TrialConfig(max_vertices=6), 5)),
+        "g2.json": to_json(_based(TrialConfig(max_vertices=6), 15)),
+        "x.json": {"skeleton": to_json(x.skeleton),
+                   "cells": [[{"edge": e, "dir": d} for e, d in c] for c in x.cells]},
+        "p.json": {"alphabet": p.alphabet, "relators": [format_word(r) for r in p.relators],
+                   "ordered_letters": list(p.ordered_letters)},
+        "s.json": {"alphabet": 2, "generators": ["aa", "b"]},
+        "s1.json": _subgroup(2),
+        "s2.json": _subgroup(12),
+    }
+
+
+def cli_digests() -> dict[str, str]:
+    """README example -> sha256 of its [exit code, stdout, stderr] as JSON,
+    run in a temporary directory holding cli_inputs."""
+    runner, out = CliRunner(), {}
+    with runner.isolated_filesystem():
+        for name, obj in cli_inputs().items():
+            Path(name).write_text(json.dumps(obj))
+        for example in cli_examples():
+            args = example.split()[1:]
+            result = runner.invoke(cli, args, catch_exceptions=False)
+            stdout = result.stdout
+            if args[0] == "verify":
+                report = json.loads(stdout)
+                del report["wall_time"]
+                stdout = json.dumps(report)
+            text = json.dumps([result.exit_code, stdout, result.stderr])
+            out[example] = hashlib.sha256(text.encode()).hexdigest()
+    return out
+
+
 def main(argv=None) -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--count", type=int, default=COUNT, help="instances per builder")
     args = ap.parse_args(argv)
-    for name, digest in digests(args.count).items():
+    for name, digest in {**digests(args.count), **cli_digests()}.items():
         print(f"{digest}  {name}")
 
 

@@ -4,9 +4,13 @@ BENCH_<workload>.json entry.
     python3 tools/pairs.py --parent REV --workload NAME --seeds 501-510 \\
         --seconds 30 [--claim METRIC] [--change TEXT]
 
-The parent revision is exported with `git archive` into a temporary
-directory.  For each seed, `perfbench/run.py --trace 0` runs there and in
-the working tree, the side that runs first alternating from seed to seed.
+Both sides run from fresh copies in a temporary directory, never from the
+checkout itself, so that where a side lies cannot bias it: the parent
+revision is exported with `git archive`, and the change is the checkout as
+it is on disk, its tracked files and its untracked files that git does not
+ignore, uncommitted edits included.  For each seed, `perfbench/run.py
+--trace 0` runs in both copies, the side that runs first alternating from
+seed to seed.
 The entry, printed on stdout in the layout of the files' "entries" list,
 gives, for each end-to-end metric of BENCHMARK.json, each side's median
 and inclusive quartiles over its runs, and the pairs in which the change
@@ -25,6 +29,8 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -115,6 +121,18 @@ def export(rev: str, into: Path) -> str:
     return sha
 
 
+def copy_checkout(into: Path) -> None:
+    """Copy the checkout's tracked files, and its untracked files that git
+    does not ignore, as they are on disk into the directory."""
+    names = subprocess.run(["git", "ls-files", "-z", "--cached", "--others",
+                            "--exclude-standard"], cwd=ROOT, check=True,
+                           capture_output=True).stdout.split(b"\0")
+    for name in map(os.fsdecode, filter(None, names)):
+        if (ROOT / name).is_file():  # a tracked file deleted on disk is left out
+            (into / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(ROOT / name, into / name)
+
+
 def format_entry(entry: dict) -> str:
     """The entry as the BENCH files lay it out, indented for their entries
     list: a line per field, per metric and per run."""
@@ -152,8 +170,9 @@ def main(argv=None) -> int:
     seeds = parse_seeds(args.seeds)
     runs, first_stamp = [], None
     with tempfile.TemporaryDirectory() as tmp:
-        sides = {"parent": Path(tmp), "change": ROOT}
+        sides = {side: Path(tmp) / side for side in ("parent", "change")}
         parent_sha = export(args.parent, sides["parent"])
+        copy_checkout(sides["change"])
         for i, seed in enumerate(seeds):
             for side in ("parent", "change")[::1 if i % 2 == 0 else -1]:
                 stamp, result = run_once(sides[side], args.workload, seed, args.seconds)
