@@ -216,14 +216,18 @@ def betti(g: LabeledDigraph) -> BettiReport:
 # Stallings folding
 
 
-def _merge(rows: list[list[int]], n: int, pending: list[tuple[int, int]],
-           getrandbits=None) -> list[int]:
+def _fold_clashes(rows: dict[int, list[int]], n: int, pending,
+                  getrandbits=None) -> tuple[list[int], list[int]]:
     """Merge the vertex pairs on the pending worklist, and each pair a merge
-    makes clash, on rows: a row per signed letter, holding at a class root
-    a vertex the letter leads to from the class, or -1.  A merge copies the
-    smaller class's root entries into the larger's, O(len(rows)).  Pops
-    last-in first-out, or at indices drawn from getrandbits as
-    rng.randrange would draw them.  Returns the union-find parents."""
+    makes clash, on the slot rows of a graph on vertices below n: a row per
+    signed letter, holding at a class root a vertex the letter leads to from
+    the class, or -1.  A merge copies the smaller class's root entries into
+    the larger's, O(len(rows)).  Pops last-in first-out, or at indices drawn
+    from getrandbits as rng.randrange would draw them.  Then numbers the
+    classes in the order of their least vertices.  Returns (the class roots,
+    each vertex's class, with number[-1] = -1 so that an empty slot maps to
+    itself): a class has one edge per letter, in its root's slot."""
+    slots = list(rows.values())  # each merge walks them: a list, not a new view each time
     parent = list(range(n))
     size = [1] * n
     push, pop = pending.append, pending.pop
@@ -244,13 +248,23 @@ def _merge(rows: list[list[int]], n: int, pending: list[tuple[int, int]],
             a, b = b, a
         parent[a] = b
         size[b] += size[a]
-        for row in rows:
+        for row in slots:
             if (u := row[a]) >= 0:
                 if (other := row[b]) < 0:
                     row[b] = u
                 elif u != other:
                     push((other, u))
-    return parent
+    roots: list[int] = []
+    number = [-1] * (n + 1)
+    for v in range(n):
+        r = v
+        while (up := parent[r]) != r:  # find, inlined, halving the path
+            parent[r] = r = parent[up]
+        if number[r] < 0:
+            number[r] = len(roots)
+            roots.append(r)
+        number[v] = number[r]
+    return roots, number
 
 
 def _load_rows(edges, size: int, labels=()) -> tuple[dict, list[tuple[int, int]]]:
@@ -273,35 +287,14 @@ def _load_rows(edges, size: int, labels=()) -> tuple[dict, list[tuple[int, int]]
     return rows, pending
 
 
-def _fold_clashes(rows: dict[int, list[int]], n: int, pending,
-                  getrandbits=None) -> tuple[list[int], list[int]]:
-    """Merge the pending vertex pairs on the slot rows of a graph on
-    vertices below n (_merge, popping as it says), then number the classes
-    in the order of their least vertices.  Returns (the class roots, each
-    vertex's class, with number[-1] = -1 so that an empty slot maps to
-    itself): a class has one edge per letter, in its root's slot."""
-    parent = _merge(list(rows.values()), n, pending, getrandbits)
-    roots: list[int] = []
-    number = [-1] * (n + 1)
-    for v in range(n):
-        r = v
-        while (up := parent[r]) != r:  # find, inlined, halving the path
-            parent[r] = r = parent[up]
-        if number[r] < 0:
-            number[r] = len(roots)
-            roots.append(r)
-        number[v] = number[r]
-    return roots, number
-
-
 def fold(g: LabeledDigraph, rng: random.Random | None = None) -> LabeledDigraph:
     """Fold g until deterministic (worklist union-find, after Touikan 2006).
 
     Each label on some edge gets two slot rows over the vertices, one per
     signed letter (_load_rows): memory is O(V * labels used + E) whatever
     the alphabet.  Two same-letter edges at one vertex put their far ends
-    on the worklist of _merge, whose merges cost O(labels used), so the
-    fold is near-linear.  Parallel duplicates collapse.
+    on the worklist of _fold_clashes, whose merges cost O(labels used), so
+    the fold is near-linear.  Parallel duplicates collapse.
 
     Output vertices are numbered by the least input vertex of their class
     (_fold_clashes), and the edges, read off the class roots' slots, are
@@ -410,14 +403,15 @@ def walk(g: LabeledDigraph, v: int, letters) -> int:
 
 
 def _bfs_form(alphabet: int, rows: dict[int, list[int]], number: list, start: int,
-              size: int, basepoint: int | None = 0) -> LabeledDigraph:
-    """The graph on these slot rows (rows[x][v]: where letter x leads from
-    v, or -1), based at start (0) or not (None), its size vertices numbered
-    breadth-first from start along the letters 1, -1, 2, -2, ... that have
-    rows, never into the sink -1: number[v] is None for a vertex to number
-    and -1 for one never to queue (a removed vertex).  Each edge is read
-    off its source's positive-letter slot as the source is numbered; an
-    edge into a removed vertex is skipped."""
+              basepoint: int | None = 0) -> LabeledDigraph:
+    """The part of the graph on these slot rows (rows[x][v]: where letter x
+    leads from v, or -1) that a search from start reaches, based at start (0)
+    or not (None), numbered breadth-first from start along the letters 1, -1,
+    2, -2, ... that have rows, never into the sink -1: number[v] is None for a
+    vertex to number and -1 for one never to queue (a removed vertex).  Each
+    edge is read off its source's positive-letter slot as the source is
+    numbered; an edge into a removed vertex is skipped.  On a deterministic
+    graph the search reaches start's component, less the removed vertices."""
     steps = [(l, rows[l], rows[-l]) for l in sorted(rows) if l > 0]
     number[start] = 0
     order = [start]
@@ -434,39 +428,40 @@ def _bfs_form(alphabet: int, rows: dict[int, list[int]], number: list, start: in
             if (u := back[v]) >= 0 and number[u] is None:
                 number[u] = len(order)
                 order.append(u)
-    if len(order) < size:  # on a deterministic graph, every edge was crossed
-        raise ValueError("canonical_form: graph must be connected")
     edges.sort()
-    return _built(LabeledDigraph, alphabet, size, tuple(edges), basepoint)
+    return _built(LabeledDigraph, alphabet, len(order), tuple(edges), basepoint)
 
 
 def canonical_form(g: LabeledDigraph) -> LabeledDigraph:
     """BFS renumbering from the basepoint (or the best start vertex).
 
     Two connected deterministic graphs are label-isomorphic, respecting
-    basepoints, iff their canonical forms are equal.
+    basepoints, iff their canonical forms are equal.  Only here is a graph
+    rejected as disconnected: when the search misses a vertex.
     """
     require_valid(g)
     n = g.num_vertices
-    if n == 0:
-        raise ValueError("canonical_form: graph must be connected")
     if g.basepoint is not None:
-        return _bfs_form(g.alphabet, g.successor, [None] * n, g.basepoint, n)
-    return min((_bfs_form(g.alphabet, g.successor, [None] * n, start, n, None)
-                for start in range(n)), key=lambda h: h.edges)
+        form = _bfs_form(g.alphabet, g.successor, [None] * n, g.basepoint)
+    else:
+        form = min((_bfs_form(g.alphabet, g.successor, [None] * n, start, None)
+                    for start in range(n)), key=lambda h: h.edges, default=None)
+    if form is None or form.num_vertices < n:
+        raise ValueError("canonical_form: graph must be connected")
+    return form
 
 
 def _core_form(alphabet: int, rows: dict[int, list[int]], n: int,
                base: int) -> LabeledDigraph:
-    """canonical_form(core(g)) for the connected deterministic graph g on
-    vertices 0..n-1 with these slot rows and base: rows[x][v] is where
-    letter x leads from v, or -1, for each letter x on an edge."""
-    number, size = [None] * n, n
+    """canonical_form(core(component_containing(g, base))) for the
+    deterministic graph g on vertices 0..n-1 with these slot rows and base:
+    rows[x][v] is where letter x leads from v, or -1, for each letter x on an
+    edge.  Spurs are stripped in every component; the search keeps base's."""
+    number = [None] * n
     degree = _strip_spurs(list(rows.values()), n, base)
     if degree is not None:
         number = [None if k >= 0 else -1 for k in degree]
-        size = n + 1 - degree.count(-1)
-    return _bfs_form(alphabet, rows, number, base, size)
+    return _bfs_form(alphabet, rows, number, base)
 
 
 def isomorphic(g1: LabeledDigraph, g2: LabeledDigraph) -> bool:

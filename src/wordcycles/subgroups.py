@@ -16,7 +16,6 @@ from .graphs import (
     _load_rows,
     betti,
     circle,
-    component_containing,
     fiber_product,
     require_valid,
     walk,
@@ -29,16 +28,17 @@ from .words import Word, format_word, free_reduce, invert, require_simple_cyclic
 class SubgroupGraph:
     """Folded, based, core labeled digraph in canonical form.  The
     constructor checks that the graph is folded and based, then keeps the
-    core of its based component in canonical form, so that two graphs of
-    one subgroup make equal SubgroupGraphs."""
+    core of its based component in canonical form (_core_form, whose search
+    from the base reaches that component alone), so that two graphs of one
+    subgroup make equal SubgroupGraphs."""
 
     graph: LabeledDigraph
 
     def __post_init__(self):
-        require_valid(self.graph)
-        if self.graph.basepoint is None:
+        g = self.graph
+        require_valid(g)
+        if g.basepoint is None:
             raise ValueError("subgroup graph needs a basepoint")
-        g = component_containing(self.graph, self.graph.basepoint)
         object.__setattr__(self, "graph", _core_form(g.alphabet, g.successor,
                                                      g.num_vertices, g.basepoint))
 
@@ -119,7 +119,7 @@ def stallings_graph(gens: list[Word], alphabet: int) -> SubgroupGraph:
             for i, r in enumerate(roots):
                 row[i] = number[row[r]]
         n = len(roots)
-    return _built(SubgroupGraph, _bfs_form(alphabet, rows, [None] * n, 0, n))
+    return _built(SubgroupGraph, _bfs_form(alphabet, rows, [None] * n, 0))
 
 
 def rank(h: SubgroupGraph) -> int:

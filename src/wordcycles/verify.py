@@ -45,25 +45,15 @@ class VerdictReport:
     passes: int
     failures: list[dict] = field(default_factory=list)
     inconclusive: int = 0
-    qualifying: int | None = None
     wall_time: float = 0.0
+    qualifying: int | None = None
 
     @property
     def failure_count(self) -> int:
         return len(self.failures)
 
     def to_json(self) -> dict:
-        obj = {
-            "suite": self.suite,
-            "trials": self.trials,
-            "passes": self.passes,
-            "failures": self.failures,
-            "inconclusive": self.inconclusive,
-            "wall_time": self.wall_time,
-        }
-        if self.qualifying is not None:
-            obj["qualifying"] = self.qualifying
-        return obj
+        return {k: v for k, v in vars(self).items() if k != "qualifying" or v is not None}
 
 
 def _encode(value):

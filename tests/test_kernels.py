@@ -804,9 +804,11 @@ class TestConjugateAgainstRefold:
         assert conjugate(stallings_graph(gens, alphabet), g).graph == refold
 
     def test_never_merges(self):
-        # every fold, graphs.fold and Stallings graphs alike, merges in _merge
+        # every fold, graphs.fold and Stallings graphs alike, merges in _fold_clashes,
+        # which subgroups imports by name
         h = stallings_graph([parse_word("aba"), parse_word("bb")], 2)
-        with mock.patch("wordcycles.graphs._merge", side_effect=AssertionError):
+        with mock.patch("wordcycles.graphs._fold_clashes", side_effect=AssertionError), \
+                mock.patch("wordcycles.subgroups._fold_clashes", side_effect=AssertionError):
             for g in ("", "a", "ab", "bA", "aAb", "BBa", "abab"):
                 conjugate(h, parse_word(g))
 
@@ -1145,6 +1147,18 @@ class TestCoreFormAgainstCoreThenCanonical:
         want = canonical_form(core(g))
         assert want == canonical_form(round_core(g))
         assert _core_form(g.alphabet, g.successor, g.num_vertices, g.basepoint) == want
+
+
+class TestSubgroupGraphAgainstComponentFirst:
+    """The public SubgroupGraph constructor keeps what the component-first
+    path keeps: the core of the basepoint's component, in canonical form,
+    whatever the other components, spurs and isolated vertices hold."""
+
+    @settings(max_examples=300)
+    @given(deterministic_graphs(max_vertices=14, based=True))
+    def test_same_graph(self, g):
+        want = canonical_form(core(component_containing(g, g.basepoint)))
+        assert SubgroupGraph(g).graph == want
 
 
 class TestCoreAgainstRounds:

@@ -22,6 +22,7 @@ PINNED = {  # move one only in a change that declares that builder's output chan
     "stallings_graph": "67b1c3ede635b8f78f8940278c9eef85bf417a1446ac65567ccc452df477423f",
     "conjugate": "8cb36be2459bc283c17a887dd84a60507a92d0d781305f8a70423cdd5ae58e9b",
     "intersect": "7c9c801a1a283a146612c0525652cb8bf5c9c9ad96aea4b52c382ad1032468ed",
+    "SubgroupGraph": "51804c34290c2e0b465c6912721e3d6ce6529168c58868202919a055e79d00d4",
 }
 
 CLI_PINNED = {  # exit code, stdout and stderr; move one only in a change that declares it

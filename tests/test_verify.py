@@ -61,6 +61,13 @@ def test_reproducible_reports():
     assert ja == jb
 
 
+def test_report_key_order():
+    # the fields in order, and qualifying last where the suite counts it
+    keys = ["suite", "trials", "passes", "failures", "inconclusive", "wall_time"]
+    assert list(run_suite("main", SMALL).to_json()) == keys
+    assert list(run_suite("strict", SMALL).to_json()) == [*keys, "qualifying"]
+
+
 def test_different_seed_different_instances():
     # the master seed steers generation: over the first few trials, seeds 11
     # and 12 give different instances

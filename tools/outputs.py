@@ -38,7 +38,8 @@ from wordcycles.generators import (  # noqa: E402
 from wordcycles.graphs import (  # noqa: E402
     LabeledDigraph, canonical_form, component_containing, core, dumps, fiber_product, fold,
     to_json)
-from wordcycles.subgroups import conjugate, intersect, stallings_graph  # noqa: E402
+from wordcycles.subgroups import (  # noqa: E402
+    SubgroupGraph, conjugate, intersect, stallings_graph)
 from wordcycles.words import format_word, parse_word  # noqa: E402
 
 COUNT = 500  # instances per builder
@@ -111,6 +112,8 @@ BUILDERS = {
     "stallings_graph": stallings,
     "conjugate": conjugated,
     "intersect": lambda rng: intersect(*subgroup_pair(rng)).graph,
+    # the public constructor on folded tangles, most of them disconnected
+    "SubgroupGraph": lambda rng: SubgroupGraph(fold(tangle(rng))).graph,
 }
 
 
