@@ -5,9 +5,10 @@ string ids.  Edges are (src, dst, label) triples with labels in 1..alphabet.
 Determinism means: at most one outgoing and at most one incoming edge per
 label at every vertex.
 
-A graph builds its index once, on first read, and no read changes it: the
-successor rows (its one per-letter table), the edge_index that _trace reads,
-and one union-find partition that gives the components and Betti numbers.
+A graph's index is built once, by its builder where the construction proves
+it (_built), else on first read, and no read changes it: the successor rows
+(its one per-letter table), the edge_index that _trace reads, and one
+union-find partition that gives the components and Betti numbers.
 """
 
 from __future__ import annotations
@@ -36,13 +37,15 @@ class cached_property:
         return value
 
 
-def _built(cls, *values):
+def _built(cls, *values, **index):
     """cls from its field values, in order, set as its __init__ sets them
     but with no __post_init__ check: only for values the library builds,
-    valid by construction.  Outside data is checked where it enters."""
+    valid by construction.  Outside data is checked where it enters.  index
+    holds the entries of the graph's index that its builder proved."""
     obj = object.__new__(cls)
     for name, value in zip(cls.__dataclass_fields__, values):
         object.__setattr__(obj, name, value)
+    obj.__dict__.update(index)
     return obj
 
 
@@ -168,17 +171,17 @@ def is_connected(g: LabeledDigraph) -> bool:
 
 
 def component_containing(g: LabeledDigraph, v: int) -> LabeledDigraph:
-    """The component of v (renumbered densely, order preserved)."""
+    """The component of v (renumbered densely, order preserved), with its partition."""
     if not 0 <= v < g.num_vertices:
         raise ValueError(f"vertex {v} not in graph")
     comp_of = g.component_of
     if not any(comp_of):  # g is connected: its own component, cached index and all
         return g
     c = comp_of[v]
-    order = [u for u in range(g.num_vertices) if comp_of[u] == c]
-    vmap = {u: i for i, u in enumerate(order)}
+    vmap = {u: i for i, u in enumerate(u for u, k in enumerate(comp_of) if k == c)}
     edges = tuple((vmap[s], vmap[d], l) for s, d, l in g.edges if comp_of[s] == c)
-    return _built(LabeledDigraph, g.alphabet, len(vmap), edges, vmap.get(g.basepoint))
+    return _built(LabeledDigraph, g.alphabet, len(vmap), edges, vmap.get(g.basepoint),
+                  _partition=((0,) * len(vmap), (g._partition[1][c],)))
 
 
 @dataclass(frozen=True)
@@ -297,20 +300,29 @@ def fold(g: LabeledDigraph, rng: random.Random | None = None) -> LabeledDigraph:
     the fold is near-linear.  Parallel duplicates collapse.
 
     Output vertices are numbered by the least input vertex of their class
-    (_fold_clashes), and the edges, read off the class roots' slots, are
-    sorted.  The result is independent of the merge order up to canonical
-    form; an rng pops the worklist in random order (used to test exactly
-    that), each index drawn from rng.getrandbits as rng.randrange would
-    draw it, otherwise it is popped last-in first-out.
+    (_fold_clashes); one pass over the roots' positive-letter slots reads
+    its sorted edges and the successor rows it is born with.  The result is
+    independent of the merge order up to canonical form; an rng pops the
+    worklist in random order (used to test exactly that), each index drawn
+    from rng.getrandbits as rng.randrange would draw it, else last-in first-out.
     """
     n = g.num_vertices
     rows, pending = _load_rows(g.edges, n)
     roots, number = _fold_clashes(rows, n, pending,
                                   rng.getrandbits if rng is not None else None)
-    edges = sorted((i, number[u], x) for x, row in rows.items() if x > 0
-                   for i, r in enumerate(roots) if (u := row[r]) >= 0)
+    m, succ, edges = len(roots), {}, []
+    for x, row in rows.items():
+        if x > 0:  # x's edges off the class roots, and the rows of x and -x
+            succ[x], succ[-x] = out, into = [-1] * (m + 1), [-1] * (m + 1)
+            for i, r in enumerate(roots):
+                if (u := row[r]) >= 0:
+                    out[i] = u = number[u]
+                    into[u] = i
+                    edges.append((i, u, x))
+    edges.sort()
     base = number[g.basepoint] if g.basepoint is not None else None
-    return _built(LabeledDigraph, g.alphabet, len(roots), tuple(edges), base)
+    return _built(LabeledDigraph, g.alphabet, m, tuple(edges), base,
+                  successor=succ, deterministic=True)
 
 
 def _strip_spurs(rows, n: int, base: int) -> list[int] | None:
@@ -411,7 +423,8 @@ def _bfs_form(alphabet: int, rows: dict[int, list[int]], number: list, start: in
     vertex to number and -1 for one never to queue (a removed vertex).  Each
     edge is read off its source's positive-letter slot as the source is
     numbered; an edge into a removed vertex is skipped.  On a deterministic
-    graph the search reaches start's component, less the removed vertices."""
+    graph the search reaches start's component, less the removed vertices:
+    the form is born connected and, read off slot rows, deterministic."""
     steps = [(l, rows[l], rows[-l]) for l in sorted(rows) if l > 0]
     number[start] = 0
     order = [start]
@@ -428,8 +441,9 @@ def _bfs_form(alphabet: int, rows: dict[int, list[int]], number: list, start: in
             if (u := back[v]) >= 0 and number[u] is None:
                 number[u] = len(order)
                 order.append(u)
-    edges.sort()
-    return _built(LabeledDigraph, alphabet, len(order), tuple(edges), basepoint)
+    n, edges = len(order), tuple(sorted(edges))
+    return _built(LabeledDigraph, alphabet, n, edges, basepoint, deterministic=True,
+                  _partition=((0,) * n, (len(edges) - n + 1,)))
 
 
 def canonical_form(g: LabeledDigraph) -> LabeledDigraph:

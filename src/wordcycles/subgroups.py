@@ -26,11 +26,11 @@ from .words import Word, format_word, free_reduce, invert, require_simple_cyclic
 
 @dataclass(frozen=True)
 class SubgroupGraph:
-    """Folded, based, core labeled digraph in canonical form.  The
-    constructor checks that the graph is folded and based, then keeps the
-    core of its based component in canonical form (_core_form, whose search
-    from the base reaches that component alone), so that two graphs of one
-    subgroup make equal SubgroupGraphs."""
+    """Folded, based, core labeled digraph in canonical form.  The constructor
+    checks that the graph is folded and based, then keeps the canonical core
+    of its based component (_core_form, whose search from the base reaches
+    that component alone), so that two graphs of one subgroup are equal.
+    Every builder's graph is born connected and deterministic (_bfs_form)."""
 
     graph: LabeledDigraph
 
@@ -123,6 +123,7 @@ def stallings_graph(gens: list[Word], alphabet: int) -> SubgroupGraph:
 
 
 def rank(h: SubgroupGraph) -> int:
+    """|E| - |V| + 1, from the partition the connected graph is born with."""
     return betti(h.graph).total
 
 

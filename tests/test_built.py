@@ -2,7 +2,9 @@
 builds for itself without running their constructors' checks.  Here every
 such value is also built through the checked constructor, cls(*values),
 which must not raise and must compare equal: what skips the checks would
-have passed them.
+have passed them.  Each index entry a builder hands its graph (successor,
+deterministic, _partition) must equal what the checked twin computes from
+its edges on first read.
 
 _built is wrapped in every wordcycles module namespace that holds it, as
 perfbench/layers.py wraps the kernels, and each wrapped call records the
@@ -46,13 +48,17 @@ SEEDS = st.integers(0, 2**32)
 
 @pytest.fixture(scope="module")
 def checked_calls():
-    """The callers of _built, counted; every call is checked."""
+    """The callers of _built, counted; every call is checked, and so is
+    every index entry it seeds."""
     seen = Counter()
     current = graphs._built
 
-    def checked(cls, *values):
-        built = current(cls, *values)
-        assert cls(*values) == built
+    def checked(cls, *values, **index):
+        built = current(cls, *values, **index)
+        twin = cls(*values)
+        assert twin == built
+        for name, value in index.items():
+            assert getattr(twin, name) == value, name
         seen[sys._getframe(1).f_code.co_name] += 1
         return built
 

@@ -4,11 +4,20 @@ Counting checks, walks, core, canonical_form and intersect read the
 successor rows alone, so on the small graphs the verify suites draw they
 do not pay for a second per-graph index.  Each case runs on fresh graphs
 and then looks in their instance dicts, where cached properties live.
+
+A builder that proves part of its graph's index hands it over, and the
+graph never derives it from its edges: Stallings graphs, intersections
+and canonical forms are born connected and deterministic, a component
+knows its Betti number, and a fold hands over its rows.  Those cases count
+the calls of the union-find (_partition's function) and of _load_rows.
 """
 
 import random
+from collections import Counter
 
 import pytest
+
+from wordcycles import graphs
 
 from wordcycles.cycles import check_main_inequality, decompose
 from wordcycles.generators import (
@@ -18,8 +27,10 @@ from wordcycles.generators import (
     random_simple_word,
     random_subgroup,
 )
-from wordcycles.graphs import LabeledDigraph, canonical_form, core
-from wordcycles.subgroups import contains, count_conjugates_meeting, intersect
+from wordcycles.graphs import (LabeledDigraph, betti, canonical_form, component_containing,
+                               core, fold)
+from wordcycles.subgroups import (check_shnc, contains, count_conjugates_meeting, intersect,
+                                  rank, stallings_graph)
 from wordcycles.verify import SUITES
 
 CFG = TrialConfig(max_vertices=12, alphabet=2, max_word_length=6)
@@ -86,3 +97,63 @@ def test_npi_draw():
     instances = [SUITES["npi"].draw(CFG, seed, random.Random(seed)) for seed in SEEDS]
     assert not built_table(*(i["g"] for i in instances))
     assert any(decompose(i["g"], i["w"]).cycles for i in instances)  # a class was drawn
+
+
+@pytest.fixture
+def derived(monkeypatch):
+    """Counts of the union-find and _load_rows calls, the two ways a graph
+    derives its index from its edges."""
+    seen = Counter()
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            seen[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    partition = vars(LabeledDigraph)["_partition"]
+    monkeypatch.setattr(partition, "fn", counted("union-find", partition.fn))
+    monkeypatch.setattr(graphs, "_load_rows", counted("_load_rows", graphs._load_rows))
+    return seen
+
+
+def tangle(seed: int) -> LabeledDigraph:
+    """Random edges on 12 vertices: clashes and several components."""
+    rng = random.Random(seed)
+    edges = tuple((rng.randrange(12), rng.randrange(12), rng.randint(1, 2)) for _ in range(9))
+    return LabeledDigraph(2, 12, edges, rng.randrange(12))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+class TestBuildersHandOverTheirIndex:
+    def test_rank_of_a_stallings_graph(self, seed, derived):
+        rng = random.Random(seed)
+        h = stallings_graph([random_simple_word(CFG, rng) for _ in range(3)], 2)
+        derived.clear()
+        assert rank(h) == len(h.graph.edges) - h.graph.num_vertices + 1
+        assert derived["union-find"] == 0
+
+    def test_betti_of_an_intersection(self, seed, derived):
+        h = intersect(random_subgroup(CFG, seed), random_subgroup(CFG, seed + 100))
+        derived.clear()
+        betti(h.graph)
+        assert derived["union-find"] == 0
+
+    def test_shnc_factor_ranks(self, seed, derived):
+        h1, h2 = random_subgroup(CFG, seed), random_subgroup(CFG, seed + 100)
+        derived.clear()
+        check_shnc(h1, h2)
+        assert derived["union-find"] == 1  # the fiber product's own
+
+    def test_betti_of_a_component(self, seed, derived):
+        g = tangle(seed)
+        part = component_containing(g, g.basepoint)
+        assert part.num_vertices < g.num_vertices  # g is disconnected
+        derived.clear()
+        assert betti(part).bettis == (len(part.edges) - part.num_vertices + 1,)
+        assert derived["union-find"] == 0
+
+    def test_canonical_form_of_a_fold(self, seed, derived):
+        g = tangle(seed)
+        canonical_form(fold(component_containing(g, g.basepoint)))
+        assert derived["_load_rows"] == 1  # fold's input's

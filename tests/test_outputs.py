@@ -25,6 +25,22 @@ PINNED = {  # move one only in a change that declares that builder's output chan
     "SubgroupGraph": "51804c34290c2e0b465c6912721e3d6ce6529168c58868202919a055e79d00d4",
 }
 
+INDEX_PINNED = {  # each builder's index as built lazily from the edges
+    "index/canonical_form/based": "6c2a8d89ead9013f7dbe05932906e4f6c054cbaa314cdf1a61a9de602a115e66",
+    "index/canonical_form/unbased":
+        "b9651df087f74d641699a1dc068cd9ba739e3e45bdc13f7e5af2707a012ba292",
+    "index/core": "29bbc177c9db069199c77982833019f5bff51bddf05fdbcc927af154a26c6ef8",
+    "index/fold/lifo": "9b8a77eefb1fe52e5215ee79c092cb4d5e216d01a1bffd39a2e9208a7186cd39",
+    "index/fold/seeded": "9b8a77eefb1fe52e5215ee79c092cb4d5e216d01a1bffd39a2e9208a7186cd39",
+    "index/fiber_product": "4c8bf63dfba8f9e51d1fc867625e99590ae03359801944bcef7e7b59c3c244f0",
+    "index/component_containing":
+        "4d0f6893ff699fa63021022366c6778b98b32d664f8f49510feb493b3ac6a18c",
+    "index/stallings_graph": "45de6788c8b1beedbc4747c9d79fa925401502cba9361b84cd95ad5ef7aa0fdf",
+    "index/conjugate": "43e126fc0313254b3f716aac427171fbf23e17eea4b231abcc2c031be51b7da7",
+    "index/intersect": "12087cfae4d262a3e9a2430684c71cdcdf74f074147c2419c5c131df4ba67f93",
+    "index/SubgroupGraph": "45bb2d3d60ad998bdf429fb260db214120cbb687bc843cc29562f5c83d22e837",
+}
+
 CLI_PINNED = {  # exit code, stdout and stderr; move one only in a change that declares it
     "wordcycles words normalize BaabA":
         "3afaf6ef5d47290b667cf731d5e81172a1b1a757aa95c650c02ae8dcd07cbaf9",
@@ -67,11 +83,16 @@ def test_builder_outputs_are_pinned():
     assert outputs.digests() == PINNED
 
 
+def test_builder_indexes_are_pinned():
+    assert outputs.index_digests() == INDEX_PINNED
+
+
 def test_main_prints_one_line_per_builder(capsys):
     outputs.main(["--count", "3"])
     lines = capsys.readouterr().out.splitlines()
-    assert [line.split("  ")[1] for line in lines] == [*outputs.BUILDERS,
-                                                       *outputs.cli_examples()]
+    assert [line.split("  ")[1] for line in lines] == [
+        *outputs.BUILDERS, *(f"index/{name}" for name in outputs.BUILDERS),
+        *outputs.cli_examples()]
     assert all(len(line.split("  ")[0]) == 64 for line in lines)
 
 

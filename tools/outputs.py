@@ -7,7 +7,10 @@ the command prints, as it was.
 For each builder, instance i is drawn from random.Random(i) for i below
 count, and the builder's results are hashed as graphs.dumps prints them
 (what the CLI prints), one result after another.  Each line is
-"<sha256>  <builder>".  Then each `wordcycles ...` example line of
+"<sha256>  <builder>".  Then the same results' indexes are hashed, as
+their readers see them (index_text), each line "<sha256>  index/<builder>":
+an index a builder hands its graph must read as the one the graph would
+build from its edges.  Then each `wordcycles ...` example line of
 README.md runs in process (click's CliRunner) on the fixed input files of
 cli_inputs, and its exit code, stdout and stderr are hashed together;
 verify's wall_time is dropped first.  Each line is "<sha256>  <example>".
@@ -36,8 +39,8 @@ from wordcycles.generators import (  # noqa: E402
     TrialConfig, random_connected_automaton, random_simple_word,
     random_staggered_presentation, random_subgroup)
 from wordcycles.graphs import (  # noqa: E402
-    LabeledDigraph, canonical_form, component_containing, core, dumps, fiber_product, fold,
-    to_json)
+    LabeledDigraph, betti, canonical_form, component_containing, core, dumps, fiber_product,
+    fold, to_json)
 from wordcycles.subgroups import (  # noqa: E402
     SubgroupGraph, conjugate, intersect, stallings_graph)
 from wordcycles.words import format_word, parse_word  # noqa: E402
@@ -117,17 +120,30 @@ BUILDERS = {
 }
 
 
-def digests(count: int = COUNT) -> dict[str, str]:
-    """builder name -> sha256 of its results' dumps over instances 0..count-1."""
+def index_text(g: LabeledDigraph) -> str:
+    """g's index as its readers see it: the successor rows by letter, the
+    determinism flag, each vertex's component and each component's Betti
+    number."""
+    return repr((sorted(g.successor.items()), g.deterministic, g.component_of,
+                 betti(g).bettis))
+
+
+def digests(count: int = COUNT, show=dumps) -> dict[str, str]:
+    """builder name -> sha256 of show(result) over instances 0..count-1."""
     out = {}
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # stallings_graph warns of unreduced generators
         for name, build in BUILDERS.items():
             h = hashlib.sha256()
             for i in range(count):
-                h.update(dumps(build(random.Random(i))).encode() + b"\n")
+                h.update(show(build(random.Random(i))).encode() + b"\n")
             out[name] = h.hexdigest()
     return out
+
+
+def index_digests(count: int = COUNT) -> dict[str, str]:
+    """"index/<builder>" -> sha256 of index_text over its results."""
+    return {f"index/{name}": d for name, d in digests(count, index_text).items()}
 
 
 def cli_examples() -> list[str]:
@@ -193,7 +209,8 @@ def main(argv=None) -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--count", type=int, default=COUNT, help="instances per builder")
     args = ap.parse_args(argv)
-    for name, digest in {**digests(args.count), **cli_digests()}.items():
+    for name, digest in {**digests(args.count), **index_digests(args.count),
+                         **cli_digests()}.items():
         print(f"{digest}  {name}")
 
 
