@@ -220,16 +220,18 @@ def betti(g: LabeledDigraph) -> BettiReport:
 
 
 def _fold_clashes(rows: dict[int, list[int]], n: int, pending,
-                  getrandbits=None) -> tuple[list[int], list[int]]:
-    """Merge the vertex pairs on the pending worklist, and each pair a merge
-    makes clash, on the slot rows of a graph on vertices below n: a row per
-    signed letter, holding at a class root a vertex the letter leads to from
-    the class, or -1.  A merge copies the smaller class's root entries into
-    the larger's, O(len(rows)).  Pops last-in first-out, or at indices drawn
-    from getrandbits as rng.randrange would draw them.  Then numbers the
-    classes in the order of their least vertices.  Returns (the class roots,
-    each vertex's class, with number[-1] = -1 so that an empty slot maps to
-    itself): a class has one edge per letter, in its root's slot."""
+                  getrandbits=None) -> tuple[int, dict, list[Edge], list[int]]:
+    """Fold the graph on vertices below n with these slot rows (rows[x][v]:
+    where signed letter x leads from v, or -1): merge the vertex pairs on
+    the pending worklist, and each pair a merge makes clash, so that a class
+    root's slots hold a vertex each letter leads to from the class.  A merge
+    copies the smaller class's root entries into the larger's, O(len(rows)).
+    Pops last-in first-out, or at indices drawn from getrandbits as
+    rng.randrange would draw them.  Returns the folded graph, its classes
+    numbered by their least vertices and read off the roots' positive-letter
+    slots: (m, the class count; rows x and -x for each x > 0 in rows, on
+    m + 1 slots, the last the sink's; the edges, unsorted; number, each
+    vertex's class, with number[-1] = -1)."""
     slots = list(rows.values())  # each merge walks them: a list, not a new view each time
     parent = list(range(n))
     size = [1] * n
@@ -267,7 +269,16 @@ def _fold_clashes(rows: dict[int, list[int]], n: int, pending,
             number[r] = len(roots)
             roots.append(r)
         number[v] = number[r]
-    return roots, number
+    m, succ, edges = len(roots), {}, []
+    for x, row in rows.items():
+        if x > 0:  # x's edges off the class roots, and the rows of x and -x
+            succ[x], succ[-x] = out, into = [-1] * (m + 1), [-1] * (m + 1)
+            for i, r in enumerate(roots):
+                if (u := row[r]) >= 0:
+                    out[i] = u = number[u]
+                    into[u] = i
+                    edges.append((i, u, x))
+    return m, succ, edges, number
 
 
 def _load_rows(edges, size: int, labels=()) -> tuple[dict, list[tuple[int, int]]]:
@@ -299,26 +310,16 @@ def fold(g: LabeledDigraph, rng: random.Random | None = None) -> LabeledDigraph:
     on the worklist of _fold_clashes, whose merges cost O(labels used), so
     the fold is near-linear.  Parallel duplicates collapse.
 
-    Output vertices are numbered by the least input vertex of their class
-    (_fold_clashes); one pass over the roots' positive-letter slots reads
-    its sorted edges and the successor rows it is born with.  The result is
-    independent of the merge order up to canonical form; an rng pops the
-    worklist in random order (used to test exactly that), each index drawn
-    from rng.getrandbits as rng.randrange would draw it, else last-in first-out.
+    Output vertices are numbered by the least input vertex of their class,
+    and the result is born with the rows _fold_clashes reads off the class
+    roots with its edges.  The result is independent of the merge order up
+    to canonical form; an rng pops the worklist in random order (used to
+    test exactly that), each index drawn from rng.getrandbits as
+    rng.randrange would draw it, else last-in first-out.
     """
-    n = g.num_vertices
-    rows, pending = _load_rows(g.edges, n)
-    roots, number = _fold_clashes(rows, n, pending,
-                                  rng.getrandbits if rng is not None else None)
-    m, succ, edges = len(roots), {}, []
-    for x, row in rows.items():
-        if x > 0:  # x's edges off the class roots, and the rows of x and -x
-            succ[x], succ[-x] = out, into = [-1] * (m + 1), [-1] * (m + 1)
-            for i, r in enumerate(roots):
-                if (u := row[r]) >= 0:
-                    out[i] = u = number[u]
-                    into[u] = i
-                    edges.append((i, u, x))
+    rows, pending = _load_rows(g.edges, g.num_vertices)
+    m, succ, edges, number = _fold_clashes(rows, g.num_vertices, pending,
+                                           rng.getrandbits if rng is not None else None)
     edges.sort()
     base = number[g.basepoint] if g.basepoint is not None else None
     return _built(LabeledDigraph, g.alphabet, m, tuple(edges), base,
@@ -506,7 +507,8 @@ def circle(w: Word, alphabet: int | None = None) -> LabeledDigraph:
     for i, x in enumerate(w):
         j = (i + 1) % n
         edges.append((i, j, x) if x > 0 else ((j, i, -x)))
-    return LabeledDigraph(alphabet or max(abs(x) for x in w), n, tuple(edges), 0)
+    alphabet = max(abs(x) for x in w) if alphabet is None else alphabet
+    return LabeledDigraph(alphabet, n, tuple(edges), 0)
 
 
 def wedge_of_words(words: list[Word], alphabet: int) -> LabeledDigraph:

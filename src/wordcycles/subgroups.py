@@ -91,13 +91,12 @@ def _require_letters(words: list[Word], alphabet: int) -> set[int]:
 
 def stallings_graph(gens: list[Word], alphabet: int) -> SubgroupGraph:
     """Read the generators' loops in at a base vertex on slot rows (_read),
-    fold the vertex pairs its clashes force together on the same rows
-    (_fold_clashes, as fold does), move each class root's slots to the
-    class number in place, so the rows become the folded graph's, then
-    number it breadth-first (_bfs_form).  No spur pass: every vertex off the
-    base lies on the image of a freely reduced loop, which enters and leaves
-    it by different slots, so the result is core (Stallings, Invent. Math.
-    1983; Kapovich & Myasnikov, J. Algebra 2002)."""
+    fold the vertex pairs its clashes force together (_fold_clashes, as fold
+    does), which hands back the folded graph's rows, then number it
+    breadth-first (_bfs_form).  No spur pass: every vertex off the base lies
+    on the image of a freely reduced loop, which enters and leaves it by
+    different slots, so the result is core (Stallings, Invent. Math. 1983;
+    Kapovich & Myasnikov, J. Algebra 2002)."""
     if alphabet < 1:
         raise ValueError("alphabet must be nonempty")
     labels = _require_letters(gens, alphabet)
@@ -114,11 +113,7 @@ def stallings_graph(gens: list[Word], alphabet: int) -> SubgroupGraph:
             reduced.append(r)
     rows, n, pending = _read(reduced, labels)
     if pending:  # the base stays 0: classes are numbered by their least vertices
-        roots, number = _fold_clashes(rows, n, pending)
-        for row in rows.values():  # class i's slots move to i from its root, which is >= i
-            for i, r in enumerate(roots):
-                row[i] = number[row[r]]
-        n = len(roots)
+        n, rows, _, _ = _fold_clashes(rows, n, pending)
     return _built(SubgroupGraph, _bfs_form(alphabet, rows, [None] * n, 0))
 
 
@@ -213,17 +208,13 @@ class RedRankReport:
     rhs: int  # product of the factors' reduced ranks
     passed: bool
 
-    @property
-    def per_component(self) -> tuple[tuple[frozenset[int], int], ...]:
-        return tuple((comp, reduced_rank(b)) for comp, b in self.fiber_betti.per_component)
-
 
 def check_shnc(g1: SubgroupGraph, g2: SubgroupGraph) -> RedRankReport:
     """Strengthened Hanna Neumann inequality on the fiber product."""
     report = betti(fiber_product(g1.graph, g2.graph))
     b = report.bettis
     lhs = sum(b) - len(b) + b.count(0)  # each component's reduced rank, summed
-    rhs = reduced_rank(betti(g1.graph).total) * reduced_rank(betti(g2.graph).total)
+    rhs = reduced_rank(rank(g1)) * reduced_rank(rank(g2))
     return RedRankReport(report, lhs, rhs, lhs <= rhs)
 
 

@@ -123,6 +123,12 @@ class TestZeroLetter:
         with pytest.raises(ValueError, match="letters must be nonzero"):
             circle((1, 0))
 
+    def test_circle_takes_a_zero_alphabet_as_given(self):
+        # an explicit 0 is an alphabet, as 1 is, not a missing one
+        for alphabet in (0, 1):
+            with pytest.raises(ValueError, match=f"label outside 1..{alphabet}$"):
+                circle((1, 2), alphabet)
+
     def test_walk_rejects_zero(self):
         with pytest.raises(ValueError, match="letters must be nonzero"):
             walk(rose(2), 0, (0,))

@@ -23,7 +23,10 @@ successor rows sets, is checked against the full diagnostics of validate.  check
 rotates the class paths of the attached vertices alone, is checked against
 the construction that rotates one for every cycle vertex.  fold's random pop
 order, drawn from getrandbits, is checked against the fold that drew it with
-rng.randrange: the same output and the same rng state after.
+rng.randrange: the same output and the same rng state after.  The finish that
+every fold ends in, which reads the folded graph's rows and edges off the
+class roots, is checked against the rows the checked graph on those edges
+derives and the classes of the rescanning fold.
 """
 
 import random
@@ -49,6 +52,8 @@ from wordcycles.generators import (
 from wordcycles.graphs import (
     LabeledDigraph,
     _core_form,
+    _fold_clashes,
+    _load_rows,
     betti,
     canonical_form,
     component_containing,
@@ -68,8 +73,10 @@ from wordcycles.words import (cyclic_reduce, free_reduce, invert, is_simple,
                               parse_word, primitive_root, require_simple_cyclic)
 
 
-def naive_fold(g: LabeledDigraph) -> LabeledDigraph:
-    """Identify one clashing pair at a time, rescanning all edges each time."""
+def naive_classes(g: LabeledDigraph, merged=()) -> list[int]:
+    """Each vertex's class in the fold of g with the vertex pairs in merged
+    identified first, the classes numbered by their least vertices:
+    identify one clashing pair at a time, rescanning all edges each time."""
     parent = list(range(g.num_vertices))
 
     def find(v):
@@ -77,6 +84,8 @@ def naive_fold(g: LabeledDigraph) -> LabeledDigraph:
             v = parent[v]
         return v
 
+    for a, b in merged:
+        parent[find(a)] = find(b)
     while True:
         edges = sorted({(find(s), find(d), l) for s, d, l in g.edges})
         by_out, by_in, clash = {}, {}, None
@@ -90,11 +99,15 @@ def naive_fold(g: LabeledDigraph) -> LabeledDigraph:
         if clash is None:
             break
         parent[find(clash[0])] = find(clash[1])
-    roots = sorted({find(v) for v in range(g.num_vertices)})
-    vmap = {r: i for i, r in enumerate(roots)}
-    new_edges = tuple(sorted({(vmap[find(s)], vmap[find(d)], l) for s, d, l in g.edges}))
-    base = vmap[find(g.basepoint)] if g.basepoint is not None else None
-    return LabeledDigraph(g.alphabet, len(roots), new_edges, base)
+    first: dict[int, int] = {}
+    return [first.setdefault(find(v), len(first)) for v in range(g.num_vertices)]
+
+
+def naive_fold(g: LabeledDigraph) -> LabeledDigraph:
+    number = naive_classes(g)
+    new_edges = tuple(sorted({(number[s], number[d], l) for s, d, l in g.edges}))
+    base = number[g.basepoint] if g.basepoint is not None else None
+    return LabeledDigraph(g.alphabet, max(number, default=-1) + 1, new_edges, base)
 
 
 def randrange_fold(g: LabeledDigraph, rng: random.Random) -> LabeledDigraph:
@@ -788,6 +801,45 @@ class TestStallingsAgainstWedgeFold:
         assert pending == []
         assert g == LabeledDigraph(10**6, 3, ((0, 1, 1), (0, 2, 2), (1, 0, 2), (2, 0, 1)), 0)
         assert peak < 1 << 20
+
+
+def assert_finish_matches(before, rows, pending, getrandbits=None):
+    """_fold_clashes on the slot rows and worklist of the graph before:
+    the rows it hands back are those the checked graph on its edges derives,
+    and number sends each vertex below n to its class."""
+    n, merged = before.num_vertices, list(pending)
+    m, folded, edges, number = _fold_clashes(rows, n, pending, getrandbits)
+    checked = LabeledDigraph(before.alphabet, m, tuple(sorted(edges)))
+    assert folded == checked.successor
+    assert checked.deterministic
+    assert number[:n] == naive_classes(before, merged)
+    assert number[n:] == [-1]
+    assert set(edges) == {(number[s], number[d], l) for s, d, l in before.edges}
+
+
+class TestFoldFinishAgainstChecked:
+    """The one finish of every fold, graphs.fold and Stallings graphs alike:
+    _fold_clashes hands back the folded graph's rows and edges, whether its
+    rows are the loader's n slots or _read's, which have room to spare."""
+
+    @settings(max_examples=200)
+    @given(graphs_with_repeats() | connected_graphs(alphabet=3), fold_orders)
+    def test_loaded_rows(self, g, rng):
+        rows, pending = _load_rows(g.edges, g.num_vertices)
+        assert_finish_matches(g, rows, pending, rng.getrandbits if rng else None)
+
+    @settings(max_examples=200)
+    @given(raw_generator_sets() | cascading_generator_sets())
+    def test_read_rows(self, instance):
+        gens, alphabet = instance
+        loops = [r for r in map(free_reduce, gens) if r]
+        rows, n, pending = _read(loops, {abs(x) for w in loops for x in w})
+        assert all(len(row) > n for row in rows.values())  # room to spare
+        # each edge fills two slots, and a clash overwrites at most one of them
+        edges = {(v, u, x) if x > 0 else (u, v, -x)
+                 for x, row in rows.items() for v, u in enumerate(row[:n]) if u >= 0}
+        before = LabeledDigraph(alphabet, n, tuple(edges))
+        assert_finish_matches(before, rows, pending)
 
 
 class TestConjugateAgainstRefold:

@@ -55,7 +55,7 @@ class TestCountsWithoutVertexSets:
         for h1 in hs:
             for h2 in hs:
                 r = check_shnc(h1, h2)
-                assert r.lhs == sum(k for _, k in r.per_component)
+                assert r.lhs == sum(map(reduced_rank, r.fiber_betti.bettis))
                 assert r.rhs == reduced_rank(rank(h1)) * reduced_rank(rank(h2))
         for x in WORDS:
             rep = check_main_inequality(FOUR_PARTS, x)
