@@ -23,7 +23,6 @@ from .words import (
     format_word,
     free_reduce,
     invert,
-    is_simple,
     parse_word,
     primitive_root,
 )
@@ -114,10 +113,7 @@ def words_normalize(word):
     }
     if core_word:
         root, exp = primitive_root(core_word)
-        obj.update(
-            primitive_root=format_word(root), exponent=exp,
-            simple=is_simple(core_word),
-        )
+        obj.update(primitive_root=format_word(root), exponent=exp, simple=exp == 1)
     _emit(obj)
 
 
@@ -156,25 +152,14 @@ def graph_betti(file):
     )
 
 
-@graph.command("fold")
-@click.argument("file")
-@_dot_flag
-def graph_fold(file, dot):
-    _emit_graph(graphs.fold(_load_graph(file)), dot)
-
-
-@graph.command("core")
-@click.argument("file")
-@_dot_flag
-def graph_core(file, dot):
-    _emit_graph(graphs.core(_load_graph(file)), dot)
-
-
-@graph.command("canon")
-@click.argument("file")
-@_dot_flag
-def graph_canon(file, dot):
-    _emit_graph(graphs.canonical_form(_load_graph(file)), dot)
+# one graph in, one graph out
+for _name, _op in (("fold", graphs.fold), ("core", graphs.core),
+                   ("canon", graphs.canonical_form)):
+    @graph.command(_name)
+    @click.argument("file")
+    @_dot_flag
+    def graph_op(file, dot, op=_op):
+        _emit_graph(op(_load_graph(file)), dot)
 
 
 @graph.command("fiber")
@@ -409,31 +394,27 @@ def subgroup_shnc(file1, file2):
 # -- verify ------------------------------------------------------------------
 
 
+def _config_option(flag: str, field: str):
+    """--flag for the TrialConfig field, with the field's default."""
+    return click.option(flag, field, default=getattr(TrialConfig, field), show_default=True)
+
+
 @main.command("verify")
 @click.argument("suite")
-@click.option("--seed", default=2024, show_default=True)
-@click.option("--trials", default=1000, show_default=True)
-@click.option("--max-vertices", default=12, show_default=True)
-@click.option("--alphabet", default=2, show_default=True)
-@click.option("--max-word-length", default=8, show_default=True)
-@click.option("--density", default=0.7, show_default=True)
+@_config_option("--seed", "master_seed")
+@click.option("--trials", default=1000, show_default=True)  # TrialConfig's 100 serves tests
+@_config_option("--max-vertices", "max_vertices")
+@_config_option("--alphabet", "alphabet")
+@_config_option("--max-word-length", "max_word_length")
+@_config_option("--density", "edge_density")
 @click.option("--out", default="counterexample.json", show_default=True,
               help="where failure payloads are dumped")
-def verify_cmd(suite, seed, trials, max_vertices, alphabet, max_word_length,
-               density, out):
+def verify_cmd(suite, out, **config):
     """Run a named property suite over seeded random instances."""
     parent = os.path.dirname(os.path.abspath(out))
     if os.path.isdir(out) or not os.access(out if os.path.exists(out) else parent, os.W_OK):
         raise _Fail(f"cannot write --out {out}: not a writable file path")
-    cfg = TrialConfig(
-        master_seed=seed,
-        trials=trials,
-        max_vertices=max_vertices,
-        alphabet=alphabet,
-        max_word_length=max_word_length,
-        edge_density=density,
-    )
-    report = verify.run_suite(suite, cfg)
+    report = verify.run_suite(suite, TrialConfig(**config))
     _emit(report.to_json())
     if report.failures:
         with open(out, "w") as fh:

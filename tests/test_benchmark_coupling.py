@@ -16,9 +16,9 @@ VerdictReport's inconclusive and qualifying counts (workloads.py, run.py).
 """
 
 import random
-import sys
 
 import pytest
+from conftest import patch_everywhere
 
 from wordcycles import cycles, graphs, subgroups
 from wordcycles.complexes import build_gamma_w, check_npi, collapses_to_tree
@@ -48,18 +48,6 @@ DECOMPOSING = ["main", "strict", "npi", "equality-collapse", "restated", "conjug
                "staggered"]
 BETTI_READING = ["main", "strict", "equality-collapse", "restated", "conjugates",
                  "staggered", "shnc"]
-
-
-def patch_everywhere(monkeypatch, module, name: str, make) -> None:
-    """Replace module.name by make(current) in every wordcycles module that
-    holds it, as perfbench/layers.py does."""
-    current = getattr(module, name)
-    wrapper = make(current)
-    for mod_name, mod in list(sys.modules.items()):
-        if mod_name == "wordcycles" or mod_name.startswith("wordcycles."):
-            for attr, value in list(vars(mod).items()):
-                if value is current:
-                    monkeypatch.setattr(mod, attr, wrapper)
 
 
 def component_count(g) -> int:

@@ -16,6 +16,7 @@ import sys
 from collections import Counter
 
 import pytest
+from conftest import patch_everywhere
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -63,11 +64,7 @@ def checked_calls():
         return built
 
     with pytest.MonkeyPatch.context() as mp:
-        for name, mod in list(sys.modules.items()):
-            if name == "wordcycles" or name.startswith("wordcycles."):
-                for attr, value in list(vars(mod).items()):
-                    if value is current:
-                        mp.setattr(mod, attr, checked)
+        patch_everywhere(mp, graphs, "_built", lambda _: checked)
         yield seen
 
 

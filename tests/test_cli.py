@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from conftest import plant_failing_check
 
 from wordcycles.cli import main
 from wordcycles.graphs import LabeledDigraph, dumps, loads, rose, to_json
@@ -219,6 +220,18 @@ def test_verify_pass(runner, tmp_path):
     assert obj["passes"] == 20 and obj["failures"] == []
 
 
+def test_verify_failure_exits_1_and_dumps_the_payloads(runner, tmp_path, monkeypatch):
+    # exit 1 means a counterexample: the report's failures, written to --out
+    plant_failing_check(monkeypatch, "main")
+    out = tmp_path / "c.json"
+    result = runner.invoke(main, ["verify", "main", "--trials", "3", "--out", str(out)])
+    assert result.exit_code == 1
+    assert result.stderr.endswith(f"failures dumped to {out}\n")
+    failures = json.loads(result.stdout)["failures"]
+    assert len(failures) == 3
+    assert json.loads(out.read_text()) == failures
+
+
 def test_verify_unknown_suite(runner):
     result = runner.invoke(main, ["verify", "nope"])
     assert result.exit_code == 2
@@ -390,6 +403,14 @@ ONE_LINE_FAILURES = {
     "complex": (["complex", "collapse", "{path}/x.json"],
                 {"x.json": {"skeleton": GRAPH, "cells": ""}},
                 "Error: bad complex file {path}/x.json: cells must be an array, got ''"),
+    "duplicate-vertex": (["graph", "betti", "{path}/g.json"],
+                         {"g.json": {**GRAPH, "vertices": ["v0", "v0"]}},
+                         "Error: bad graph file {path}/g.json: duplicate vertex ids"),
+    "duplicate-ordered-letter": (["complex", "staggered", "{path}/p.json"],
+                                 {"p.json": {"alphabet": 2, "relators": ["ab"],
+                                             "ordered_letters": [1, 1]}},
+                                 "Error: bad presentation file {path}/p.json: ordered "
+                                 "letters must be distinct"),
     "presentation": (["complex", "staggered", "{path}/p.json"],
                      {"p.json": {"alphabet": 2, "relators": ["ab"], "ordered_letters": {}}},
                      "Error: bad presentation file {path}/p.json: ordered_letters must be "
@@ -420,6 +441,8 @@ ONE_LINE_FAILURES = {
                       "restated, shnc, staggered, strict"),
     "config": (["verify", "main", "--trials", "0"], {},
                "Error: trials must be a positive integer"),
+    "suite-config": (["verify", "conjugate-intersection", "--alphabet", "1"], {},
+                     "Error: conjugate-intersection suite needs alphabet >= 2"),
     "out": (["verify", "main", "--out", "{path}"], {},
             "Error: cannot write --out {path}: not a writable file path"),
 }

@@ -1,5 +1,7 @@
 import pytest
 
+from wordcycles import complexes
+from wordcycles.cycles import collapsed_hypothesis
 from wordcycles.graphs import LabeledDigraph, betti, circle, rose
 from wordcycles.complexes import (
     CollapseResult,
@@ -83,6 +85,29 @@ class TestCellValidation:
         g = LabeledDigraph(1, 1, ((0, 0, 1),))
         with pytest.raises(ValueError, match="cell 0"):
             TwoComplex(g, ((step,),))
+
+    def test_empty_boundary_rejected(self):
+        g = LabeledDigraph(1, 1, ((0, 0, 1),))
+        with pytest.raises(ValueError, match="^cell 1 has an empty boundary$"):
+            TwoComplex(g, (((0, 1),), ()))
+
+
+# two one-letter loops at two vertices: valid, and in two components
+TWO_LOOPS = LabeledDigraph(2, 2, ((0, 0, 1), (1, 1, 2)))
+DISCONNECTED = {  # function: (what it names, a call on TWO_LOOPS)
+    "collapses_to_tree": ("skeleton", lambda: collapses_to_tree(TwoComplex(TWO_LOOPS, ()))),
+    "check_equality_collapse": ("graph", lambda: check_equality_collapse(TWO_LOOPS, w("ab"))),
+    "check_multiword_inequality": ("graph", lambda: check_multiword_inequality(
+        TWO_LOOPS, StaggeredPresentation(2, (w("ab"),), (1,)))),
+    "collapsed_hypothesis": ("graph", lambda: collapsed_hypothesis(TWO_LOOPS, w("ab"))),
+}
+
+
+@pytest.mark.parametrize("name", DISCONNECTED)
+def test_disconnected_input_rejected(name):
+    what, call = DISCONNECTED[name]
+    with pytest.raises(ValueError, match=f"^{name}: {what} must be connected$"):
+        call()
 
 
 class TestFreeFaces:
@@ -191,6 +216,13 @@ class TestNpi:
         rep = check_npi(rose(2), w("abAB"), [])
         assert rep.passed and rep.branch == "chi"
 
+    def test_fail_branch(self, monkeypatch):
+        # a disc (chi = 1) that, as planted, does not collapse: the one failing verdict
+        monkeypatch.setattr(complexes, "collapses_to_tree", lambda y: CollapseResult(False, ()))
+        word = w("ab")
+        rep = check_npi(circle(word), word, [(0, 1)])
+        assert rep.euler == 1 and rep.branch == "fail" and not rep.passed
+
     def test_attachment_must_close(self):
         g = LabeledDigraph(2, 2, ((0, 1, 1),))
         with pytest.raises(ValueError, match="never closes"):
@@ -284,6 +316,11 @@ class TestMultiword:
     def test_rejects_power_relator(self):
         p = StaggeredPresentation(3, (w("ab"), w("bcbc")), (1, 2, 3))
         with pytest.raises(ValueError, match="proper power"):
+            check_multiword_inequality(rose(3), p)
+
+    def test_rejects_alphabet_mismatch(self):
+        p = StaggeredPresentation(2, (w("ab"),), (1, 2))
+        with pytest.raises(ValueError, match="^graph and presentation alphabets differ$"):
             check_multiword_inequality(rose(3), p)
 
 

@@ -149,6 +149,11 @@ class TestStrictInequality:
         assert not rep.applicable
         assert any("single vertex" in r for r in rep.reasons)
 
+    def test_disconnected_excluded(self):
+        g = LabeledDigraph(1, 2, ((0, 0, 1), (1, 1, 1)))
+        rep = check_strict_inequality(g, w("a"))
+        assert not rep.applicable and rep.reasons == ("graph is not connected",)
+
     def test_a_square_hypothesis_necessary(self):
         rep = check_strict_inequality(A_SQUARE, w("a"))
         assert not rep.applicable

@@ -123,6 +123,14 @@ class TestZeroLetter:
         with pytest.raises(ValueError, match="letters must be nonzero"):
             circle((1, 0))
 
+    @pytest.mark.parametrize("word, message", [
+        ((), "word must be nonempty"),
+        ((1, 2, -1), "word must be cyclically reduced"),
+    ])
+    def test_circle_rejects_a_word_it_cannot_close(self, word, message):
+        with pytest.raises(ValueError, match=f"^circle: {message}$"):
+            circle(word)
+
     def test_circle_takes_a_zero_alphabet_as_given(self):
         # an explicit 0 is an alphabet, as 1 is, not a missing one
         for alphabet in (0, 1):

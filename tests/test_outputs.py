@@ -1,7 +1,7 @@
 """tools/outputs.py: every graph builder's output over seeded instances,
-and what each README CLI example prints, pinned by its sha256, so a change
-to a builder's internals that moves a single byte of what the CLI would
-print fails here."""
+and what each README CLI example and each --help prints, pinned by its
+sha256, so a change to a builder's internals that moves a single byte of
+what the CLI would print fails here."""
 
 import importlib.util
 from pathlib import Path
@@ -76,6 +76,57 @@ CLI_PINNED = {  # exit code, stdout and stderr; move one only in a change that d
         "8df0bd790e148620d8e5bca007c5480c1cb4a1473be360d7a561e2356d3ae67c",
     "wordcycles verify main --seed 7 --trials 1000":
         "74dba0b27494f6cc619378b9d1be131624500f0ba33870e809582c8aecfe29fe",
+    # the --help of the command and of each group and command, 80 columns wide
+    "wordcycles --help":
+        "4e33d75420f7388451eafda06b05f3030912741fc3fa49e70f59489a2fd07f1f",
+    "wordcycles complex --help":
+        "7f6dba3bb0d63563242e43ab37788b2227e85353df87d7540ca70341bc38c82b",
+    "wordcycles complex collapse --help":
+        "5afc8508f1c4f4ba1595226a204c86151a7a6bc9c6f87b27e457f744036d8267",
+    "wordcycles complex gamma-w --help":
+        "817e14d48bd7a8213e989e4383db2d22ba0c5ba24ba4912c2be6133f77d8d992",
+    "wordcycles complex npi --help":
+        "48aa1eb866cd5d1312542436cf845538a220f4c8510dc5e93505a1ddbc9acea9",
+    "wordcycles complex staggered --help":
+        "d4a54dd81867a3ef96e81e021da9a2164fadd4ebb9f23401e032e9664b9a4378",
+    "wordcycles graph --help":
+        "9a707e1910a9393ec23dd5a854442e145efc4b5fc0cfd4273989cd06bed3bd44",
+    "wordcycles graph betti --help":
+        "8f638682fcb3ae70d33b9d7ce3414349d77edb37715a9b5d49d292c1cb7621ea",
+    "wordcycles graph canon --help":
+        "a51d5ec1cd961d7caa5a2a790d0e53442af0ac0ea036b03647b4e67895b0b26e",
+    "wordcycles graph core --help":
+        "f46b8a85c0d4e5238a8f60518c32b7fc261b035156aaf54894d2b766063aebe9",
+    "wordcycles graph fiber --help":
+        "950923768f739ca4bface1d0c91bde41323e668a215c8bc260e9c3f7d921f79b",
+    "wordcycles graph fold --help":
+        "176f33411133b8bd1460b9acd8c5af7d014dd3dab24f88bb73579059ff505a7c",
+    "wordcycles graph validate --help":
+        "2df45cf649db6e5e64d13be33dfaab6de2e668449796ad893c1db9583e429a4c",
+    "wordcycles subgroup --help":
+        "3ed0883b09b5163df55989ec223765d96ef4a8d429f9e9b9991d481a47346823",
+    "wordcycles subgroup build --help":
+        "b23317c86f1a71ccbb35609cd325c1b3d08d3e2ddd743fd71b6609ac9979efaa",
+    "wordcycles subgroup conjugates --help":
+        "40909e4b54fb01bc5632ea9250630d48be0cd0b151c32dd901ffa7b5587f29e0",
+    "wordcycles subgroup intersect --help":
+        "5142760e6d2b4761890a0b5edb97f9f4207c56c6f61fbce0f824b3b086bc2156",
+    "wordcycles subgroup rank --help":
+        "55ce9064a6ed7d69d092654825ae2e6b26b80f77ffb7ba56026568ed7c93db1d",
+    "wordcycles subgroup shnc --help":
+        "e238cae32d96f62c76d068f320c6983bfb2a82bebfae4095c26f4605054d3c45",
+    "wordcycles verify --help":
+        "03a9bcca648cc79929ea41a88f3861a83e811603f7cd039665795f12eca35847",
+    "wordcycles wcycles --help":
+        "b138a746c3c0210a970c2df58ea280b11bd6c17de0407eacac4250eeea164221",
+    "wordcycles wcycles count --help":
+        "732d9f8c6d8f306ffef43fa7dff8d70b517edb7cfd87a73897ed6f9d26425e2f",
+    "wordcycles wcycles decompose --help":
+        "6bf8ba2b0f8e41bb9e3701039c0a4af71b19feec24fbb886eca895af7348dc54",
+    "wordcycles words --help":
+        "15dbcbb508b22314e738a694f92357b716278f2cb59c75b6473c8f34ddbfc779",
+    "wordcycles words normalize --help":
+        "f29533570b30d3a815bc149e6e5bfb1b5c6ad16f5e9b705283fca44904c1c700",
 }
 
 
@@ -92,12 +143,19 @@ def test_main_prints_one_line_per_builder(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert [line.split("  ")[1] for line in lines] == [
         *outputs.BUILDERS, *(f"index/{name}" for name in outputs.BUILDERS),
-        *outputs.cli_examples()]
+        *outputs.cli_examples(), *outputs.cli_helps()]
     assert all(len(line.split("  ")[0]) == 64 for line in lines)
 
 
 def test_cli_outputs_are_pinned():
     assert outputs.cli_digests() == CLI_PINNED
+
+
+def test_help_lines_cover_every_group_and_command():
+    # the command itself, its 5 groups and their 18 commands, and verify
+    helps = outputs.cli_helps()
+    assert len(helps) == 25 and helps[0] == "wordcycles --help"
+    assert "wordcycles graph fold --help" in helps and "wordcycles verify --help" in helps
 
 
 def test_every_readme_example_has_its_inputs():

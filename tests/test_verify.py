@@ -1,11 +1,10 @@
 import inspect
 import json
 import random
-import sys
 from dataclasses import asdict
-from types import SimpleNamespace
 
 import pytest
+from conftest import plant_failing_check
 
 from wordcycles import verify
 from wordcycles.generators import TrialConfig, trial_seed
@@ -80,23 +79,6 @@ def test_different_seed_different_instances():
     assert instances(11) != instances(12)
     assert instances(11) == instances(11)
     assert trial_seed(11, 0) != trial_seed(12, 0)
-
-
-def plant_failing_check(monkeypatch, name):
-    """Plant, through the module attribute run_suite looks up, a check whose
-    every report fails; applicable is left as the real check set it.  Returns
-    the real check and the list its reports are appended to."""
-    module, _, function = SUITES[name].check.partition(".")
-    owner = sys.modules[f"wordcycles.{module}"]
-    check, reports = getattr(owner, function), []
-
-    def failing(**instance):
-        res = check(**instance)
-        reports.append(res)
-        return SimpleNamespace(**{**vars(res), "passed": False})
-
-    monkeypatch.setattr(owner, function, failing)
-    return check, reports
 
 
 @pytest.mark.parametrize("name", sorted(SUITES))

@@ -14,6 +14,10 @@ build from its edges.  Then each `wordcycles ...` example line of
 README.md runs in process (click's CliRunner) on the fixed input files of
 cli_inputs, and its exit code, stdout and stderr are hashed together;
 verify's wall_time is dropped first.  Each line is "<sha256>  <example>".
+Last, the --help of the wordcycles command and of each group and command
+under it is hashed the same way, at a fixed terminal width of 80 columns
+(the width changes how click wraps it), each line "<sha256>  wordcycles
+... --help".
 Run it in two checkouts and compare the lines: the wordcycles package is
 imported from the checkout the script lies in.
 """
@@ -153,6 +157,16 @@ def cli_examples() -> list[str]:
             if line.startswith("wordcycles ")]
 
 
+def cli_helps() -> list[str]:
+    """`wordcycles ... --help` for the command and every group and command
+    under it, depth first in the order click lists them."""
+    def walk(command, path):
+        yield " ".join(["wordcycles", *path, "--help"])
+        for name in sorted(getattr(command, "commands", {})):
+            yield from walk(command.commands[name], [*path, name])
+    return list(walk(cli, []))
+
+
 def _based(cfg: TrialConfig, seed: int) -> LabeledDigraph:
     g = random_connected_automaton(cfg, seed)
     return LabeledDigraph(g.alphabet, g.num_vertices, g.edges, 0)
@@ -186,17 +200,18 @@ def cli_inputs() -> dict[str, dict]:
 
 
 def cli_digests() -> dict[str, str]:
-    """README example -> sha256 of its [exit code, stdout, stderr] as JSON,
-    run in a temporary directory holding cli_inputs."""
+    """README example, then help line -> sha256 of its [exit code, stdout,
+    stderr] as JSON, run 80 columns wide in a temporary directory holding
+    cli_inputs."""
     runner, out = CliRunner(), {}
     with runner.isolated_filesystem():
         for name, obj in cli_inputs().items():
             Path(name).write_text(json.dumps(obj))
-        for example in cli_examples():
+        for example in [*cli_examples(), *cli_helps()]:
             args = example.split()[1:]
-            result = runner.invoke(cli, args, catch_exceptions=False)
+            result = runner.invoke(cli, args, catch_exceptions=False, terminal_width=80)
             stdout = result.stdout
-            if args[0] == "verify":
+            if args[0] == "verify" and args[-1] != "--help":
                 report = json.loads(stdout)
                 del report["wall_time"]
                 stdout = json.dumps(report)
