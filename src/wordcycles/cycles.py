@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from operator import le
 
 from .graphs import (BettiReport, LabeledDigraph, betti, cached_property, is_connected,
-                     require_valid)
+                     require_connected, require_valid)
 from .words import Word, require_simple_cyclic
 
 # A path step is (edge index, direction); direction -1 crosses the edge
@@ -239,8 +239,7 @@ def collapsed_hypothesis(g: LabeledDigraph, w: Word) -> tuple[bool, dict[int, in
     Multiplicity sums traversals in either direction over all class trace
     paths; vacuously true on an edgeless graph.
     """
-    if not is_connected(g):
-        raise ValueError("collapsed_hypothesis: graph must be connected")
+    require_connected(g, "collapsed_hypothesis")
     return _hypothesis(g, decompose(g, w))
 
 

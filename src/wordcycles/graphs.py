@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass, field
 from itertools import accumulate
 
-from .words import Word, format_word, is_cyclically_reduced
+from .words import Word, format_word, require_cyclic
 
 Edge = tuple[int, int, int]  # (src, dst, label)
 
@@ -168,6 +168,13 @@ def components(g: LabeledDigraph) -> list[frozenset[int]]:
 
 def is_connected(g: LabeledDigraph) -> bool:
     return g.num_vertices > 0 and not any(g.component_of)
+
+
+def require_connected(g: LabeledDigraph, who: str, what: str = "graph") -> None:
+    """The one gate for connectivity: raise ValueError, naming the caller
+    who and its graph what, unless g is connected."""
+    if not is_connected(g):
+        raise ValueError(f"{who}: {what} must be connected")
 
 
 def component_containing(g: LabeledDigraph, v: int) -> LabeledDigraph:
@@ -496,12 +503,7 @@ def rose(alphabet: int) -> LabeledDigraph:
 
 def circle(w: Word, alphabet: int | None = None) -> LabeledDigraph:
     """The cycle of length |w| reading w once around, based at its start."""
-    if not w:
-        raise ValueError("circle: word must be nonempty")
-    if 0 in w:
-        raise ValueError("letters must be nonzero")
-    if not is_cyclically_reduced(w):
-        raise ValueError("circle: word must be cyclically reduced")
+    require_cyclic(w)
     n = len(w)
     edges = []
     for i, x in enumerate(w):

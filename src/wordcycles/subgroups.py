@@ -81,9 +81,11 @@ def _read(loops: list[Word], labels: set[int]):
 
 def _require_letters(words: list[Word], alphabet: int) -> set[int]:
     """The labels of the raw words' letters, those that free reduction would
-    cancel included, once none exceeds alphabet; one scan in C.  A zero
-    letter is left to the caller."""
+    cancel included, once none is zero and none exceeds alphabet; one scan
+    in C."""
     labels = set(map(abs, chain.from_iterable(words)))
+    if 0 in labels:
+        raise ValueError("letters must be nonzero")
     if (top := max(labels, default=0)) > alphabet:
         raise ValueError(f"letter {top} outside alphabet 1..{alphabet}")
     return labels
@@ -138,8 +140,6 @@ def conjugate(h: SubgroupGraph, g: Word) -> SubgroupGraph:
     vertices and rows for g's letters), following H's edges and creating
     the missing ones; the basepoint moves to its end, and one pass cores and
     numbers the result.  Nothing clashes, so nothing is merged."""
-    if 0 in g:  # stallings_graph rejects zero through free_reduce
-        raise ValueError("letters must be nonzero")
     labels = _require_letters([g], h.graph.alphabet)
     n, v = h.graph.num_vertices, h.graph.basepoint
     rows, _ = _load_rows(h.graph.edges, n + len(g), labels)  # H clashes nowhere

@@ -98,14 +98,9 @@ def cyclic_reduce(w: Word) -> tuple[Word, Word]:
 def primitive_root(w: Word) -> tuple[Word, int]:
     """Write w = root^exp as a literal letter sequence with exp maximal.
 
-    Requires w nonempty and cyclically reduced.
+    The gate require_cyclic checks that w is nonempty and cyclically reduced.
     """
-    if not w:
-        raise ValueError("primitive_root: empty word")
-    if 0 in w:
-        raise ValueError("letters must be nonzero")
-    if not is_cyclically_reduced(w):
-        raise ValueError("primitive_root: word must be cyclically reduced")
+    require_cyclic(w)
     d = _period(w)
     return w[:d], len(w) // d
 
@@ -124,8 +119,9 @@ def is_simple(w: Word) -> bool:
     return primitive_root(w)[1] == 1
 
 
-def require_simple_cyclic(w: Word) -> None:
-    """Shared precondition of the cycle-counting operations."""
+def require_cyclic(w: Word) -> None:
+    """The one gate for a word's shape: nonempty, no zero letter, and
+    cyclically reduced."""
     if not w:
         raise ValueError("word must be nonempty")
     if 0 in w:
@@ -135,6 +131,12 @@ def require_simple_cyclic(w: Word) -> None:
             f"word {format_word(w)!r} is not cyclically reduced; "
             "apply cyclic_reduce first"
         )
+
+
+def require_simple_cyclic(w: Word) -> None:
+    """Shared precondition of the cycle-counting operations: require_cyclic,
+    and w not a proper power."""
+    require_cyclic(w)
     d = _period(w)
     if d < len(w):
         raise ValueError(

@@ -97,6 +97,7 @@ TWO_LOOPS = LabeledDigraph(2, 2, ((0, 0, 1), (1, 1, 2)))
 DISCONNECTED = {  # function: (what it names, a call on TWO_LOOPS)
     "collapses_to_tree": ("skeleton", lambda: collapses_to_tree(TwoComplex(TWO_LOOPS, ()))),
     "check_equality_collapse": ("graph", lambda: check_equality_collapse(TWO_LOOPS, w("ab"))),
+    "check_npi": ("graph", lambda: check_npi(TWO_LOOPS, w("ab"), [])),
     "check_multiword_inequality": ("graph", lambda: check_multiword_inequality(
         TWO_LOOPS, StaggeredPresentation(2, (w("ab"),), (1,)))),
     "collapsed_hypothesis": ("graph", lambda: collapsed_hypothesis(TWO_LOOPS, w("ab"))),
@@ -317,6 +318,18 @@ class TestMultiword:
         p = StaggeredPresentation(3, (w("ab"), w("bcbc")), (1, 2, 3))
         with pytest.raises(ValueError, match="proper power"):
             check_multiword_inequality(rose(3), p)
+
+    def test_rejects_a_lone_power_relator(self):
+        # decompose proves each relator simple
+        p = StaggeredPresentation(2, (w("abab"),), (1, 2))
+        with pytest.raises(ValueError, match="proper power"):
+            check_multiword_inequality(rose(2), p)
+
+    def test_no_relators_still_checks_the_graph(self):
+        # with no relator to decompose, require_valid alone sees the graph
+        g = LabeledDigraph(1, 2, ((0, 1, 1), (0, 0, 1)))
+        with pytest.raises(ValueError, match="not deterministic"):
+            check_multiword_inequality(g, StaggeredPresentation(1, (), ()))
 
     def test_rejects_alphabet_mismatch(self):
         p = StaggeredPresentation(2, (w("ab"),), (1, 2))

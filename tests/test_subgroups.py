@@ -1,3 +1,5 @@
+import warnings
+
 import pytest
 
 from wordcycles.graphs import LabeledDigraph, canonical_form, rose
@@ -46,6 +48,12 @@ class TestStallingsGraph:
         with pytest.warns(UserWarning, match="not freely reduced"):
             h = stallings_graph([w("abBa")], 2)
         assert rank(h) == 1
+
+    def test_zero_letter_rejected_before_any_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a warning would raise in place of the error
+            with pytest.raises(ValueError, match="letters must be nonzero"):
+                stallings_graph([(1, 1, -1), (0,)], 2)
 
     def test_empty_alphabet_rejected(self):
         with pytest.raises(ValueError):
@@ -126,7 +134,7 @@ class TestConjugate:
         with pytest.raises(ValueError, match="letter 3 outside alphabet 1..2"):
             conjugate(sg("ab", "B"), g)
 
-    @pytest.mark.parametrize("g", [(0,), (1, 0, -1)])
+    @pytest.mark.parametrize("g", [(0,), (1, 0, -1), (1, 0)])
     def test_zero_letter_rejected(self, g):
         with pytest.raises(ValueError, match="letters must be nonzero"):
             conjugate(sg("ab", "B"), g)

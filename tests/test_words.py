@@ -198,9 +198,10 @@ def genexpr_is_cyclically_reduced(w):
 def repeat_primitive_root(w):
     """primitive_root as written with every divisor d tested by w[:d] * (n // d)."""
     if not w:
-        raise ValueError("primitive_root: empty word")
+        raise ValueError("word must be nonempty")
     if not genexpr_is_cyclically_reduced(w):
-        raise ValueError("primitive_root: word must be cyclically reduced")
+        raise ValueError(f"word {format_word(w)!r} is not cyclically reduced; "
+                         "apply cyclic_reduce first")
     n = len(w)
     for d in range(1, n + 1):
         if n % d == 0 and w[:d] * (n // d) == w:
