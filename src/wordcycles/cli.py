@@ -36,16 +36,14 @@ class _Fail(click.ClickException):
 
 class _Main(click.Group):
     def invoke(self, ctx):
-        """Every command runs here, so the library's ValueError, and
-        run_suite's KeyError for an unknown suite, fail in one place."""
+        """Every command runs here, so the library's ValueError, its one
+        signal of invalid input, fails in one place."""
         with warnings.catch_warnings():  # a warning in one line, not Python's two
             warnings.showwarning = lambda msg, *_: click.echo(f"Warning: {msg}", err=True)
             try:
                 return super().invoke(ctx)
             except ValueError as exc:
                 raise _Fail(str(exc))
-            except KeyError as exc:  # str() would quote the message
-                raise _Fail(exc.args[0])
 
 
 def _read_json(path: str):
@@ -145,7 +143,7 @@ def graph_betti(file):
         {
             "total": report.total,
             "per_component": [
-                {"vertices": sorted(f"v{v}" for v in comp), "betti": b}
+                {"vertices": [f"v{v}" for v in sorted(comp)], "betti": b}
                 for comp, b in report.per_component
             ],
         }
@@ -195,7 +193,7 @@ def wcycles_count(word, file):
             "inequality_holds": res.passed,
             "per_component": [
                 {
-                    "vertices": sorted(f"v{v}" for v in c.vertices),
+                    "vertices": [f"v{v}" for v in sorted(c.vertices)],
                     "class_count": c.class_count,
                     "betti": c.betti,
                     "equality": c.equality,

@@ -116,7 +116,6 @@ class EqualityCollapseReport:
     applicable: bool  # class count == Betti number
     class_count: int
     betti: int
-    collapses: bool | None
     passed: bool
 
 
@@ -127,10 +126,9 @@ def check_equality_collapse(g: LabeledDigraph, w: Word) -> EqualityCollapseRepor
     dec = decompose(g, w)
     b = betti(g).total
     if dec.class_count != b:
-        return EqualityCollapseReport(w, False, dec.class_count, b, None, True)
+        return EqualityCollapseReport(w, False, dec.class_count, b, True)
     result = collapses_to_tree(_built(TwoComplex, g, tuple(c.path for c in dec.classes)))
-    return EqualityCollapseReport(w, True, dec.class_count, b, result.collapses,
-                                  result.collapses)
+    return EqualityCollapseReport(w, True, dec.class_count, b, result.collapses)
 
 
 @dataclass(frozen=True)

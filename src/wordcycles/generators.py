@@ -44,6 +44,8 @@ class TrialConfig:
     edge_density: float = 0.7
 
     def __post_init__(self):
+        if type(self.master_seed) is not int:
+            raise ValueError("master_seed must be an integer")
         for name in ("trials", "max_vertices", "alphabet", "max_word_length"):
             if type(getattr(self, name)) is not int or getattr(self, name) < 1:
                 raise ValueError(f"{name} must be a positive integer")

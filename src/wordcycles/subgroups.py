@@ -247,8 +247,6 @@ def check_restated_inequality(cycle_w: Word, g2: LabeledDigraph) -> RestatedRepo
 
 @dataclass(frozen=True)
 class ConjugateIntersectionReport:
-    applicable: bool
-    reasons: tuple[str, ...]
     intersection_trivial: bool
     passed: bool
 
@@ -260,7 +258,7 @@ def check_conjugate_intersection(
     isolated subgroup to be trivial.
 
     Isolation is certified only for free factors generated by basis letters
-    (graph = rose on a letter subset); anything else is rejected.
+    (a rose on a letter subset); other H, coincident or <= rank(H) cosets raise.
     """
     g = h.graph
     if g.num_vertices != 1:  # deterministic, so a rose on distinct letters
@@ -277,13 +275,11 @@ def check_conjugate_intersection(
                     f"H{format_word(free_reduce(tuple(cosets[j])))}"
                 )
     if len(cosets) <= rank(h):
-        return ConjugateIntersectionReport(
-            False, (f"need more than rank(H) = {rank(h)} cosets",), False, True
-        )
+        raise ValueError(f"need more than rank(H) = {rank(h)} cosets")
     result = conjugate(h, tuple(cosets[0]))
     for g_i in cosets[1:]:
         result = intersect(result, conjugate(h, tuple(g_i)))
         if is_trivial(result):
             break
     trivial = is_trivial(result)
-    return ConjugateIntersectionReport(True, (), trivial, trivial)
+    return ConjugateIntersectionReport(trivial, trivial)

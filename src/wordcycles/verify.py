@@ -7,11 +7,11 @@ A suite is a draw function plus a ``SUITES`` entry naming its check.
 the check's report has ``passed`` and, for a theorem with a hypothesis,
 ``applicable``.  Only ``run_suite`` writes a VerdictReport: a trial passes
 when its report passed or was not applicable, ``qualifying`` counts the
-applicable trials of a suite that counts them, and all failure payloads
-share one shape.  A payload p replays its trial: ``SUITES[p["suite"]].draw(
-TrialConfig(**p["config"]), p["trial"], random.Random(p["trial_seed"]))``
-redraws the instance.  Every check decides its instance, so the
-inconclusive count, kept in the report's JSON, reads 0.
+applicable trials of a check whose report has ``applicable``, and all
+failure payloads share one shape.  A payload p replays its trial:
+``SUITES[p["suite"]].draw(TrialConfig(**p["config"]), p["trial"],
+random.Random(p["trial_seed"]))`` redraws the instance.  Every check
+decides its instance, so ``inconclusive``, kept in the JSON, reads 0.
 """
 
 from __future__ import annotations
@@ -186,20 +186,19 @@ def draw_staggered(cfg, index, rng):
 @dataclass(frozen=True)
 class Suite:
     """run_suite checks cfg.trials + extra_trials drawn instances.  check is
-    "module.function" here, read at each run so that perfbench's wrappers on
-    the module see every call; counts_qualifying turns on qualifying."""
+    "module.function", read at each run so perfbench's wrappers see every
+    call; qualifying counts applicable trials if its reports have applicable."""
 
     draw: Callable[[TrialConfig, int, random.Random], dict]
     check: str
     extra_trials: int = 0
-    counts_qualifying: bool = False
 
 
 SUITES = {
     "main": Suite(draw_main, "cycles.check_main_inequality"),
-    "strict": Suite(draw_strict, "cycles.check_strict_inequality", counts_qualifying=True),
+    "strict": Suite(draw_strict, "cycles.check_strict_inequality"),
     "equality-collapse": Suite(draw_equality_collapse, "complexes.check_equality_collapse",
-                               extra_trials=100, counts_qualifying=True),
+                               extra_trials=100),
     "oracle": Suite(draw_oracle, "verify.oracle_check"),
     "fold-confluence": Suite(draw_fold_confluence, "verify.fold_confluence_check"),
     "shnc": Suite(draw_shnc, "subgroups.check_shnc"),
@@ -214,28 +213,27 @@ SUITES = {
 
 def run_suite(name: str, cfg: TrialConfig) -> VerdictReport:
     if name not in SUITES:
-        raise KeyError(
+        raise ValueError(
             f"unknown suite {name!r}; choose from {', '.join(sorted(SUITES))}"
         )
     suite = SUITES[name]
     module, _, function = suite.check.partition(".")
     check = getattr(sys.modules[f"{__package__}.{module}"], function)
-    report = VerdictReport(name, cfg.trials + suite.extra_trials, 0,
-                           qualifying=0 if suite.counts_qualifying else None)
+    report = VerdictReport(name, cfg.trials + suite.extra_trials, 0)
     start = time.perf_counter()
     for i in range(report.trials):
         seed = trial_seed(cfg.master_seed, i)
         instance = suite.draw(cfg, i, random.Random(seed))
         res = check(**instance)
-        applicable = getattr(res, "applicable", True)
-        if res.passed or not applicable:
+        applicable = getattr(res, "applicable", None)
+        if res.passed or applicable is False:
             report.passes += 1
         else:  # one payload shape: what replays the trial, instance, counts
             report.failures.append(
                 {"suite": name, "trial": i, "trial_seed": seed, "config": asdict(cfg),
                  **{k: _encode(v) for k, v in instance.items()},
                  **{k: v for k, v in vars(res).items() if type(v) is int}})
-        if applicable and suite.counts_qualifying:
-            report.qualifying += 1
+        if applicable is not None:
+            report.qualifying = (report.qualifying or 0) + applicable
     report.wall_time = time.perf_counter() - start
     return report

@@ -10,7 +10,8 @@ from click.testing import CliRunner
 from conftest import plant_failing_check
 
 from wordcycles.cli import main
-from wordcycles.graphs import LabeledDigraph, dumps, loads, rose, to_json
+from wordcycles import graphs
+from wordcycles.graphs import LabeledDigraph, circle, dumps, loads, rose, to_json
 from wordcycles.words import parse_word
 
 
@@ -78,6 +79,25 @@ def test_graph_fiber(runner, rose_file, tmp_path):
 def test_graph_dot(runner, rose_file):
     result = runner.invoke(main, ["graph", "canon", rose_file, "--dot"])
     assert result.output.startswith("digraph")
+
+
+def test_library_key_error_is_not_invalid_input(runner, rose_file, monkeypatch):
+    # only ValueError means invalid input; a KeyError from the library is a
+    # bug, so it escapes rather than exiting 2
+    def betti(g):
+        raise KeyError("planted")
+    monkeypatch.setattr(graphs, "betti", betti)
+    result = runner.invoke(main, ["graph", "betti", rose_file])
+    assert isinstance(result.exception, KeyError)
+    assert result.exit_code != 2
+
+
+@pytest.mark.parametrize("command", [["graph", "betti"], ["wcycles", "count", "-w", "a"]])
+def test_component_vertices_in_numeric_order(runner, tmp_path, command):
+    path = tmp_path / "c12.json"
+    path.write_text(dumps(circle(parse_word("a" * 11 + "b"), 2)))
+    obj = json.loads(runner.invoke(main, [*command, str(path)]).output)
+    assert obj["per_component"][0]["vertices"] == [f"v{i}" for i in range(12)]
 
 
 def test_wcycles_count(runner, rose_file):

@@ -4,7 +4,9 @@ reads the file: never a traceback, which exits 1, the code verify keeps
 for a counterexample.  Exit 2 prints one line, "Error: ...", on stderr and
 nothing on stdout, whichever check rejected the input.  Values include
 huge integers, so a declared alphabet of 10^9 or more must cost no more
-than a small one."""
+than a small one.  The -w word and the --attach specs are drawn too, bad
+ones included: a letter past the alphabet, an unreduced word, a proper
+power, the empty word, and out-of-range or malformed attachments."""
 
 import json
 
@@ -22,18 +24,22 @@ GRAPH = {"alphabet": 2, "vertices": ["v0", "v1"], "basepoint": "v0",
 FILES = {
     "graph": (GRAPH, [["graph", "validate"], ["graph", "betti"], ["graph", "fold"],
                       ["graph", "core"], ["graph", "canon"], ["graph", "fiber", "-", "GRAPH"],
-                      ["wcycles", "count", "-w", "a"], ["wcycles", "decompose", "-w", "ab"],
-                      ["complex", "gamma-w", "-w", "a"],
-                      ["complex", "npi", "-w", "a", "--attach", "0:2"]]),
+                      ["wcycles", "count", "-w", "WORD"],
+                      ["wcycles", "decompose", "-w", "WORD"],
+                      ["complex", "gamma-w", "-w", "WORD"],
+                      ["complex", "npi", "-w", "WORD", "ATTACH"]]),
     "complex": ({"skeleton": GRAPH, "cells": [[{"edge": 0, "dir": 1}, {"edge": 1, "dir": 1}]]},
                 [["complex", "collapse"]]),
     "subgroup": ({"alphabet": 2, "generators": ["ab", "bA", "aa"]},
                  [["subgroup", "build"], ["subgroup", "rank"],
-                  ["subgroup", "conjugates", "-w", "ab"],
+                  ["subgroup", "conjugates", "-w", "WORD"],
                   ["subgroup", "intersect", "-", "SUBGROUP"], ["subgroup", "shnc", "-", "SUBGROUP"]]),
     "staggered": ({"alphabet": 3, "relators": ["ab", "bc"], "ordered_letters": [1, 2, 3]},
                   [["complex", "staggered"]]),
 }
+WORDS = st.sampled_from(["a", "ab", "abAB", "c", "a3", "aA", "abBA", "aa", "abab", ""])
+ATTACH = st.lists(st.sampled_from(["0:1", "0:2", "1:1", "5:1", "-1:2", "0:0", "0-1", "0:"]),
+                  max_size=3)
 HUGE = st.sampled_from([10**6, 10**9, 2**31, 2**63, 10**30, -10**9])
 DELETE = object()  # a key or item removed rather than replaced
 
@@ -84,7 +90,8 @@ def valid_files(tmp_path_factory):
 @st.composite
 def fuzzed(draw):
     """A file of one kind, its alphabet made huge or not, then one value
-    placed or removed, or none."""
+    placed or removed, or none; and a word and attachment specs for the
+    commands that take them."""
     kind = draw(st.sampled_from(sorted(FILES)))
     doc, commands = FILES[kind]
     if draw(st.booleans()):
@@ -93,7 +100,9 @@ def fuzzed(draw):
         path = draw(st.sampled_from(list(paths(doc))))
         removal = st.just(DELETE) if path else st.nothing()  # the document itself stays
         doc = placed(doc, path, draw(json_values | HUGE | removal))
-    return kind, doc, commands
+    options = {"WORD": [draw(WORDS)],
+               "ATTACH": [arg for spec in draw(ATTACH) for arg in ("--attach", spec)]}
+    return kind, doc, [[b for a in c for b in options.get(a, [a])] for c in commands]
 
 
 @settings(max_examples=400, deadline=2000)

@@ -145,6 +145,8 @@ class TestTrialConfig:
         ("alphabet", 2.0), ("alphabet", True), ("max_word_length", 8.0),
         ("max_word_length", "8"), ("edge_density", True), ("edge_density", "0.5"),
         ("edge_density", None), ("edge_density", float("nan")),
+        ("master_seed", None), ("master_seed", [1]), ("master_seed", "7"),
+        ("master_seed", True), ("master_seed", 7.0),
     ])
     def test_rejects_non_integer_bounds(self, field, value):
         with pytest.raises(ValueError) as excinfo:

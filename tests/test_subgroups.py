@@ -245,12 +245,12 @@ class TestConjugateIntersection:
     def test_a_with_b_power_cosets(self):
         h = sg("a")
         rep = check_conjugate_intersection(h, [w(""), w("b"), w("bb")])
-        assert rep.applicable and rep.intersection_trivial and rep.passed
+        assert rep.intersection_trivial and rep.passed
 
-    def test_too_few_cosets_not_applicable(self):
+    def test_too_few_cosets_rejected(self):
         h = sg("a")
-        rep = check_conjugate_intersection(h, [w("")])
-        assert not rep.applicable and rep.passed
+        with pytest.raises(ValueError, match=r"need more than rank\(H\) = 1 cosets"):
+            check_conjugate_intersection(h, [w("")])
 
     def test_coincident_cosets_rejected(self):
         h = sg("a")

@@ -48,7 +48,7 @@ def test_pinned_summaries():
 
 
 def test_unknown_suite():
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match="unknown suite 'nope'"):
         run_suite("nope", SMALL)
 
 
@@ -60,11 +60,27 @@ def test_reproducible_reports():
     assert ja == jb
 
 
-def test_report_key_order():
+@pytest.mark.parametrize("name", sorted(SUITES))
+def test_report_key_order(name):
     # the fields in order, and qualifying last where the suite counts it
     keys = ["suite", "trials", "passes", "failures", "inconclusive", "wall_time"]
-    assert list(run_suite("main", SMALL).to_json()) == keys
-    assert list(run_suite("strict", SMALL).to_json()) == [*keys, "qualifying"]
+    if name in ("strict", "equality-collapse"):
+        keys.append("qualifying")
+    assert list(run_suite(name, SMALL).to_json()) == keys
+
+
+@pytest.mark.parametrize("name", sorted(SUITES))
+def test_qualifying_is_what_the_reports_declare(monkeypatch, name):
+    # a suite counts qualifying trials exactly when its check's reports
+    # have applicable, and then counts the applicable ones
+    _, reports = plant_failing_check(monkeypatch, name)
+    report = run_suite(name, SMALL)
+    declared = {hasattr(res, "applicable") for res in reports}
+    assert len(declared) == 1
+    if declared == {True}:
+        assert report.qualifying == sum(res.applicable for res in reports)
+    else:
+        assert report.qualifying is None
 
 
 def test_different_seed_different_instances():
