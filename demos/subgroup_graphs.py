@@ -49,4 +49,4 @@ print(f"restated form, w = abAB vs rose: {rep.lhs} <= {rep.rhs}, "
 cosets = [parse_word(t) for t in ("", "b", "bb")]
 rep = check_conjugate_intersection(a, cosets)
 print(f"\n<a> with cosets {{H, Hb, Hbb}}: intersection trivial = "
-      f"{rep.intersection_trivial}")
+      f"{rep.passed}")

@@ -209,10 +209,11 @@ def wcycles_count(word, file):
 @click.argument("file")
 def wcycles_decompose(word, file):
     g = _load_graph(file)
-    dec = cycles.decompose(g, parse_word(word))
+    w = parse_word(word)
+    dec = cycles.decompose(g, w)
     _emit(
         {
-            "word": word,
+            "word": format_word(w),
             "classes": [
                 {
                     "vertices": [f"v{v}" for v in c.vertices],
@@ -353,10 +354,11 @@ def subgroup_rank(file):
 @click.argument("file")
 def subgroup_conjugates(word, file):
     h = _load_subgroup(file)
-    res = subgroups.count_conjugates_meeting(h, parse_word(word))
+    w = parse_word(word)
+    res = subgroups.count_conjugates_meeting(h, w)
     _emit(
         {
-            "word": format_word(res.word),
+            "word": format_word(w),
             "conjugates_meeting": res.count,
             "rank": res.rank,
             "bound_holds": res.passed,
@@ -409,8 +411,8 @@ def _config_option(flag: str, field: str):
               help="where failure payloads are dumped")
 def verify_cmd(suite, out, **config):
     """Run a named property suite over seeded random instances."""
-    parent = os.path.dirname(os.path.abspath(out))
-    if os.path.isdir(out) or not os.access(out if os.path.exists(out) else parent, os.W_OK):
+    target = out if os.path.exists(out) else os.path.dirname(os.path.abspath(out))
+    if not os.path.basename(out) or os.path.isdir(out) or not os.access(target, os.W_OK):
         raise _Fail(f"cannot write --out {out}: not a writable file path")
     report = verify.run_suite(suite, TrialConfig(**config))
     _emit(report.to_json())

@@ -112,7 +112,6 @@ def collapses_to_tree(x: TwoComplex) -> CollapseResult:
 
 @dataclass(frozen=True)
 class EqualityCollapseReport:
-    word: Word
     applicable: bool  # class count == Betti number
     class_count: int
     betti: int
@@ -126,14 +125,13 @@ def check_equality_collapse(g: LabeledDigraph, w: Word) -> EqualityCollapseRepor
     dec = decompose(g, w)
     b = betti(g).total
     if dec.class_count != b:
-        return EqualityCollapseReport(w, False, dec.class_count, b, True)
+        return EqualityCollapseReport(False, dec.class_count, b, True)
     result = collapses_to_tree(_built(TwoComplex, g, tuple(c.path for c in dec.classes)))
-    return EqualityCollapseReport(w, True, dec.class_count, b, result.collapses)
+    return EqualityCollapseReport(True, dec.class_count, b, result.collapses)
 
 
 @dataclass(frozen=True)
 class NpiReport:
-    word: Word
     euler: int
     branch: str  # "chi", "contractible" or "fail"
     passed: bool
@@ -176,10 +174,10 @@ def check_npi(
     y = _built(TwoComplex, g, tuple(cells))
     chi = euler_characteristic(y)
     if chi <= 0:
-        return NpiReport(w, chi, "chi", True)
+        return NpiReport(chi, "chi", True)
     if collapses_to_tree(y).collapses:
-        return NpiReport(w, chi, "contractible", True)
-    return NpiReport(w, chi, "fail", False)
+        return NpiReport(chi, "contractible", True)
+    return NpiReport(chi, "fail", False)
 
 
 # ---------------------------------------------------------------------------

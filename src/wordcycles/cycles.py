@@ -15,8 +15,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from operator import le
 
-from .graphs import (BettiReport, LabeledDigraph, betti, cached_property, is_connected,
-                     require_connected, require_valid)
+from .graphs import (BettiReport, LabeledDigraph, betti, cached_property, require_connected,
+                     require_valid)
 from .words import Word, require_simple_cyclic
 
 # A path step is (edge index, direction); direction -1 crosses the edge
@@ -208,7 +208,6 @@ class MainInequalityReport:
     """Class count <= first Betti number, per component and in total.  The
     per-component verdicts are built on first read."""
 
-    word: Word
     component_classes: tuple[int, ...]  # in component order
     betti_report: BettiReport
     total_classes: int
@@ -229,8 +228,8 @@ def check_main_inequality(g: LabeledDigraph, w: Word) -> MainInequalityReport:
     for cycle in dec.cycles:
         counts[comp_of[cycle[0]]] += 1
     passed = all(map(le, counts, report.bettis)) and dec.class_count <= report.total
-    return MainInequalityReport(w, tuple(counts), report, dec.class_count, report.total,
-                                passed, dec.count_with_multiplicity)
+    return MainInequalityReport(tuple(counts), report, dec.class_count, report.total, passed,
+                                dec.count_with_multiplicity)
 
 
 def collapsed_hypothesis(g: LabeledDigraph, w: Word) -> tuple[bool, dict[int, int]]:
@@ -250,7 +249,6 @@ def _hypothesis(g: LabeledDigraph, dec: WCycleDecomposition) -> tuple[bool, dict
 
 @dataclass(frozen=True)
 class StrictInequalityReport:
-    word: Word
     applicable: bool
     reasons: tuple[str, ...]  # unmet preconditions, if any
     count_with_multiplicity: int
@@ -259,19 +257,16 @@ class StrictInequalityReport:
 
 
 def check_strict_inequality(g: LabeledDigraph, w: Word) -> StrictInequalityReport:
-    """Count with multiplicity < Betti number, under the >= 2 edge hypothesis."""
+    """Count with multiplicity < Betti number, under the >= 2 edge hypothesis,
+    on a connected graph."""
+    require_connected(g, "check_strict_inequality")
     dec = decompose(g, w)
     reasons = []
-    if not is_connected(g):
-        reasons.append("graph is not connected")
-    else:
-        if g.num_vertices == 1 and not g.edges:
-            reasons.append("graph is a single vertex")
-        if not _hypothesis(g, dec)[0]:
-            reasons.append("some edge has traversal multiplicity < 2")
+    if g.num_vertices == 1 and not g.edges:
+        reasons.append("graph is a single vertex")
+    if not _hypothesis(g, dec)[0]:
+        reasons.append("some edge has traversal multiplicity < 2")
     count = dec.count_with_multiplicity
     b = betti(g).total
     applicable = not reasons
-    return StrictInequalityReport(
-        w, applicable, tuple(reasons), count, b, applicable and count < b
-    )
+    return StrictInequalityReport(applicable, tuple(reasons), count, b, applicable and count < b)

@@ -183,7 +183,6 @@ def intersect(h1: SubgroupGraph, h2: SubgroupGraph) -> SubgroupGraph:
 
 @dataclass(frozen=True)
 class ConjugatesReport:
-    word: Word
     count: int
     rank: int
     passed: bool
@@ -194,7 +193,7 @@ def count_conjugates_meeting(h: SubgroupGraph, w: Word) -> ConjugatesReport:
     meet H nontrivially: one per cycle class; at most rank(H)."""
     count = decompose(h.graph, w).class_count  # decompose checks w first
     r = rank(h)
-    return ConjugatesReport(w, count, r, count <= r)
+    return ConjugatesReport(count, r, count <= r)
 
 
 def reduced_rank(b: int) -> int:
@@ -220,8 +219,6 @@ def check_shnc(g1: SubgroupGraph, g2: SubgroupGraph) -> RedRankReport:
 
 @dataclass(frozen=True)
 class RestatedReport:
-    word: Word
-    component_bettis: tuple[int, ...]
     lhs: int
     rhs: int
     class_count: int  # from the sigma_w decomposition; must equal lhs
@@ -238,16 +235,14 @@ def check_restated_inequality(cycle_w: Word, g2: LabeledDigraph) -> RestatedRepo
     g1 = circle(cycle_w, alphabet)
     if g2.alphabet != alphabet:
         g2 = _built(LabeledDigraph, alphabet, g2.num_vertices, g2.edges, g2.basepoint)
-    bettis = betti(fiber_product(g1, g2)).bettis  # fiber_product checks g2
-    lhs = sum(bettis)
+    lhs = sum(betti(fiber_product(g1, g2)).bettis)  # fiber_product checks g2
     rhs = betti(g1).total * betti(g2).total
     k = decompose(g2, cycle_w).class_count
-    return RestatedReport(cycle_w, bettis, lhs, rhs, k, lhs <= rhs and lhs == k)
+    return RestatedReport(lhs, rhs, k, lhs <= rhs and lhs == k)
 
 
 @dataclass(frozen=True)
 class ConjugateIntersectionReport:
-    intersection_trivial: bool
     passed: bool
 
 
@@ -281,5 +276,4 @@ def check_conjugate_intersection(
         result = intersect(result, conjugate(h, tuple(g_i)))
         if is_trivial(result):
             break
-    trivial = is_trivial(result)
-    return ConjugateIntersectionReport(trivial, trivial)
+    return ConjugateIntersectionReport(is_trivial(result))

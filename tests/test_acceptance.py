@@ -1,10 +1,14 @@
 """Acceptance criteria, one test per criterion, exact integer checks.
 
-Each test prints a single PASS/FAIL line (visible with pytest -s or in the
-captured output of a failing run).
+Each suite's verdict summary must also be the one perfbench/digest.json
+records for the master seed, so verdict drift fails here.  Each test
+prints a single PASS/FAIL line (visible with pytest -s or in the captured
+output of a failing run).
 """
 
+import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +21,18 @@ from wordcycles.verify import run_suite
 from wordcycles.words import parse_word
 
 MASTER_SEED = 20260824
+# per suite, the verdict summary [trials, passes, inconclusive, qualifying]
+# at each master seed the benchmark recorded
+DIGEST = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "digest.json")
+                    .read_text())
+
+
+def run(suite, cfg):
+    """run_suite, whose verdicts must be those the benchmark recorded."""
+    r = run_suite(suite, cfg)
+    expected = DIGEST["suites"][suite][DIGEST["master_seeds"].index(cfg.master_seed)]
+    assert [r.trials, r.passes, r.inconclusive, r.qualifying] == expected
+    return r
 
 
 def report(name, ok, detail=""):
@@ -30,7 +46,7 @@ def test_main_inequality_10000():
         max_word_length=16, edge_density=0.7,
     )
     start = time.perf_counter()
-    r = run_suite("main", cfg)
+    r = run("main", cfg)
     elapsed = time.perf_counter() - start
     report(
         "main inequality: 10000 trials, |V|<=30, alphabet<=3, |w|<=16",
@@ -44,7 +60,7 @@ def test_oracle_1000():
         master_seed=MASTER_SEED, trials=1_000, max_vertices=8, alphabet=2,
         max_word_length=6,
     )
-    r = run_suite("oracle", cfg)
+    r = run("oracle", cfg)
     report(
         "oracle agreement: 1000 trials, |V|<=8, |w|<=6",
         r.failure_count == 0,
@@ -57,7 +73,7 @@ def test_strict_inequality_200_qualifying():
         master_seed=MASTER_SEED, trials=400, max_vertices=6, alphabet=2,
         max_word_length=8,
     )
-    r = run_suite("strict", cfg)
+    r = run("strict", cfg)
     report(
         "strict inequality: >=200 qualifying instances, all strict",
         r.failure_count == 0 and (r.qualifying or 0) >= 200,
@@ -80,7 +96,7 @@ def test_equality_collapse():
         master_seed=MASTER_SEED, trials=1_000, max_vertices=10, alphabet=2,
         max_word_length=8,
     )
-    r = run_suite("equality-collapse", cfg)
+    r = run("equality-collapse", cfg)
     report(
         "equality implies collapse: generated equalities + 100 circles",
         r.failure_count == 0 and r.inconclusive == 0 and (r.qualifying or 0) >= 100,
@@ -94,7 +110,7 @@ def test_npi_1000():
         master_seed=MASTER_SEED, trials=1_000, max_vertices=12, alphabet=2,
         max_word_length=8,
     )
-    r = run_suite("npi", cfg)
+    r = run("npi", cfg)
     report(
         "nonpositive immersions: 1000 generated immersions",
         r.failure_count == 0 and r.inconclusive == 0,
@@ -107,7 +123,7 @@ def test_fold_confluence_500():
         master_seed=MASTER_SEED, trials=500, max_vertices=10, alphabet=2,
         max_word_length=8,
     )
-    r = run_suite("fold-confluence", cfg)
+    r = run("fold-confluence", cfg)
     report(
         "fold confluence: 500 generator sets, two orders, identical canon",
         r.failure_count == 0,
@@ -120,7 +136,7 @@ def test_shnc_1000():
         master_seed=MASTER_SEED, trials=1_000, max_vertices=10, alphabet=2,
         max_word_length=6,
     )
-    r = run_suite("shnc", cfg)
+    r = run("shnc", cfg)
     report("SHNC: 1000 random folded pairs", r.failure_count == 0,
            f"{r.passes} passes")
 
@@ -139,7 +155,7 @@ def test_restated_1000():
         master_seed=MASTER_SEED, trials=1_000, max_vertices=12, alphabet=2,
         max_word_length=8,
     )
-    r = run_suite("restated", cfg)
+    r = run("restated", cfg)
     report(
         "restated inequality: 1000 circle fiber products, with cross-check",
         r.failure_count == 0,
@@ -152,7 +168,7 @@ def test_conjugates_1000():
         master_seed=MASTER_SEED, trials=1_000, max_vertices=10, alphabet=2,
         max_word_length=6,
     )
-    r = run_suite("conjugates", cfg)
+    r = run("conjugates", cfg)
     report(
         "conjugates of cyclic subgroups: 1000 random (H, w)",
         r.failure_count == 0,
@@ -165,7 +181,7 @@ def test_conjugate_intersection_200():
         master_seed=MASTER_SEED, trials=200, max_vertices=10, alphabet=3,
         max_word_length=5,
     )
-    r = run_suite("conjugate-intersection", cfg)
+    r = run("conjugate-intersection", cfg)
     report(
         "conjugate intersection: 200 free-factor trials, trivial meet",
         r.failure_count == 0,
@@ -178,7 +194,7 @@ def test_staggered_500():
         master_seed=MASTER_SEED, trials=500, max_vertices=10, alphabet=3,
         max_word_length=6,
     )
-    r = run_suite("staggered", cfg)
+    r = run("staggered", cfg)
     report(
         "staggered presentations: 500 constructed, summed bound",
         r.failure_count == 0,

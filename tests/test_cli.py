@@ -107,6 +107,12 @@ def test_wcycles_count(runner, rose_file):
     assert obj["inequality_holds"] is True
 
 
+@pytest.mark.parametrize("command", ["count", "decompose"])
+def test_wcycles_prints_the_parsed_word(runner, rose_file, command):
+    result = runner.invoke(main, ["wcycles", command, "-w", " ab AB ", rose_file])
+    assert json.loads(result.output)["word"] == "abAB"
+
+
 def test_wcycles_rejects_power(runner, rose_file):
     result = runner.invoke(main, ["wcycles", "count", "-w", "abab", rose_file])
     assert result.exit_code == 2
@@ -212,8 +218,9 @@ def test_subgroup_build_and_rank(runner, tmp_path):
 
 def test_subgroup_conjugates(runner, tmp_path):
     path = _subgroup_file(tmp_path, ["aa", "b"])
-    result = runner.invoke(main, ["subgroup", "conjugates", "-w", "a", path])
+    result = runner.invoke(main, ["subgroup", "conjugates", "-w", " a", path])
     obj = json.loads(result.output)
+    assert obj["word"] == "a"
     assert obj["conjugates_meeting"] == 1 and obj["bound_holds"] is True
 
 
@@ -264,13 +271,14 @@ def test_verify_one_letter_alphabet(runner, tmp_path, suite, code):
     assert result.exit_code == code
 
 
-@pytest.mark.parametrize("out", ["", "missing/ce.json"], ids=["directory", "no-parent"])
+@pytest.mark.parametrize("out", ["{path}", "{path}/missing/ce.json", "", "{path}/newdir/"],
+                         ids=["directory", "no-parent", "empty", "no-file-name"])
 def test_verify_unwritable_out(runner, tmp_path, out):
     # rejected before the first trial, though a passing run writes nothing
     def verify(path):
         return runner.invoke(main, ["verify", "main", "--trials", "1", "--out", path])
 
-    result = verify(str(tmp_path / out))
+    result = verify(out.format(path=tmp_path))
     assert result.exit_code == 2
     assert result.output.count("\n") == 1 and "cannot write --out" in result.output
     assert verify(str(tmp_path / "ce.json")).exit_code == 0

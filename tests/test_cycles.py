@@ -151,8 +151,8 @@ class TestStrictInequality:
 
     def test_disconnected_excluded(self):
         g = LabeledDigraph(1, 2, ((0, 0, 1), (1, 1, 1)))
-        rep = check_strict_inequality(g, w("a"))
-        assert not rep.applicable and rep.reasons == ("graph is not connected",)
+        with pytest.raises(ValueError, match="check_strict_inequality: graph must be connected"):
+            check_strict_inequality(g, w("a"))
 
     def test_a_square_hypothesis_necessary(self):
         rep = check_strict_inequality(A_SQUARE, w("a"))

@@ -60,11 +60,10 @@ def raisers(*phrases: str) -> set[tuple[str, str]]:
             if any(phrase in text for phrase in phrases)}
 
 
-def test_connectivity_is_tested_in_two_places():
-    # check_strict_inequality reads disconnection as a reason, not an error
+def test_connectivity_is_tested_in_one_place():
     callers = {(module, scope) for module, scope, _, called in references("is_connected")
                if called}
-    assert callers == {("graphs", "require_connected"), ("cycles", "check_strict_inequality")}
+    assert callers == {("graphs", "require_connected")}
 
 
 def test_one_connectivity_raise_besides_canonical_form():

@@ -437,10 +437,10 @@ def all_vertex_npi(g: LabeledDigraph, w, attachments) -> tuple:
         cells.append(path)
     chi = g.num_vertices - len(g.edges) + len(cells)
     if chi <= 0:
-        return NpiReport(w, chi, "chi", True), cells
+        return NpiReport(chi, "chi", True), cells
     result = collapses_to_tree(TwoComplex(g, tuple(cells)))
     branch = "contractible" if result.collapses else "fail"
-    return NpiReport(w, chi, branch, result.collapses), cells
+    return NpiReport(chi, branch, result.collapses), cells
 
 
 def letters_from(labels):

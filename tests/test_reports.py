@@ -12,7 +12,7 @@ from conftest import patch_everywhere
 
 from wordcycles import graphs
 from wordcycles.cycles import check_main_inequality, decompose
-from wordcycles.graphs import LabeledDigraph, betti
+from wordcycles.graphs import LabeledDigraph, betti, circle
 from wordcycles.subgroups import (
     check_restated_inequality,
     check_shnc,
@@ -88,19 +88,24 @@ class TestCountsWithoutVertexSets:
         assert "edge_multiplicity" not in vars(dec)
 
 
+def plant_betti_total(monkeypatch, shift: int) -> None:
+    """A wrapped graphs.betti that rebuilds its report positionally with the
+    total moved by shift."""
+    original = graphs.betti
+
+    def shifted(g):
+        r = original(g)
+        return type(r)(r.per_component, r.total + shift)
+
+    patch_everywhere(monkeypatch, graphs, "betti", lambda _: shifted)
+
+
 class TestPlantedBettiTotal:
-    """Mirrors the benchmark's betti+1 fault: a wrapped graphs.betti that
-    rebuilds its report positionally with the total raised by one."""
+    """Mirrors the benchmark's betti+1 fault."""
 
     @pytest.fixture
     def off_by_one(self, monkeypatch):
-        original = graphs.betti
-
-        def betti_plus_one(g):
-            r = original(g)
-            return type(r)(r.per_component, r.total + 1)
-
-        patch_everywhere(monkeypatch, graphs, "betti", lambda _: betti_plus_one)
+        plant_betti_total(monkeypatch, 1)
 
     def test_planted_total_reaches_the_checks(self, off_by_one):
         h1, h2 = subgroups()[:2]
@@ -111,3 +116,13 @@ class TestPlantedBettiTotal:
         # the per-component numbers come from the per_component it was given
         assert [v.betti for v in report.per_component] == [3, 3, 0, 0]
         assert graphs.betti(FOUR_PARTS).bettis == (3, 3, 0, 0)
+
+
+def test_total_one_low_fails_the_main_inequality(monkeypatch):
+    # the benchmark's "betti one low" fault leaves the per-component numbers
+    # as they were, so only the class count against the total sees it
+    plant_betti_total(monkeypatch, -1)
+    report = check_main_inequality(circle((1, 2), 2), parse_word("ab"))
+    assert [v.betti for v in report.per_component] == [1]
+    assert report.total_classes == 1 > report.total_betti == 0
+    assert not report.passed
