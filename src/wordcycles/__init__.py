@@ -41,7 +41,6 @@ from .cycles import (
     WCycleDecomposition,
     check_main_inequality,
     check_strict_inequality,
-    collapsed_hypothesis,
     decompose,
     oracle_counts,
 )

@@ -81,6 +81,11 @@ def _emit_graph(g: graphs.LabeledDigraph, dot: bool) -> None:
         _emit(graphs.to_json(g))
 
 
+def _components(g: graphs.LabeledDigraph) -> list[list[str]]:
+    """Each component's vertex names, in numeric order."""
+    return [[f"v{v}" for v in sorted(comp)] for comp in graphs.components(g)]
+
+
 @click.group(cls=_Main)
 def main():
     """Cycle counting in inverse automata, collapsible complexes, and
@@ -124,6 +129,7 @@ def graph():
 
 
 _dot_flag = click.option("--dot", is_flag=True, help="emit DOT instead of JSON")
+_word_option = click.option("-w", "--word", "word", required=True)
 
 
 @graph.command("validate")
@@ -131,7 +137,7 @@ _dot_flag = click.option("--dot", is_flag=True, help="emit DOT instead of JSON")
 def graph_validate(file):
     g = _load_graph(file)
     violations = graphs.validate(g)
-    _emit({"valid": not violations, "violations": [str(v) for v in violations]})
+    _emit({"valid": not violations, "violations": violations})
 
 
 @graph.command("betti")
@@ -142,10 +148,8 @@ def graph_betti(file):
     _emit(
         {
             "total": report.total,
-            "per_component": [
-                {"vertices": [f"v{v}" for v in sorted(comp)], "betti": b}
-                for comp, b in report.per_component
-            ],
+            "per_component": [{"vertices": vs, "betti": b}
+                              for vs, b in zip(_components(g), report.bettis)],
         }
     )
 
@@ -178,7 +182,7 @@ def wcycles():
 
 
 @wcycles.command("count")
-@click.option("-w", "--word", "word", required=True)
+@_word_option
 @click.argument("file")
 def wcycles_count(word, file):
     g = _load_graph(file)
@@ -192,20 +196,16 @@ def wcycles_count(word, file):
             "betti": res.total_betti,
             "inequality_holds": res.passed,
             "per_component": [
-                {
-                    "vertices": [f"v{v}" for v in sorted(c.vertices)],
-                    "class_count": c.class_count,
-                    "betti": c.betti,
-                    "equality": c.equality,
-                }
-                for c in res.per_component
+                {"vertices": vs, "class_count": k, "betti": b, "equality": k == b}
+                for vs, k, b in zip(_components(g), res.component_classes,
+                                    res.betti_report.bettis)
             ],
         }
     )
 
 
 @wcycles.command("decompose")
-@click.option("-w", "--word", "word", required=True)
+@_word_option
 @click.argument("file")
 def wcycles_decompose(word, file):
     g = _load_graph(file)
@@ -257,7 +257,7 @@ def complex_group():
 
 
 @complex_group.command("gamma-w")
-@click.option("-w", "--word", "word", required=True)
+@_word_option
 @click.argument("file")
 def complex_gamma_w(word, file):
     x = complexes.build_gamma_w(_load_graph(file), parse_word(word))
@@ -282,7 +282,7 @@ def complex_collapse(file):
 
 
 @complex_group.command("npi")
-@click.option("-w", "--word", "word", required=True)
+@_word_option
 @click.option(
     "--attach", "attach", multiple=True,
     help="attachment as VERTEX:EXPONENT, e.g. 0:2; repeatable",
@@ -350,7 +350,7 @@ def subgroup_rank(file):
 
 
 @subgroup.command("conjugates")
-@click.option("-w", "--word", "word", required=True)
+@_word_option
 @click.argument("file")
 def subgroup_conjugates(word, file):
     h = _load_subgroup(file)
@@ -411,8 +411,10 @@ def _config_option(flag: str, field: str):
               help="where failure payloads are dumped")
 def verify_cmd(suite, out, **config):
     """Run a named property suite over seeded random instances."""
-    target = out if os.path.exists(out) else os.path.dirname(os.path.abspath(out))
-    if not os.path.basename(out) or os.path.isdir(out) or not os.access(target, os.W_OK):
+    parent = os.path.dirname(os.path.abspath(out))
+    target = out if os.path.exists(out) else parent
+    if (not os.path.basename(out) or os.path.isdir(out) or not os.path.isdir(parent)
+            or not os.access(target, os.W_OK)):
         raise _Fail(f"cannot write --out {out}: not a writable file path")
     report = verify.run_suite(suite, TrialConfig(**config))
     _emit(report.to_json())

@@ -195,18 +195,9 @@ def oracle_counts(g: LabeledDigraph, w: Word) -> tuple[int, int]:
 
 
 @dataclass(frozen=True)
-class ComponentVerdict:
-    vertices: frozenset[int]
-    class_count: int
-    betti: int
-    passed: bool
-    equality: bool
-
-
-@dataclass(frozen=True)
 class MainInequalityReport:
-    """Class count <= first Betti number, per component and in total.  The
-    per-component verdicts are built on first read."""
+    """Class count <= first Betti number, per component and in total:
+    component_classes[i] is held to betti_report.bettis[i]."""
 
     component_classes: tuple[int, ...]  # in component order
     betti_report: BettiReport
@@ -214,11 +205,6 @@ class MainInequalityReport:
     total_betti: int
     passed: bool
     count_with_multiplicity: int
-
-    @property
-    def per_component(self) -> tuple[ComponentVerdict, ...]:
-        return tuple(ComponentVerdict(comp, k, b, k <= b, k == b) for (comp, b), k
-                     in zip(self.betti_report.per_component, self.component_classes))
 
 
 def check_main_inequality(g: LabeledDigraph, w: Word) -> MainInequalityReport:
@@ -232,21 +218,6 @@ def check_main_inequality(g: LabeledDigraph, w: Word) -> MainInequalityReport:
                                 dec.count_with_multiplicity)
 
 
-def collapsed_hypothesis(g: LabeledDigraph, w: Word) -> tuple[bool, dict[int, int]]:
-    """Does every edge carry total traversal multiplicity >= 2?
-
-    Multiplicity sums traversals in either direction over all class trace
-    paths; vacuously true on an edgeless graph.
-    """
-    require_connected(g, "collapsed_hypothesis")
-    return _hypothesis(g, decompose(g, w))
-
-
-def _hypothesis(g: LabeledDigraph, dec: WCycleDecomposition) -> tuple[bool, dict[int, int]]:
-    mult = {i: dec.edge_multiplicity.get(i, 0) for i in range(len(g.edges))}
-    return all(m >= 2 for m in mult.values()), mult
-
-
 @dataclass(frozen=True)
 class StrictInequalityReport:
     applicable: bool
@@ -257,14 +228,14 @@ class StrictInequalityReport:
 
 
 def check_strict_inequality(g: LabeledDigraph, w: Word) -> StrictInequalityReport:
-    """Count with multiplicity < Betti number, under the >= 2 edge hypothesis,
-    on a connected graph."""
+    """Count with multiplicity < Betti number on a connected graph, where
+    every edge is crossed at least twice, either way, by the class paths."""
     require_connected(g, "check_strict_inequality")
     dec = decompose(g, w)
     reasons = []
     if g.num_vertices == 1 and not g.edges:
         reasons.append("graph is a single vertex")
-    if not _hypothesis(g, dec)[0]:
+    if any(dec.edge_multiplicity.get(i, 0) < 2 for i in range(len(g.edges))):
         reasons.append("some edge has traversal multiplicity < 2")
     count = dec.count_with_multiplicity
     b = betti(g).total

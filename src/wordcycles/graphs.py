@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import accumulate
 
@@ -47,20 +48,6 @@ def _built(cls, *values, **index):
         object.__setattr__(obj, name, value)
     obj.__dict__.update(index)
     return obj
-
-
-@dataclass(frozen=True)
-class DeterminismViolation:
-    vertex: int
-    label: int
-    direction: str  # "outgoing" or "incoming"
-    edge_indices: tuple[int, ...]
-
-    def __str__(self):
-        return (
-            f"vertex {self.vertex}: {len(self.edge_indices)} {self.direction} "
-            f"edges with label {self.label}"
-        )
 
 
 @dataclass(frozen=True)
@@ -139,23 +126,19 @@ class LabeledDigraph:
         return self._partition[0]
 
 
-def validate(g: LabeledDigraph) -> list[DeterminismViolation]:
-    """All determinism violations; empty iff g is a valid inverse automaton."""
-    slots: dict[tuple[int, int, int], list[int]] = {}  # (direction, vertex, label)
-    for i, (s, d, l) in enumerate(g.edges):
-        slots.setdefault((0, s, l), []).append(i)
-        slots.setdefault((1, d, l), []).append(i)
-    return [DeterminismViolation(v, l, ("outgoing", "incoming")[k], tuple(idxs))
-            for (k, v, l), idxs in sorted(slots.items()) if len(idxs) > 1]
+def validate(g: LabeledDigraph) -> list[str]:
+    """One message per slot (outgoing slots first, then by vertex and label)
+    that two or more edges share; empty iff g is a valid inverse automaton."""
+    slots = Counter(slot for s, d, l in g.edges for slot in ((0, s, l), (1, d, l)))
+    return [f"vertex {v}: {n} {('outgoing', 'incoming')[k]} edges with label {l}"
+            for (k, v, l), n in sorted(slots.items()) if n > 1]
 
 
 def require_valid(g: LabeledDigraph) -> None:
     """Raise ValueError unless g is deterministic.  This reads the cached
     flag: O(1) on a graph whose successor rows are already built."""
     if not g.deterministic:
-        raise ValueError(
-            "graph is not deterministic: " + "; ".join(str(v) for v in validate(g))
-        )
+        raise ValueError("graph is not deterministic: " + "; ".join(validate(g)))
 
 
 def components(g: LabeledDigraph) -> list[frozenset[int]]:

@@ -48,10 +48,6 @@ class VerdictReport:
     wall_time: float = 0.0
     qualifying: int | None = None
 
-    @property
-    def failure_count(self) -> int:
-        return len(self.failures)
-
     def to_json(self) -> dict:
         return {k: v for k, v in vars(self).items() if k != "qualifying" or v is not None}
 

@@ -101,7 +101,7 @@ class Judged:
 def run(monkeypatch, suite: str) -> tuple[Judged, int]:
     judged = Judged(monkeypatch)
     report = run_suite(suite, TrialConfig(master_seed=11, trials=20, **CONFIGS[suite]))
-    assert report.failure_count == 0
+    assert not report.failures
     return judged, report.trials
 
 
@@ -140,7 +140,7 @@ def test_tracer_sees_every_check(monkeypatch):
     for suite, name in TRACED_CHECKS.items():
         before = calls[name]
         report = run_suite(suite, TrialConfig(master_seed=11, trials=20, **CONFIGS[suite]))
-        assert report.failure_count == 0
+        assert not report.failures
         assert calls[name] - before >= report.trials, suite
 
 
@@ -163,7 +163,7 @@ def test_fold_confluence_folds_through_the_module_name(monkeypatch):
     patch_everywhere(monkeypatch, graphs, "fold", make)
     config = TrialConfig(master_seed=11, trials=20, **CONFIGS["fold-confluence"])
     report = run_suite("fold-confluence", config)
-    assert report.failure_count == 0
+    assert not report.failures
     assert calls >= 2 * report.trials
 
 

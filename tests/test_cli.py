@@ -48,6 +48,21 @@ def test_graph_validate(runner, rose_file):
     assert json.loads(result.output)["valid"] is True
 
 
+def test_graph_validate_prints_each_shared_slot(runner, tmp_path):
+    # three a-edges out of v0, two b-edges into v3, and a b-loop at v4
+    # sharing its outgoing slot
+    path = tmp_path / "clashes.json"
+    path.write_text(dumps(LabeledDigraph(2, 6, (
+        (0, 1, 1), (0, 2, 1), (0, 3, 1), (1, 3, 2), (2, 3, 2), (4, 4, 2), (4, 5, 2)))))
+    result = runner.invoke(main, ["graph", "validate", str(path)])
+    assert result.exit_code == 0
+    assert json.loads(result.output) == {"valid": False, "violations": [
+        "vertex 0: 3 outgoing edges with label 1",
+        "vertex 4: 2 outgoing edges with label 2",
+        "vertex 3: 2 incoming edges with label 2",
+    ]}
+
+
 def test_graph_betti(runner, rose_file):
     obj = json.loads(runner.invoke(main, ["graph", "betti", rose_file]).output)
     assert obj["total"] == 2
@@ -98,6 +113,28 @@ def test_component_vertices_in_numeric_order(runner, tmp_path, command):
     path.write_text(dumps(circle(parse_word("a" * 11 + "b"), 2)))
     obj = json.loads(runner.invoke(main, [*command, str(path)]).output)
     assert obj["per_component"][0]["vertices"] == [f"v{i}" for i in range(12)]
+
+
+# an a-cycle on the even vertices, and one on the odd vertices with a b-loop
+# at v11: vertex names in numeric order, not text order
+EVENS = [f"v{v}" for v in range(0, 12, 2)]
+ODDS = [f"v{v}" for v in range(1, 12, 2)]
+TWO_PARTS = {
+    "betti": [{"vertices": EVENS, "betti": 1}, {"vertices": ODDS, "betti": 2}],
+    "count": [{"vertices": EVENS, "class_count": 1, "betti": 1, "equality": True},
+              {"vertices": ODDS, "class_count": 1, "betti": 2, "equality": False}],
+}
+
+
+@pytest.mark.parametrize("command", [["graph", "betti"], ["wcycles", "count", "-w", "a"]],
+                         ids=["betti", "count"])
+def test_per_component_rows(runner, tmp_path, command):
+    path = tmp_path / "two.json"
+    path.write_text(dumps(LabeledDigraph(2, 12, tuple(
+        (v, (v + 2) % 12, 1) for v in range(12)) + ((11, 11, 2),))))
+    result = runner.invoke(main, [*command, str(path)])
+    assert result.exit_code == 0
+    assert json.loads(result.output)["per_component"] == TWO_PARTS[command[1]]
 
 
 def test_wcycles_count(runner, rose_file):
@@ -271,18 +308,21 @@ def test_verify_one_letter_alphabet(runner, tmp_path, suite, code):
     assert result.exit_code == code
 
 
-@pytest.mark.parametrize("out", ["{path}", "{path}/missing/ce.json", "", "{path}/newdir/"],
-                         ids=["directory", "no-parent", "empty", "no-file-name"])
+@pytest.mark.parametrize("out", ["{path}", "{path}/missing/ce.json", "", "{path}/newdir/",
+                                 "{path}/afile/ce.json"],
+                         ids=["directory", "no-parent", "empty", "no-file-name", "file-parent"])
 def test_verify_unwritable_out(runner, tmp_path, out):
     # rejected before the first trial, though a passing run writes nothing
     def verify(path):
         return runner.invoke(main, ["verify", "main", "--trials", "1", "--out", path])
 
+    afile = tmp_path / "afile"
+    afile.write_text("")
     result = verify(out.format(path=tmp_path))
     assert result.exit_code == 2
     assert result.output.count("\n") == 1 and "cannot write --out" in result.output
     assert verify(str(tmp_path / "ce.json")).exit_code == 0
-    assert list(tmp_path.iterdir()) == []
+    assert list(tmp_path.iterdir()) == [afile]
 
 
 def test_verify_bad_config(runner):

@@ -1,7 +1,7 @@
 import pytest
 
 from wordcycles import complexes
-from wordcycles.cycles import collapsed_hypothesis
+from wordcycles.cycles import check_strict_inequality
 from wordcycles.graphs import LabeledDigraph, betti, circle, rose
 from wordcycles.complexes import (
     CollapseResult,
@@ -100,7 +100,7 @@ DISCONNECTED = {  # function: (what it names, a call on TWO_LOOPS)
     "check_npi": ("graph", lambda: check_npi(TWO_LOOPS, w("ab"), [])),
     "check_multiword_inequality": ("graph", lambda: check_multiword_inequality(
         TWO_LOOPS, StaggeredPresentation(2, (w("ab"),), (1,)))),
-    "collapsed_hypothesis": ("graph", lambda: collapsed_hypothesis(TWO_LOOPS, w("ab"))),
+    "check_strict_inequality": ("graph", lambda: check_strict_inequality(TWO_LOOPS, w("ab"))),
 }
 
 

@@ -6,7 +6,6 @@ from wordcycles.cycles import (
     _trace,
     check_main_inequality,
     check_strict_inequality,
-    collapsed_hypothesis,
     decompose,
     oracle_counts,
 )
@@ -110,7 +109,7 @@ class TestMainInequality:
         word = w("ab")
         rep = check_main_inequality(circle(word), word)
         assert rep.passed
-        assert rep.per_component[0].equality
+        assert rep.component_classes == rep.betti_report.bettis == (1,)
 
     def test_rose_commutator(self):
         rep = check_main_inequality(rose(2), w("abAB"))
@@ -124,18 +123,21 @@ class TestMainInequality:
 
 
 class TestCollapsedHypothesis:
+    """Every edge crossed at least twice: the strict check's hypothesis."""
+
     def test_a_square_false(self):
-        holds, mult = collapsed_hypothesis(A_SQUARE, w("a"))
-        assert not holds
-        assert set(mult.values()) == {1}
+        assert decompose(A_SQUARE, w("a")).edge_multiplicity == {0: 1, 1: 1, 2: 1, 3: 1}
+        assert check_strict_inequality(A_SQUARE, w("a")).reasons == (
+            "some edge has traversal multiplicity < 2",)
 
     def test_rose_commutator_true(self):
-        holds, mult = collapsed_hypothesis(rose(2), w("abAB"))
-        assert holds
-        assert mult == {0: 2, 1: 2}
+        assert decompose(rose(2), w("abAB")).edge_multiplicity == {0: 2, 1: 2}
+        assert check_strict_inequality(rose(2), w("abAB")).reasons == ()
 
     def test_single_vertex_vacuous(self):
-        assert collapsed_hypothesis(LabeledDigraph(1, 1, ()), w("a"))[0]
+        # no edge to cross: only the single vertex excludes it
+        assert check_strict_inequality(LabeledDigraph(1, 1, ()), w("a")).reasons == (
+            "graph is a single vertex",)
 
 
 class TestStrictInequality:
@@ -148,11 +150,6 @@ class TestStrictInequality:
         rep = check_strict_inequality(LabeledDigraph(1, 1, ()), w("a"))
         assert not rep.applicable
         assert any("single vertex" in r for r in rep.reasons)
-
-    def test_disconnected_excluded(self):
-        g = LabeledDigraph(1, 2, ((0, 0, 1), (1, 1, 1)))
-        with pytest.raises(ValueError, match="check_strict_inequality: graph must be connected"):
-            check_strict_inequality(g, w("a"))
 
     def test_a_square_hypothesis_necessary(self):
         rep = check_strict_inequality(A_SQUARE, w("a"))

@@ -62,7 +62,7 @@ class TestCountsBuildNoLetterTable:
 
     def test_check_main_inequality(self, seed):
         g = random_inverse_automaton(CFG, seed)
-        check_main_inequality(g, random_simple_word(CFG, seed)).per_component
+        check_main_inequality(g, random_simple_word(CFG, seed))
         assert not built_table(g)
 
     def test_core(self, seed):

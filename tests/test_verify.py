@@ -20,7 +20,7 @@ def test_suite_runs_clean(name):
     report = run_suite(name, SMALL)
     assert report.suite == name
     assert report.failures == []
-    assert report.passes + report.failure_count + report.inconclusive == report.trials
+    assert report.passes + len(report.failures) + report.inconclusive == report.trials
 
 
 # [trials, passes, inconclusive, qualifying] at SMALL; a difference here is a
@@ -101,7 +101,7 @@ def test_different_seed_different_instances():
 def test_failure_payloads(monkeypatch, name):
     check, reports = plant_failing_check(monkeypatch, name)
     report = run_suite(name, SMALL)
-    assert report.passes + report.failure_count == report.trials == len(reports)
+    assert report.passes + len(report.failures) == report.trials == len(reports)
     applicable = [i for i, res in enumerate(reports) if getattr(res, "applicable", True)]
     assert [p["trial"] for p in report.failures] == applicable != []
     params = list(inspect.signature(check).parameters)
