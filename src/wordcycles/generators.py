@@ -79,11 +79,13 @@ def _below(rng: random.Random, n: int) -> int:
 def random_inverse_automaton(cfg: TrialConfig, seed_or_rng) -> LabeledDigraph:
     """Per label, a random partial injection on the vertices: a random
     permutation with each mapped pair kept with the configured density.
-    Deterministic by construction, so always a valid inverse automaton."""
+    Deterministic by construction, so always a valid inverse automaton, and
+    born with its slot rows: l and -l for each label on a kept edge, on
+    n + 1 slots (the last the sink's), as _load_rows would make them."""
     rng = _as_rng(seed_or_rng)
     getrandbits, random_, density = rng.getrandbits, rng.random, cfg.edge_density
     n = 1 + _below(rng, cfg.max_vertices)
-    edges = []
+    edges, rows = [], {}
     for l in range(1, cfg.alphabet + 1):
         targets = list(range(n))
         for i in range(n - 1, 0, -1):  # rng.shuffle(targets), inlined
@@ -91,8 +93,15 @@ def random_inverse_automaton(cfg: TrialConfig, seed_or_rng) -> LabeledDigraph:
             while (j := getrandbits(k)) > i:
                 pass
             targets[i], targets[j] = targets[j], targets[i]
-        edges += [(v, t, l) for v, t in enumerate(targets) if random_() < density]
-    return _built(LabeledDigraph, cfg.alphabet, n, tuple(edges), None)
+        out, into, kept = [-1] * (n + 1), [-1] * (n + 1), len(edges)
+        for v, t in enumerate(targets):
+            if random_() < density:
+                edges.append((v, t, l))
+                out[v], into[t] = t, v
+        if len(edges) > kept:
+            rows[l], rows[-l] = out, into
+    return _built(LabeledDigraph, cfg.alphabet, n, tuple(edges), None,
+                  successor=rows, deterministic=True)
 
 
 def random_connected_automaton(cfg: TrialConfig, seed_or_rng) -> LabeledDigraph:

@@ -2,8 +2,10 @@
 random instances and reports pass/fail counts with counterexample payloads.
 
 A suite is a draw function plus a ``SUITES`` entry naming its check.
-``draw(cfg, index, rng)`` returns one instance, drawn from rng (seeded by
-``trial_seed(cfg.master_seed, index)``), as the check's keyword arguments;
+``draw(cfg, index, rng)`` returns one instance, drawn from rng, as the
+check's keyword arguments; ``run_suite`` reseeds one rng before each draw
+with ``rng.seed(trial_seed(cfg.master_seed, index))``, which puts it on the
+stream a fresh ``random.Random`` of that seed gives, so draws share no state;
 the check's report has ``passed`` and, for a theorem with a hypothesis,
 ``applicable``.  Only ``run_suite`` writes a VerdictReport: a trial passes
 when its report passed or was not applicable, ``qualifying`` counts the
@@ -216,10 +218,11 @@ def run_suite(name: str, cfg: TrialConfig) -> VerdictReport:
     module, _, function = suite.check.partition(".")
     check = getattr(sys.modules[f"{__package__}.{module}"], function)
     report = VerdictReport(name, cfg.trials + suite.extra_trials, 0)
-    start = time.perf_counter()
+    rng, start = random.Random(), time.perf_counter()
     for i in range(report.trials):
         seed = trial_seed(cfg.master_seed, i)
-        instance = suite.draw(cfg, i, random.Random(seed))
+        rng.seed(seed)  # the stream of random.Random(seed), on one instance
+        instance = suite.draw(cfg, i, rng)
         res = check(**instance)
         applicable = getattr(res, "applicable", None)
         if res.passed or applicable is False:

@@ -8,8 +8,9 @@ and then looks in their instance dicts, where cached properties live.
 A builder that proves part of its graph's index hands it over, and the
 graph never derives it from its edges: Stallings graphs, intersections
 and canonical forms are born connected and deterministic, a component
-knows its Betti number, and a fold hands over its rows.  Those cases count
-the calls of the union-find (_partition's function) and of _load_rows.
+knows its Betti number, and a fold and a drawn automaton hand over their
+rows.  Those cases count the calls of the union-find (_partition's
+function) and of _load_rows.
 """
 
 import random
@@ -22,13 +23,14 @@ from wordcycles import graphs
 from wordcycles.cycles import check_main_inequality, decompose
 from wordcycles.generators import (
     TrialConfig,
+    random_connected_automaton,
     random_inverse_automaton,
     random_permutation_automaton,
     random_simple_word,
     random_subgroup,
 )
 from wordcycles.graphs import (LabeledDigraph, betti, canonical_form, component_containing,
-                               core, fold)
+                               core, fold, is_connected)
 from wordcycles.subgroups import (check_shnc, contains, count_conjugates_meeting, intersect,
                                   rank, stallings_graph)
 from wordcycles.verify import SUITES
@@ -124,6 +126,13 @@ def tangle(seed: int) -> LabeledDigraph:
     return LabeledDigraph(2, 12, edges, rng.randrange(12))
 
 
+def connected_draw_seed(seed: int) -> int:
+    """The first seed from 100 * seed on whose automaton draw is connected,
+    so that random_connected_automaton returns the draw itself."""
+    return next(s for s in range(100 * seed, 100 * seed + 100)
+                if is_connected(random_inverse_automaton(CFG, s)))
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 class TestBuildersHandOverTheirIndex:
     def test_rank_of_a_stallings_graph(self, seed, derived):
@@ -157,3 +166,23 @@ class TestBuildersHandOverTheirIndex:
         g = tangle(seed)
         canonical_form(fold(component_containing(g, g.basepoint)))
         assert derived["_load_rows"] == 1  # fold's input's
+
+    def test_check_main_inequality_of_a_draw(self, seed, derived):
+        g = random_inverse_automaton(CFG, seed)
+        check_main_inequality(g, random_simple_word(CFG, seed))
+        assert derived["_load_rows"] == 0
+
+    def test_check_main_inequality_of_a_connected_draw(self, seed, derived):
+        s = connected_draw_seed(seed)
+        g = random_connected_automaton(CFG, s)
+        assert g.num_vertices == random_inverse_automaton(CFG, s).num_vertices
+        derived.clear()
+        check_main_inequality(g, random_simple_word(CFG, seed))
+        assert derived["_load_rows"] == 0
+
+
+def test_draw_with_no_edge(derived):
+    g = random_inverse_automaton(TrialConfig(edge_density=0.0), 5)
+    assert g.edges == ()
+    assert g.successor == {} and g.deterministic
+    assert derived["_load_rows"] == 0

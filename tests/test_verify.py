@@ -119,15 +119,18 @@ def test_failure_payloads(monkeypatch, name):
 
 @pytest.mark.parametrize("name", sorted(SUITES))
 def test_payload_replays_its_trial(monkeypatch, name):
-    # the payload alone, through JSON, redraws the instance it records
+    # each payload alone, through JSON, redraws the instance it records,
+    # so no trial's draw depends on the trials run before it
     check, _ = plant_failing_check(monkeypatch, name)
     report = run_suite(name, SMALL)
-    p = json.loads(json.dumps(report.failures[-1]))
-    instance = SUITES[p["suite"]].draw(TrialConfig(**p["config"]), p["trial"],
-                                       random.Random(p["trial_seed"]))
-    assert set(instance) == set(inspect.signature(check).parameters)
-    encoded = json.loads(json.dumps({k: _encode(v) for k, v in instance.items()}))
-    assert encoded == {k: p[k] for k in instance}
+    assert report.failures
+    for failure in report.failures:
+        p = json.loads(json.dumps(failure))
+        instance = SUITES[p["suite"]].draw(TrialConfig(**p["config"]), p["trial"],
+                                           random.Random(p["trial_seed"]))
+        assert set(instance) == set(inspect.signature(check).parameters)
+        encoded = json.loads(json.dumps({k: _encode(v) for k, v in instance.items()}))
+        assert encoded == {k: p[k] for k in instance}, p["trial"]
 
 
 def test_one_trial_seed_per_trial(monkeypatch):
