@@ -21,7 +21,7 @@ from .graphs import (
     walk,
 )
 from .cycles import decompose
-from .words import Word, format_word, free_reduce, invert, require_simple_cyclic
+from .words import Word, format_word, free_reduce, invert, is_reduced, require_simple_cyclic
 
 
 @dataclass(frozen=True)
@@ -44,21 +44,26 @@ class SubgroupGraph:
 
 
 def _read(loops: list[Word], labels: set[int]):
-    """Read each freely reduced loop in at base vertex 0 on slot rows
-    (_load_rows, with room for the new vertices, and rows for the labels,
-    which hold the loops' letters): rows[x][v] is where letter x leads from
-    v, or -1, the graph's only record of its edges.  Returns (rows, n,
-    pending): n counts the vertices, and pending holds the vertex pairs
-    that clashes force together.  Each loop is walked forwards from the
-    base and backwards into it, so only the unread middle is new; the two
-    vertices where the walks meet, or the far ends of the middle's first
-    and last edges where both leave one vertex by the same letter, are
-    pending.  The middle only creates: the forward walk stopped at an empty
-    slot, and a new vertex has only its back slot filled, which the reduced
-    loop never reads next.  The callers check the letters first, with
+    """Read each freely reduced loop in at base vertex 0 on slot rows, with
+    room for the new vertices and rows l and -l for each of the labels,
+    which hold the loops' letters, in _load_rows's key order but in a table
+    of 16 slots or more: rows[x][v] is where letter x leads from v, or -1,
+    the graph's only record of its edges.  Returns (rows, n, pending): n
+    counts the vertices, and pending holds the vertex pairs that clashes
+    force together.  Each loop is walked forwards from the base and
+    backwards into it, so only the unread middle is new; the two vertices
+    where the walks meet, or the far ends of the middle's first and last
+    edges where both leave one vertex by the same letter, are pending.  The
+    middle only creates: the forward walk stopped at an empty slot, and a
+    new vertex has only its back slot filled, which the reduced loop never
+    reads next.  The callers check the letters first, with
     _require_letters, which returns the labels."""
-    n = 1
-    rows, pending = _load_rows((), n + sum(map(len, loops)), labels)
+    n, size = 1, 1 + sum(map(len, loops))
+    rows, pending = dict.fromkeys(range(6)), []
+    for x in range(6):  # in 8 slots, hash(-1) == hash(-2) puts -2 13 probes deep
+        del rows[x]
+    for l in set(labels):
+        rows[l], rows[-l] = [-1] * size, [-1] * size
     for w in loops:
         v, i, u, j = 0, 0, 0, len(w)
         while i < j and (t := rows[w[i]][v]) >= 0:  # forwards: w[:i] reads to v
@@ -103,16 +108,14 @@ def stallings_graph(gens: list[Word], alphabet: int) -> SubgroupGraph:
         raise ValueError("alphabet must be nonempty")
     labels = _require_letters(gens, alphabet)
     reduced = []
-    for w in gens:
-        r = free_reduce(w)
-        if r != tuple(w):
-            warnings.warn(
-                f"generator {format_word(tuple(w))} was not freely reduced; "
-                f"using {format_word(r) or '(empty)'}",
-                stacklevel=2,
-            )
-        if r:
-            reduced.append(r)
+    for w in map(tuple, gens):
+        if not is_reduced(w):  # _require_letters has rejected zero letters
+            r = free_reduce(w)
+            warnings.warn(f"generator {format_word(w)} was not freely reduced; "
+                          f"using {format_word(r) or '(empty)'}", stacklevel=2)
+            w = r
+        if w:
+            reduced.append(w)
     rows, n, pending = _read(reduced, labels)
     if pending:  # the base stays 0: classes are numbered by their least vertices
         n, rows, _, _ = _fold_clashes(rows, n, pending)

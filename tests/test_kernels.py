@@ -29,8 +29,10 @@ class roots, is checked against the rows the checked graph on those edges
 derives and the classes of the rescanning fold.
 """
 
+import platform
 import random
 import re
+import sys
 import tracemalloc
 from collections import Counter, deque
 from dataclasses import replace
@@ -67,8 +69,8 @@ from wordcycles.graphs import (
     walk,
     wedge_of_words,
 )
-from wordcycles.subgroups import (SubgroupGraph, _read, conjugate, contains, intersect,
-                                  stallings_graph)
+from wordcycles.subgroups import (SubgroupGraph, _read, _require_letters, conjugate,
+                                  contains, intersect, stallings_graph)
 from wordcycles.words import (cyclic_reduce, free_reduce, invert, is_simple,
                               parse_word, primitive_root, require_simple_cyclic)
 
@@ -801,6 +803,34 @@ class TestStallingsAgainstWedgeFold:
         assert pending == []
         assert g == LabeledDigraph(10**6, 3, ((0, 1, 1), (0, 2, 2), (1, 0, 2), (2, 0, 1)), 0)
         assert peak < 1 << 20
+
+
+@pytest.mark.skipif(platform.python_implementation() != "CPython",
+                    reason="the hash collision and dict sizes are CPython's")
+class TestReadTableAgainstLoader:
+    """CPython hashes -1 and -2 alike, so in an 8-slot dict a lookup of -2
+    walks 13 probes.  _read keeps its rows in a larger table, with the keys,
+    key order and rows that _load_rows gives for no edges."""
+
+    def test_table_is_larger_than_a_plain_dict(self):
+        rows, *_ = _read([], {1, 2})
+        assert sys.getsizeof(rows) > sys.getsizeof({1: 0, -1: 0, 2: 0, -2: 0})
+
+    @pytest.mark.parametrize("loops", [
+        [(1, 2)],
+        [(2, 1, 2), (1,)],
+        [(3, 195, 6, 10, 22)],  # this label set iterates in another order than its copy
+    ])
+    def test_keys_key_order_and_rows(self, loops):
+        labels = _require_letters(loops, 195)
+        size = 1 + sum(map(len, loops))
+        rows, *_ = _read([], labels)
+        want, _ = _load_rows((), 1, labels)
+        assert list(rows.items()) == list(want.items())
+        rows, *_ = _read(loops, labels)
+        want, _ = _load_rows((), size, labels)
+        assert list(rows) == list(want)
+        assert [len(row) for row in rows.values()] == [size] * len(want)
 
 
 def assert_finish_matches(before, rows, pending, getrandbits=None):

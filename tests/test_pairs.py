@@ -133,6 +133,31 @@ def test_format_entry_matches_the_bench_files(name):
 def test_parse_seeds():
     assert pairs.parse_seeds("501-503") == [501, 502, 503]
     assert pairs.parse_seeds("7") == [7]
+    assert pairs.parse_seeds("7-7") == [7]
+
+
+@pytest.mark.parametrize("text", ["510-501", "", "a", "5-", "-5", "1-2-3", "1 - 3"])
+def test_parse_seeds_rejects_empty_or_malformed_ranges(text):
+    with pytest.raises(ValueError):
+        pairs.parse_seeds(text)
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--workload", "verify-acceptance", "--seeds", "510-501"], "range 510-501 is empty"),
+    (["--workload", "verify-acceptance", "--seeds", "501-"], "is not a seed or a range"),
+    (["--workload", "no-such-workload", "--seeds", "501-510"], "invalid choice"),
+])
+def test_bad_arguments_stop_before_any_export(monkeypatch, capsys, args, message):
+    def never(*_):
+        raise AssertionError("a side was exported")
+
+    monkeypatch.setattr(pairs, "export", never)
+    monkeypatch.setattr(pairs, "copy_checkout", never)
+    monkeypatch.setattr(pairs, "run_once", never)
+    with pytest.raises(SystemExit) as exited:
+        pairs.main(["--parent", "HEAD", "--seconds", "1", *args])
+    assert exited.value.code == 2  # argparse's usage error
+    assert message in capsys.readouterr().err
 
 
 class TestIncorrectRun:

@@ -49,11 +49,32 @@ class TestStallingsGraph:
             h = stallings_graph([w("abBa")], 2)
         assert rank(h) == 1
 
+    @pytest.mark.parametrize("gens, messages, want", [
+        (["abB"], ["generator abB was not freely reduced; using a"], ["a"]),
+        (["aA", "b"], ["generator aA was not freely reduced; using (empty)"], ["b"]),
+        (["aA"], ["generator aA was not freely reduced; using (empty)"], []),
+        (["ab", "BbA", "abBA"], ["generator BbA was not freely reduced; using A",
+                                 "generator abBA was not freely reduced; using (empty)"],
+         ["ab", "A"]),
+    ])
+    @pytest.mark.parametrize("kind", [tuple, list])
+    def test_unreduced_generator_warnings(self, gens, messages, want, kind):
+        # one warning per unreduced generator, at the caller's line; an
+        # empty reduction drops its generator, and a list reads as its tuple
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            h = stallings_graph([kind(w(t)) for t in gens], 2)
+        assert [str(c.message) for c in caught] == messages
+        assert {c.category for c in caught} <= {UserWarning}
+        assert {c.filename for c in caught} <= {__file__}
+        assert h == stallings_graph([w(t) for t in want], 2)
+
     def test_zero_letter_rejected_before_any_warning(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # a warning would raise in place of the error
-            with pytest.raises(ValueError, match="letters must be nonzero"):
-                stallings_graph([(1, 1, -1), (0,)], 2)
+            for gens in [(1, 1, -1), (0,)], [[2, -2], [1, 0, -1]]:
+                with pytest.raises(ValueError, match="letters must be nonzero"):
+                    stallings_graph(gens, 2)
 
     def test_empty_alphabet_rejected(self):
         with pytest.raises(ValueError):

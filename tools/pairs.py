@@ -30,6 +30,7 @@ import argparse
 import io
 import json
 import os
+import re
 import shutil
 import statistics
 import subprocess
@@ -150,15 +151,28 @@ def format_entry(entry: dict) -> str:
     return "    {\n" + ",\n".join(fields) + "\n    }"
 
 
+def workloads(root: Path = ROOT) -> list[str]:
+    """The names of the workloads BENCHMARK.json declares."""
+    spec = json.loads((root / "BENCHMARK.json").read_text())
+    return [w["name"] for w in spec["workloads"]]
+
+
 def parse_seeds(text: str) -> list[int]:
-    first, _, last = text.partition("-")
-    return list(range(int(first), int(last or first) + 1))
+    """The seeds of an inclusive range first-last, or of one seed; a
+    ValueError for other text or an empty range."""
+    match = re.fullmatch(r"(\d+)(?:-(\d+))?", text)
+    if match is None:
+        raise ValueError(f"{text!r} is not a seed or a range first-last")
+    first, last = int(match[1]), int(match[2] or match[1])
+    if last < first:
+        raise ValueError(f"range {text} is empty")
+    return list(range(first, last + 1))
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="parent revision")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", required=True, choices=workloads())
     parser.add_argument("--seeds", required=True, help="inclusive range, e.g. 501-510")
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--claim", help="the metric the change claims to improve")
@@ -167,7 +181,10 @@ def main(argv=None) -> int:
     better = end_to_end()
     if args.claim is not None and args.claim not in better:
         parser.error(f"--claim must be one of {', '.join(better)}")
-    seeds = parse_seeds(args.seeds)
+    try:
+        seeds = parse_seeds(args.seeds)
+    except ValueError as e:
+        parser.error(f"--seeds: {e}")
     runs, first_stamp = [], None
     with tempfile.TemporaryDirectory() as tmp:
         sides = {side: Path(tmp) / side for side in ("parent", "change")}
