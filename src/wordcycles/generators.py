@@ -1,12 +1,12 @@
 """Seeded random instances: inverse automata, simple words, subgroups,
 staggered presentations.
 
-Every generator is a deterministic function of its seed.  Trial seeds are
-derived from (master seed, trial index) with a stable hash so that suites
-can fan out without changing results.  The hash is BLAKE2b, taken from the
-builtin _blake2 module: hashlib.blake2b is that same function, but importing
-hashlib also maps OpenSSL's libcrypto (about 3.5 MB of resident memory),
-which nothing here uses.
+A draw is a function of the rng state it is handed, so random.Random(seed)
+replays it.  Trial seeds are derived from (master seed, trial index) with a
+stable hash so that suites can fan out without changing results.  The hash
+is BLAKE2b, from the builtin _blake2 module: hashlib.blake2b is that same
+function, but importing hashlib also maps OpenSSL's libcrypto (about 3.5 MB
+of resident memory), which nothing here uses.
 
 Stream contract: draws are defined on rng.getrandbits and rng.random, so
 instances do not depend on how the stdlib implements shuffle or choice.  An
@@ -62,12 +62,6 @@ def trial_seed(master_seed: int, index: int) -> int:
     return int.from_bytes(digest, "big")
 
 
-def _as_rng(seed_or_rng) -> random.Random:
-    if isinstance(seed_or_rng, random.Random):
-        return seed_or_rng
-    return random.Random(seed_or_rng)
-
-
 def _below(rng: random.Random, n: int) -> int:
     """rng.randrange(n) for n >= 1, drawn from the same getrandbits calls."""
     k = n.bit_length()
@@ -76,13 +70,12 @@ def _below(rng: random.Random, n: int) -> int:
     return r
 
 
-def random_inverse_automaton(cfg: TrialConfig, seed_or_rng) -> LabeledDigraph:
+def random_inverse_automaton(cfg: TrialConfig, rng: random.Random) -> LabeledDigraph:
     """Per label, a random partial injection on the vertices: a random
     permutation with each mapped pair kept with the configured density.
     Deterministic by construction, so always a valid inverse automaton, and
     born with its slot rows: l and -l for each label on a kept edge, on
     n + 1 slots (the last the sink's), as _load_rows would make them."""
-    rng = _as_rng(seed_or_rng)
     getrandbits, random_, density = rng.getrandbits, rng.random, cfg.edge_density
     n = 1 + _below(rng, cfg.max_vertices)
     edges, rows = [], {}
@@ -104,17 +97,16 @@ def random_inverse_automaton(cfg: TrialConfig, seed_or_rng) -> LabeledDigraph:
                   successor=rows, deterministic=True)
 
 
-def random_connected_automaton(cfg: TrialConfig, seed_or_rng) -> LabeledDigraph:
+def random_connected_automaton(cfg: TrialConfig, rng: random.Random) -> LabeledDigraph:
     """The component of a random automaton containing a random vertex."""
-    rng = _as_rng(seed_or_rng)
     g = random_inverse_automaton(cfg, rng)
     return component_containing(g, _below(rng, g.num_vertices))
 
 
-def random_permutation_automaton(cfg: TrialConfig, seed_or_rng) -> LabeledDigraph:
+def random_permutation_automaton(cfg: TrialConfig, rng: random.Random) -> LabeledDigraph:
     """Full permutations for every label (a cover of the rose), connected
     component taken.  Every word traces from every vertex."""
-    return random_connected_automaton(replace(cfg, edge_density=1.0), seed_or_rng)
+    return random_connected_automaton(replace(cfg, edge_density=1.0), rng)
 
 
 def random_reduced_word(cfg: TrialConfig, rng: random.Random, length: int) -> Word:
@@ -142,10 +134,9 @@ def _reduced_word(rng: random.Random, first: list[int], length: int) -> Word:
     return tuple(letters)
 
 
-def random_simple_word(cfg: TrialConfig, seed_or_rng) -> Word:
+def random_simple_word(cfg: TrialConfig, rng: random.Random) -> Word:
     """Random reduced word, re-rolled until cyclically reduced and primitive.
     Over one letter only a and A qualify, so the length is then 1."""
-    rng = _as_rng(seed_or_rng)
     length = 1 + _below(rng, cfg.max_word_length)
     if cfg.alphabet == 1:
         length = 1
@@ -156,14 +147,13 @@ def random_simple_word(cfg: TrialConfig, seed_or_rng) -> Word:
             return w
 
 
-def random_repeating_word(cfg: TrialConfig, seed_or_rng) -> Word:
+def random_repeating_word(cfg: TrialConfig, rng: random.Random) -> Word:
     """Simple cyclically reduced word in which every generator of the
     alphabet occurs at least twice (either sign); feeds the suites whose
     hypotheses need every edge traversed repeatedly.  Over one letter no
     such word exists, so that raises ValueError."""
     if cfg.alphabet < 2:
         raise ValueError("a simple word using every letter twice needs alphabet >= 2")
-    rng = _as_rng(seed_or_rng)
     length = max(cfg.max_word_length, 2 * cfg.alphabet + 1)
     first = [x for l in range(1, cfg.alphabet + 1) for x in (l, -l)]
     while True:  # w is reduced, and length >= 5
@@ -173,20 +163,17 @@ def random_repeating_word(cfg: TrialConfig, seed_or_rng) -> Word:
             return w
 
 
-def random_subgroup(cfg: TrialConfig, seed_or_rng) -> SubgroupGraph:
-    rng = _as_rng(seed_or_rng)
+def random_subgroup(cfg: TrialConfig, rng: random.Random) -> SubgroupGraph:
     k = 1 + _below(rng, MAX_GENERATORS)
     gens = [random_simple_word(cfg, rng) for _ in range(k)]
     return stallings_graph(gens, cfg.alphabet)
 
 
-def random_staggered_presentation(
-    cfg: TrialConfig, seed_or_rng, num_relators: int
-) -> StaggeredPresentation:
+def random_staggered_presentation(cfg: TrialConfig, rng: random.Random,
+                                  num_relators: int) -> StaggeredPresentation:
     """Relator i draws from the letter window {i+1, i+2} and must use both,
     so the ordered mins and maxes increase strictly: staggered by
     construction.  All letters ordered."""
-    rng = _as_rng(seed_or_rng)
     alphabet = max(cfg.alphabet, num_relators + 1)
     relators = []
     for i in range(num_relators):

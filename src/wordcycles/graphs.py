@@ -479,21 +479,13 @@ def isomorphic(g1: LabeledDigraph, g2: LabeledDigraph) -> bool:
 
 def rose(alphabet: int) -> LabeledDigraph:
     """One vertex with one loop per generator; the fiber-product identity."""
-    return LabeledDigraph(
-        alphabet, 1, tuple((0, 0, l) for l in range(1, alphabet + 1)), 0
-    )
+    return wedge_of_words([(l,) for l in range(1, alphabet + 1)], alphabet)
 
 
 def circle(w: Word, alphabet: int | None = None) -> LabeledDigraph:
     """The cycle of length |w| reading w once around, based at its start."""
     require_cyclic(w)
-    n = len(w)
-    edges = []
-    for i, x in enumerate(w):
-        j = (i + 1) % n
-        edges.append((i, j, x) if x > 0 else ((j, i, -x)))
-    alphabet = max(abs(x) for x in w) if alphabet is None else alphabet
-    return LabeledDigraph(alphabet, n, tuple(edges), 0)
+    return wedge_of_words([w], max(map(abs, w)) if alphabet is None else alphabet)
 
 
 def wedge_of_words(words: list[Word], alphabet: int) -> LabeledDigraph:

@@ -162,6 +162,9 @@ def draw_conjugate_intersection(cfg, index, rng):
     conjugate intersection."""
     if cfg.alphabet < 2:
         raise ValueError("conjugate-intersection suite needs alphabet >= 2")
+    if cfg.alphabet >= 4 and cfg.max_word_length < 2:  # length 1 reaches 1 + 2(k - r) cosets
+        raise ValueError("conjugate-intersection suite needs max_word_length >= 2 "
+                         "when alphabet >= 4")
     r = rng.randint(1, cfg.alphabet - 1)
     letters = rng.sample(range(1, cfg.alphabet + 1), r)
     h = subgroups.stallings_graph([(l,) for l in letters], cfg.alphabet)

@@ -103,10 +103,10 @@ def test_generators(sites):
     @settings(max_examples=60, deadline=None)
     @given(configs(), SEEDS)
     def run(cfg, seed):
-        random_inverse_automaton(cfg, seed)
-        random_connected_automaton(cfg, seed)
-        random_permutation_automaton(cfg, seed)
-        random_subgroup(cfg, seed)
+        random_inverse_automaton(cfg, random.Random(seed))
+        random_connected_automaton(cfg, random.Random(seed))
+        random_permutation_automaton(cfg, random.Random(seed))
+        random_subgroup(cfg, random.Random(seed))
 
     run()
     assert {"random_inverse_automaton", "component_containing", "stallings_graph",
@@ -121,9 +121,9 @@ def test_graph_builders(sites):
         core(h)
         component_containing(g, data.draw(st.integers(0, g.num_vertices - 1)))
         other = random_inverse_automaton(
-            TrialConfig(max_vertices=6, alphabet=g.alphabet), seed)
+            TrialConfig(max_vertices=6, alphabet=g.alphabet), random.Random(seed))
         fiber_product(h, other)
-        connected = random_connected_automaton(cfg, seed)
+        connected = random_connected_automaton(cfg, random.Random(seed))
         canonical_form(connected)
         vertex = data.draw(st.integers(0, connected.num_vertices - 1))
         canonical_form(LabeledDigraph(connected.alphabet, connected.num_vertices,

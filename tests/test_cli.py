@@ -511,6 +511,10 @@ ONE_LINE_FAILURES = {
                "Error: trials must be a positive integer"),
     "suite-config": (["verify", "conjugate-intersection", "--alphabet", "1"], {},
                      "Error: conjugate-intersection suite needs alphabet >= 2"),
+    "suite-config-length": (["verify", "conjugate-intersection", "--alphabet", "4",
+                             "--max-word-length", "1"], {},
+                            "Error: conjugate-intersection suite needs max_word_length >= 2 "
+                            "when alphabet >= 4"),
     "out": (["verify", "main", "--out", "{path}"], {},
             "Error: cannot write --out {path}: not a writable file path"),
 }

@@ -216,42 +216,44 @@ class TestRandomAutomaton:
     def test_always_valid(self):
         cfg = TrialConfig(max_vertices=15, alphabet=3, edge_density=0.8)
         for seed in range(50):
-            assert validate(random_inverse_automaton(cfg, seed)) == []
+            assert validate(random_inverse_automaton(cfg, random.Random(seed))) == []
 
     def test_same_seed_same_graph(self):
         cfg = TrialConfig()
-        assert random_inverse_automaton(cfg, 5) == random_inverse_automaton(cfg, 5)
+        assert (random_inverse_automaton(cfg, random.Random(5))
+                == random_inverse_automaton(cfg, random.Random(5)))
 
     def test_zero_density_edgeless(self):
         cfg = TrialConfig(edge_density=0.0)
-        assert random_inverse_automaton(cfg, 1).edges == ()
+        assert random_inverse_automaton(cfg, random.Random(1)).edges == ()
 
 
 class TestRandomWord:
     def test_contract(self):
         cfg = TrialConfig(alphabet=2, max_word_length=10)
         for seed in range(50):
-            w = random_simple_word(cfg, seed)
+            w = random_simple_word(cfg, random.Random(seed))
             assert w and is_cyclically_reduced(w) and is_simple(w)
 
     def test_same_seed_same_word(self):
         cfg = TrialConfig()
-        assert random_simple_word(cfg, 9) == random_simple_word(cfg, 9)
+        assert (random_simple_word(cfg, random.Random(9))
+                == random_simple_word(cfg, random.Random(9)))
 
     def test_length_one_alphabet_one(self):
         for max_word_length in (1, 5):
             cfg = TrialConfig(alphabet=1, max_word_length=max_word_length)
             for seed in range(20):
-                assert random_simple_word(cfg, seed) in [(1,), (-1,)]
+                assert random_simple_word(cfg, random.Random(seed)) in [(1,), (-1,)]
 
     def test_repeating_word_needs_two_letters(self):
         with pytest.raises(ValueError, match="alphabet >= 2"):
-            random_repeating_word(TrialConfig(alphabet=1), 0)
+            random_repeating_word(TrialConfig(alphabet=1), random.Random(0))
 
     def test_repeating_word_covers_alphabet(self):
         cfg = TrialConfig(alphabet=2, max_word_length=8)
         for seed in range(20):
-            w = random_repeating_word(cfg, seed)
+            w = random_repeating_word(cfg, random.Random(seed))
             for l in (1, 2):
                 assert sum(1 for x in w if abs(x) == l) >= 2
 
@@ -296,7 +298,7 @@ class TestRandomSubgroup:
     def test_connected_based(self):
         cfg = TrialConfig(alphabet=2, max_word_length=6)
         for seed in range(20):
-            h = random_subgroup(cfg, seed)
+            h = random_subgroup(cfg, random.Random(seed))
             assert h.graph.basepoint is not None
             assert validate(h.graph) == []
 

@@ -1,7 +1,9 @@
 import json
+import random
 
 import pytest
 
+from wordcycles.generators import TrialConfig, random_simple_word
 from wordcycles.graphs import (
     LabeledDigraph,
     betti,
@@ -145,6 +147,31 @@ class TestZeroLetter:
         g = circle(parse_word("ab"))
         assert walk(g, 0, iter(parse_word("ab"))) == 0
         assert walk(g, 0, iter(parse_word("a"))) == 1
+
+
+class TestBouquets:
+    """circle and rose against their explicit edge lists: edge i of the
+    circle reads letter i of w from vertex i, and the rose is one loop per
+    letter at vertex 0."""
+
+    @pytest.mark.parametrize("alphabet", [1, 2, 3])
+    def test_circle_edges(self, alphabet):
+        cfg = TrialConfig(alphabet=alphabet, max_word_length=7)
+        for seed in range(60):
+            w = random_simple_word(cfg, random.Random(seed))
+            n = len(w)
+            edges = tuple((i, (i + 1) % n, x) if x > 0 else ((i + 1) % n, i, -x)
+                          for i, x in enumerate(w))
+            for given in (None, alphabet, alphabet + 1):
+                g = circle(w, given)
+                assert (g.edges, g.num_vertices, g.basepoint) == (edges, n, 0)
+                assert g.alphabet == (max(map(abs, w)) if given is None else given)
+
+    @pytest.mark.parametrize("alphabet", range(6))
+    def test_rose_edges(self, alphabet):
+        g = rose(alphabet)
+        assert g.edges == tuple((0, 0, l) for l in range(1, alphabet + 1))
+        assert (g.alphabet, g.num_vertices, g.basepoint) == (alphabet, 1, 0)
 
 
 class TestWalk:

@@ -1297,7 +1297,8 @@ class TestDecomposeAgainstWitnessPaths:
     @given(st.integers(0, 2**32), st.integers(1, 12), simple_words_from([1, 2]))
     def test_permutation_covers(self, seed, n, w):
         # every word traces from every vertex, so every vertex is on a cycle
-        g = random_permutation_automaton(TrialConfig(max_vertices=n, alphabet=2), seed)
+        g = random_permutation_automaton(TrialConfig(max_vertices=n, alphabet=2),
+                                         random.Random(seed))
         assert_decompose_matches(g, w)
         assert sum(c.period for c in decompose(g, w).classes) == g.num_vertices
 

@@ -44,31 +44,31 @@ def built_table(*graphs: LabeledDigraph) -> bool:
 
 
 def based_cover(seed: int) -> LabeledDigraph:
-    g = random_permutation_automaton(CFG, seed)
+    g = random_permutation_automaton(CFG, random.Random(seed))
     return LabeledDigraph(g.alphabet, g.num_vertices, g.edges, 0)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 class TestCountsBuildNoLetterTable:
     def test_decompose_class_count(self, seed):
-        g = random_permutation_automaton(CFG, seed)  # every vertex on a cycle
-        dec = decompose(g, random_simple_word(CFG, seed))
+        g = random_permutation_automaton(CFG, random.Random(seed))  # every vertex on a cycle
+        dec = decompose(g, random_simple_word(CFG, random.Random(seed)))
         assert dec.class_count > 0
         assert not built_table(g)
 
     def test_class_paths_do_build_it(self, seed):
         # the positive control: reading edge paths builds the index
-        g = random_permutation_automaton(CFG, seed)
-        decompose(g, random_simple_word(CFG, seed)).classes
+        g = random_permutation_automaton(CFG, random.Random(seed))
+        decompose(g, random_simple_word(CFG, random.Random(seed))).classes
         assert built_table(g)
 
     def test_check_main_inequality(self, seed):
-        g = random_inverse_automaton(CFG, seed)
-        check_main_inequality(g, random_simple_word(CFG, seed))
+        g = random_inverse_automaton(CFG, random.Random(seed))
+        check_main_inequality(g, random_simple_word(CFG, random.Random(seed)))
         assert not built_table(g)
 
     def test_core(self, seed):
-        g = random_inverse_automaton(CFG, seed)  # partial: spurs to remove
+        g = random_inverse_automaton(CFG, random.Random(seed))  # partial: spurs to remove
         g = LabeledDigraph(g.alphabet, g.num_vertices, g.edges, 0)
         cover = based_cover(seed)  # no spur: core returns it
         assert not built_table(g, core(g), cover, core(cover))
@@ -79,18 +79,19 @@ class TestCountsBuildNoLetterTable:
         assert not built_table(g, canonical_form(g), unbased, canonical_form(unbased))
 
     def test_intersect(self, seed):
-        h1, h2 = random_subgroup(CFG, seed), random_subgroup(CFG, seed + 100)
+        h1 = random_subgroup(CFG, random.Random(seed))
+        h2 = random_subgroup(CFG, random.Random(seed + 100))
         assert not built_table(h1.graph, h2.graph, intersect(h1, h2).graph)
 
     def test_contains(self, seed):
-        h = random_subgroup(CFG, seed)
+        h = random_subgroup(CFG, random.Random(seed))
         for w in [(), (1,), (1, -2), (2, 2, -1), (3,)]:
             contains(h, w)
         assert not built_table(h.graph)
 
     def test_count_conjugates_meeting(self, seed):
-        h = random_subgroup(CFG, seed)
-        count_conjugates_meeting(h, random_simple_word(CFG, seed))
+        h = random_subgroup(CFG, random.Random(seed))
+        count_conjugates_meeting(h, random_simple_word(CFG, random.Random(seed)))
         assert not built_table(h.graph)
 
 
@@ -130,7 +131,7 @@ def connected_draw_seed(seed: int) -> int:
     """The first seed from 100 * seed on whose automaton draw is connected,
     so that random_connected_automaton returns the draw itself."""
     return next(s for s in range(100 * seed, 100 * seed + 100)
-                if is_connected(random_inverse_automaton(CFG, s)))
+                if is_connected(random_inverse_automaton(CFG, random.Random(s))))
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -143,13 +144,15 @@ class TestBuildersHandOverTheirIndex:
         assert derived["union-find"] == 0
 
     def test_betti_of_an_intersection(self, seed, derived):
-        h = intersect(random_subgroup(CFG, seed), random_subgroup(CFG, seed + 100))
+        h = intersect(random_subgroup(CFG, random.Random(seed)),
+                      random_subgroup(CFG, random.Random(seed + 100)))
         derived.clear()
         betti(h.graph)
         assert derived["union-find"] == 0
 
     def test_shnc_factor_ranks(self, seed, derived):
-        h1, h2 = random_subgroup(CFG, seed), random_subgroup(CFG, seed + 100)
+        h1 = random_subgroup(CFG, random.Random(seed))
+        h2 = random_subgroup(CFG, random.Random(seed + 100))
         derived.clear()
         check_shnc(h1, h2)
         assert derived["union-find"] == 1  # the fiber product's own
@@ -168,21 +171,21 @@ class TestBuildersHandOverTheirIndex:
         assert derived["_load_rows"] == 1  # fold's input's
 
     def test_check_main_inequality_of_a_draw(self, seed, derived):
-        g = random_inverse_automaton(CFG, seed)
-        check_main_inequality(g, random_simple_word(CFG, seed))
+        g = random_inverse_automaton(CFG, random.Random(seed))
+        check_main_inequality(g, random_simple_word(CFG, random.Random(seed)))
         assert derived["_load_rows"] == 0
 
     def test_check_main_inequality_of_a_connected_draw(self, seed, derived):
         s = connected_draw_seed(seed)
-        g = random_connected_automaton(CFG, s)
-        assert g.num_vertices == random_inverse_automaton(CFG, s).num_vertices
+        g = random_connected_automaton(CFG, random.Random(s))
+        assert g.num_vertices == random_inverse_automaton(CFG, random.Random(s)).num_vertices
         derived.clear()
-        check_main_inequality(g, random_simple_word(CFG, seed))
+        check_main_inequality(g, random_simple_word(CFG, random.Random(seed)))
         assert derived["_load_rows"] == 0
 
 
 def test_draw_with_no_edge(derived):
-    g = random_inverse_automaton(TrialConfig(edge_density=0.0), 5)
+    g = random_inverse_automaton(TrialConfig(edge_density=0.0), random.Random(5))
     assert g.edges == ()
     assert g.successor == {} and g.deterministic
     assert derived["_load_rows"] == 0

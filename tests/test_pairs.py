@@ -146,6 +146,12 @@ def test_parse_seeds_rejects_empty_or_malformed_ranges(text):
     (["--workload", "verify-acceptance", "--seeds", "510-501"], "range 510-501 is empty"),
     (["--workload", "verify-acceptance", "--seeds", "501-"], "is not a seed or a range"),
     (["--workload", "no-such-workload", "--seeds", "501-510"], "invalid choice"),
+    (["--workload", "verify-acceptance", "--seeds", "501-510", "--seconds", "0"],
+     "--seconds must be positive"),
+    (["--workload", "verify-acceptance", "--seeds", "501-510", "--seconds", "-1"],
+     "--seconds must be positive"),
+    (["--workload", "verify-acceptance", "--seeds", "501-510", "--parent", "nosuchrev"],
+     "--parent: 'nosuchrev' names no commit"),
 ])
 def test_bad_arguments_stop_before_any_export(monkeypatch, capsys, args, message):
     def never(*_):
@@ -154,7 +160,7 @@ def test_bad_arguments_stop_before_any_export(monkeypatch, capsys, args, message
     monkeypatch.setattr(pairs, "export", never)
     monkeypatch.setattr(pairs, "copy_checkout", never)
     monkeypatch.setattr(pairs, "run_once", never)
-    with pytest.raises(SystemExit) as exited:
+    with pytest.raises(SystemExit) as exited:  # a flag in args overrides these
         pairs.main(["--parent", "HEAD", "--seconds", "1", *args])
     assert exited.value.code == 2  # argparse's usage error
     assert message in capsys.readouterr().err
@@ -172,7 +178,8 @@ class TestIncorrectRun:
 
     def run_main(self, monkeypatch, wrong):
         """main over seeds 1-3, the run of (side, seed) wrong reporting not correct."""
-        monkeypatch.setattr(pairs, "export", lambda rev, into: "0" * 40)
+        monkeypatch.setattr(pairs, "commit_sha", lambda rev: "0" * 40)
+        monkeypatch.setattr(pairs, "export", lambda sha, into: None)
         monkeypatch.setattr(pairs, "copy_checkout", lambda into: None)
         monkeypatch.setattr(pairs, "run_once", lambda root, workload, seed, seconds:
                             self.fake_run((root.name == "change", seed) != wrong))

@@ -1,12 +1,12 @@
 import inspect
 import json
 import random
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import pytest
-from conftest import plant_failing_check
+from conftest import patch_everywhere, plant_failing_check
 
-from wordcycles import verify
+from wordcycles import complexes, cycles, verify
 from wordcycles.generators import TrialConfig, trial_seed
 from wordcycles.verify import SUITES, _encode, run_suite
 
@@ -89,7 +89,7 @@ def test_different_seed_different_instances():
     from wordcycles.generators import random_inverse_automaton, trial_seed
 
     def instances(master_seed):
-        return [random_inverse_automaton(SMALL, trial_seed(master_seed, i))
+        return [random_inverse_automaton(SMALL, random.Random(trial_seed(master_seed, i)))
                 for i in range(5)]
 
     assert instances(11) != instances(12)
@@ -144,3 +144,60 @@ def test_one_trial_seed_per_trial(monkeypatch):
     monkeypatch.setattr(verify, "trial_seed", counted)
     report = run_suite("equality-collapse", SMALL)
     assert indices == list(range(report.trials))
+
+
+class TestConjugateIntersectionConfig:
+    """Words of length 1 reach only 1 + 2(k - r) cosets of H = <r of the k
+    letters>, fewer than the r + 1 the draw needs once 3r > 2k, which some
+    r in 1..k-1 meets at every k >= 4: that config is rejected up front."""
+
+    def test_length_one_over_four_letters_raises_before_drawing(self):
+        class NoDraws(random.Random):
+            def random(self):
+                raise AssertionError("drew")
+
+            def getrandbits(self, k):
+                raise AssertionError("drew")
+
+        cfg = TrialConfig(alphabet=4, max_word_length=1)
+        with pytest.raises(ValueError, match="needs max_word_length >= 2 when alphabet >= 4"):
+            SUITES["conjugate-intersection"].draw(cfg, 0, NoDraws())
+        with pytest.raises(ValueError, match="max_word_length >= 2"):
+            run_suite("conjugate-intersection", cfg)
+
+    @pytest.mark.parametrize("alphabet, length", [(4, 2), (3, 1), (8, 2)])
+    def test_reachable_configs_still_run(self, alphabet, length):
+        cfg = TrialConfig(master_seed=11, trials=200, alphabet=alphabet,
+                          max_word_length=length)
+        report = run_suite("conjugate-intersection", cfg)
+        assert report.passes == report.trials == 200
+
+
+def extra_class(decompose):
+    """One class too many: the first orbit cycle counted twice."""
+    def faulty(g, w):
+        dec = decompose(g, w)
+        return replace(dec, cycles=dec.cycles + dec.cycles[:1])
+    return faulty
+
+
+def never_collapses(collapses_to_tree):
+    return lambda x: replace(collapses_to_tree(x), collapses=False)
+
+
+# At seed 11, 100 trials of the default TrialConfig: the extra class fails
+# oracle in 40 trials and restated in 35; never collapsing fails each of
+# equality-collapse's 106 qualifying trials and 5 of npi's.  A collapse
+# check that always answers True still fails no suite, so it is not here.
+@pytest.mark.parametrize("module, name, fault, suites", [
+    (cycles, "decompose", extra_class, ["oracle", "restated"]),
+    (complexes, "collapses_to_tree", never_collapses, ["equality-collapse", "npi"]),
+])
+def test_planted_faults_fail_their_suites(monkeypatch, module, name, fault, suites):
+    patch_everywhere(monkeypatch, module, name, fault)
+    cfg = TrialConfig(master_seed=11, trials=100)
+    for suite in suites:
+        report = run_suite(suite, cfg)
+        assert report.failures, suite
+        if suite == "equality-collapse":
+            assert len(report.failures) == report.qualifying

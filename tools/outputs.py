@@ -168,7 +168,7 @@ def cli_helps() -> list[str]:
 
 
 def _based(cfg: TrialConfig, seed: int) -> LabeledDigraph:
-    g = random_connected_automaton(cfg, seed)
+    g = random_connected_automaton(cfg, random.Random(seed))
     return LabeledDigraph(g.alphabet, g.num_vertices, g.edges, 0)
 
 
@@ -184,7 +184,7 @@ def cli_inputs() -> dict[str, dict]:
     and s.json is the README's own."""
     g = _based(TrialConfig(max_vertices=8), 8)
     x = build_gamma_w(g, parse_word("abAB"))
-    p = random_staggered_presentation(TrialConfig(), 3, 2)
+    p = random_staggered_presentation(TrialConfig(), random.Random(3), 2)
     return {
         "g.json": to_json(g),
         "g1.json": to_json(_based(TrialConfig(max_vertices=6), 5)),

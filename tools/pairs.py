@@ -111,15 +111,19 @@ def run_once(root: Path, workload: str, seed: int, seconds: float) -> tuple[dict
     return stamp, result
 
 
-def export(rev: str, into: Path) -> str:
-    """Extract rev's committed files into the directory; returns its sha."""
-    sha = subprocess.run(["git", "rev-parse", rev], cwd=ROOT, check=True,
-                         capture_output=True, text=True).stdout.strip()
+def commit_sha(rev: str) -> str | None:
+    """The sha of the commit rev names, or None when it names none."""
+    proc = subprocess.run(["git", "rev-parse", "--verify", "--quiet", f"{rev}^{{commit}}"],
+                          cwd=ROOT, capture_output=True, text=True)
+    return proc.stdout.strip() if proc.returncode == 0 else None
+
+
+def export(sha: str, into: Path) -> None:
+    """Extract the commit's committed files into the directory."""
     tar = subprocess.run(["git", "archive", "--format=tar", sha], cwd=ROOT,
                          check=True, capture_output=True).stdout
     with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
         archive.extractall(into)
-    return sha
 
 
 def copy_checkout(into: Path) -> None:
@@ -185,10 +189,15 @@ def main(argv=None) -> int:
         seeds = parse_seeds(args.seeds)
     except ValueError as e:
         parser.error(f"--seeds: {e}")
+    if not args.seconds > 0:
+        parser.error("--seconds must be positive")
+    parent_sha = commit_sha(args.parent)
+    if parent_sha is None:
+        parser.error(f"--parent: {args.parent!r} names no commit")
     runs, first_stamp = [], None
     with tempfile.TemporaryDirectory() as tmp:
         sides = {side: Path(tmp) / side for side in ("parent", "change")}
-        parent_sha = export(args.parent, sides["parent"])
+        export(parent_sha, sides["parent"])
         copy_checkout(sides["change"])
         for i, seed in enumerate(seeds):
             for side in ("parent", "change")[::1 if i % 2 == 0 else -1]:
