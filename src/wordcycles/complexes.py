@@ -1,6 +1,6 @@
-"""2-complexes over an inverse automaton: discs glued along cycle classes,
-free-face collapsing (one greedy pass, which decides collapsibility),
-nonpositive-immersion checks, and staggered presentations.
+"""2-complexes over an inverse automaton: discs glued along w-cycles by the
+one constructor, build_gamma_w; free-face collapsing (one greedy pass, which
+decides collapsibility); the equality and NPI checks; staggered presentations.
 """
 
 from __future__ import annotations
@@ -43,10 +43,36 @@ def euler_characteristic(x: TwoComplex) -> int:
     return x.skeleton.num_vertices - len(x.skeleton.edges) + len(x.cells)
 
 
-def build_gamma_w(g: LabeledDigraph, w: Word) -> TwoComplex:
-    """One disc per cycle class, glued along the class trace path."""
-    dec = decompose(g, w)
-    return _built(TwoComplex, g, tuple(c.path for c in dec.classes))
+def build_gamma_w(g: LabeledDigraph, w: Word,
+                  attachments: list[tuple[int, int]] | None = None) -> TwoComplex:
+    """The complex over g with, for each attachment (v, n), a disc glued
+    along _trace(g, v, w^n), the closed trace of w^n at v.  By default one
+    disc per cycle class, at its first vertex: its class path.
+
+    The discs form an immersion exactly when each w^n closes at v, n is
+    the minimal closing exponent there, and the attachment vertices lie in
+    pairwise distinct sigma_w-orbit cycles; all three are enforced.
+    """
+    dec = decompose(g, w)  # decompose checks g, then w
+    if attachments is None:
+        attachments = [(c[0], len(c)) for c in dec.cycles]
+    place = {v: j for j, cycle in enumerate(dec.cycles) for v in cycle}
+    cells: list[Cell] = []
+    used_orbits: set[int] = set()
+    for v, n in attachments:
+        if v not in place:
+            raise ValueError(f"attachment at vertex {v}: w^n never closes there")
+        j = place[v]  # v lies on orbit cycle j
+        period = len(dec.cycles[j])
+        if n != period:
+            raise ValueError(f"attachment at vertex {v}: exponent {n} is not the minimal "
+                             f"closing exponent {period}, so this is not an immersion")
+        if j in used_orbits:
+            raise ValueError(f"attachment at vertex {v}: duplicates another attachment's "
+                             "cycle class, so this is not an immersion")
+        used_orbits.add(j)
+        cells.append(_trace(g, v, w * period))
+    return _built(TwoComplex, g, tuple(cells))
 
 
 def _incidence(x: TwoComplex) -> tuple[list[int], list[int]]:
@@ -126,7 +152,7 @@ def check_equality_collapse(g: LabeledDigraph, w: Word) -> EqualityCollapseRepor
     b = betti(g).total
     if dec.class_count != b:
         return EqualityCollapseReport(False, dec.class_count, b, True)
-    result = collapses_to_tree(_built(TwoComplex, g, tuple(c.path for c in dec.classes)))
+    result = collapses_to_tree(build_gamma_w(g, w))
     return EqualityCollapseReport(True, dec.class_count, b, result.collapses)
 
 
@@ -140,38 +166,11 @@ class NpiReport:
 def check_npi(
     g: LabeledDigraph, w: Word, attachments: list[tuple[int, int]]
 ) -> NpiReport:
-    """Nonpositive-immersion check for a complex over the one-relator target.
-
-    Each attachment (v, n) glues a disc along _trace(g, v, w^n), the closed
-    trace of w^n at v.  The encoding is an immersion exactly when n is the
-    minimal closing exponent at v and the attachment vertices lie in
-    pairwise distinct sigma_w-orbit cycles; both are enforced.  Verdict:
-    Euler characteristic <= 0, or collapsible to a tree (hence contractible).
-    """
+    """Nonpositive-immersion check for the immersion build_gamma_w glues
+    from attachments.  Verdict: Euler characteristic <= 0, or collapsible
+    to a tree (hence contractible)."""
     require_connected(g, "check_npi")
-    dec = decompose(g, w)  # decompose checks g, then w
-    place = {v: j for j, cycle in enumerate(dec.cycles) for v in cycle}
-    cells: list[Cell] = []
-    used_orbits: set[int] = set()
-    for v, n in attachments:
-        if v not in place:
-            raise ValueError(f"attachment at vertex {v}: w^n never closes there")
-        j = place[v]  # v lies on orbit cycle j
-        period = len(dec.cycles[j])
-        if n != period:
-            raise ValueError(
-                f"attachment at vertex {v}: exponent {n} is not the minimal "
-                f"closing exponent {period}, so this is not an immersion"
-            )
-        if j in used_orbits:
-            raise ValueError(
-                f"attachment at vertex {v}: duplicates another attachment's "
-                "cycle class, so this is not an immersion"
-            )
-        used_orbits.add(j)
-        cells.append(_trace(g, v, w * period))
-
-    y = _built(TwoComplex, g, tuple(cells))
+    y = build_gamma_w(g, w, attachments)
     chi = euler_characteristic(y)
     if chi <= 0:
         return NpiReport(chi, "chi", True)

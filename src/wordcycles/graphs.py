@@ -493,9 +493,12 @@ def wedge_of_words(words: list[Word], alphabet: int) -> LabeledDigraph:
     edges: list[Edge] = []
     n = 1
     for w in filter(None, words):
-        loop = [0, *range(n, n + len(w) - 1), 0]
-        n += len(w) - 1
-        edges += [(s, d, x) if x > 0 else (d, s, -x) for s, d, x in zip(loop, loop[1:], w)]
+        s, end = 0, n + len(w) - 1  # the step that would end at vertex end closes at 0
+        for d, x in enumerate(w, n):
+            d = 0 if d == end else d
+            edges.append((s, d, x) if x > 0 else (d, s, -x))
+            s = d
+        n = end
     return LabeledDigraph(alphabet, n, tuple(edges), 0)
 
 

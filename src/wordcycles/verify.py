@@ -10,7 +10,9 @@ the check's report has ``passed`` and, for a theorem with a hypothesis,
 ``applicable``.  Only ``run_suite`` writes a VerdictReport: a trial passes
 when its report passed or was not applicable, ``qualifying`` counts the
 applicable trials of a check whose report has ``applicable``, and all
-failure payloads share one shape.  A payload p replays its trial:
+failure payloads share one shape.  A check that raises ValueError on its
+suite's own draw fails the trial, the payload's ``error`` holding the message
+(a draw that raises is invalid input).  A payload p replays its trial:
 ``SUITES[p["suite"]].draw(TrialConfig(**p["config"]), p["trial"],
 random.Random(p["trial_seed"]))`` redraws the instance.  Every check
 decides its instance, so ``inconclusive``, kept in the JSON, reads 0.
@@ -226,7 +228,10 @@ def run_suite(name: str, cfg: TrialConfig) -> VerdictReport:
         seed = trial_seed(cfg.master_seed, i)
         rng.seed(seed)  # the stream of random.Random(seed), on one instance
         instance = suite.draw(cfg, i, rng)
-        res = check(**instance)
+        try:
+            res = check(**instance)
+        except ValueError as exc:  # the check rejects its own suite's draw: a failure
+            res = SimpleNamespace(passed=False, error=str(exc))
         applicable = getattr(res, "applicable", None)
         if res.passed or applicable is False:
             report.passes += 1
@@ -234,7 +239,7 @@ def run_suite(name: str, cfg: TrialConfig) -> VerdictReport:
             report.failures.append(
                 {"suite": name, "trial": i, "trial_seed": seed, "config": asdict(cfg),
                  **{k: _encode(v) for k, v in instance.items()},
-                 **{k: v for k, v in vars(res).items() if type(v) is int}})
+                 **{k: v for k, v in vars(res).items() if type(v) is int or k == "error"}})
         if applicable is not None:
             report.qualifying = (report.qualifying or 0) + applicable
     report.wall_time = time.perf_counter() - start

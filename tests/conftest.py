@@ -1,6 +1,7 @@
 """Helpers shared by the test modules, imported as `from conftest import ...`."""
 
 import sys
+from dataclasses import replace
 from types import SimpleNamespace
 
 from wordcycles.verify import SUITES
@@ -34,3 +35,11 @@ def plant_failing_check(monkeypatch, name):
 
     monkeypatch.setattr(owner, function, failing)
     return check, reports
+
+
+def extra_class(decompose):
+    """One class too many: the first orbit cycle counted twice."""
+    def faulty(g, w):
+        dec = decompose(g, w)
+        return replace(dec, cycles=dec.cycles + dec.cycles[:1])
+    return faulty

@@ -25,8 +25,6 @@ SITES = {
     ("subgroups", "conjugate"),
     ("subgroups", "intersect"),
     ("complexes", "build_gamma_w"),
-    ("complexes", "check_equality_collapse"),
-    ("complexes", "check_npi"),
 }
 ENTRY_POINTS = {
     ("graphs", "from_json"),

@@ -7,10 +7,10 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
-from conftest import plant_failing_check
+from conftest import extra_class, patch_everywhere, plant_failing_check
 
 from wordcycles.cli import main
-from wordcycles import graphs
+from wordcycles import cycles, graphs
 from wordcycles.graphs import LabeledDigraph, circle, dumps, loads, rose, to_json
 from wordcycles.words import parse_word
 
@@ -294,6 +294,19 @@ def test_verify_failure_exits_1_and_dumps_the_payloads(runner, tmp_path, monkeyp
     failures = json.loads(result.stdout)["failures"]
     assert len(failures) == 3
     assert json.loads(out.read_text()) == failures
+
+
+def test_verify_check_rejecting_its_own_draw_exits_1(runner, tmp_path, monkeypatch):
+    # an overcounting decompose makes npi's draw attach one class twice: the
+    # check's ValueError is a failed trial with its error, not invalid input
+    patch_everywhere(monkeypatch, cycles, "decompose", extra_class)
+    out = tmp_path / "c.json"
+    result = runner.invoke(main, ["verify", "npi", "--seed", "11", "--trials", "100",
+                                  "--out", str(out)])
+    assert result.exit_code == 1
+    failures = json.loads(out.read_text())
+    assert failures == json.loads(result.stdout)["failures"] != []
+    assert all("not an immersion" in p["error"] for p in failures)
 
 
 def test_verify_unknown_suite(runner):

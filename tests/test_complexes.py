@@ -1,7 +1,11 @@
+import random
+from unittest import mock
+
 import pytest
 
 from wordcycles import complexes
-from wordcycles.cycles import check_strict_inequality
+from wordcycles.cycles import check_strict_inequality, decompose
+from wordcycles.generators import TrialConfig
 from wordcycles.graphs import LabeledDigraph, betti, circle, rose
 from wordcycles.complexes import (
     CollapseResult,
@@ -16,6 +20,7 @@ from wordcycles.complexes import (
     free_faces,
     is_staggered,
 )
+from wordcycles.verify import SUITES
 from wordcycles.words import parse_word
 
 
@@ -200,6 +205,24 @@ class TestEqualityCollapse:
         rep = check_equality_collapse(LabeledDigraph(1, 1, ()), w("a"))
         assert rep.applicable and rep.passed  # 0 = 0, no cells, a tree
 
+    def test_collapses_the_one_constructed_complex(self):
+        # on the suite's drawn connected instances, random ones then circles:
+        # a qualifying check collapses exactly build_gamma_w(g, w), which is
+        # one disc per class along its class path
+        cfg, qualifying = TrialConfig(trials=200), 0
+        for i in range(300):
+            instance = SUITES["equality-collapse"].draw(cfg, i, random.Random(i))
+            g, word = instance["g"], instance["w"]
+            x = build_gamma_w(g, word)
+            assert x == TwoComplex(g, tuple(c.path for c in decompose(g, word).classes))
+            with mock.patch.object(complexes, "collapses_to_tree",
+                                   wraps=collapses_to_tree) as collapse:
+                rep = check_equality_collapse(g, word)
+            assert [call.args for call in collapse.call_args_list] == \
+                ([(x,)] if rep.applicable else [])
+            qualifying += rep.applicable
+        assert qualifying > 100  # the 100 circles and some random instances
+
 
 class TestNpi:
     def test_disc_contractible_branch(self):
@@ -224,21 +247,27 @@ class TestNpi:
         rep = check_npi(circle(word), word, [(0, 1)])
         assert rep.euler == 1 and rep.branch == "fail" and not rep.passed
 
+    # each rejection is build_gamma_w's, which check_npi builds through
     def test_attachment_must_close(self):
         g = LabeledDigraph(2, 2, ((0, 1, 1),))
-        with pytest.raises(ValueError, match="never closes"):
-            check_npi(g, w("b"), [(0, 1)])
+        for build in (check_npi, build_gamma_w):
+            with pytest.raises(ValueError, match="never closes"):
+                build(g, w("b"), [(0, 1)])
 
     def test_non_minimal_exponent_rejected(self):
         word = w("ab")
-        with pytest.raises(ValueError, match="not an immersion"):
-            check_npi(circle(word), word, [(0, 2)])
+        for build in (check_npi, build_gamma_w):
+            with pytest.raises(ValueError, match="exponent 2 is not the minimal closing "
+                                                 "exponent 1, so this is not an immersion"):
+                build(circle(word), word, [(0, 2)])
 
     def test_duplicate_class_rejected(self):
         word = w("a")
         square = LabeledDigraph(1, 4, ((0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 0, 1)))
-        with pytest.raises(ValueError, match="not an immersion"):
-            check_npi(square, word, [(0, 4), (1, 4)])
+        for build in (check_npi, build_gamma_w):
+            with pytest.raises(ValueError, match="duplicates another attachment's cycle "
+                                                 "class, so this is not an immersion"):
+                build(square, word, [(0, 4), (1, 4)])
 
     def test_rejects_proper_power_word(self):
         with pytest.raises(ValueError):

@@ -1,7 +1,7 @@
 """tools/outputs.py: every graph builder's output over seeded instances,
-and what each README CLI example and each --help prints, pinned by its
-sha256, so a change to a builder's internals that moves a single byte of
-what the CLI would print fails here."""
+build_gamma_w's complexes, and what each README CLI example and each
+--help prints, pinned by its sha256, so a change to a builder's internals
+that moves a single byte of what the CLI would print fails here."""
 
 import importlib.util
 from pathlib import Path
@@ -23,6 +23,10 @@ PINNED = {  # move one only in a change that declares that builder's output chan
     "conjugate": "8cb36be2459bc283c17a887dd84a60507a92d0d781305f8a70423cdd5ae58e9b",
     "intersect": "7c9c801a1a283a146612c0525652cb8bf5c9c9ad96aea4b52c382ad1032468ed",
     "SubgroupGraph": "51804c34290c2e0b465c6912721e3d6ce6529168c58868202919a055e79d00d4",
+}
+
+GAMMA_PINNED = {  # build_gamma_w's complexes as `complex gamma-w` prints them
+    "build_gamma_w": "9a25d5f5ec874f36dd08f88031cebe3764716db3147a228b19c890f0d43f03f4",
 }
 
 INDEX_PINNED = {  # each builder's index as built lazily from the edges
@@ -134,6 +138,10 @@ def test_builder_outputs_are_pinned():
     assert outputs.digests() == PINNED
 
 
+def test_gamma_w_outputs_are_pinned():
+    assert outputs.gamma_digests() == GAMMA_PINNED
+
+
 def test_builder_indexes_are_pinned():
     assert outputs.index_digests() == INDEX_PINNED
 
@@ -142,7 +150,7 @@ def test_main_prints_one_line_per_builder(capsys):
     outputs.main(["--count", "3"])
     lines = capsys.readouterr().out.splitlines()
     assert [line.split("  ")[1] for line in lines] == [
-        *outputs.BUILDERS, *(f"index/{name}" for name in outputs.BUILDERS),
+        *outputs.BUILDERS, "build_gamma_w", *(f"index/{name}" for name in outputs.BUILDERS),
         *outputs.cli_examples(), *outputs.cli_helps()]
     assert all(len(line.split("  ")[0]) == 64 for line in lines)
 

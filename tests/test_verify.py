@@ -4,7 +4,7 @@ import random
 from dataclasses import asdict, replace
 
 import pytest
-from conftest import patch_everywhere, plant_failing_check
+from conftest import extra_class, patch_everywhere, plant_failing_check
 
 from wordcycles import complexes, cycles, verify
 from wordcycles.generators import TrialConfig, trial_seed
@@ -173,24 +173,17 @@ class TestConjugateIntersectionConfig:
         assert report.passes == report.trials == 200
 
 
-def extra_class(decompose):
-    """One class too many: the first orbit cycle counted twice."""
-    def faulty(g, w):
-        dec = decompose(g, w)
-        return replace(dec, cycles=dec.cycles + dec.cycles[:1])
-    return faulty
-
-
 def never_collapses(collapses_to_tree):
     return lambda x: replace(collapses_to_tree(x), collapses=False)
 
 
 # At seed 11, 100 trials of the default TrialConfig: the extra class fails
-# oracle in 40 trials and restated in 35; never collapsing fails each of
+# oracle in 40 trials and restated in 35, and npi's check rejects 13 of its
+# own draws as duplicate attachments; never collapsing fails each of
 # equality-collapse's 106 qualifying trials and 5 of npi's.  A collapse
 # check that always answers True still fails no suite, so it is not here.
 @pytest.mark.parametrize("module, name, fault, suites", [
-    (cycles, "decompose", extra_class, ["oracle", "restated"]),
+    (cycles, "decompose", extra_class, ["oracle", "restated", "npi"]),
     (complexes, "collapses_to_tree", never_collapses, ["equality-collapse", "npi"]),
 ])
 def test_planted_faults_fail_their_suites(monkeypatch, module, name, fault, suites):
@@ -201,3 +194,10 @@ def test_planted_faults_fail_their_suites(monkeypatch, module, name, fault, suit
         assert report.failures, suite
         if suite == "equality-collapse":
             assert len(report.failures) == report.qualifying
+        if name == "decompose" and suite == "npi":  # failed trials, not a raise
+            assert len(report.failures) == 13
+            for p in report.failures:
+                assert p["error"].endswith("cycle class, so this is not an immersion")
+                instance = SUITES[suite].draw(cfg, p["trial"], random.Random(p["trial_seed"]))
+                assert {k: _encode(v) for k, v in instance.items()} == \
+                    {k: p[k] for k in instance}

@@ -7,7 +7,9 @@ the command prints, as it was.
 For each builder, instance i is drawn from random.Random(i) for i below
 count, and the builder's results are hashed as graphs.dumps prints them
 (what the CLI prints), one result after another.  Each line is
-"<sha256>  <builder>".  Then the same results' indexes are hashed, as
+"<sha256>  <builder>".  Then build_gamma_w's complexes, drawn the same
+way, are hashed as `complex gamma-w` prints them: "<sha256>  build_gamma_w".
+Then the graph builders' results' indexes are hashed, as
 their readers see them (index_text), each line "<sha256>  index/<builder>":
 an index a builder hands its graph must read as the one the graph would
 build from its edges.  Then each `wordcycles ...` example line of
@@ -37,10 +39,10 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from click.testing import CliRunner  # noqa: E402
 
-from wordcycles.cli import main as cli  # noqa: E402
-from wordcycles.complexes import build_gamma_w  # noqa: E402
+from wordcycles.cli import _complex_to_json, main as cli  # noqa: E402
+from wordcycles.complexes import TwoComplex, build_gamma_w  # noqa: E402
 from wordcycles.generators import (  # noqa: E402
-    TrialConfig, random_connected_automaton, random_simple_word,
+    TrialConfig, random_connected_automaton, random_inverse_automaton, random_simple_word,
     random_staggered_presentation, random_subgroup)
 from wordcycles.graphs import (  # noqa: E402
     LabeledDigraph, betti, canonical_form, component_containing, core, dumps, fiber_product,
@@ -124,6 +126,18 @@ BUILDERS = {
 }
 
 
+def gamma_w(rng: random.Random) -> TwoComplex:
+    """The disc complex of a random automaton, components and all, and a
+    simple word."""
+    cfg = config(rng)
+    return build_gamma_w(random_inverse_automaton(cfg, rng), random_simple_word(cfg, rng))
+
+
+def complex_text(x: TwoComplex) -> str:
+    """x as `complex gamma-w` prints it."""
+    return json.dumps(_complex_to_json(x), indent=2)
+
+
 def index_text(g: LabeledDigraph) -> str:
     """g's index as its readers see it: the successor rows by letter, the
     determinism flag, each vertex's component and each component's Betti
@@ -132,17 +146,22 @@ def index_text(g: LabeledDigraph) -> str:
                  betti(g).bettis))
 
 
-def digests(count: int = COUNT, show=dumps) -> dict[str, str]:
+def digests(count: int = COUNT, show=dumps, builders=BUILDERS) -> dict[str, str]:
     """builder name -> sha256 of show(result) over instances 0..count-1."""
     out = {}
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # stallings_graph warns of unreduced generators
-        for name, build in BUILDERS.items():
+        for name, build in builders.items():
             h = hashlib.sha256()
             for i in range(count):
                 h.update(show(build(random.Random(i))).encode() + b"\n")
             out[name] = h.hexdigest()
     return out
+
+
+def gamma_digests(count: int = COUNT) -> dict[str, str]:
+    """"build_gamma_w" -> sha256 of complex_text over its complexes."""
+    return digests(count, complex_text, {"build_gamma_w": gamma_w})
 
 
 def index_digests(count: int = COUNT) -> dict[str, str]:
@@ -189,8 +208,7 @@ def cli_inputs() -> dict[str, dict]:
         "g.json": to_json(g),
         "g1.json": to_json(_based(TrialConfig(max_vertices=6), 5)),
         "g2.json": to_json(_based(TrialConfig(max_vertices=6), 15)),
-        "x.json": {"skeleton": to_json(x.skeleton),
-                   "cells": [[{"edge": e, "dir": d} for e, d in c] for c in x.cells]},
+        "x.json": _complex_to_json(x),
         "p.json": {"alphabet": p.alphabet, "relators": [format_word(r) for r in p.relators],
                    "ordered_letters": list(p.ordered_letters)},
         "s.json": {"alphabet": 2, "generators": ["aa", "b"]},
@@ -224,8 +242,8 @@ def main(argv=None) -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--count", type=int, default=COUNT, help="instances per builder")
     args = ap.parse_args(argv)
-    for name, digest in {**digests(args.count), **index_digests(args.count),
-                         **cli_digests()}.items():
+    for name, digest in {**digests(args.count), **gamma_digests(args.count),
+                         **index_digests(args.count), **cli_digests()}.items():
         print(f"{digest}  {name}")
 
 
