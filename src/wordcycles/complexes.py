@@ -17,6 +17,9 @@ Cell = tuple[Step, ...]  # closed combinatorial boundary path
 
 @dataclass(frozen=True)
 class TwoComplex:
+    """A 2-complex: the graph skeleton and its 2-cells, each glued along a
+    closed path of (edge index, direction) steps in the skeleton."""
+
     skeleton: LabeledDigraph
     cells: tuple[Cell, ...]
 
@@ -97,6 +100,9 @@ def free_faces(x: TwoComplex) -> list[tuple[int, int]]:
 
 @dataclass(frozen=True)
 class CollapseResult:
+    """Whether free-face collapses remove every 2-cell, and the (edge, cell)
+    pairs collapsed, in order."""
+
     collapses: bool
     sequence: tuple[tuple[int, int], ...]  # (edge, cell) pairs, in order
     exhaustive_used: bool = False  # always False: the greedy pass decides
@@ -138,6 +144,9 @@ def collapses_to_tree(x: TwoComplex) -> CollapseResult:
 
 @dataclass(frozen=True)
 class EqualityCollapseReport:
+    """The class count and Betti number of g and w; when they are equal
+    (applicable), passed says whether the disc complex collapses to a tree."""
+
     applicable: bool  # class count == Betti number
     class_count: int
     betti: int
@@ -158,6 +167,9 @@ def check_equality_collapse(g: LabeledDigraph, w: Word) -> EqualityCollapseRepor
 
 @dataclass(frozen=True)
 class NpiReport:
+    """The immersed complex's Euler characteristic, the branch of the verdict
+    that decided it, and the verdict."""
+
     euler: int
     branch: str  # "chi", "contractible" or "fail"
     passed: bool
@@ -227,6 +239,9 @@ def is_staggered(p: StaggeredPresentation) -> tuple[bool, list[str]]:
 
 @dataclass(frozen=True)
 class MultiwordReport:
+    """Each relator's class count, their sum, the Betti number it is held
+    to, and the verdict total <= betti."""
+
     per_relator: tuple[int, ...]
     total: int
     betti: int

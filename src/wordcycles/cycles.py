@@ -220,6 +220,10 @@ def check_main_inequality(g: LabeledDigraph, w: Word) -> MainInequalityReport:
 
 @dataclass(frozen=True)
 class StrictInequalityReport:
+    """The strict inequality's preconditions (applicable, else the reasons
+    they fail), the count with multiplicity, the Betti number, and the
+    verdict count < betti, which needs them."""
+
     applicable: bool
     reasons: tuple[str, ...]  # unmet preconditions, if any
     count_with_multiplicity: int

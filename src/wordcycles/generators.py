@@ -36,6 +36,9 @@ MAX_GENERATORS = 4  # random_subgroup draws 1 to this many generators
 
 @dataclass(frozen=True)
 class TrialConfig:
+    """A suite run's trial count and master seed, and the size bounds every
+    generator draws within: vertices, alphabet, word length, edge density."""
+
     master_seed: int = 2024
     trials: int = 100
     max_vertices: int = 12

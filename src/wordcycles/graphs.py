@@ -8,7 +8,9 @@ label at every vertex.
 A graph's index is built once, by its builder where the construction proves
 it (_built), else on first read, and no read changes it: the successor rows
 (its one per-letter table), the edge_index that _trace reads, and one
-union-find partition that gives the components and Betti numbers.
+union-find partition that gives the components and Betti numbers.  Folds,
+drawn automata and subgroup graphs are born with their rows, which their
+readers need; canonical forms are not, as nothing reads theirs.
 """
 
 from __future__ import annotations
@@ -52,6 +54,10 @@ def _built(cls, *values, **index):
 
 @dataclass(frozen=True)
 class LabeledDigraph:
+    """A labeled digraph on vertices 0..num_vertices-1, its (src, dst, label)
+    edges labeled 1..alphabet, and an optional basepoint; the index below is
+    cached on first read unless the builder handed it over."""
+
     alphabet: int
     num_vertices: int
     edges: tuple[Edge, ...]
@@ -406,7 +412,7 @@ def walk(g: LabeledDigraph, v: int, letters) -> int:
 
 
 def _bfs_form(alphabet: int, rows: dict[int, list[int]], number: list, start: int,
-              basepoint: int | None = 0) -> LabeledDigraph:
+              basepoint: int | None = 0, with_rows: bool = False) -> LabeledDigraph:
     """The part of the graph on these slot rows (rows[x][v]: where letter x
     leads from v, or -1) that a search from start reaches, based at start (0)
     or not (None), numbered breadth-first from start along the letters 1, -1,
@@ -415,7 +421,15 @@ def _bfs_form(alphabet: int, rows: dict[int, list[int]], number: list, start: in
     edge is read off its source's positive-letter slot as the source is
     numbered; an edge into a removed vertex is skipped.  On a deterministic
     graph the search reaches start's component, less the removed vertices:
-    the form is born connected and, read off slot rows, deterministic."""
+    the form is born connected and, read off slot rows, deterministic.
+
+    with_rows: once the search ends, each edge's out and in slot is written
+    into rows of n + 1 slots, and the form is born with them as its
+    successor, kept for the labels left on an edge: the rows
+    _load_rows(edges, n + 1) would load, less its clash tests, as the form
+    is deterministic.  Subgroup graphs take them, as their probes,
+    conjugates and intersections read rows.  Canonical forms do not: no one
+    reads theirs, and they run the search alone."""
     steps = [(l, rows[l], rows[-l]) for l in sorted(rows) if l > 0]
     number[start] = 0
     order = [start]
@@ -433,8 +447,22 @@ def _bfs_form(alphabet: int, rows: dict[int, list[int]], number: list, start: in
                 number[u] = len(order)
                 order.append(u)
     n, edges = len(order), tuple(sorted(edges))
+    partition = ((0,) * n, (len(edges) - n + 1,))
+    if not with_rows:
+        return _built(LabeledDigraph, alphabet, n, edges, basepoint, deterministic=True,
+                      _partition=partition)
+    top = steps[-1][0] + 1 if steps else 0  # outs[l], ins[l]: the rows of l and -l
+    outs, ins = [None] * top, [None] * top
+    for l, _, _ in steps:
+        outs[l], ins[l] = [-1] * (n + 1), [-1] * (n + 1)
+    for src, dst, l in edges:
+        outs[l][src], ins[l][dst] = dst, src
+    succ, empty = {}, [-1] * (n + 1)
+    for l, _, _ in steps:
+        if outs[l] != empty:  # an edge reads l; stops at its first filled slot
+            succ[l], succ[-l] = outs[l], ins[l]
     return _built(LabeledDigraph, alphabet, n, edges, basepoint, deterministic=True,
-                  _partition=((0,) * n, (len(edges) - n + 1,)))
+                  _partition=partition, successor=succ)
 
 
 def canonical_form(g: LabeledDigraph) -> LabeledDigraph:
@@ -461,12 +489,13 @@ def _core_form(alphabet: int, rows: dict[int, list[int]], n: int,
     """canonical_form(core(component_containing(g, base))) for the
     deterministic graph g on vertices 0..n-1 with these slot rows and base:
     rows[x][v] is where letter x leads from v, or -1, for each letter x on an
-    edge.  Spurs are stripped in every component; the search keeps base's."""
+    edge.  Spurs are stripped in every component; the search keeps base's.
+    The form is a subgroup graph's, so it is born with its rows."""
     number = [None] * n
     degree = _strip_spurs(list(rows.values()), n, base)
     if degree is not None:
         number = [None if k >= 0 else -1 for k in degree]
-    return _bfs_form(alphabet, rows, number, base)
+    return _bfs_form(alphabet, rows, number, base, with_rows=True)
 
 
 def isomorphic(g1: LabeledDigraph, g2: LabeledDigraph) -> bool:

@@ -13,7 +13,6 @@ from .graphs import (
     _built,
     _core_form,
     _fold_clashes,
-    _load_rows,
     betti,
     circle,
     fiber_product,
@@ -100,7 +99,9 @@ def stallings_graph(gens: list[Word], alphabet: int) -> SubgroupGraph:
     """Read the generators' loops in at a base vertex on slot rows (_read),
     fold the vertex pairs its clashes force together (_fold_clashes, as fold
     does), which hands back the folded graph's rows, then number it
-    breadth-first (_bfs_form).  No spur pass: every vertex off the base lies
+    breadth-first (_bfs_form), which writes the numbered graph's own rows:
+    the graph is born with them, so no probe reloads them from its edges.
+    No spur pass: every vertex off the base lies
     on the image of a freely reduced loop, which enters and leaves it by
     different slots, so the result is core (Stallings, Invent. Math. 1983;
     Kapovich & Myasnikov, J. Algebra 2002)."""
@@ -119,7 +120,7 @@ def stallings_graph(gens: list[Word], alphabet: int) -> SubgroupGraph:
     rows, n, pending = _read(reduced, labels)
     if pending:  # the base stays 0: classes are numbered by their least vertices
         n, rows, _, _ = _fold_clashes(rows, n, pending)
-    return _built(SubgroupGraph, _bfs_form(alphabet, rows, [None] * n, 0))
+    return _built(SubgroupGraph, _bfs_form(alphabet, rows, [None] * n, 0, with_rows=True))
 
 
 def rank(h: SubgroupGraph) -> int:
@@ -139,13 +140,16 @@ def contains(h: SubgroupGraph, w: Word) -> bool:
 
 def conjugate(h: SubgroupGraph, g: Word) -> SubgroupGraph:
     """The subgroup graph of g^-1 H g: g, which may be unreduced, is read
-    from the basepoint on H's slot rows (_load_rows, with room for the new
-    vertices and rows for g's letters), following H's edges and creating
-    the missing ones; the basepoint moves to its end, and one pass cores and
-    numbers the result.  Nothing clashes, so nothing is merged."""
+    from the basepoint on copies of the slot rows H was born with, with room
+    for the new vertices and rows for g's letters, following H's edges and
+    creating the missing ones; the basepoint moves to its end, and one pass
+    cores and numbers the result.  Nothing clashes, so nothing is merged."""
     labels = _require_letters([g], h.graph.alphabet)
     n, v = h.graph.num_vertices, h.graph.basepoint
-    rows, _ = _load_rows(h.graph.edges, n + len(g), labels)  # H clashes nowhere
+    room = [-1] * len(g)  # H's rows have n + 1 slots
+    rows = {x: row + room for x, row in h.graph.successor.items()}
+    for l in labels.difference(rows):
+        rows[l], rows[-l] = [-1] * (n + 1 + len(g)), [-1] * (n + 1 + len(g))
     for x in g:  # follow or create
         if (t := rows[x][v]) < 0:
             t, n = n, n + 1
@@ -160,7 +164,8 @@ def intersect(h1: SubgroupGraph, h2: SubgroupGraph) -> SubgroupGraph:
     Only the based component is built, breadth-first from the basepoint
     pair along the letters on edges of both graphs, so the cost follows its
     size rather than |V1|*|V2|.  The search records the component's slot
-    rows as it goes, and one pass cores and numbers them.
+    rows as it goes, reading both factors' rows as they were born, and one
+    pass cores and numbers them; the result is born with its own rows.
     """
     g1, g2 = h1.graph, h2.graph
     if g1.alphabet != g2.alphabet:
@@ -186,6 +191,8 @@ def intersect(h1: SubgroupGraph, h2: SubgroupGraph) -> SubgroupGraph:
 
 @dataclass(frozen=True)
 class ConjugatesReport:
+    """How many conjugates of <w> meet H, rank(H), and the verdict count <= rank."""
+
     count: int
     rank: int
     passed: bool
@@ -205,6 +212,9 @@ def reduced_rank(b: int) -> int:
 
 @dataclass(frozen=True)
 class RedRankReport:
+    """The SHNC sides, read off the fiber product's Betti numbers, and the
+    verdict lhs <= rhs."""
+
     fiber_betti: BettiReport  # of the fiber product
     lhs: int  # summed reduced ranks of the product components
     rhs: int  # product of the factors' reduced ranks
@@ -222,6 +232,9 @@ def check_shnc(g1: SubgroupGraph, g2: SubgroupGraph) -> RedRankReport:
 
 @dataclass(frozen=True)
 class RestatedReport:
+    """The Betti-number sides of the restated inequality, the orbit-cycle
+    count they are checked against, and the verdict."""
+
     lhs: int
     rhs: int
     class_count: int  # from the sigma_w decomposition; must equal lhs
@@ -246,6 +259,8 @@ def check_restated_inequality(cycle_w: Word, g2: LabeledDigraph) -> RestatedRepo
 
 @dataclass(frozen=True)
 class ConjugateIntersectionReport:
+    """Whether the conjugates' intersection is trivial."""
+
     passed: bool
 
 

@@ -40,8 +40,8 @@ from wordcycles.graphs import (
     fiber_product,
     fold,
 )
-from wordcycles.subgroups import (check_restated_inequality, conjugate, intersect,
-                                  stallings_graph)
+from wordcycles.subgroups import (SubgroupGraph, check_restated_inequality, conjugate,
+                                  intersect, stallings_graph)
 from wordcycles.words import free_reduce
 
 SEEDS = st.integers(0, 2**32)
@@ -147,6 +147,22 @@ def test_subgroup_builders(sites):
 
     run()
     assert {"stallings_graph", "conjugate", "intersect"} <= set(sites)
+
+
+def test_subgroup_rows_where_the_core_shrinks(sites):
+    # the rows a subgroup graph is born with have n + 1 slots and keep only
+    # the labels left on an edge, also where spur stripping removes vertices
+    # and labels
+    spur = SubgroupGraph(LabeledDigraph(3, 3, ((0, 0, 1), (0, 1, 2), (1, 2, 3)), 0))
+    assert spur.graph.successor == {1: [0, -1], -1: [0, -1]}
+    h = stallings_graph([(2, 1, -2)], 2)  # a loop at the end of a spur off the base
+    assert h.graph.num_vertices == 2
+    assert conjugate(h, (2,)).graph.successor == {1: [0, -1], -1: [0, -1]}
+    # the old base is stripped, and the new one hangs off the loop's vertex
+    assert conjugate(h, (2, 2)).graph.successor == {
+        1: [-1, 1, -1], -1: [-1, 1, -1], 2: [-1, 0, -1], -2: [1, -1, -1]}
+    assert stallings_graph([], 2).graph.successor == {}
+    assert {"_bfs_form"} <= set(sites)
 
 
 def test_restated_relabel(sites):

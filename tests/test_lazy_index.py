@@ -8,9 +8,12 @@ and then looks in their instance dicts, where cached properties live.
 A builder that proves part of its graph's index hands it over, and the
 graph never derives it from its edges: Stallings graphs, intersections
 and canonical forms are born connected and deterministic, a component
-knows its Betti number, and a fold and a drawn automaton hand over their
-rows.  Those cases count the calls of the union-find (_partition's
-function) and of _load_rows.
+knows its Betti number, and a fold, a drawn automaton and every subgroup
+graph (Stallings graphs, conjugates, intersections and the SubgroupGraph
+constructor's) hand over their rows.  Canonical forms are born without
+rows, as nothing reads them, and their search writes none.  Those
+cases count the calls of the union-find (_partition's function) and of
+_load_rows.
 """
 
 import random
@@ -31,8 +34,8 @@ from wordcycles.generators import (
 )
 from wordcycles.graphs import (LabeledDigraph, betti, canonical_form, component_containing,
                                core, fold, is_connected)
-from wordcycles.subgroups import (check_shnc, contains, count_conjugates_meeting, intersect,
-                                  rank, stallings_graph)
+from wordcycles.subgroups import (SubgroupGraph, check_shnc, conjugate, contains,
+                                  count_conjugates_meeting, intersect, rank, stallings_graph)
 from wordcycles.verify import SUITES
 
 CFG = TrialConfig(max_vertices=12, alphabet=2, max_word_length=6)
@@ -169,6 +172,42 @@ class TestBuildersHandOverTheirIndex:
         g = tangle(seed)
         canonical_form(fold(component_containing(g, g.basepoint)))
         assert derived["_load_rows"] == 1  # fold's input's
+
+    def test_conjugates_of_a_stallings_graph(self, seed, derived):
+        rng = random.Random(seed)
+        h = stallings_graph([random_simple_word(CFG, rng) for _ in range(3)], 2)
+        count_conjugates_meeting(h, random_simple_word(CFG, rng))
+        assert derived["_load_rows"] == 0
+
+    def test_intersect_of_stallings_graphs(self, seed, derived):
+        rng = random.Random(seed)
+        h1, h2 = (stallings_graph([random_simple_word(CFG, rng) for _ in range(3)], 2)
+                  for _ in range(2))
+        contains(intersect(h1, h2), random_simple_word(CFG, rng))
+        assert derived["_load_rows"] == 0
+
+    def test_conjugate_intersection(self, seed, derived):
+        rng = random.Random(seed)
+        h = stallings_graph([random_simple_word(CFG, rng) for _ in range(2)], 2)
+        cosets = [random_simple_word(CFG, rng) for _ in range(3)]
+        result = conjugate(h, cosets[0])
+        for g in cosets[1:]:
+            result = intersect(result, conjugate(h, g))
+        contains(result, cosets[0])
+        assert derived["_load_rows"] == 0
+
+    def test_decompose_on_a_constructed_subgroup_graph(self, seed, derived):
+        g = fold(based_cover(seed))
+        h = SubgroupGraph(LabeledDigraph(g.alphabet, g.num_vertices, g.edges, 0))
+        derived.clear()  # the constructor loads its input's rows, once
+        decompose(h.graph, random_simple_word(CFG, random.Random(seed)))
+        assert derived["_load_rows"] == 0
+
+    def test_canonical_forms_are_born_without_rows(self, seed):
+        g = based_cover(seed)
+        unbased = LabeledDigraph(g.alphabet, g.num_vertices, g.edges)
+        assert "successor" not in vars(canonical_form(g))
+        assert "successor" not in vars(canonical_form(unbased))
 
     def test_check_main_inequality_of_a_draw(self, seed, derived):
         g = random_inverse_automaton(CFG, random.Random(seed))

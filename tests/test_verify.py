@@ -146,6 +146,20 @@ def test_one_trial_seed_per_trial(monkeypatch):
     assert indices == list(range(report.trials))
 
 
+def test_run_suite_makes_no_unseeded_rng(monkeypatch):
+    # an unseeded Random fills its state from os.urandom, which trial 0 would pay for
+    made = []
+
+    class Recorded(random.Random):
+        def __init__(self, *args):
+            made.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(random, "Random", Recorded)
+    run_suite("main", SMALL)
+    assert made and () not in made
+
+
 class TestConjugateIntersectionConfig:
     """Words of length 1 reach only 1 + 2(k - r) cosets of H = <r of the k
     letters>, fewer than the r + 1 the draw needs once 3r > 2k, which some
