@@ -1,9 +1,9 @@
 """Disc complexes and free-face collapsing.
 
-Gluing one disc along a representative of each cycle class gives a
-2-complex; when the class count equals the Betti number the complex
-collapses to a tree, and every immersed complex over a one-relator target
-has nonpositive Euler characteristic or is contractible.
+Gluing one disc along a representative of each cycle class of a w-cycle
+decomposition gives a 2-complex; when the class count equals the Betti
+number the complex collapses to a tree, and every immersed complex over a
+one-relator target has nonpositive Euler characteristic or is contractible.
 """
 
 from wordcycles import (
@@ -12,6 +12,7 @@ from wordcycles import (
     check_npi,
     circle,
     collapses_to_tree,
+    decompose,
     euler_characteristic,
     format_word,
     free_faces,
@@ -19,11 +20,12 @@ from wordcycles import (
     rose,
 )
 
-# A circle reading w once, with its disc: this is the equality case 1 = 1,
+# A circle reading w once, with its disc: decompose finds one cycle class,
+# build_gamma_w glues one disc along it.  This is the equality case 1 = 1,
 # and the disc collapses away through any of its free faces.
 w = parse_word("aab")
 g = circle(w)
-x = build_gamma_w(g, w)
+x = build_gamma_w(decompose(g, w))
 print(f"disc over the circle reading {format_word(w)}:")
 print(f"  euler characteristic = {euler_characteristic(x)}")
 print(f"  free faces = {free_faces(x)}")
@@ -33,7 +35,7 @@ print(f"  collapses to a tree: {res.collapses}, sequence = {res.sequence}")
 # The torus complex: rose(a,b) with a disc along the commutator.  No free
 # faces (each loop is crossed twice), so no collapse, but chi = 0.
 w = parse_word("abAB")
-x = build_gamma_w(rose(2), w)
+x = build_gamma_w(decompose(rose(2), w))
 print(f"\ntorus complex (rose(a,b), commutator disc):")
 print(f"  euler characteristic = {euler_characteristic(x)}")
 print(f"  free faces = {free_faces(x)}")

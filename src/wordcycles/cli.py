@@ -260,7 +260,7 @@ def complex_group():
 @_word_option
 @click.argument("file")
 def complex_gamma_w(word, file):
-    x = complexes.build_gamma_w(_load_graph(file), parse_word(word))
+    x = complexes.build_gamma_w(cycles.decompose(_load_graph(file), parse_word(word)))
     _emit(_complex_to_json(x))
 
 

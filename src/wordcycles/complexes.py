@@ -1,5 +1,6 @@
-"""2-complexes over an inverse automaton: discs glued along w-cycles by the
-one constructor, build_gamma_w; free-face collapsing (one greedy pass, which
+"""2-complexes over an inverse automaton: discs glued along the w-cycles of
+a decomposition by the one constructor, build_gamma_w, which each check hands
+the decomposition it made; free-face collapsing (one greedy pass, which
 decides collapsibility); the equality and NPI checks; staggered presentations.
 """
 
@@ -9,7 +10,7 @@ import heapq
 from dataclasses import dataclass
 
 from .graphs import LabeledDigraph, _built, betti, require_connected, require_valid
-from .cycles import Step, _trace, decompose
+from .cycles import Step, WCycleDecomposition, _trace, decompose
 from .words import Word, format_word, is_cyclically_reduced
 
 Cell = tuple[Step, ...]  # closed combinatorial boundary path
@@ -46,17 +47,17 @@ def euler_characteristic(x: TwoComplex) -> int:
     return x.skeleton.num_vertices - len(x.skeleton.edges) + len(x.cells)
 
 
-def build_gamma_w(g: LabeledDigraph, w: Word,
+def build_gamma_w(dec: WCycleDecomposition,
                   attachments: list[tuple[int, int]] | None = None) -> TwoComplex:
-    """The complex over g with, for each attachment (v, n), a disc glued
-    along _trace(g, v, w^n), the closed trace of w^n at v.  By default one
-    disc per cycle class, at its first vertex: its class path.
+    """The complex over g = dec.graph with, for each attachment (v, n), a
+    disc glued along _trace(g, v, w^n), w = dec.word.  By default one disc
+    per cycle class, at its first vertex: its class path.
 
     The discs form an immersion exactly when each w^n closes at v, n is
     the minimal closing exponent there, and the attachment vertices lie in
     pairwise distinct sigma_w-orbit cycles; all three are enforced.
     """
-    dec = decompose(g, w)  # decompose checks g, then w
+    g, w = dec.graph, dec.word
     if attachments is None:
         attachments = [(c[0], len(c)) for c in dec.cycles]
     place = {v: j for j, cycle in enumerate(dec.cycles) for v in cycle}
@@ -161,7 +162,7 @@ def check_equality_collapse(g: LabeledDigraph, w: Word) -> EqualityCollapseRepor
     b = betti(g).total
     if dec.class_count != b:
         return EqualityCollapseReport(False, dec.class_count, b, True)
-    result = collapses_to_tree(build_gamma_w(g, w))
+    result = collapses_to_tree(build_gamma_w(dec))
     return EqualityCollapseReport(True, dec.class_count, b, result.collapses)
 
 
@@ -182,7 +183,7 @@ def check_npi(
     from attachments.  Verdict: Euler characteristic <= 0, or collapsible
     to a tree (hence contractible)."""
     require_connected(g, "check_npi")
-    y = build_gamma_w(g, w, attachments)
+    y = build_gamma_w(decompose(g, w), attachments)
     chi = euler_characteristic(y)
     if chi <= 0:
         return NpiReport(chi, "chi", True)

@@ -90,7 +90,7 @@ def _require_letters(words: list[Word], alphabet: int) -> set[int]:
     labels = set(map(abs, chain.from_iterable(words)))
     if 0 in labels:
         raise ValueError("letters must be nonzero")
-    if (top := max(labels, default=0)) > alphabet:
+    if labels and (top := max(labels)) > alphabet:
         raise ValueError(f"letter {top} outside alphabet 1..{alphabet}")
     return labels
 
@@ -241,19 +241,19 @@ class RestatedReport:
     passed: bool
 
 
-def check_restated_inequality(cycle_w: Word, g2: LabeledDigraph) -> RestatedReport:
+def check_restated_inequality(w: Word, g: LabeledDigraph) -> RestatedReport:
     """Betti-number form of the counting inequality via a fiber product with
     the circle reading w; cross-checked against the orbit-cycle count."""
-    require_simple_cyclic(cycle_w)
-    if g2.num_vertices == 0:
+    require_simple_cyclic(w)
+    if g.num_vertices == 0:
         raise ValueError("graph is empty")
-    alphabet = max(g2.alphabet, max(abs(x) for x in cycle_w))
-    g1 = circle(cycle_w, alphabet)
-    if g2.alphabet != alphabet:
-        g2 = _built(LabeledDigraph, alphabet, g2.num_vertices, g2.edges, g2.basepoint)
-    lhs = sum(betti(fiber_product(g1, g2)).bettis)  # fiber_product checks g2
-    rhs = betti(g1).total * betti(g2).total
-    k = decompose(g2, cycle_w).class_count
+    alphabet = max(g.alphabet, max(abs(x) for x in w))
+    loop = circle(w, alphabet)
+    if g.alphabet != alphabet:
+        g = _built(LabeledDigraph, alphabet, g.num_vertices, g.edges, g.basepoint)
+    lhs = sum(betti(fiber_product(loop, g)).bettis)  # fiber_product checks g
+    rhs = betti(loop).total * betti(g).total
+    k = decompose(g, w).class_count
     return RestatedReport(lhs, rhs, k, lhs <= rhs and lhs == k)
 
 

@@ -188,9 +188,10 @@ def test_fields_the_benchmark_reads():
         rng = random.Random(trial_seed(cfg.master_seed, i))
         g = random_connected_automaton(cfg, rng)
         w = random_simple_word(cfg, rng)
-        assert collapses_to_tree(build_gamma_w(g, w)).exhaustive_used is False
+        dec = cycles.decompose(g, w)
+        assert collapses_to_tree(build_gamma_w(dec)).exhaustive_used is False
         attachments = [(c.vertices[rng.randrange(c.period)], c.period)
-                       for c in cycles.decompose(g, w).classes if rng.random() < 0.7]
+                       for c in dec.classes if rng.random() < 0.7]
         branches.add(check_npi(g, w, attachments).branch)
     assert branches <= {"chi", "contractible", "fail"}
     assert "contractible" in branches

@@ -185,7 +185,7 @@ def test_complex_builders(sites):
         rng = random.Random(seed)
         g = random_connected_automaton(cfg, rng)
         w = random_simple_word(cfg, rng)
-        build_gamma_w(g, w)
+        build_gamma_w(decompose(g, w))
         check_equality_collapse(g, w)
         check_equality_collapse(circle(w, cfg.alphabet), w)  # one class, Betti number 1
         attachments = [(data.draw(st.sampled_from(cycle)), len(cycle))

@@ -30,11 +30,11 @@ def w(text):
 
 def disc():
     word = w("ab")
-    return build_gamma_w(circle(word), word)
+    return build_gamma_w(decompose(circle(word), word))
 
 
 def torus():
-    return build_gamma_w(rose(2), w("abAB"))
+    return build_gamma_w(decompose(rose(2), w("abAB")))
 
 
 def wedge_of_tori(n):
@@ -57,13 +57,13 @@ class TestBuildGammaW:
 
     def test_no_cycles_no_cells(self):
         g = LabeledDigraph(2, 2, ((0, 1, 1),))
-        x = build_gamma_w(g, w("b"))
+        x = build_gamma_w(decompose(g, w("b")))
         assert x.cells == ()
 
     def test_chi_formula(self):
         # chi(Gamma^w) = chi(Gamma) + class count
         for g, word in [(rose(2), w("abAB")), (circle(w("aab")), w("aab"))]:
-            x = build_gamma_w(g, word)
+            x = build_gamma_w(decompose(g, word))
             chi_graph = g.num_vertices - len(g.edges)
             assert euler_characteristic(x) == chi_graph + len(x.cells)
 
@@ -162,7 +162,7 @@ class TestCollapse:
         # the greedy pass alone decides a disc, with no error
         words = w("ab")
         g = circle(words)
-        x = build_gamma_w(g, words)
+        x = build_gamma_w(decompose(g, words))
         collapses_to_tree(x)
 
     def test_collapse_frees_the_next_cell(self):
@@ -207,14 +207,15 @@ class TestEqualityCollapse:
 
     def test_collapses_the_one_constructed_complex(self):
         # on the suite's drawn connected instances, random ones then circles:
-        # a qualifying check collapses exactly build_gamma_w(g, w), which is
-        # one disc per class along its class path
+        # a qualifying check collapses exactly build_gamma_w(decompose(g, w)),
+        # which is one disc per class along its class path
         cfg, qualifying = TrialConfig(trials=200), 0
         for i in range(300):
             instance = SUITES["equality-collapse"].draw(cfg, i, random.Random(i))
             g, word = instance["g"], instance["w"]
-            x = build_gamma_w(g, word)
-            assert x == TwoComplex(g, tuple(c.path for c in decompose(g, word).classes))
+            dec = decompose(g, word)
+            x = build_gamma_w(dec)
+            assert x == TwoComplex(g, tuple(c.path for c in dec.classes))
             with mock.patch.object(complexes, "collapses_to_tree",
                                    wraps=collapses_to_tree) as collapse:
                 rep = check_equality_collapse(g, word)
@@ -248,15 +249,19 @@ class TestNpi:
         assert rep.euler == 1 and rep.branch == "fail" and not rep.passed
 
     # each rejection is build_gamma_w's, which check_npi builds through
+    @staticmethod
+    def glue(g, word, attachments):
+        return build_gamma_w(decompose(g, word), attachments)
+
     def test_attachment_must_close(self):
         g = LabeledDigraph(2, 2, ((0, 1, 1),))
-        for build in (check_npi, build_gamma_w):
+        for build in (check_npi, self.glue):
             with pytest.raises(ValueError, match="never closes"):
                 build(g, w("b"), [(0, 1)])
 
     def test_non_minimal_exponent_rejected(self):
         word = w("ab")
-        for build in (check_npi, build_gamma_w):
+        for build in (check_npi, self.glue):
             with pytest.raises(ValueError, match="exponent 2 is not the minimal closing "
                                                  "exponent 1, so this is not an immersion"):
                 build(circle(word), word, [(0, 2)])
@@ -264,7 +269,7 @@ class TestNpi:
     def test_duplicate_class_rejected(self):
         word = w("a")
         square = LabeledDigraph(1, 4, ((0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 0, 1)))
-        for build in (check_npi, build_gamma_w):
+        for build in (check_npi, self.glue):
             with pytest.raises(ValueError, match="duplicates another attachment's cycle "
                                                  "class, so this is not an immersion"):
                 build(square, word, [(0, 4), (1, 4)])
@@ -371,10 +376,8 @@ class TestThreeInARow:
         # If betti = cell count = count with multiplicity, collapse follows.
         word = w("aab")
         g = circle(word)
-        x = build_gamma_w(g, word)
+        x = build_gamma_w(decompose(g, word))
         b = betti(g).total
-        from wordcycles.cycles import decompose
-
         dec = decompose(g, word)
         assert b == len(x.cells) == dec.count_with_multiplicity
         assert collapses_to_tree(x).collapses

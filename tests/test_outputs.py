@@ -1,7 +1,8 @@
 """tools/outputs.py: every graph builder's output over seeded instances,
-build_gamma_w's complexes, and what each README CLI example and each
---help prints, pinned by its sha256, so a change to a builder's internals
-that moves a single byte of what the CLI would print fails here."""
+build_gamma_w's complexes, what each README CLI example and each --help
+prints, and what each demo prints, pinned by its sha256, so a change to a
+builder's internals that moves a single byte of what the CLI or a demo
+would print fails here."""
 
 import importlib.util
 from pathlib import Path
@@ -23,6 +24,15 @@ PINNED = {  # move one only in a change that declares that builder's output chan
     "conjugate": "8cb36be2459bc283c17a887dd84a60507a92d0d781305f8a70423cdd5ae58e9b",
     "intersect": "7c9c801a1a283a146612c0525652cb8bf5c9c9ad96aea4b52c382ad1032468ed",
     "SubgroupGraph": "51804c34290c2e0b465c6912721e3d6ce6529168c58868202919a055e79d00d4",
+}
+
+DEMO_PINNED = {  # each demo's stdout
+    "demos/collapsing_complexes.py":
+        "f4e918cf6dc0e3ce328b1c1057035d5045e049eb7e7594caa400feed578a9e78",
+    "demos/counting_cycles.py":
+        "2313f651a245dfe6798aa903b92f32508eead7dbb3ac9d6e991e9edd765ba044",
+    "demos/subgroup_graphs.py":
+        "5f082f55da6d8d7a8b518b63c10083f1f4560629afdef4c13b74049206e24d24",
 }
 
 GAMMA_PINNED = {  # build_gamma_w's complexes as `complex gamma-w` prints them
@@ -151,12 +161,17 @@ def test_main_prints_one_line_per_builder(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert [line.split("  ")[1] for line in lines] == [
         *outputs.BUILDERS, "build_gamma_w", *(f"index/{name}" for name in outputs.BUILDERS),
-        *outputs.cli_examples(), *outputs.cli_helps()]
+        *outputs.cli_examples(), *outputs.cli_helps(),
+        *(f"demos/{p.name}" for p in sorted((ROOT / "demos").glob("*.py")))]
     assert all(len(line.split("  ")[0]) == 64 for line in lines)
 
 
 def test_cli_outputs_are_pinned():
     assert outputs.cli_digests() == CLI_PINNED
+
+
+def test_demo_outputs_are_pinned():
+    assert outputs.demo_digests() == DEMO_PINNED
 
 
 def test_help_lines_cover_every_group_and_command():

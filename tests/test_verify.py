@@ -1,6 +1,7 @@
 import inspect
 import json
 import random
+import sys
 from dataclasses import asdict, replace
 
 import pytest
@@ -158,6 +159,38 @@ def test_run_suite_makes_no_unseeded_rng(monkeypatch):
     monkeypatch.setattr(random, "Random", Recorded)
     run_suite("main", SMALL)
     assert made and () not in made
+
+
+# decompose calls one check makes on one drawn instance: one per relator for
+# staggered, none where no word acts on a graph, one everywhere else
+NOT_DECOMPOSING = {"fold-confluence", "shnc", "conjugate-intersection"}
+
+
+@pytest.mark.parametrize("name", sorted(SUITES))
+def test_no_check_decomposes_an_instance_twice(monkeypatch, name):
+    calls = []
+
+    def counted(decompose):
+        def counting(g, w):
+            calls.append(w)
+            return decompose(g, w)
+        return counting
+
+    patch_everywhere(monkeypatch, cycles, "decompose", counted)
+    suite = SUITES[name]
+    module, _, function = suite.check.partition(".")
+    check = getattr(sys.modules[f"wordcycles.{module}"], function)
+    for i in range(SMALL.trials + suite.extra_trials):
+        instance = suite.draw(SMALL, i, random.Random(trial_seed(SMALL.master_seed, i)))
+        before = len(calls)  # npi's draw decomposes too; only the check's calls count
+        check(**instance)
+        expected = (len(instance["p"].relators) if name == "staggered"
+                    else 0 if name in NOT_DECOMPOSING else 1)
+        assert len(calls) - before == expected, i
+
+
+def test_restated_draws_mains_instance():
+    assert SUITES["restated"].draw is verify.draw_main
 
 
 class TestConjugateIntersectionConfig:

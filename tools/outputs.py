@@ -16,10 +16,11 @@ build from its edges.  Then each `wordcycles ...` example line of
 README.md runs in process (click's CliRunner) on the fixed input files of
 cli_inputs, and its exit code, stdout and stderr are hashed together;
 verify's wall_time is dropped first.  Each line is "<sha256>  <example>".
-Last, the --help of the wordcycles command and of each group and command
+Then the --help of the wordcycles command and of each group and command
 under it is hashed the same way, at a fixed terminal width of 80 columns
 (the width changes how click wraps it), each line "<sha256>  wordcycles
-... --help".
+... --help".  Last, each demos/*.py runs in a subprocess with PYTHONPATH set
+to the checkout's src/, and its stdout is hashed: "<sha256>  demos/<name>".
 Run it in two checkouts and compare the lines: the wordcycles package is
 imported from the checkout the script lies in.
 """
@@ -29,7 +30,9 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import random
+import subprocess
 import sys
 import warnings
 from pathlib import Path
@@ -41,6 +44,7 @@ from click.testing import CliRunner  # noqa: E402
 
 from wordcycles.cli import _complex_to_json, main as cli  # noqa: E402
 from wordcycles.complexes import TwoComplex, build_gamma_w  # noqa: E402
+from wordcycles.cycles import decompose  # noqa: E402
 from wordcycles.generators import (  # noqa: E402
     TrialConfig, random_connected_automaton, random_inverse_automaton, random_simple_word,
     random_staggered_presentation, random_subgroup)
@@ -130,7 +134,8 @@ def gamma_w(rng: random.Random) -> TwoComplex:
     """The disc complex of a random automaton, components and all, and a
     simple word."""
     cfg = config(rng)
-    return build_gamma_w(random_inverse_automaton(cfg, rng), random_simple_word(cfg, rng))
+    return build_gamma_w(decompose(random_inverse_automaton(cfg, rng),
+                                   random_simple_word(cfg, rng)))
 
 
 def complex_text(x: TwoComplex) -> str:
@@ -202,7 +207,7 @@ def cli_inputs() -> dict[str, dict]:
     based at vertex 0, where abAB closes at once (so --attach 0:1 holds),
     and s.json is the README's own."""
     g = _based(TrialConfig(max_vertices=8), 8)
-    x = build_gamma_w(g, parse_word("abAB"))
+    x = build_gamma_w(decompose(g, parse_word("abAB")))
     p = random_staggered_presentation(TrialConfig(), random.Random(3), 2)
     return {
         "g.json": to_json(g),
@@ -238,12 +243,24 @@ def cli_digests() -> dict[str, str]:
     return out
 
 
+def demo_digests() -> dict[str, str]:
+    """"demos/<name>" -> sha256 of what the demo prints, run on this
+    checkout's src/."""
+    env, out = {**os.environ, "PYTHONPATH": str(ROOT / "src")}, {}
+    for demo in sorted((ROOT / "demos").glob("*.py")):
+        run = subprocess.run([sys.executable, str(demo)], env=env, capture_output=True,
+                             check=True)
+        out[f"demos/{demo.name}"] = hashlib.sha256(run.stdout).hexdigest()
+    return out
+
+
 def main(argv=None) -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--count", type=int, default=COUNT, help="instances per builder")
     args = ap.parse_args(argv)
     for name, digest in {**digests(args.count), **gamma_digests(args.count),
-                         **index_digests(args.count), **cli_digests()}.items():
+                         **index_digests(args.count), **cli_digests(),
+                         **demo_digests()}.items():
         print(f"{digest}  {name}")
 
 
