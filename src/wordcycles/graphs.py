@@ -308,10 +308,11 @@ def fold(g: LabeledDigraph, rng: random.Random | None = None) -> LabeledDigraph:
 
     Output vertices are numbered by the least input vertex of their class,
     and the result is born with the rows _fold_clashes reads off the class
-    roots with its edges.  The result is independent of the merge order up
-    to canonical form; an rng pops the worklist in random order (used to
-    test exactly that), each index drawn from rng.getrandbits as
-    rng.randrange would draw it, else last-in first-out.
+    roots with its edges.  Folding is confluent (Stallings 1983) and the
+    numbering reads classes alone, so the result is exactly independent of
+    the merge order; an rng pops the worklist in random order (used to test
+    exactly that), each index drawn from rng.getrandbits as rng.randrange
+    would draw it, else last-in first-out.
     """
     rows, pending = _load_rows(g.edges, g.num_vertices)
     m, succ, edges, number = _fold_clashes(rows, g.num_vertices, pending,
@@ -424,12 +425,13 @@ def _bfs_form(alphabet: int, rows: dict[int, list[int]], number: list, start: in
     the form is born connected and, read off slot rows, deterministic.
 
     with_rows: once the search ends, each edge's out and in slot is written
-    into rows of n + 1 slots, and the form is born with them as its
-    successor, kept for the labels left on an edge: the rows
-    _load_rows(edges, n + 1) would load, less its clash tests, as the form
-    is deterministic.  Subgroup graphs take them, as their probes,
-    conjugates and intersections read rows.  Canonical forms do not: no one
-    reads theirs, and they run the search alone."""
+    into rows of n + 1 slots, kept in a dict keyed by letter as _load_rows
+    keeps them (O(n * letters used), whatever the letters' values), and
+    the form is born with them as its successor, kept for the labels left
+    on an edge: the rows _load_rows(edges, n + 1) would load, less its
+    clash tests, as the form is deterministic.  Subgroup graphs take them,
+    as their probes, conjugates and intersections read rows.  Canonical
+    forms do not: no one reads theirs, and they run the search alone."""
     steps = [(l, rows[l], rows[-l]) for l in sorted(rows) if l > 0]
     number[start] = 0
     order = [start]
@@ -451,16 +453,14 @@ def _bfs_form(alphabet: int, rows: dict[int, list[int]], number: list, start: in
     if not with_rows:
         return _built(LabeledDigraph, alphabet, n, edges, basepoint, deterministic=True,
                       _partition=partition)
-    top = steps[-1][0] + 1 if steps else 0  # outs[l], ins[l]: the rows of l and -l
-    outs, ins = [None] * top, [None] * top
-    for l, _, _ in steps:
-        outs[l], ins[l] = [-1] * (n + 1), [-1] * (n + 1)
+    pairs = {l: ([-1] * (n + 1), [-1] * (n + 1)) for l, _, _ in steps}  # (out, in)
     for src, dst, l in edges:
-        outs[l][src], ins[l][dst] = dst, src
+        out, into = pairs[l]
+        out[src], into[dst] = dst, src
     succ, empty = {}, [-1] * (n + 1)
-    for l, _, _ in steps:
-        if outs[l] != empty:  # an edge reads l; stops at its first filled slot
-            succ[l], succ[-l] = outs[l], ins[l]
+    for l, (out, into) in pairs.items():
+        if out != empty:  # an edge reads l; stops at its first filled slot
+            succ[l], succ[-l] = out, into
     return _built(LabeledDigraph, alphabet, n, edges, basepoint, deterministic=True,
                   _partition=partition, successor=succ)
 
@@ -563,31 +563,39 @@ def json_array(value, field: str) -> list:
 
 
 def from_json(obj: dict) -> LabeledDigraph:
-    names = json_array(obj["vertices"], "vertices")
-    if len(set(names)) != len(names):
-        raise ValueError("duplicate vertex ids")
-    vmap = {name: i for i, name in enumerate(names)}
-    edges = []
-    for e in json_array(obj["edges"], "edges"):
-        try:
-            ends, label = (e["src"], e["dst"]), e["label"]
-        except KeyError as exc:
-            raise ValueError(f"edge is missing key {exc}") from exc
-        for end in ends:
-            if end not in vmap:
-                raise ValueError(f"unknown vertex id {end!r}")
-        edges.append((vmap[ends[0]], vmap[ends[1]], json_int(label, "label")))
-    base = obj.get("basepoint")
-    if base is not None:
-        if base not in vmap:
-            raise ValueError(f"unknown basepoint {base!r}")
-        base = vmap[base]
-    alphabet = json_int(obj["alphabet"], "alphabet")
+    """The graph a JSON object holds; a malformed value raises ValueError,
+    keeping the message of any KeyError or TypeError it caused."""
+    try:
+        names = json_array(obj["vertices"], "vertices")
+        if len(set(names)) != len(names):
+            raise ValueError("duplicate vertex ids")
+        vmap = {name: i for i, name in enumerate(names)}
+        edges = []
+        for e in json_array(obj["edges"], "edges"):
+            try:
+                ends, label = (e["src"], e["dst"]), e["label"]
+            except KeyError as exc:
+                raise ValueError(f"edge is missing key {exc}") from exc
+            for end in ends:
+                if end not in vmap:
+                    raise ValueError(f"unknown vertex id {end!r}")
+            edges.append((vmap[ends[0]], vmap[ends[1]], json_int(label, "label")))
+        base = obj.get("basepoint")
+        if base is not None:
+            if base not in vmap:
+                raise ValueError(f"unknown basepoint {base!r}")
+            base = vmap[base]
+        alphabet = json_int(obj["alphabet"], "alphabet")
+    except (KeyError, TypeError) as exc:
+        raise ValueError(str(exc)) from exc
     return LabeledDigraph(alphabet, len(names), tuple(edges), base)
 
 
 def loads(text: str) -> LabeledDigraph:
-    return from_json(json.loads(text))
+    try:
+        return from_json(json.loads(text))
+    except RecursionError as exc:  # text nested past the decoder's depth
+        raise ValueError(str(exc)) from exc
 
 
 def dumps(g: LabeledDigraph) -> str:

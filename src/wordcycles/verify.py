@@ -130,18 +130,18 @@ def draw_npi(cfg, index, rng):
 
 
 def draw_fold_confluence(cfg, index, rng):
-    """Any two fold orders agree up to canonical form, and every generator
-    still traces closed at the base."""
+    """Any two fold orders give the same graph, and every generator still
+    traces closed at the base."""
     gens = [random_simple_word(cfg, rng) for _ in range(rng.randint(1, 4))]
     return {"generators": gens, "alphabet": cfg.alphabet,
             "seeds": [rng.getrandbits(64), rng.getrandbits(64)]}
 
 
 def fold_confluence_check(generators, alphabet, seeds):
-    """Each seed orders one fold of the wedge of the generators.  A failure
-    with ``unclosed`` 0 is a confluence failure."""
+    """Each seed orders one fold of the wedge of the generators, and the folds
+    must be equal.  A failure with ``unclosed`` 0 is a confluence failure."""
     wedge = graphs.wedge_of_words(generators, alphabet)
-    a, b = (graphs.canonical_form(graphs.fold(wedge, random.Random(s))) for s in seeds)
+    a, b = (graphs.fold(wedge, random.Random(s)) for s in seeds)
     unclosed = sum(graphs.walk(a, a.basepoint, w) != a.basepoint for w in generators)
     return SimpleNamespace(unclosed=unclosed, passed=a == b and not unclosed)
 

@@ -125,7 +125,7 @@ def test_fold_confluence_500():
     )
     r = run("fold-confluence", cfg)
     report(
-        "fold confluence: 500 generator sets, two orders, identical canon",
+        "fold confluence: 500 generator sets, two orders, identical folds",
         not r.failures,
         f"{r.passes} passes",
     )

@@ -3,6 +3,7 @@ import os
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -442,6 +443,20 @@ def test_missing_generators_names_the_key(runner, tmp_path):
     path.write_text(json.dumps({"alphabet": 2}))
     result = runner.invoke(main, ["subgroup", "rank", str(path)])
     assert "bad subgroup file" in result.output and "'generators'" in result.output
+
+
+def test_rank_of_a_large_letter_costs_no_table(runner):
+    # a subgroup graph's rows are keyed by letter: the letter 10^6 costs what a costs
+    text = json.dumps({"alphabet": 10**6, "generators": ["a1000000"]})
+    tracemalloc.start()
+    try:
+        result = runner.invoke(main, ["subgroup", "rank", "-"], input=text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.stdout) == {"rank": 1, "trivial": False}
+    assert peak < 1 << 20
 
 
 def test_readme_graph_example_loads(runner, tmp_path):

@@ -15,7 +15,7 @@ on edges (a row reads -1, the sink, where no edge leads), the edge index
 that tracing looks each step's edge up in, and tracing, walks,
 canonical_form and intersect's product search, which read them, are
 checked against dicts keyed by (vertex, label) tuples; on tiny graphs declared with alphabet 10^6 each per-letter kernel
-peaks under 1 MiB.
+peaks under 1 MiB, and so does each subgroup builder on letters reaching 10^6.
 decompose, which keeps only the edge indices of each trace, is checked
 against a decomposition that stores every vertex's whole (edge, direction)
 trace.  require_valid, which reads the determinism flag that loading the
@@ -23,7 +23,8 @@ successor rows sets, is checked against the full diagnostics of validate.  check
 rotates the class paths of the attached vertices alone, is checked against
 the construction that rotates one for every cycle vertex.  fold's random pop
 order, drawn from getrandbits, is checked against the fold that drew it with
-rng.randrange: the same output and the same rng state after.  The finish that
+rng.randrange: the same output and the same rng state after, and any two
+pop orders give the same graph and rows, not just isomorphic ones.  The finish that
 every fold ends in, which reads the folded graph's rows and edges off the
 class roots, is checked against the rows the checked graph on those edges
 derives and the classes of the rescanning fold.
@@ -660,6 +661,14 @@ class TestFoldAgainstReference:
     def test_small_graphs_three_letters(self, g, rng):
         assert_fold_matches(g, rng)
 
+    @settings(max_examples=300)
+    @given(graphs_with_repeats() | connected_graphs(alphabet=3), fold_orders, fold_orders)
+    def test_merge_order_changes_nothing(self, g, rng1, rng2):
+        # exactly, not up to isomorphism: classes are numbered by least vertex
+        a, b = fold(g, rng1), fold(g, rng2)
+        assert a == b
+        assert a.successor == b.successor
+
     def test_memory_ignores_declared_alphabet(self):
         g = wedge_of_words([(1, 2)], 10**6)
         tracemalloc.start()
@@ -1191,6 +1200,38 @@ class TestMemoryIgnoresDeclaredAlphabet:
         finally:
             tracemalloc.stop()
         assert shape(result) == shape(kernel(3))
+        assert peak < 1 << 20
+
+
+BIG = 10**6  # a letter's value, as a table indexed by letter would pay for it
+
+LETTER_VALUE_KERNELS = {  # (builder, its inputs), the inputs built untraced
+    "stallings_graph": lambda: (stallings_graph, [(BIG,), (1, BIG, 1)], BIG),
+    "SubgroupGraph": lambda: (SubgroupGraph, LabeledDigraph(
+        BIG, 3, ((0, 1, BIG), (1, 0, 1), (1, 2, 2)), 0)),
+    "conjugate": lambda: (conjugate, stallings_graph([(1, BIG)], BIG), (BIG, 2)),
+    "intersect": lambda: (intersect, stallings_graph([(BIG,), (2, BIG, -2)], BIG),
+                          stallings_graph([(BIG, BIG), (2,)], BIG)),
+}
+
+
+class TestMemoryIgnoresLetterValues:
+    """A subgroup graph's rows are keyed by letter, not held in a table as
+    long as the largest letter: each builder, on letters reaching 10^6,
+    peaks under 1 MiB and is born with the rows of its letters."""
+
+    @pytest.mark.parametrize("name", LETTER_VALUE_KERNELS)
+    def test_peak(self, name):
+        builder, *inputs = LETTER_VALUE_KERNELS[name]()
+        tracemalloc.start()
+        try:
+            h = builder(*inputs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        letters = {l for _, _, l in h.graph.edges}
+        assert BIG in letters
+        assert sorted(h.graph.successor) == sorted(x for l in letters for x in (l, -l))
         assert peak < 1 << 20
 
 

@@ -7,7 +7,7 @@ from dataclasses import asdict, replace
 import pytest
 from conftest import extra_class, patch_everywhere, plant_failing_check
 
-from wordcycles import complexes, cycles, verify
+from wordcycles import complexes, cycles, graphs, verify
 from wordcycles.generators import TrialConfig, trial_seed
 from wordcycles.verify import SUITES, _encode, run_suite
 
@@ -187,6 +187,23 @@ def test_no_check_decomposes_an_instance_twice(monkeypatch, name):
         expected = (len(instance["p"].relators) if name == "staggered"
                     else 0 if name in NOT_DECOMPOSING else 1)
         assert len(calls) - before == expected, i
+
+
+def test_no_suite_builds_a_canonical_form(monkeypatch):
+    # fold numbers classes by their least vertices, so fold confluence
+    # compares the folds themselves; canonical forms serve isomorphism alone
+    calls = []
+
+    def counted(canonical_form):
+        def counting(g):
+            calls.append(g)
+            return canonical_form(g)
+        return counting
+
+    patch_everywhere(monkeypatch, graphs, "canonical_form", counted)
+    for name in SUITES:
+        run_suite(name, SMALL)
+    assert calls == []
 
 
 def test_restated_draws_mains_instance():
