@@ -7,10 +7,11 @@ label at every vertex.
 
 A graph's index is built once, by its builder where the construction proves
 it (_built), else on first read, and no read changes it: the successor rows
-(its one per-letter table), the edge_index that _trace reads, and one
-union-find partition that gives the components and Betti numbers.  Folds,
-drawn automata and subgroup graphs are born with their rows, which their
-readers need; canonical forms are not, as nothing reads theirs.
+(its one per-letter table) with the clash pairs their loader found, the
+edge_index that _trace reads, and one union-find partition that gives the
+components and Betti numbers.  Folds, drawn automata and subgroup graphs are
+born with their rows, which their readers need; canonical forms are not, as
+nothing reads theirs.
 """
 
 from __future__ import annotations
@@ -82,8 +83,10 @@ class LabeledDigraph:
         (_load_rows on num_vertices + 1 slots), with rows for the labels on
         edges only and never grown: a letter with no row falls off.  Slot -1
         is never written, so the sink -1 leads to itself and a walk reads
-        u = row[u] with no test.  The last of two edges sharing a slot wins."""
+        u = row[u] with no test.  The last of two edges sharing a slot wins.
+        The loader's clash pairs are kept beside the rows (_clashes)."""
         rows, clashes = _load_rows(self.edges, self.num_vertices + 1)
+        self.__dict__["_clashes"] = clashes = tuple(clashes)
         self.__dict__["deterministic"] = not clashes
         return rows
 
@@ -92,6 +95,16 @@ class LabeledDigraph:
         """No two edges share a slot: successor's loader found no clash."""
         self.successor  # building the rows sets this attribute
         return self.deterministic
+
+    @cached_property
+    def _clashes(self) -> tuple[tuple[int, int], ...]:
+        """The far ends of each two edges sharing a slot, in the order
+        successor's loader found them: the pairs fold merges first, on
+        copies of the rows.  () on a graph born deterministic."""
+        if self.__dict__.get("deterministic"):
+            return ()
+        self.successor  # building the rows sets this attribute
+        return self._clashes
 
     @cached_property
     def edge_index(self) -> dict[Edge, int]:
@@ -221,7 +234,10 @@ def _fold_clashes(rows: dict[int, list[int]], n: int, pending,
     where signed letter x leads from v, or -1): merge the vertex pairs on
     the pending worklist, and each pair a merge makes clash, so that a class
     root's slots hold a vertex each letter leads to from the class.  A merge
-    copies the smaller class's root entries into the larger's, O(len(rows)).
+    copies the smaller class's root entries into the larger's, O(len(rows)),
+    and pushes the roots of two clashing entries only if they are two
+    classes.  Rows and pending are merged in place: a caller that keeps
+    them hands over copies.
     Pops last-in first-out, or at indices drawn from getrandbits as
     rng.randrange would draw them.  Returns the folded graph, its classes
     numbered by their least vertices and read off the roots' positive-letter
@@ -253,8 +269,13 @@ def _fold_clashes(rows: dict[int, list[int]], n: int, pending,
             if (u := row[a]) >= 0:
                 if (other := row[b]) < 0:
                     row[b] = u
-                elif u != other:
-                    push((other, u))
+                elif u != other:  # push the pair's roots if they differ
+                    while (up := parent[u]) != u:
+                        parent[u] = u = parent[up]
+                    while (up := parent[other]) != other:
+                        parent[other] = other = parent[up]
+                    if u != other:
+                        push((other, u))
     roots: list[int] = []
     number = [-1] * (n + 1)
     for v in range(n):
@@ -301,10 +322,14 @@ def fold(g: LabeledDigraph, rng: random.Random | None = None) -> LabeledDigraph:
     """Fold g until deterministic (worklist union-find, after Touikan 2006).
 
     Each label on some edge gets two slot rows over the vertices, one per
-    signed letter (_load_rows): memory is O(V * labels used + E) whatever
+    signed letter (g.successor): memory is O(V * labels used + E) whatever
     the alphabet.  Two same-letter edges at one vertex put their far ends
-    on the worklist of _fold_clashes, whose merges cost O(labels used), so
-    the fold is near-linear.  Parallel duplicates collapse.
+    on the worklist of _fold_clashes (g._clashes, which successor's loader
+    found), whose merges cost O(labels used) and push only pairs of two
+    classes, so the fold is near-linear.  Parallel duplicates collapse.
+    _fold_clashes merges copies of g's rows and clash pairs, so g's index
+    reads the same after any number of folds, a second fold of g loads
+    nothing, and neither does a fold of a graph born with its rows.
 
     Output vertices are numbered by the least input vertex of their class,
     and the result is born with the rows _fold_clashes reads off the class
@@ -314,8 +339,8 @@ def fold(g: LabeledDigraph, rng: random.Random | None = None) -> LabeledDigraph:
     exactly that), each index drawn from rng.getrandbits as rng.randrange
     would draw it, else last-in first-out.
     """
-    rows, pending = _load_rows(g.edges, g.num_vertices)
-    m, succ, edges, number = _fold_clashes(rows, g.num_vertices, pending,
+    rows = {x: row[:] for x, row in g.successor.items()}  # folded in place: copies
+    m, succ, edges, number = _fold_clashes(rows, g.num_vertices, list(g._clashes),
                                            rng.getrandbits if rng is not None else None)
     edges.sort()
     base = number[g.basepoint] if g.basepoint is not None else None

@@ -24,7 +24,9 @@ rotates the class paths of the attached vertices alone, is checked against
 the construction that rotates one for every cycle vertex.  fold's random pop
 order, drawn from getrandbits, is checked against the fold that drew it with
 rng.randrange: the same output and the same rng state after, and any two
-pop orders give the same graph and rows, not just isomorphic ones.  The finish that
+pop orders give the same graph and rows, not just isomorphic ones.  fold
+merges copies of its input's rows and clash pairs: two folds leave them
+reading as a fresh load.  The finish that
 every fold ends in, which reads the folded graph's rows and edges off the
 class roots, is checked against the rows the checked graph on those edges
 derives and the classes of the rescanning fold.
@@ -114,7 +116,8 @@ def naive_fold(g: LabeledDigraph) -> LabeledDigraph:
 
 
 def randrange_fold(g: LabeledDigraph, rng: random.Random) -> LabeledDigraph:
-    """fold as it was written with rng.randrange drawing the pop index."""
+    """fold as it was written with rng.randrange drawing the pop index,
+    pushing a clash only when its ends are in two classes."""
     n = g.num_vertices
     parent = list(range(n))
     size = [1] * n
@@ -148,7 +151,13 @@ def randrange_fold(g: LabeledDigraph, rng: random.Random) -> LabeledDigraph:
             if other < 0:
                 row[b] = u
             elif u >= 0 and u != other:
-                pending.append((other, u))
+                r, t = u, other
+                while parent[r] != r:
+                    parent[r] = r = parent[parent[r]]
+                while parent[t] != t:
+                    parent[t] = t = parent[parent[t]]
+                if r != t:
+                    pending.append((other, u))
 
     root_number: dict[int, int] = {}
     number = []
@@ -712,6 +721,20 @@ class TestFoldOrderAgainstRandrange:
             self.assert_same_draws(g, seed)
 
 
+class TestFoldLeavesItsInputIntact:
+    """fold merges copies of its input's successor rows and clash pairs, so
+    after any number of folds the input's index reads as a fresh load."""
+
+    @settings(max_examples=200)
+    @given(graphs_with_repeats() | connected_graphs(alphabet=3), fold_orders)
+    def test_two_folds(self, g, rng):
+        assert fold(g, rng) == fold(g, rng)
+        rows, clashes = _load_rows(g.edges, g.num_vertices + 1)
+        assert g.successor == rows
+        assert g.deterministic == (not clashes)
+        assert g._clashes == tuple(clashes)
+
+
 class TestIntersectAgainstReference:
     @settings(max_examples=60)
     @given(generator_sets, generator_sets)
@@ -859,12 +882,15 @@ def assert_finish_matches(before, rows, pending, getrandbits=None):
 class TestFoldFinishAgainstChecked:
     """The one finish of every fold, graphs.fold and Stallings graphs alike:
     _fold_clashes hands back the folded graph's rows and edges, whether its
-    rows are the loader's n slots or _read's, which have room to spare."""
+    rows are the loader's, on n or n + 1 slots, or _read's, which have room
+    to spare."""
 
     @settings(max_examples=200)
-    @given(graphs_with_repeats() | connected_graphs(alphabet=3), fold_orders)
-    def test_loaded_rows(self, g, rng):
-        rows, pending = _load_rows(g.edges, g.num_vertices)
+    @given(graphs_with_repeats() | connected_graphs(alphabet=3), fold_orders,
+           st.sampled_from([0, 1]))
+    def test_loaded_rows(self, g, rng, sink):
+        # on n slots, or n + 1 as a graph's own successor rows, which fold copies
+        rows, pending = _load_rows(g.edges, g.num_vertices + sink)
         assert_finish_matches(g, rows, pending, rng.getrandbits if rng else None)
 
     @settings(max_examples=200)

@@ -10,7 +10,9 @@ graph never derives it from its edges: Stallings graphs, intersections
 and canonical forms are born connected and deterministic, a component
 knows its Betti number, and a fold, a drawn automaton and every subgroup
 graph (Stallings graphs, conjugates, intersections and the SubgroupGraph
-constructor's) hand over their rows.  Canonical forms are born without
+constructor's) hand over their rows.  fold merges copies of its input's
+own rows and clash pairs, so folding a graph twice loads it once, and
+folding a graph born with rows loads nothing.  Canonical forms are born without
 rows, as nothing reads them, and their search writes none.  Those
 cases count the calls of the union-find (_partition's function) and of
 _load_rows.
@@ -33,7 +35,7 @@ from wordcycles.generators import (
     random_subgroup,
 )
 from wordcycles.graphs import (LabeledDigraph, betti, canonical_form, component_containing,
-                               core, fold, is_connected)
+                               core, fold, is_connected, wedge_of_words)
 from wordcycles.subgroups import (SubgroupGraph, check_shnc, conjugate, contains,
                                   count_conjugates_meeting, intersect, rank, stallings_graph)
 from wordcycles.verify import SUITES
@@ -172,6 +174,23 @@ class TestBuildersHandOverTheirIndex:
         g = tangle(seed)
         canonical_form(fold(component_containing(g, g.basepoint)))
         assert derived["_load_rows"] == 1  # fold's input's
+
+    def test_two_folds_of_a_wedge(self, seed, derived):
+        rng = random.Random(seed)
+        g = wedge_of_words([random_simple_word(CFG, rng) for _ in range(3)], 2)
+        assert fold(g, random.Random(seed)) == fold(g, random.Random(seed + 1))
+        assert derived["_load_rows"] == 1  # the wedge's own; each fold merges copies
+
+    def test_fold_of_a_fold(self, seed, derived):
+        g = fold(tangle(seed))
+        derived.clear()
+        assert fold(g) == g  # born with its rows, and deterministic
+        assert derived["_load_rows"] == 0
+
+    def test_fold_of_a_draw(self, seed, derived):
+        g = random_inverse_automaton(CFG, random.Random(seed))
+        assert fold(g).edges == tuple(sorted(g.edges))  # born deterministic
+        assert derived["_load_rows"] == 0
 
     def test_conjugates_of_a_stallings_graph(self, seed, derived):
         rng = random.Random(seed)
