@@ -5,8 +5,11 @@ sigma_w on the vertex set.  A based w-cycle is a vertex on a sigma_w-orbit
 cycle; equivalence classes of w-cycles are exactly the orbit cycles.  The
 central facts checked here: the class count is at most the first Betti
 number, and strictly less with multiplicity when every edge is traversed
-at least twice.  The counts come from sigma_w's cycles alone; class paths
-and edge multiplicities are traced only when read.
+at least twice.  The counts come from sigma_w's cycles alone, walked off
+w's successor rows: each walk takes its first two steps before the loop
+over the rest of w, so a start that falls off at once costs one compare,
+and no walk reads a sink slot.  Class paths and edge multiplicities are
+traced only when read.
 """
 
 from __future__ import annotations
@@ -93,7 +96,12 @@ def decompose(g: LabeledDigraph, w: Word) -> WCycleDecomposition:
     """Cycle decomposition of sigma_w.
 
     Only sigma_w and its orbit cycles, which give the counts, are computed
-    here, walking w's successor rows from every vertex.  Class paths and
+    here.  The walks start off w's first two rows: the row of w's first
+    letter is enumerated (its last slot, the sink's, reads -1), and only a
+    walk that survives both of its first two steps enters the loop over
+    the rest of w; a one-letter word's row is sigma_w.  No sink slot is
+    read, so the cost is O(|V| + the steps the walks take), and on sparse
+    graphs most walks fall off in those two steps.  Class paths and
     edge multiplicities are built on first read, with _trace, from the cycle
     vertices alone.  Rejects words that are not cyclically reduced or
     not primitive; the caller must normalize first.
@@ -101,20 +109,23 @@ def decompose(g: LabeledDigraph, w: Word) -> WCycleDecomposition:
     require_valid(g)
     require_simple_cyclic(w)
 
-    sigma: dict[int, int] = {}
     successor = g.successor
     try:
-        rows = [successor[x] for x in w]
+        first, *rows = [successor[x] for x in w]
     except KeyError:  # a letter of w is on no edge: w reads from no vertex
-        return WCycleDecomposition(w, sigma, (), g)
-    for v in range(g.num_vertices):
-        u = v
-        for row in rows:
-            u = row[u]
-            if u < 0:
-                break
-        else:
-            sigma[v] = u
+        return WCycleDecomposition(w, {}, (), g)
+    if not rows:  # one letter: sigma_w is its row
+        sigma = {v: u for v, u in enumerate(first) if u >= 0}
+    else:  # each walk's first two steps in the header: most starts fall off there
+        sigma = {}
+        second, *rows = rows
+        for v, u in enumerate(first):  # the sink slot, last, reads -1
+            if u >= 0 and (u := second[u]) >= 0:
+                for row in rows:
+                    if (u := row[u]) < 0:
+                        break
+                else:
+                    sigma[v] = u
 
     # g is deterministic, so sigma_w is injective and each orbit a simple path
     # or cycle: a walk meets a cycle only if it starts on it, then goes round it.

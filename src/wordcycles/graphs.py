@@ -298,13 +298,13 @@ def _fold_clashes(rows: dict[int, list[int]], n: int, pending,
     return m, succ, edges, number
 
 
-def _load_rows(edges, size: int, labels=()) -> tuple[dict, list[tuple[int, int]]]:
+def _load_rows(edges, size: int) -> tuple[dict, list[tuple[int, int]]]:
     """Slot rows of the graph with these edges on vertices below size, rows
-    l and -l for each label on an edge or in labels (rows[x][v]: where letter
-    x leads from v, or -1), and the far ends of same-letter edges at one
-    vertex, which clash."""
+    l and -l for each label on an edge (rows[x][v]: where letter x leads
+    from v, or -1), and the far ends of same-letter edges at one vertex,
+    which clash."""
     rows, pairs = {}, {}
-    for l in {l for _, _, l in edges}.union(labels):
+    for l in {l for _, _, l in edges}:
         rows[l], rows[-l] = pairs[l] = ([-1] * size, [-1] * size)  # (out, in)
     pending: list[tuple[int, int]] = []
     for s, d, l in edges:

@@ -45,11 +45,11 @@ class SubgroupGraph:
 def _read(loops: list[Word], labels: set[int]):
     """Read each freely reduced loop in at base vertex 0 on slot rows, with
     room for the new vertices and rows l and -l for each of the labels,
-    which hold the loops' letters, in _load_rows's key order but in a table
-    of 16 slots or more: rows[x][v] is where letter x leads from v, or -1,
-    the graph's only record of its edges.  Returns (rows, n, pending): n
-    counts the vertices, and pending holds the vertex pairs that clashes
-    force together.  Each loop is walked forwards from the base and
+    which hold the loops' letters, in the key order _load_rows gives one
+    edge per label, but in a table of 16 slots or more: rows[x][v] is where
+    letter x leads from v, or -1, the graph's only record of its edges.
+    Returns (rows, n, pending): n counts the vertices, and pending holds
+    the vertex pairs that clashes force together.  Each loop is walked forwards from the base and
     backwards into it, so only the unread middle is new; the two vertices
     where the walks meet, or the far ends of the middle's first and last
     edges where both leave one vertex by the same letter, are pending.  The
@@ -61,7 +61,7 @@ def _read(loops: list[Word], labels: set[int]):
     rows, pending = dict.fromkeys(range(6)), []
     for x in range(6):  # in 8 slots, hash(-1) == hash(-2) puts -2 13 probes deep
         del rows[x]
-    for l in set(labels):
+    for l in labels:
         rows[l], rows[-l] = [-1] * size, [-1] * size
     for w in loops:
         v, i, u, j = 0, 0, 0, len(w)

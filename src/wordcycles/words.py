@@ -106,10 +106,12 @@ def primitive_root(w: Word) -> tuple[Word, int]:
 
 
 def _period(w: Word) -> int:
-    """The least d dividing |w| with w[d:] == w[:-d], i.e. w = w[:d]^(|w|/d)."""
+    """The least d dividing |w| with w[d:] == w[:-d], i.e. w = w[:d]^(|w|/d).
+    The slices agree only if their first letters do: w[d] == w[0] is tested
+    first, as it is cheaper."""
     n = len(w)
     for d in range(1, n // 2 + 1):
-        if n % d == 0 and w[d:] == w[:-d]:
+        if n % d == 0 and w[d] == w[0] and w[d:] == w[:-d]:
             return d
     return n
 

@@ -18,9 +18,12 @@ checked against dicts keyed by (vertex, label) tuples; on tiny graphs declared w
 peaks under 1 MiB, and so does each subgroup builder on letters reaching 10^6.
 decompose, which keeps only the edge indices of each trace, is checked
 against a decomposition that stores every vertex's whole (edge, direction)
-trace.  require_valid, which reads the determinism flag that loading the
-successor rows sets, is checked against the full diagnostics of validate.  check_npi, which
-rotates the class paths of the attached vertices alone, is checked against
+trace, on dense draws and on the sparse graphs where most walks fall off
+in their first two steps: Stallings graphs, conjugates, intersections,
+folds and connected draws.  require_valid, which reads the determinism
+flag that loading the successor rows sets, is checked against the full
+diagnostics of validate.  check_npi, which rotates the class paths of the
+attached vertices alone, is checked against
 the construction that rotates one for every cycle vertex.  fold's random pop
 order, drawn from getrandbits, is checked against the fold that drew it with
 rng.randrange: the same output and the same rng state after, and any two
@@ -841,8 +844,9 @@ class TestStallingsAgainstWedgeFold:
                     reason="the hash collision and dict sizes are CPython's")
 class TestReadTableAgainstLoader:
     """CPython hashes -1 and -2 alike, so in an 8-slot dict a lookup of -2
-    walks 13 probes.  _read keeps its rows in a larger table, with the keys,
-    key order and rows that _load_rows gives for no edges."""
+    walks 13 probes.  _read keeps its rows in a larger table, with the keys
+    and key order that _load_rows gives for one edge per label, and empty
+    rows."""
 
     def test_table_is_larger_than_a_plain_dict(self):
         rows, *_ = _read([], {1, 2})
@@ -856,12 +860,13 @@ class TestReadTableAgainstLoader:
     def test_keys_key_order_and_rows(self, loops):
         labels = _require_letters(loops, 195)
         size = 1 + sum(map(len, loops))
+        one_edge_each = tuple((0, 0, l) for l in labels)  # the loader keys its edges' labels
         rows, *_ = _read([], labels)
-        want, _ = _load_rows((), 1, labels)
-        assert list(rows.items()) == list(want.items())
+        want = list(_load_rows(one_edge_each, 1)[0])
+        assert list(rows.items()) == [(x, [-1]) for x in want]
         rows, *_ = _read(loops, labels)
-        want, _ = _load_rows((), size, labels)
-        assert list(rows) == list(want)
+        want = list(_load_rows(one_edge_each, size)[0])
+        assert list(rows) == want
         assert [len(row) for row in rows.values()] == [size] * len(want)
 
 
@@ -1342,7 +1347,7 @@ class TestCoreAgainstRounds:
 def assert_decompose_matches(g, w):
     dec = decompose(g, w)
     sigma, classes, multiplicity = witness_decompose(g, w)
-    assert dec.sigma == sigma
+    assert list(dec.sigma.items()) == list(sigma.items())  # filled in vertex order
     assert dec.classes == classes
     assert dec.edge_multiplicity == multiplicity
     # the lazy views read in the other order, on a fresh decomposition
@@ -1375,3 +1380,64 @@ class TestDecomposeAgainstWitnessPaths:
             assert_decompose_matches(g, w)
             assert decompose(g, w).sigma == {}
         assert_decompose_matches(g, (1, 2))
+
+
+# one letter, two, and more, a letter on no edge of a 2-letter graph, and
+# one beyond every alphabet drawn here
+SPARSE_WORDS = [(1,), (-2,), (1, 2), (2, -1), (1, 1, 2), (1, 2, -1, -2), (2, 2, -1, 2, 1),
+                (1, 3), (3,), (4, 1, 2)]
+sparse_words = simple_words_from([1, 2, 3]) | st.sampled_from(SPARSE_WORDS)
+
+
+class TestDecomposeOnSparseGraphs:
+    """decompose takes each walk's first two steps before its loop over
+    the rest of w; on these graphs most walks fall off in those two steps,
+    and each graph reads the rows it was born with or loaded."""
+
+    @settings(max_examples=200)
+    @given(raw_generator_sets(), sparse_words)
+    @pytest.mark.filterwarnings("ignore:generator")
+    def test_stallings_graphs(self, instance, w):
+        assert_decompose_matches(stallings_graph(*instance).graph, w)
+
+    @settings(max_examples=150)
+    @given(raw_generator_sets(), st.lists(letters_from([1, 2, 3]), max_size=6),
+           sparse_words)
+    @pytest.mark.filterwarnings("ignore:generator")
+    def test_conjugates(self, instance, g, w):
+        gens, alphabet = instance
+        g = tuple(x for x in g if abs(x) <= alphabet)
+        assert_decompose_matches(conjugate(stallings_graph(gens, alphabet), g).graph, w)
+
+    @settings(max_examples=150)
+    @given(generator_sets, generator_sets, sparse_words)
+    def test_intersections(self, gens1, gens2, w):
+        h = intersect(stallings_graph(gens1, 2), stallings_graph(gens2, 2))
+        assert_decompose_matches(h.graph, w)
+
+    @settings(max_examples=200)
+    @given(graphs_with_repeats() | connected_graphs(alphabet=3), fold_orders, sparse_words)
+    def test_folds(self, g, rng, w):
+        assert_decompose_matches(fold(g, rng), w)
+
+    @settings(max_examples=200)
+    @given(st.integers(0, 2**32), st.integers(1, 14), st.sampled_from([0.2, 0.5, 0.8]),
+           sparse_words)
+    def test_connected_draws(self, seed, n, density, w):
+        # most draws are disconnected, so component_containing cuts them down,
+        # and its component loads its rows from its edges
+        cfg = TrialConfig(max_vertices=n, alphabet=2, edge_density=density)
+        assert_decompose_matches(random_connected_automaton(cfg, random.Random(seed)), w)
+
+    @settings(max_examples=200)
+    @given(deterministic_graphs(max_vertices=12, alphabet=3), st.data(), sparse_words)
+    def test_components(self, g, data, w):
+        v = data.draw(st.integers(0, g.num_vertices - 1))
+        assert_decompose_matches(component_containing(g, v), w)
+
+    @pytest.mark.parametrize("w", SPARSE_WORDS)
+    def test_fixed_words(self, w):
+        # a Stallings graph and a fold, where walks fall off at each of w's letters
+        h = stallings_graph([parse_word(u) for u in ("aab", "bAbb", "abABa")], 2)
+        assert_decompose_matches(h.graph, w)
+        assert_decompose_matches(fold(wedge_of_words([(1, 2, 1), (2, 2, -1)], 2)), w)

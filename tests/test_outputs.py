@@ -1,5 +1,6 @@
 """tools/outputs.py: every graph builder's output over seeded instances,
-build_gamma_w's complexes, what each README CLI example and each --help
+build_gamma_w's complexes, decompose's sigma_w and orbit cycles, what each
+README CLI example and each --help
 prints, and what each demo prints, pinned by its sha256, so a change to a
 builder's internals that moves a single byte of what the CLI or a demo
 would print fails here."""
@@ -53,6 +54,13 @@ INDEX_PINNED = {  # each builder's index as built lazily from the edges
     "index/conjugate": "43e126fc0313254b3f716aac427171fbf23e17eea4b231abcc2c031be51b7da7",
     "index/intersect": "12087cfae4d262a3e9a2430684c71cdcdf74f074147c2419c5c131df4ba67f93",
     "index/SubgroupGraph": "45bb2d3d60ad998bdf429fb260db214120cbb687bc843cc29562f5c83d22e837",
+}
+
+DECOMPOSE_PINNED = {  # sigma_w's items in the order filled, and the orbit cycles
+    "decompose/automaton": "7214c2f753b933625178b4d37731c9ff7dd712f97e75a3ab95b51f76f2c5b0cb",
+    "decompose/stallings_graph":
+        "7d896df05cb4b04d0e8a397580493902cae8d56ef6020d57f2d25ef4daa664bb",
+    "decompose/fold": "b06cdec4f5b49c3b355fa633593451b19cd3d3ddb1722774e5c5ac529fdf5e21",
 }
 
 CLI_PINNED = {  # exit code, stdout and stderr; move one only in a change that declares it
@@ -156,11 +164,16 @@ def test_builder_indexes_are_pinned():
     assert outputs.index_digests() == INDEX_PINNED
 
 
+def test_decompositions_are_pinned():
+    assert outputs.decompose_digests() == DECOMPOSE_PINNED
+
+
 def test_main_prints_one_line_per_builder(capsys):
     outputs.main(["--count", "3"])
     lines = capsys.readouterr().out.splitlines()
     assert [line.split("  ")[1] for line in lines] == [
         *outputs.BUILDERS, "build_gamma_w", *(f"index/{name}" for name in outputs.BUILDERS),
+        *outputs.DECOMPOSED,
         *outputs.cli_examples(), *outputs.cli_helps(),
         *(f"demos/{p.name}" for p in sorted((ROOT / "demos").glob("*.py")))]
     assert all(len(line.split("  ")[0]) == 64 for line in lines)

@@ -1,10 +1,12 @@
 import time
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wordcycles.words import (
+    _period,
     cyclic_reduce,
     format_word,
     free_reduce,
@@ -259,3 +261,14 @@ class TestPredicatesAgainstOldDefinitions:
     @pytest.mark.parametrize("word", edge_words)
     def test_edge_words(self, word):
         self.assert_same(word)
+
+    def test_every_short_word(self):
+        # all 87,381 words of length <= 8 over a, A, b, B, reduced or not:
+        # _period is the least d with w == w[:d] * (n // d), and every gate
+        # reads as before, messages word for word
+        for n in range(9):
+            for word in product((1, -1, 2, -2), repeat=n):
+                if word:
+                    assert _period(word) == min(d for d in range(1, n + 1)
+                                                if word[:d] * (n // d) == word)
+                self.assert_same(word)

@@ -12,7 +12,11 @@ way, are hashed as `complex gamma-w` prints them: "<sha256>  build_gamma_w".
 Then the graph builders' results' indexes are hashed, as
 their readers see them (index_text), each line "<sha256>  index/<builder>":
 an index a builder hands its graph must read as the one the graph would
-build from its edges.  Then each `wordcycles ...` example line of
+build from its edges.  Then decompose is run on seeded random automata,
+Stallings graphs and folds, each with a simple word drawn from the same
+rng (one in four has a letter on no edge), and sigma_w's items, in the
+order decompose filled them, and the orbit cycles are hashed, each line
+"<sha256>  decompose/<kind>".  Then each `wordcycles ...` example line of
 README.md runs in process (click's CliRunner) on the fixed input files of
 cli_inputs, and its exit code, stdout and stderr are hashed together;
 verify's wall_time is dropped first.  Each line is "<sha256>  <example>".
@@ -44,7 +48,7 @@ from click.testing import CliRunner  # noqa: E402
 
 from wordcycles.cli import _complex_to_json, main as cli  # noqa: E402
 from wordcycles.complexes import TwoComplex, build_gamma_w  # noqa: E402
-from wordcycles.cycles import decompose  # noqa: E402
+from wordcycles.cycles import WCycleDecomposition, decompose  # noqa: E402
 from wordcycles.generators import (  # noqa: E402
     TrialConfig, random_connected_automaton, random_inverse_automaton, random_simple_word,
     random_staggered_presentation, random_subgroup)
@@ -53,7 +57,7 @@ from wordcycles.graphs import (  # noqa: E402
     fold, to_json)
 from wordcycles.subgroups import (  # noqa: E402
     SubgroupGraph, conjugate, intersect, stallings_graph)
-from wordcycles.words import format_word, parse_word  # noqa: E402
+from wordcycles.words import Word, format_word, parse_word  # noqa: E402
 
 COUNT = 500  # instances per builder
 
@@ -151,6 +155,31 @@ def index_text(g: LabeledDigraph) -> str:
                  betti(g).bettis))
 
 
+def simple_word(rng: random.Random, g: LabeledDigraph) -> Word:
+    """A simple word of 1 to 8 letters over g's alphabet, or one time in
+    four over one letter more, which lies on no edge of g."""
+    cfg = TrialConfig(alphabet=g.alphabet + (rng.random() < 0.25), max_word_length=8)
+    return random_simple_word(cfg, rng)
+
+
+def decomposed(rng: random.Random, g: LabeledDigraph) -> WCycleDecomposition:
+    return decompose(g, simple_word(rng, g))
+
+
+DECOMPOSED = {
+    "decompose/automaton": lambda rng: decomposed(rng, random_inverse_automaton(config(rng),
+                                                                                rng)),
+    "decompose/stallings_graph": lambda rng: decomposed(rng, stallings(rng)),
+    "decompose/fold": lambda rng: decomposed(rng, fold(tangle(rng))),
+}
+
+
+def decomposition_text(dec: WCycleDecomposition) -> str:
+    """sigma_w's items in the order decompose filled it, and the orbit
+    cycles in class order."""
+    return repr((list(dec.sigma.items()), dec.cycles))
+
+
 def digests(count: int = COUNT, show=dumps, builders=BUILDERS) -> dict[str, str]:
     """builder name -> sha256 of show(result) over instances 0..count-1."""
     out = {}
@@ -172,6 +201,12 @@ def gamma_digests(count: int = COUNT) -> dict[str, str]:
 def index_digests(count: int = COUNT) -> dict[str, str]:
     """"index/<builder>" -> sha256 of index_text over its results."""
     return {f"index/{name}": d for name, d in digests(count, index_text).items()}
+
+
+def decompose_digests(count: int = COUNT) -> dict[str, str]:
+    """"decompose/<kind>" -> sha256 of decomposition_text over its
+    decompositions."""
+    return digests(count, decomposition_text, DECOMPOSED)
 
 
 def cli_examples() -> list[str]:
@@ -259,7 +294,8 @@ def main(argv=None) -> None:
     ap.add_argument("--count", type=int, default=COUNT, help="instances per builder")
     args = ap.parse_args(argv)
     for name, digest in {**digests(args.count), **gamma_digests(args.count),
-                         **index_digests(args.count), **cli_digests(),
+                         **index_digests(args.count), **decompose_digests(args.count),
+                         **cli_digests(),
                          **demo_digests()}.items():
         print(f"{digest}  {name}")
 
