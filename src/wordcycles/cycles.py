@@ -9,7 +9,9 @@ at least twice.  The counts come from sigma_w's cycles alone, walked off
 w's successor rows: each walk takes its first two steps before the loop
 over the rest of w, so a start that falls off at once costs one compare,
 and no walk reads a sink slot.  Class paths and edge multiplicities are
-traced only when read.
+traced only when read.  With no class the main inequality reads 0 <= b1,
+true whatever b1 is, so that check builds no partition for such a trial
+and its report computes its Betti side only when it is read.
 """
 
 from __future__ import annotations
@@ -208,25 +210,49 @@ def oracle_counts(g: LabeledDigraph, w: Word) -> tuple[int, int]:
 @dataclass(frozen=True)
 class MainInequalityReport:
     """Class count <= first Betti number, per component and in total:
-    component_classes[i] is held to betti_report.bettis[i]."""
+    component_classes[i] is held to betti_report.bettis[i].
 
-    component_classes: tuple[int, ...]  # in component order
-    betti_report: BettiReport
+    With no class the inequality reads 0 <= b1, true whatever b1 is, so
+    check_main_inequality decides such a trial without the graph's
+    partition, and the constructor makes such a report: its Betti side
+    (component_classes, betti_report, total_betti) is computed on first
+    read, through this module's betti, so a wrapper of betti judges each
+    Betti number that is read.  A report with a class is returned with all
+    six attributes in its instance dict."""
+
     total_classes: int
-    total_betti: int
     passed: bool
     count_with_multiplicity: int
+    graph: LabeledDigraph = field(repr=False)
+
+    @cached_property
+    def betti_report(self) -> BettiReport:
+        return betti(self.graph)
+
+    @cached_property
+    def component_classes(self) -> tuple[int, ...]:  # in component order
+        return (0,) * len(self.betti_report.bettis)
+
+    @cached_property
+    def total_betti(self) -> int:
+        return self.betti_report.total
 
 
 def check_main_inequality(g: LabeledDigraph, w: Word) -> MainInequalityReport:
     dec = decompose(g, w)
+    if not dec.cycles:  # 0 <= b1 holds: no partition until the Betti side is read
+        if not g.num_vertices:  # betti's gate: no vertex, no Betti number to hold 0 to
+            raise ValueError("betti: empty vertex set")
+        return MainInequalityReport(0, True, 0, g)
     report = betti(g)
     counts, comp_of = [0] * len(report.bettis), g.component_of
     for cycle in dec.cycles:
         counts[comp_of[cycle[0]]] += 1
     passed = all(map(le, counts, report.bettis)) and dec.class_count <= report.total
-    return MainInequalityReport(tuple(counts), report, dec.class_count, report.total, passed,
-                                dec.count_with_multiplicity)
+    rep = MainInequalityReport(dec.class_count, passed, dec.count_with_multiplicity, g)
+    rep.__dict__.update(component_classes=tuple(counts), betti_report=report,
+                        total_betti=report.total)  # the Betti side is read: nothing lazy
+    return rep
 
 
 @dataclass(frozen=True)

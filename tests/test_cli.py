@@ -528,6 +528,9 @@ ONE_LINE_FAILURES = {
                          "got 5"),
     "attach": (["complex", "npi", "-w", "ab", "--attach", "0-1", "{path}/g.json"],
                {"g.json": GRAPH}, "Error: bad attachment '0-1'; expected V:N"),
+    "empty-graph": (["wcycles", "count", "-w", "ab", "{path}/g.json"],
+                    {"g.json": to_json(LabeledDigraph(2, 0, ()))},
+                    "Error: betti: empty vertex set"),
     "kernel": (["graph", "canon", "{path}/g.json"],
                {"g.json": to_json(LabeledDigraph(1, 2, ()))},
                "Error: canonical_form: graph must be connected"),

@@ -1,7 +1,13 @@
+import random
+from operator import le
+
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from wordcycles import cycles
-from wordcycles.graphs import LabeledDigraph, circle, rose, walk
+from wordcycles.generators import TrialConfig, random_simple_word
+from wordcycles.graphs import LabeledDigraph, betti, circle, rose, walk
 from wordcycles.cycles import (
     _trace,
     check_main_inequality,
@@ -120,6 +126,68 @@ class TestMainInequality:
         g = LabeledDigraph(2, 2, ((0, 1, 1),))
         rep = check_main_inequality(g, w("b"))
         assert rep.passed and rep.total_classes == 0
+
+    @pytest.mark.parametrize("word", ["a", "ab"])
+    def test_empty_graph_is_rejected(self, word):
+        # no class, so no Betti number is needed, yet a graph with no
+        # vertex has no Betti number to hold the count to
+        with pytest.raises(ValueError, match="^betti: empty vertex set$"):
+            check_main_inequality(LabeledDigraph(2, 0, ()), w(word))
+
+    def test_word_is_checked_before_the_empty_graph(self):
+        with pytest.raises(ValueError, match="cyclically reduced"):
+            check_main_inequality(LabeledDigraph(2, 0, ()), w("aA"))
+
+
+@st.composite
+def main_draws(draw):
+    """A random automaton on 1-10 vertices, up to 3 isolated vertices more,
+    and a simple word w; half the draws add a circle reading w, so they
+    have a class, and the other half have none.  The vertices are then
+    renumbered at random, so components interleave."""
+    alphabet = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 10))
+    edges = [(v, t, l) for l in range(1, alphabet + 1)
+             for v, t, kept in zip(range(n), draw(st.permutations(range(n))),
+                                   draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+             if kept]
+    word = random_simple_word(TrialConfig(alphabet=alphabet, max_word_length=6),
+                              random.Random(draw(st.integers(0, 2**32))))
+    with_class = draw(st.booleans())
+    if with_class:
+        loop = circle(word, alphabet)
+        edges += [(n + s, n + d, l) for s, d, l in loop.edges]
+        n += loop.num_vertices
+    n += draw(st.integers(0, 3))
+    order = draw(st.permutations(range(n)))
+    g = LabeledDigraph(alphabet, n, tuple((order[s], order[d], l) for s, d, l in edges))
+    assume(with_class or not decompose(g, word).cycles)
+    return g, word
+
+
+def eager_main_report(g, w) -> tuple:
+    """The main check with its Betti side computed first, whatever the
+    class count: betti(g), then the classes counted by g.component_of."""
+    dec = decompose(g, w)
+    report = betti(g)
+    counts = [0] * len(report.bettis)
+    for cycle in dec.cycles:
+        counts[g.component_of[cycle[0]]] += 1
+    passed = all(map(le, counts, report.bettis)) and dec.class_count <= report.total
+    return (tuple(counts), report, report.bettis, dec.class_count, report.total, passed,
+            dec.count_with_multiplicity)
+
+
+class TestMainReportAgainstEagerTwin:
+    @settings(max_examples=200, deadline=None)
+    @given(main_draws())
+    def test_six_attributes(self, draw):
+        g, word = draw
+        rep = check_main_inequality(g, word)
+        twin = eager_main_report(LabeledDigraph(g.alphabet, g.num_vertices, g.edges), word)
+        assert (rep.component_classes, rep.betti_report, rep.betti_report.bettis,
+                rep.total_classes, rep.total_betti, rep.passed,
+                rep.count_with_multiplicity) == twin
 
 
 class TestCollapsedHypothesis:

@@ -15,7 +15,9 @@ own rows and clash pairs, so folding a graph twice loads it once, and
 folding a graph born with rows loads nothing.  Canonical forms are born without
 rows, as nothing reads them, and their search writes none.  Those
 cases count the calls of the union-find (_partition's function) and of
-_load_rows.
+_load_rows.  The main check builds no partition for a trial with no
+class, which passes whatever its Betti numbers are; the report builds it
+when its Betti side is first read.
 """
 
 import random
@@ -240,6 +242,67 @@ class TestBuildersHandOverTheirIndex:
         derived.clear()
         check_main_inequality(g, random_simple_word(CFG, random.Random(seed)))
         assert derived["_load_rows"] == 0
+
+
+def main_draw_seed(seed: int, with_class: bool, connected: bool = False) -> int:
+    """The first seed from 100 * seed on whose automaton draw (connected, if
+    asked) and simple word, each drawn from random.Random(seed), have a
+    class, or have none."""
+    def fits(s):
+        g = random_inverse_automaton(CFG, random.Random(s))
+        w = random_simple_word(CFG, random.Random(s))
+        return bool(decompose(g, w).cycles) == with_class and is_connected(g) >= connected
+    return next(s for s in range(100 * seed, 100 * seed + 100) if fits(s))
+
+
+def component_count(g: LabeledDigraph) -> int:
+    """Components by merging neighbour sets, apart from the union-find."""
+    parts = [{v} for v in range(g.num_vertices)]
+    for s, d, _ in g.edges:
+        if parts[s] is not parts[d]:
+            merged = parts[s] | parts[d]
+            for v in merged:
+                parts[v] = merged
+    return len({id(p) for p in parts})
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+class TestMainReadsItsBettiSideWhenAsked:
+    """A trial with no class passes whatever its Betti numbers are, so its
+    check builds no partition; its report builds it when first read."""
+
+    def test_classless_draw(self, seed, derived):
+        s = main_draw_seed(seed, with_class=False)
+        g = random_inverse_automaton(CFG, random.Random(s))
+        derived.clear()  # the seed search's
+        report = check_main_inequality(g, random_simple_word(CFG, random.Random(s)))
+        assert report.passed and report.total_classes == 0
+        assert derived["union-find"] == 0
+        assert report.total_betti == len(g.edges) - g.num_vertices + component_count(g)
+        assert derived["union-find"] == 1
+        assert report.component_classes == (0,) * component_count(g)
+        assert derived["union-find"] == 1
+
+    def test_draw_with_a_class(self, seed, derived):
+        s = main_draw_seed(seed, with_class=True)
+        g = random_inverse_automaton(CFG, random.Random(s))
+        derived.clear()  # the seed search's
+        report = check_main_inequality(g, random_simple_word(CFG, random.Random(s)))
+        assert report.total_classes > 0
+        assert derived["union-find"] == 1
+        assert report.total_betti == len(g.edges) - g.num_vertices + component_count(g)
+        assert derived["union-find"] == 1
+
+    @pytest.mark.parametrize("with_class", [False, True])
+    def test_connected_draw(self, seed, derived, with_class):
+        # component_containing hands its partition over: nothing to build
+        s = main_draw_seed(seed, with_class, connected=True)
+        g = random_connected_automaton(CFG, random.Random(s))
+        derived.clear()
+        report = check_main_inequality(g, random_simple_word(CFG, random.Random(s)))
+        assert (report.total_classes > 0) == with_class
+        assert report.total_betti == len(g.edges) - g.num_vertices + 1
+        assert derived["union-find"] == 0
 
 
 def test_draw_with_no_edge(derived):

@@ -1,11 +1,12 @@
 """tools/outputs.py: every graph builder's output over seeded instances,
-build_gamma_w's complexes, decompose's sigma_w and orbit cycles, what each
-README CLI example and each --help
-prints, and what each demo prints, pinned by its sha256, so a change to a
+build_gamma_w's complexes, decompose's sigma_w and orbit cycles, the main
+check's reports, what each README CLI example and each --help prints, and
+what each demo prints, pinned by its sha256, so a change to a
 builder's internals that moves a single byte of what the CLI or a demo
 would print fails here."""
 
 import importlib.util
+import random
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -61,6 +62,11 @@ DECOMPOSE_PINNED = {  # sigma_w's items in the order filled, and the orbit cycle
     "decompose/stallings_graph":
         "7d896df05cb4b04d0e8a397580493902cae8d56ef6020d57f2d25ef4daa664bb",
     "decompose/fold": "b06cdec4f5b49c3b355fa633593451b19cd3d3ddb1722774e5c5ac529fdf5e21",
+}
+
+REPORT_PINNED = {  # the main report's six attributes, Betti side read after the check
+    "report/check_main_inequality":
+        "1bc1cfa91cc573991492d9d436926a1964fc65c93b4c383cc237a4fd78e44ee6",
 }
 
 CLI_PINNED = {  # exit code, stdout and stderr; move one only in a change that declares it
@@ -168,12 +174,23 @@ def test_decompositions_are_pinned():
     assert outputs.decompose_digests() == DECOMPOSE_PINNED
 
 
+def test_main_reports_are_pinned():
+    assert outputs.report_digests() == REPORT_PINNED
+
+
+def test_main_reports_cover_both_branches():
+    # the pinned draws hold classless reports, decided without the Betti
+    # side, and reports with a class
+    reports = [outputs.main_report(random.Random(i)) for i in range(outputs.COUNT)]
+    assert 0 < sum(r.total_classes > 0 for r in reports) < len(reports)
+
+
 def test_main_prints_one_line_per_builder(capsys):
     outputs.main(["--count", "3"])
     lines = capsys.readouterr().out.splitlines()
     assert [line.split("  ")[1] for line in lines] == [
         *outputs.BUILDERS, "build_gamma_w", *(f"index/{name}" for name in outputs.BUILDERS),
-        *outputs.DECOMPOSED,
+        *outputs.DECOMPOSED, *outputs.REPORTS,
         *outputs.cli_examples(), *outputs.cli_helps(),
         *(f"demos/{p.name}" for p in sorted((ROOT / "demos").glob("*.py")))]
     assert all(len(line.split("  ")[0]) == 64 for line in lines)

@@ -134,6 +134,20 @@ def test_payload_replays_its_trial(monkeypatch, name):
         assert encoded == {k: p[k] for k in instance}, p["trial"]
 
 
+def test_main_payload_of_a_trial_with_a_class(monkeypatch):
+    # a main report with a class holds its Betti side when the check returns,
+    # so the payload of a trial with a class holds every count
+    plant_failing_check(monkeypatch, "main")
+    report = run_suite("main", SMALL)
+    with_class = [p for p in report.failures if p["total_classes"]]
+    assert with_class
+    for p in with_class:
+        instance = SUITES["main"].draw(SMALL, p["trial"], random.Random(p["trial_seed"]))
+        dec = cycles.decompose(instance["g"], instance["w"])
+        assert (p["total_classes"], p["total_betti"], p["count_with_multiplicity"]) == (
+            dec.class_count, graphs.betti(instance["g"]).total, dec.count_with_multiplicity)
+
+
 def test_one_trial_seed_per_trial(monkeypatch):
     # perfbench times each verify trial by its one trial_seed call
     indices = []

@@ -16,10 +16,14 @@ build from its edges.  Then decompose is run on seeded random automata,
 Stallings graphs and folds, each with a simple word drawn from the same
 rng (one in four has a letter on no edge), and sigma_w's items, in the
 order decompose filled them, and the orbit cycles are hashed, each line
-"<sha256>  decompose/<kind>".  Then each `wordcycles ...` example line of
-README.md runs in process (click's CliRunner) on the fixed input files of
-cli_inputs, and its exit code, stdout and stderr are hashed together;
-verify's wall_time is dropped first.  Each line is "<sha256>  <example>".
+"<sha256>  decompose/<kind>".  Then check_main_inequality is run on
+seeded random automata with simple words drawn the same way, classless
+and with a class, and the repr of its report's six attributes (and of
+the Betti report's per-component numbers) is hashed:
+"<sha256>  report/check_main_inequality".  Then each `wordcycles ...`
+example line of README.md runs in process (click's CliRunner) on the
+fixed input files of cli_inputs, and its exit code, stdout and stderr are
+hashed together; verify's wall_time is dropped first.  Each line is "<sha256>  <example>".
 Then the --help of the wordcycles command and of each group and command
 under it is hashed the same way, at a fixed terminal width of 80 columns
 (the width changes how click wraps it), each line "<sha256>  wordcycles
@@ -48,7 +52,8 @@ from click.testing import CliRunner  # noqa: E402
 
 from wordcycles.cli import _complex_to_json, main as cli  # noqa: E402
 from wordcycles.complexes import TwoComplex, build_gamma_w  # noqa: E402
-from wordcycles.cycles import WCycleDecomposition, decompose  # noqa: E402
+from wordcycles.cycles import (  # noqa: E402
+    MainInequalityReport, WCycleDecomposition, check_main_inequality, decompose)
 from wordcycles.generators import (  # noqa: E402
     TrialConfig, random_connected_automaton, random_inverse_automaton, random_simple_word,
     random_staggered_presentation, random_subgroup)
@@ -180,6 +185,21 @@ def decomposition_text(dec: WCycleDecomposition) -> str:
     return repr((list(dec.sigma.items()), dec.cycles))
 
 
+def main_report(rng: random.Random) -> MainInequalityReport:
+    g = random_inverse_automaton(config(rng), rng)
+    return check_main_inequality(g, simple_word(rng, g))
+
+
+REPORTS = {"report/check_main_inequality": main_report}
+
+
+def report_text(rep: MainInequalityReport) -> str:
+    """The report's six attributes, Betti side included whether or not the
+    check read it, and the per-component Betti numbers."""
+    return repr((rep.component_classes, rep.betti_report, rep.betti_report.bettis,
+                 rep.total_classes, rep.total_betti, rep.passed, rep.count_with_multiplicity))
+
+
 def digests(count: int = COUNT, show=dumps, builders=BUILDERS) -> dict[str, str]:
     """builder name -> sha256 of show(result) over instances 0..count-1."""
     out = {}
@@ -207,6 +227,11 @@ def decompose_digests(count: int = COUNT) -> dict[str, str]:
     """"decompose/<kind>" -> sha256 of decomposition_text over its
     decompositions."""
     return digests(count, decomposition_text, DECOMPOSED)
+
+
+def report_digests(count: int = COUNT) -> dict[str, str]:
+    """"report/<check>" -> sha256 of report_text over its reports."""
+    return digests(count, report_text, REPORTS)
 
 
 def cli_examples() -> list[str]:
@@ -295,7 +320,7 @@ def main(argv=None) -> None:
     args = ap.parse_args(argv)
     for name, digest in {**digests(args.count), **gamma_digests(args.count),
                          **index_digests(args.count), **decompose_digests(args.count),
-                         **cli_digests(),
+                         **report_digests(args.count), **cli_digests(),
                          **demo_digests()}.items():
         print(f"{digest}  {name}")
 
