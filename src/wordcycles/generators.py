@@ -97,7 +97,7 @@ def random_inverse_automaton(cfg: TrialConfig, rng: random.Random) -> LabeledDig
         if len(edges) > kept:
             rows[l], rows[-l] = out, into
     return _built(LabeledDigraph, cfg.alphabet, n, tuple(edges), None,
-                  successor=rows, deterministic=True)
+                  successor=rows, _clashes=())
 
 
 def random_connected_automaton(cfg: TrialConfig, rng: random.Random) -> LabeledDigraph:

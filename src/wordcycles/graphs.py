@@ -7,11 +7,11 @@ label at every vertex.
 
 A graph's index is built once, by its builder where the construction proves
 it (_built), else on first read, and no read changes it: the successor rows
-(its one per-letter table) with the clash pairs their loader found, the
-edge_index that _trace reads, and one union-find partition that gives the
-components and Betti numbers.  Folds, drawn automata and subgroup graphs are
-born with their rows, which their readers need; canonical forms are not, as
-nothing reads theirs.
+(its one per-letter table) with the clash pairs their loader found, none on
+a deterministic graph, the edge_index that _trace reads, and one union-find
+partition that gives the components and Betti numbers.  Folds, drawn
+automata and subgroup graphs are born with their rows, which their readers
+need; canonical forms are not, as nothing reads theirs.
 """
 
 from __future__ import annotations
@@ -86,25 +86,21 @@ class LabeledDigraph:
         u = row[u] with no test.  The last of two edges sharing a slot wins.
         The loader's clash pairs are kept beside the rows (_clashes)."""
         rows, clashes = _load_rows(self.edges, self.num_vertices + 1)
-        self.__dict__["_clashes"] = clashes = tuple(clashes)
-        self.__dict__["deterministic"] = not clashes
+        self.__dict__["_clashes"] = tuple(clashes)
         return rows
-
-    @cached_property
-    def deterministic(self) -> bool:
-        """No two edges share a slot: successor's loader found no clash."""
-        self.successor  # building the rows sets this attribute
-        return self.deterministic
 
     @cached_property
     def _clashes(self) -> tuple[tuple[int, int], ...]:
         """The far ends of each two edges sharing a slot, in the order
         successor's loader found them: the pairs fold merges first, on
-        copies of the rows.  () on a graph born deterministic."""
-        if self.__dict__.get("deterministic"):
-            return ()
+        copies of the rows.  A builder that hands successor hands these."""
         self.successor  # building the rows sets this attribute
         return self._clashes
+
+    @cached_property
+    def deterministic(self) -> bool:
+        """No two edges share a slot: successor's loader found no clash."""
+        return not self._clashes
 
     @cached_property
     def edge_index(self) -> dict[Edge, int]:
@@ -345,7 +341,7 @@ def fold(g: LabeledDigraph, rng: random.Random | None = None) -> LabeledDigraph:
     edges.sort()
     base = number[g.basepoint] if g.basepoint is not None else None
     return _built(LabeledDigraph, g.alphabet, m, tuple(edges), base,
-                  successor=succ, deterministic=True)
+                  successor=succ, _clashes=())
 
 
 def _strip_spurs(rows, n: int, base: int) -> list[int] | None:
@@ -476,7 +472,7 @@ def _bfs_form(alphabet: int, rows: dict[int, list[int]], number: list, start: in
     n, edges = len(order), tuple(sorted(edges))
     partition = ((0,) * n, (len(edges) - n + 1,))
     if not with_rows:
-        return _built(LabeledDigraph, alphabet, n, edges, basepoint, deterministic=True,
+        return _built(LabeledDigraph, alphabet, n, edges, basepoint, _clashes=(),
                       _partition=partition)
     pairs = {l: ([-1] * (n + 1), [-1] * (n + 1)) for l, _, _ in steps}  # (out, in)
     for src, dst, l in edges:
@@ -486,7 +482,7 @@ def _bfs_form(alphabet: int, rows: dict[int, list[int]], number: list, start: in
     for l, (out, into) in pairs.items():
         if out != empty:  # an edge reads l; stops at its first filled slot
             succ[l], succ[-l] = out, into
-    return _built(LabeledDigraph, alphabet, n, edges, basepoint, deterministic=True,
+    return _built(LabeledDigraph, alphabet, n, edges, basepoint, _clashes=(),
                   _partition=partition, successor=succ)
 
 

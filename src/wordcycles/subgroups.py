@@ -20,7 +20,7 @@ from .graphs import (
     walk,
 )
 from .cycles import decompose
-from .words import Word, format_word, free_reduce, invert, is_reduced, require_simple_cyclic
+from .words import Word, format_word, free_reduce, invert, is_reduced
 
 
 @dataclass(frozen=True)
@@ -243,17 +243,16 @@ class RestatedReport:
 
 def check_restated_inequality(w: Word, g: LabeledDigraph) -> RestatedReport:
     """Betti-number form of the counting inequality via a fiber product with
-    the circle reading w; cross-checked against the orbit-cycle count."""
-    require_simple_cyclic(w)
-    if g.num_vertices == 0:
-        raise ValueError("graph is empty")
+    the circle reading w; cross-checked against the orbit-cycle count.
+    decompose checks g, then w; betti rejects an empty g (its product)."""
+    k = decompose(g, w).class_count
     alphabet = max(g.alphabet, max(abs(x) for x in w))
     loop = circle(w, alphabet)
-    if g.alphabet != alphabet:
-        g = _built(LabeledDigraph, alphabet, g.num_vertices, g.edges, g.basepoint)
-    lhs = sum(betti(fiber_product(loop, g)).bettis)  # fiber_product checks g
+    if g.alphabet != alphabet:  # the same rows, which decompose loaded
+        g = _built(LabeledDigraph, alphabet, g.num_vertices, g.edges, g.basepoint,
+                   successor=g.successor, _clashes=g._clashes)
+    lhs = sum(betti(fiber_product(loop, g)).bettis)
     rhs = betti(loop).total * betti(g).total
-    k = decompose(g, w).class_count
     return RestatedReport(lhs, rhs, k, lhs <= rhs and lhs == k)
 
 

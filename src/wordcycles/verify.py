@@ -10,9 +10,9 @@ the check's report has ``passed`` and, for a theorem with a hypothesis,
 ``applicable``.  Only ``run_suite`` writes a VerdictReport: a trial passes
 when its report passed or was not applicable, ``qualifying`` counts the
 applicable trials of a check whose report has ``applicable``, and all
-failure payloads share one shape.  A check that raises ValueError on its
-suite's own draw fails the trial, the payload's ``error`` holding the message
-(a draw that raises is invalid input).  A payload p replays its trial:
+failure payloads share one shape.  Any Exception a check raises on its own
+suite's draw fails the trial, ``error`` reading "TypeName: message" (a draw
+that raises is invalid input).  A payload p replays its trial:
 ``SUITES[p["suite"]].draw(TrialConfig(**p["config"]), p["trial"],
 random.Random(p["trial_seed"]))`` redraws the instance.  Every check
 decides its instance, so ``inconclusive``, kept in the JSON, reads 0.
@@ -230,8 +230,8 @@ def run_suite(name: str, cfg: TrialConfig) -> VerdictReport:
         instance = suite.draw(cfg, i, rng)
         try:
             res = check(**instance)
-        except ValueError as exc:  # the check rejects its own suite's draw: a failure
-            res = SimpleNamespace(passed=False, error=str(exc))
+        except Exception as exc:  # the check raises on its own suite's draw: a failure
+            res = SimpleNamespace(passed=False, error=f"{type(exc).__name__}: {exc}")
         applicable = getattr(res, "applicable", None)
         if res.passed or applicable is False:
             report.passes += 1

@@ -37,6 +37,17 @@ def plant_failing_check(monkeypatch, name):
     return check, reports
 
 
+def plant_raising_check(monkeypatch, name, error: Exception) -> None:
+    """Plant, through the module attribute run_suite looks up, a check that
+    raises a fresh exception of error's type and arguments on every draw."""
+    module, _, function = SUITES[name].check.partition(".")
+
+    def raising(**instance):
+        raise type(error)(*error.args)
+
+    monkeypatch.setattr(sys.modules[f"wordcycles.{module}"], function, raising)
+
+
 def extra_class(decompose):
     """One class too many: the first orbit cycle counted twice."""
     def faulty(g, w):

@@ -3,8 +3,9 @@ builds for itself without running their constructors' checks.  Here every
 such value is also built through the checked constructor, cls(*values),
 which must not raise and must compare equal: what skips the checks would
 have passed them.  Each index entry a builder hands its graph (successor,
-deterministic, _partition) must equal what the checked twin computes from
-its edges on first read.
+_clashes, _partition) must equal what the checked twin computes from its
+edges on first read; deterministic is never handed, and successor never
+without _clashes.
 
 _built is wrapped in every wordcycles module namespace that holds it, as
 perfbench/layers.py wraps the kernels, and each wrapped call records the
@@ -55,6 +56,10 @@ def checked_calls():
     current = graphs._built
 
     def checked(cls, *values, **index):
+        # determinism is stored as _clashes alone; rows handed without them
+        # would leave the _clashes getter reading itself forever
+        assert "deterministic" not in index
+        assert "successor" not in index or "_clashes" in index
         built = current(cls, *values, **index)
         twin = cls(*values)
         assert twin == built

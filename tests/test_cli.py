@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
-from conftest import extra_class, patch_everywhere, plant_failing_check
+from conftest import extra_class, patch_everywhere, plant_failing_check, plant_raising_check
 
 from wordcycles.cli import main
 from wordcycles import cycles, graphs
@@ -308,6 +308,19 @@ def test_verify_check_rejecting_its_own_draw_exits_1(runner, tmp_path, monkeypat
     failures = json.loads(out.read_text())
     assert failures == json.loads(result.stdout)["failures"] != []
     assert all("not an immersion" in p["error"] for p in failures)
+
+
+@pytest.mark.parametrize("error", [IndexError("list index out of range"), AssertionError()])
+def test_verify_check_that_raises_exits_1(runner, tmp_path, monkeypatch, error):
+    # a check's exception inside verify is a failed trial, never a traceback
+    plant_raising_check(monkeypatch, "main", error)
+    out = tmp_path / "c.json"
+    result = runner.invoke(main, ["verify", "main", "--trials", "3", "--out", str(out)])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    failures = json.loads(out.read_text())
+    assert failures == json.loads(result.stdout)["failures"]
+    assert [p["error"] for p in failures] == [f"{type(error).__name__}: {error}"] * 3
 
 
 def test_verify_unknown_suite(runner):

@@ -41,20 +41,20 @@ GAMMA_PINNED = {  # build_gamma_w's complexes as `complex gamma-w` prints them
     "build_gamma_w": "9a25d5f5ec874f36dd08f88031cebe3764716db3147a228b19c890f0d43f03f4",
 }
 
-INDEX_PINNED = {  # each builder's index as built lazily from the edges
-    "index/canonical_form/based": "6c2a8d89ead9013f7dbe05932906e4f6c054cbaa314cdf1a61a9de602a115e66",
+INDEX_PINNED = {  # each builder's index as built lazily from the edges, clashes too
+    "index/canonical_form/based": "2f25bd68e0f75e346f9e2674c3a120d19a7afd129460a683bea186bb9410980a",
     "index/canonical_form/unbased":
-        "b9651df087f74d641699a1dc068cd9ba739e3e45bdc13f7e5af2707a012ba292",
-    "index/core": "29bbc177c9db069199c77982833019f5bff51bddf05fdbcc927af154a26c6ef8",
-    "index/fold/lifo": "9b8a77eefb1fe52e5215ee79c092cb4d5e216d01a1bffd39a2e9208a7186cd39",
-    "index/fold/seeded": "9b8a77eefb1fe52e5215ee79c092cb4d5e216d01a1bffd39a2e9208a7186cd39",
-    "index/fiber_product": "4c8bf63dfba8f9e51d1fc867625e99590ae03359801944bcef7e7b59c3c244f0",
+        "6cf4c74051cc2b2efc59d2f2da66a92a61c0c7225f7efde9adb91f7b4bc521f4",
+    "index/core": "19050963b12162952101111431f41663f81c325b277cb3e23b9c6b21e96f8024",
+    "index/fold/lifo": "fae14010010db802084170fd3bf73172b39af6ab0e0b410aba02e1b168e095da",
+    "index/fold/seeded": "fae14010010db802084170fd3bf73172b39af6ab0e0b410aba02e1b168e095da",
+    "index/fiber_product": "d13aa0b48ec3d4713888f6242814b5b8dedb28c7920622fd46a32e78eafa3f29",
     "index/component_containing":
-        "4d0f6893ff699fa63021022366c6778b98b32d664f8f49510feb493b3ac6a18c",
-    "index/stallings_graph": "45de6788c8b1beedbc4747c9d79fa925401502cba9361b84cd95ad5ef7aa0fdf",
-    "index/conjugate": "43e126fc0313254b3f716aac427171fbf23e17eea4b231abcc2c031be51b7da7",
-    "index/intersect": "12087cfae4d262a3e9a2430684c71cdcdf74f074147c2419c5c131df4ba67f93",
-    "index/SubgroupGraph": "45bb2d3d60ad998bdf429fb260db214120cbb687bc843cc29562f5c83d22e837",
+        "84bf64601fe1d68fc967b7d47bfb61379d65b47a599e09b7bf053b56759f2307",
+    "index/stallings_graph": "38c23d3d27ff09016f7ffaf56ec27bcf74e1040e8cddaf2e7019faa173337b9b",
+    "index/conjugate": "dc6579bf651546017f639d5315fb017f1142afbefd4f7612e6f6a0bf52d69a9c",
+    "index/intersect": "0f06f9db72e9b2280a72a5ab227f7082a36e095e47aa9c5af0fa67d0cf9681c5",
+    "index/SubgroupGraph": "2ae1aa299c8db6322fe9a2ef24f5b5b5842e6327ee41ee80db9ea1a458ea0c9e",
 }
 
 DECOMPOSE_PINNED = {  # sigma_w's items in the order filled, and the orbit cycles

@@ -250,11 +250,11 @@ class TestRestated:
         assert rep.lhs == 0 and rep.class_count == 0 and rep.passed
 
     def test_empty_graph_rejected(self):
-        with pytest.raises(ValueError, match="^graph is empty$"):
+        with pytest.raises(ValueError, match="^betti: empty vertex set$"):
             check_restated_inequality(w("ab"), LabeledDigraph(2, 0, ()))
 
     def test_nondeterministic_graph_rejected(self):
-        # the check is fiber_product's, on g2 relabelled to w's alphabet
+        # the check is decompose's, before g is relabelled to w's alphabet
         g = LabeledDigraph(1, 2, ((0, 1, 1), (0, 0, 1)))
         with pytest.raises(ValueError) as raised:
             check_restated_inequality(w("ab"), g)

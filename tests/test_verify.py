@@ -5,7 +5,7 @@ import sys
 from dataclasses import asdict, replace
 
 import pytest
-from conftest import extra_class, patch_everywhere, plant_failing_check
+from conftest import extra_class, patch_everywhere, plant_failing_check, plant_raising_check
 
 from wordcycles import complexes, cycles, graphs, verify
 from wordcycles.generators import TrialConfig, trial_seed
@@ -116,6 +116,19 @@ def test_failure_payloads(monkeypatch, name):
         assert payload["trial_seed"] == trial_seed(SMALL.master_seed, payload["trial"])
         assert payload["config"] == asdict(SMALL)
     json.dumps(report.to_json())
+
+
+@pytest.mark.parametrize("error", [IndexError("list index out of range"), AssertionError()])
+def test_any_exception_a_check_raises_fails_its_trial(monkeypatch, error):
+    # one failure rule: whatever a check raises on its own suite's draw, the
+    # trial fails with the exception's type and message, and replays
+    plant_raising_check(monkeypatch, "main", error)
+    report = run_suite("main", SMALL)
+    assert report.passes == 0 and len(report.failures) == report.trials
+    for p in report.failures:
+        assert p["error"] == f"{type(error).__name__}: {error}"
+        instance = SUITES["main"].draw(SMALL, p["trial"], random.Random(p["trial_seed"]))
+        assert {k: _encode(v) for k, v in instance.items()} == {k: p[k] for k in instance}
 
 
 @pytest.mark.parametrize("name", sorted(SUITES))

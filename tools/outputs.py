@@ -154,9 +154,9 @@ def complex_text(x: TwoComplex) -> str:
 
 def index_text(g: LabeledDigraph) -> str:
     """g's index as its readers see it: the successor rows by letter, the
-    determinism flag, each vertex's component and each component's Betti
-    number."""
-    return repr((sorted(g.successor.items()), g.deterministic, g.component_of,
+    determinism flag, the clash pairs in the order the loader found them,
+    each vertex's component and each component's Betti number."""
+    return repr((sorted(g.successor.items()), g.deterministic, g._clashes, g.component_of,
                  betti(g).bettis))
 
 
