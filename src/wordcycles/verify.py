@@ -8,11 +8,13 @@ with ``rng.seed(trial_seed(cfg.master_seed, index))``, which puts it on the
 stream a fresh ``random.Random`` of that seed gives, so draws share no state;
 the check's report has ``passed`` and, for a theorem with a hypothesis,
 ``applicable``.  Only ``run_suite`` writes a VerdictReport: a trial passes
-when its report passed or was not applicable, ``qualifying`` counts the
-applicable trials of a check whose report has ``applicable``, and all
-failure payloads share one shape.  Any Exception a check raises on its own
-suite's draw fails the trial, ``error`` reading "TypeName: message" (a draw
-that raises is invalid input).  A payload p replays its trial:
+when its report passed or was not applicable, ``qualifying`` counts, for a
+check whose declared report type has ``applicable``, the trials not found
+inapplicable, and all failure payloads share one shape.  Any Exception a
+check raises on its own suite's draw fails the trial, ``error`` reading
+"TypeName: message", and counts as qualifying where the suite counts it, so
+failures never outnumber qualifying trials (a draw that raises is invalid
+input).  A payload p replays its trial:
 ``SUITES[p["suite"]].draw(TrialConfig(**p["config"]), p["trial"],
 random.Random(p["trial_seed"]))`` redraws the instance.  Every check
 decides its instance, so ``inconclusive``, kept in the JSON, reads 0.
@@ -25,7 +27,7 @@ import sys
 import time
 from dataclasses import asdict, dataclass, field, replace
 from types import SimpleNamespace
-from typing import Callable
+from typing import Callable, get_type_hints
 
 from . import complexes, cycles, graphs, subgroups
 from .generators import (
@@ -188,7 +190,7 @@ def draw_staggered(cfg, index, rng):
 class Suite:
     """run_suite checks cfg.trials + extra_trials drawn instances.  check is
     "module.function", read at each run so perfbench's wrappers see every
-    call; qualifying counts applicable trials if its reports have applicable."""
+    call; qualifying is counted if its report type declares applicable."""
 
     draw: Callable[[TrialConfig, int, random.Random], dict]
     check: str
@@ -212,15 +214,27 @@ SUITES = {
 }
 
 
+def _check(suite: Suite) -> Callable:
+    module, _, function = suite.check.partition(".")
+    return getattr(sys.modules[f"{__package__}.{module}"], function)
+
+
+# read off the checks as defined, so a check wrapped or replaced later keeps
+# its suite's count: a trial whose check raises has no report to ask
+_COUNTS_QUALIFYING = frozenset(
+    name for name, suite in SUITES.items() if "applicable" in getattr(
+        get_type_hints(_check(suite)).get("return"), "__dataclass_fields__", ()))
+
+
 def run_suite(name: str, cfg: TrialConfig) -> VerdictReport:
     if name not in SUITES:
         raise ValueError(
             f"unknown suite {name!r}; choose from {', '.join(sorted(SUITES))}"
         )
     suite = SUITES[name]
-    module, _, function = suite.check.partition(".")
-    check = getattr(sys.modules[f"{__package__}.{module}"], function)
-    report = VerdictReport(name, cfg.trials + suite.extra_trials, 0)
+    check = _check(suite)
+    report = VerdictReport(name, cfg.trials + suite.extra_trials, 0,
+                           qualifying=0 if name in _COUNTS_QUALIFYING else None)
     # seeded: random.Random() would read its state from os.urandom, and each
     # trial reseeds it anyway
     rng, start = random.Random(0), time.perf_counter()
@@ -240,7 +254,7 @@ def run_suite(name: str, cfg: TrialConfig) -> VerdictReport:
                 {"suite": name, "trial": i, "trial_seed": seed, "config": asdict(cfg),
                  **{k: _encode(v) for k, v in instance.items()},
                  **{k: v for k, v in vars(res).items() if type(v) is int or k == "error"}})
-        if applicable is not None:
-            report.qualifying = (report.qualifying or 0) + applicable
+        if report.qualifying is not None:  # a raising trial has no applicable
+            report.qualifying += applicable is not False
     report.wall_time = time.perf_counter() - start
     return report

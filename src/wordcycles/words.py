@@ -6,7 +6,9 @@ A word is a tuple of nonzero ints: +i stands for the i-th generator a_i,
 Generators past 26 are written "a3"/"A3" style with an explicit index.
 
 The predicates loop over letters in C (operator maps, slice comparisons),
-and each checks cyclic reduction at most once per word.
+and each checks cyclic reduction at most once per word.  A word the
+generators draw is born proven simple (a _Simple), and the gates pass it
+without a scan; a word derived from it is a plain tuple, checked in full.
 """
 
 from __future__ import annotations
@@ -15,6 +17,15 @@ import re
 from operator import eq, neg
 
 Word = tuple[int, ...]
+
+
+class _Simple(tuple):
+    """A word its generator proved nonempty, zero-free, cyclically reduced
+    and primitive.  Only generators make one; everything derived from it,
+    tuple(w) included, is a plain tuple."""
+
+    __slots__ = ()
+
 
 _TOKEN = re.compile(r"([a-zA-Z])([0-9]*)")
 
@@ -123,7 +134,10 @@ def is_simple(w: Word) -> bool:
 
 def require_cyclic(w: Word) -> None:
     """The one gate for a word's shape: nonempty, no zero letter, and
-    cyclically reduced."""
+    cyclically reduced.  A _Simple word passes at once: its generator
+    proved it."""
+    if type(w) is _Simple:
+        return
     if not w:
         raise ValueError("word must be nonempty")
     if 0 in w:
@@ -137,7 +151,10 @@ def require_cyclic(w: Word) -> None:
 
 def require_simple_cyclic(w: Word) -> None:
     """Shared precondition of the cycle-counting operations: require_cyclic,
-    and w not a proper power."""
+    and w not a proper power.  A _Simple word passes at once, as its
+    generator proved both."""
+    if type(w) is _Simple:
+        return
     require_cyclic(w)
     d = _period(w)
     if d < len(w):

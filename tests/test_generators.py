@@ -129,6 +129,25 @@ class TestDrawsAgainstStdlib:
             assert rng.getstate() == ref.getstate()
 
 
+def test_one_bounded_shuffle_table(monkeypatch):
+    # the shuffle steps are one table, for the largest vertex count drawn so
+    # far and sliced for smaller ones: a table per count would hold
+    # O(max_vertices ** 2) steps
+    monkeypatch.setattr(generators, "_SHUFFLE_STEPS", [])
+    table, largest = generators._SHUFFLE_STEPS, 1
+    for max_vertices in (2_000, 10, 2_000):
+        cfg = TrialConfig(max_vertices=max_vertices, alphabet=2)
+        for seed in range(5):
+            rng, ref = random.Random(seed), random.Random(seed)
+            g = random_inverse_automaton(cfg, rng)
+            assert g == stdlib_inverse_automaton(cfg, ref)
+            assert rng.getstate() == ref.getstate()
+            largest = max(largest, g.num_vertices)
+            assert generators._SHUFFLE_STEPS is table
+            assert table == [(i, (i + 1).bit_length()) for i in range(largest - 1, 0, -1)]
+    assert len(table) == largest - 1 <= 1_999
+
+
 class TestTrialConfig:
     def test_defaults_valid(self):
         TrialConfig()

@@ -131,6 +131,34 @@ def test_any_exception_a_check_raises_fails_its_trial(monkeypatch, error):
         assert {k: _encode(v) for k, v in instance.items()} == {k: p[k] for k in instance}
 
 
+@pytest.mark.parametrize("name, qualifying", [("equality-collapse", 125), ("main", None)])
+def test_a_trial_whose_check_raises_qualifies_where_the_suite_counts(monkeypatch, name,
+                                                                       qualifying):
+    # a raising check has no report to say applicable, so its trial counts as
+    # qualifying where the suite counts qualifying: failures never outnumber it
+    plant_raising_check(monkeypatch, name, IndexError("planted"))
+    report = run_suite(name, SMALL)
+    assert len(report.failures) == report.trials
+    assert report.qualifying == qualifying
+    assert ("qualifying" in report.to_json()) == (qualifying is not None)
+
+
+def test_a_raising_collapse_fails_only_qualifying_trials(monkeypatch):
+    # equality-collapse collapses exactly its applicable instances, so a
+    # collapse that raises fails each of them, and qualifying reads as before
+    expected = run_suite("equality-collapse", SMALL).qualifying
+
+    def raising(collapses_to_tree):
+        def raises(x):
+            raise IndexError("planted")
+        return raises
+
+    patch_everywhere(monkeypatch, complexes, "collapses_to_tree", raising)
+    report = run_suite("equality-collapse", SMALL)
+    assert len(report.failures) == report.qualifying == expected == 101
+    assert {p["error"] for p in report.failures} == {"IndexError: planted"}
+
+
 @pytest.mark.parametrize("name", sorted(SUITES))
 def test_payload_replays_its_trial(monkeypatch, name):
     # each payload alone, through JSON, redraws the instance it records,
@@ -189,7 +217,8 @@ def test_run_suite_makes_no_unseeded_rng(monkeypatch):
 
 
 # decompose calls one check makes on one drawn instance: one per relator for
-# staggered, none where no word acts on a graph, one everywhere else
+# staggered, none where no word acts on a graph, one everywhere else; npi's
+# draw decomposes its instance once more, to place the attachments
 NOT_DECOMPOSING = {"fold-confluence", "shnc", "conjugate-intersection"}
 
 
@@ -208,12 +237,14 @@ def test_no_check_decomposes_an_instance_twice(monkeypatch, name):
     module, _, function = suite.check.partition(".")
     check = getattr(sys.modules[f"wordcycles.{module}"], function)
     for i in range(SMALL.trials + suite.extra_trials):
+        start = len(calls)
         instance = suite.draw(SMALL, i, random.Random(trial_seed(SMALL.master_seed, i)))
-        before = len(calls)  # npi's draw decomposes too; only the check's calls count
+        before = len(calls)
         check(**instance)
         expected = (len(instance["p"].relators) if name == "staggered"
                     else 0 if name in NOT_DECOMPOSING else 1)
         assert len(calls) - before == expected, i
+        assert len(calls) - start == expected + (name == "npi"), i  # the trial's, draw included
 
 
 def test_no_suite_builds_a_canonical_form(monkeypatch):
