@@ -17,8 +17,8 @@ Acceptance tests read only what the construction does not guarantee: drawn
 words are freely reduced, so only their end letters and period are tested.
 A word that passes is born proven simple: random_simple_word,
 random_repeating_word and the staggered relators return it as a
-words._Simple, made from the letter list just tested, so decompose, circle
-and stallings_graph take it without scanning it again.
+words._Simple, made from the letter list just tested: is_reduced answers
+for it, and require_simple_cyclic passes it, without a scan.
 
 Two tables are kept between draws, and neither changes a draw: the
 Fisher-Yates steps (i, bit length of i + 1), in the order a shuffle takes

@@ -534,7 +534,7 @@ def rose(alphabet: int) -> LabeledDigraph:
 
 def circle(w: Word, alphabet: int | None = None) -> LabeledDigraph:
     """The cycle of length |w| reading w once around, based at its start.
-    A drawn word (a words._Simple) passes require_cyclic without a scan."""
+    A drawn word (a words._Simple) costs require_cyclic one zero-letter scan."""
     require_cyclic(w)
     return wedge_of_words([w], max(map(abs, w)) if alphabet is None else alphabet)
 

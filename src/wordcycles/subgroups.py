@@ -20,7 +20,7 @@ from .graphs import (
     walk,
 )
 from .cycles import decompose
-from .words import Word, _Simple, format_word, free_reduce, invert, is_reduced
+from .words import Word, format_word, free_reduce, invert, is_reduced
 
 
 @dataclass(frozen=True)
@@ -104,20 +104,18 @@ def stallings_graph(gens: list[Word], alphabet: int) -> SubgroupGraph:
     No spur pass: every vertex off the base lies
     on the image of a freely reduced loop, which enters and leaves it by
     different slots, so the result is core (Stallings, Invent. Math. 1983;
-    Kapovich & Myasnikov, J. Algebra 2002).  A drawn generator (a
-    words._Simple) is read as it is: no copy, no reduction scan."""
+    Kapovich & Myasnikov, J. Algebra 2002).  Each generator is read as it
+    is given, once is_reduced accepts it."""
     if alphabet < 1:
         raise ValueError("alphabet must be nonempty")
     labels = _require_letters(gens, alphabet)
     reduced = []
     for w in gens:
-        if type(w) is not _Simple:  # a drawn word is proven reduced: taken as it is
-            w = tuple(w)
-            if not is_reduced(w):  # _require_letters has rejected zero letters
-                r = free_reduce(w)
-                warnings.warn(f"generator {format_word(w)} was not freely reduced; "
-                              f"using {format_word(r) or '(empty)'}", stacklevel=2)
-                w = r
+        if not is_reduced(w):  # _require_letters has rejected zero letters
+            r = free_reduce(w)
+            warnings.warn(f"generator {format_word(w)} was not freely reduced; "
+                          f"using {format_word(r) or '(empty)'}", stacklevel=2)
+            w = r
         if w:
             reduced.append(w)
     rows, n, pending = _read(reduced, labels)

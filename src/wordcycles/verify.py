@@ -41,7 +41,7 @@ from .generators import (
     random_subgroup,
     trial_seed,
 )
-from .words import Word, format_word, free_reduce, invert
+from .words import Word, format_word, invert
 
 
 @dataclass
@@ -172,7 +172,7 @@ def draw_conjugate_intersection(cfg, index, rng):
     h = subgroups.stallings_graph([(l,) for l in letters], cfg.alphabet)
     cosets: list[Word] = [()]
     while len(cosets) < r + 1:
-        cand = free_reduce(random_simple_word(cfg, rng))
+        cand = random_simple_word(cfg, rng)
         if not any(subgroups.contains(h, cand + invert(c)) for c in cosets):
             cosets.append(cand)
     return {"h": h, "cosets": cosets}

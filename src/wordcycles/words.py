@@ -7,8 +7,9 @@ Generators past 26 are written "a3"/"A3" style with an explicit index.
 
 The predicates loop over letters in C (operator maps, slice comparisons),
 and each checks cyclic reduction at most once per word.  A word the
-generators draw is born proven simple (a _Simple), and the gates pass it
-without a scan; a word derived from it is a plain tuple, checked in full.
+generators draw is born proven simple (a _Simple), which is_reduced and
+require_simple_cyclic alone read; a word derived from it is a plain tuple,
+checked in full.
 """
 
 from __future__ import annotations
@@ -88,7 +89,7 @@ def free_reduce(w: Word) -> Word:
 
 
 def is_reduced(w: Word) -> bool:
-    return not any(map(eq, w, map(neg, w[1:])))
+    return type(w) is _Simple or not any(map(eq, w, map(neg, w[1:])))
 
 
 def is_cyclically_reduced(w: Word) -> bool:
@@ -134,10 +135,8 @@ def is_simple(w: Word) -> bool:
 
 def require_cyclic(w: Word) -> None:
     """The one gate for a word's shape: nonempty, no zero letter, and
-    cyclically reduced.  A _Simple word passes at once: its generator
-    proved it."""
-    if type(w) is _Simple:
-        return
+    cyclically reduced.  A _Simple word is tested for emptiness and zero
+    letters like any other, and is_reduced answers for the rest."""
     if not w:
         raise ValueError("word must be nonempty")
     if 0 in w:

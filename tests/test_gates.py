@@ -1,5 +1,6 @@
 """Each hypothesis of the counting theorems has one gate in the library:
 connectivity is require_connected's, a word's shape is require_cyclic's,
+a drawn word's proof is read by is_reduced and require_simple_cyclic alone,
 and a zero letter is rejected by the few functions that read raw letters.
 The tests below check that the callers share the gate's message, and pin,
 from the sources, where each check is made, so that no new function grows
@@ -70,6 +71,18 @@ def test_one_connectivity_raise_besides_canonical_form():
     # canonical_form sees disconnection as a search that misses a vertex
     assert raisers("must be connected") == {("graphs", "require_connected"),
                                             ("graphs", "canonical_form")}
+
+
+def test_a_drawn_words_proof_is_read_by_two_functions_and_made_by_its_draws():
+    # is_reduced answers for a marked word wherever reducedness is asked, and
+    # require_simple_cyclic spares decompose's gate the period loop
+    assert {(module, scope) for module, scope, _, _ in references("_Simple")} == {
+        ("words", "is_reduced"),
+        ("words", "require_simple_cyclic"),
+        ("generators", "random_simple_word"),
+        ("generators", "random_repeating_word"),
+        ("generators", "random_staggered_presentation"),
+    }
 
 
 def test_word_shape_raised_only_by_its_gate():

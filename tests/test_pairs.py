@@ -238,3 +238,53 @@ def test_both_sides_run_from_fresh_copies(monkeypatch, tmp_path, capsys):
     assert parent_files == {".gitignore": "*.log\n", "engine.py": "committed\n"}
     assert change_files == {".gitignore": "*.log\n", "engine.py": "edited\n",
                             "new.py": "untracked\n"}
+
+
+def test_blob_sha_is_git_hash_object():
+    want = subprocess.run(["git", "hash-object", "perfbench/run.py"], cwd=ROOT, check=True,
+                          capture_output=True, text=True).stdout.strip()
+    assert pairs.blob_sha(ROOT / "perfbench" / "run.py") == want
+
+
+class TestRunPySha:
+    """The entry carries the change's perfbench/run.py blob sha after its
+    seeds, and a parent whose run.py differs is warned about."""
+
+    def run_main(self, monkeypatch, capsys, parent_text, change_text):
+        def write(into, text):
+            (into / "perfbench").mkdir(parents=True)
+            (into / "perfbench" / "run.py").write_text(text)
+
+        def fake_run(root, workload, seed, seconds):
+            stamp = {"stamp": {"nproc": 2, "python": "3.11.7", "git_sha": "unknown"},
+                     "slowdown": 1.0}
+            return stamp, {"correct": True,
+                           "metrics": {name: {"value": 1.0} for name in pairs.end_to_end()}}
+
+        monkeypatch.setattr(pairs, "commit_sha", lambda rev: "0" * 40)
+        monkeypatch.setattr(pairs, "export", lambda sha, into: write(into, parent_text))
+        monkeypatch.setattr(pairs, "copy_checkout", lambda into: write(into, change_text))
+        monkeypatch.setattr(pairs, "run_once", fake_run)
+        assert pairs.main(["--parent", "HEAD", "--workload", "verify-acceptance",
+                           "--seeds", "1-2", "--seconds", "1"]) == 0
+        out, err = capsys.readouterr()
+        return json.loads(out), err
+
+    def hash_object(self, tmp_path, text):
+        (tmp_path / "run.py").write_text(text)
+        return subprocess.run(["git", "hash-object", "run.py"], cwd=tmp_path, check=True,
+                              capture_output=True, text=True).stdout.strip()
+
+    def test_equal_sides_record_the_sha_without_a_warning(self, monkeypatch, capsys, tmp_path):
+        entry, err = self.run_main(monkeypatch, capsys, "bench\n", "bench\n")
+        assert entry["run_py_sha"] == self.hash_object(tmp_path, "bench\n")
+        assert list(entry).index("run_py_sha") == list(entry).index("seeds") + 1
+        assert "sha" not in entry
+        assert "warning" not in err
+
+    def test_a_mismatch_warns(self, monkeypatch, capsys, tmp_path):
+        entry, err = self.run_main(monkeypatch, capsys, "old\n", "new\n")
+        assert entry["run_py_sha"] == self.hash_object(tmp_path, "new\n")
+        old = self.hash_object(tmp_path, "old\n")
+        assert f"warning: perfbench/run.py differs: parent {old}, change {entry['run_py_sha']}" \
+            in err

@@ -15,6 +15,8 @@ The entry, printed on stdout in the layout of the files' "entries" list,
 gives, for each end-to-end metric of BENCHMARK.json, each side's median
 and inclusive quartiles over its runs, and the pairs in which the change
 reads better.
+The entry records the git blob sha of the change's perfbench/run.py as
+run_py_sha, and a warning goes to stderr when the parent's differs.
 Each end-to-end metric also gets a no-regression verdict on stderr
 (see no_regression), and the exit status is 1 when one regressed.
 A named claim meets the rule when the change wins at least 9 pairs in 10
@@ -27,6 +29,7 @@ exits 1, with no entry printed.  Standard library only.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import io
 import json
 import os
@@ -138,6 +141,14 @@ def copy_checkout(into: Path) -> None:
             shutil.copy2(ROOT / name, into / name)
 
 
+def blob_sha(path: Path) -> str | None:
+    """The sha `git hash-object` gives the file, or None when there is none."""
+    if not path.is_file():
+        return None
+    data = path.read_bytes()
+    return hashlib.sha1(b"blob %d\0" % len(data) + data).hexdigest()
+
+
 def format_entry(entry: dict) -> str:
     """The entry as the BENCH files lay it out, indented for their entries
     list: a line per field, per metric and per run."""
@@ -199,6 +210,10 @@ def main(argv=None) -> int:
         sides = {side: Path(tmp) / side for side in ("parent", "change")}
         export(parent_sha, sides["parent"])
         copy_checkout(sides["change"])
+        run_py = {side: blob_sha(root / "perfbench" / "run.py") for side, root in sides.items()}
+        if run_py["parent"] != run_py["change"]:
+            print(f"warning: perfbench/run.py differs: parent {run_py['parent']}, "
+                  f"change {run_py['change']}", file=sys.stderr)
         for i, seed in enumerate(seeds):
             for side in ("parent", "change")[::1 if i % 2 == 0 else -1]:
                 stamp, result = run_once(sides[side], args.workload, seed, args.seconds)
@@ -215,9 +230,9 @@ def main(argv=None) -> int:
                     f"{k} {runs[-1][k]}" for k in better), file=sys.stderr)
     info = first_stamp["stamp"]
     seconds = int(args.seconds) if args.seconds.is_integer() else args.seconds
-    entry = {"change": args.change, "parent_sha": parent_sha, "sha": None,
-             "pairs": len(seeds), "seeds": args.seeds, "seconds": seconds,
-             "claim": args.claim,
+    entry = {"change": args.change, "parent_sha": parent_sha,
+             "pairs": len(seeds), "seeds": args.seeds, "run_py_sha": run_py["change"],
+             "seconds": seconds, "claim": args.claim,
              "host": f"{info['nproc']}-core host, Python {info['python']}",
              "stamp": first_stamp, "metrics": summarize(runs, better), "runs": runs}
     bounds, regressed = end_to_end(key="bound"), False
